@@ -1,24 +1,7 @@
-"""Numba dispatch helper.
+"""Kernel execution mode, for tools that report it.
 
-Kernels in :mod:`gaplab.kernels` are plain Python functions compiled with
-numba's ``njit`` when available.  Setting the environment variable
-``GAPLAB_JIT=0`` (or running without numba installed) selects the
-interpreted numpy fallback instead; results are identical, only slower.
-The flag is read once at import time because compilation happens then.
+The kernels in :mod:`gaplab.kernels` always run as interpreted Python;
+``perfbench/run.py`` records this flag in its environment block.
 """
 
-import os
-
-try:
-    import numba
-except ImportError:  # pragma: no cover - exercised only on numba-free installs
-    numba = None
-
-JIT_ENABLED = numba is not None and os.environ.get("GAPLAB_JIT", "1") != "0"
-
-
-def maybe_njit(func):
-    """Return ``njit(func)`` when JIT is enabled, else ``func`` unchanged."""
-    if JIT_ENABLED:
-        return numba.njit(func, cache=True, nogil=True)
-    return func
+JIT_ENABLED = False

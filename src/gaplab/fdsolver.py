@@ -35,7 +35,6 @@ __all__ = [
     "default_cell_count",
 ]
 
-_BISECT_MAX_CEILING_RETRIES = 3
 _INV_ITER_MAX = 50
 _INV_ITER_DIR_TOL = 1e-12
 _RESIDUAL_REL = 1e-8
@@ -168,17 +167,7 @@ def lowest_two_eigenpairs(op: DiscreteOperator) -> Tuple[Eigenpair, Eigenpair]:
 
     radius = 2.0 * np.abs(off).max()
     lo = float(diag.min() - radius)
-    hi = float(np.abs(diag).max() + radius)  # Gershgorin ceiling
-    span = hi - lo
-    for attempt in range(_BISECT_MAX_CEILING_RETRIES + 1):
-        if kernels.sturm_count(diag, off2, hi, pivmin) >= 2:
-            break
-        if attempt == _BISECT_MAX_CEILING_RETRIES:
-            raise SolverError(
-                "sign count certifies fewer than 2 eigenvalues below the search ceiling"
-            )
-        hi += span
-        span *= 2.0
+    hi = float(np.abs(diag).max() + radius)  # Gershgorin: bounds every eigenvalue
 
     lam0 = kernels.bisect_eigenvalue(diag, off2, 0, lo, hi, pivmin)
     lam1 = kernels.bisect_eigenvalue(diag, off2, 1, max(lo, lam0 - 1e-13), hi, pivmin)
@@ -190,11 +179,10 @@ def lowest_two_eigenpairs(op: DiscreteOperator) -> Tuple[Eigenpair, Eigenpair]:
     norm_t = op.norm_inf()
     resid_tol = 1e-11 * max(1.0, norm_t)
     rng = np.random.default_rng(1234567891)
-    dummy = np.zeros(1)
     vec0 = None
     for _ in range(2):
         v, _, ok = kernels.inverse_iteration(
-            diag, off, lam0, _start_vector(rng, n), dummy, False,
+            diag, off, lam0, _start_vector(rng, n), None,
             _INV_ITER_MAX, _INV_ITER_DIR_TOL, resid_tol, pivmin,
         )
         if ok:
@@ -208,7 +196,7 @@ def lowest_two_eigenpairs(op: DiscreteOperator) -> Tuple[Eigenpair, Eigenpair]:
     vec1 = None
     for _ in range(2):
         v, _, ok = kernels.inverse_iteration(
-            diag, off, lam1, _start_vector(rng, n), vec0, True,
+            diag, off, lam1, _start_vector(rng, n), vec0,
             _INV_ITER_MAX, _INV_ITER_DIR_TOL, resid_tol, pivmin,
         )
         if ok:
@@ -229,7 +217,13 @@ def lowest_two_eigenpairs(op: DiscreteOperator) -> Tuple[Eigenpair, Eigenpair]:
     peak = float(vec0.max())
     if vec0.min() <= 0.0:
         if vec0.min() < -1e-12 * peak:
-            raise SolverError("ground-state vector is not strictly positive")
+            # a split near eps*||T|| leaves inverse iteration unable to tell
+            # the two eigenvectors apart
+            raise SolverError(
+                "ground-state vector is not strictly positive "
+                f"(lambda1 - lambda0 = {lam1 - lam0:.3e}, "
+                f"eps*||T|| = {np.finfo(float).eps * norm_t:.3e})"
+            )
         vec0 = np.maximum(vec0, 1e-16 * peak)
     return Eigenpair(float(lam0), vec0), Eigenpair(float(lam1), vec1)
 

@@ -1,19 +1,17 @@
 """Hot numeric loops shared by the eigensolver and the phase/profile integrators.
 
-Each kernel exists as a plain function (``_name``) and a dispatched public
-name that is numba-compiled unless GAPLAB_JIT=0 (see :mod:`gaplab._jit`).
-The fallback path runs the identical code interpreted, so the two can be
-benchmarked against each other (``benchmarks/bench_kernels.py``).
+Plain interpreted Python: scalar loops over numpy arrays, one definition
+per kernel.  The eigensolver kernels (Sturm count, bisection, shifted
+inverse iteration) follow LAPACK's tridiagonal routines; the phase and
+profile kernels are fixed-step RK4 sweeps, so phase counts are reproducible.
 """
 
 import math
 
 import numpy as np
 
-from ._jit import maybe_njit
 
-
-def _sturm_count(diag, off2, shift, pivmin):
+def sturm_count(diag, off2, shift, pivmin):
     # Sign count of the LDL^T pivots of (T - shift*I): the number of
     # eigenvalues of T strictly below `shift`.  `off2` holds the squared
     # off-diagonal entries; `pivmin` guards against zero pivots the same
@@ -34,10 +32,7 @@ def _sturm_count(diag, off2, shift, pivmin):
     return count
 
 
-sturm_count = maybe_njit(_sturm_count)
-
-
-def _bisect_eigenvalue(diag, off2, k, lo, hi, pivmin):
+def bisect_eigenvalue(diag, off2, k, lo, hi, pivmin):
     # Bisect for the k-th (0-based) eigenvalue given the enclosure
     # count(lo) <= k < count(hi).  Stops at width max(1e-13, 1e-12*|lam|).
     while True:
@@ -56,15 +51,12 @@ def _bisect_eigenvalue(diag, off2, k, lo, hi, pivmin):
     return 0.5 * (lo + hi)
 
 
-bisect_eigenvalue = maybe_njit(_bisect_eigenvalue)
-
-
-def _inverse_iteration(diag, off, sigma, start, ortho, use_ortho, max_iter, dir_tol,
-                       resid_tol, pivmin):
+def inverse_iteration(diag, off, sigma, start, ortho, max_iter, dir_tol, resid_tol,
+                      pivmin):
     # Inverse iteration with the shift `sigma` on the symmetric tridiagonal
     # matrix (diag, off).  Factors (T - sigma*I) once by LU with partial
-    # pivoting, then iterates solves.  When `use_ortho` is set the iterate is
-    # re-orthogonalized against `ortho` every sweep (near-degenerate pairs).
+    # pivoting, then iterates solves.  Unless `ortho` is None the iterate is
+    # re-orthogonalized against it every sweep (near-degenerate pairs).
     # Accepts when the direction stabilizes to dir_tol, or (from the second
     # sweep on) when the solve growth certifies a residual below resid_tol:
     # with ||x||_2 = 1, the normalized iterate satisfies
@@ -145,7 +137,7 @@ def _inverse_iteration(diag, off, sigma, start, ortho, use_ortho, max_iter, dir_
         inv0 = 1.0 / amax
         for i in range(n):
             y[i] *= inv0
-        if use_ortho:
+        if ortho is not None:
             dot = 0.0
             for i in range(n):
                 dot += y[i] * ortho[i]
@@ -177,10 +169,7 @@ def _inverse_iteration(diag, off, sigma, start, ortho, use_ortho, max_iter, dir_
     return x, iters, converged
 
 
-inverse_iteration = maybe_njit(_inverse_iteration)
-
-
-def _prufer_theta_piecewise(breaks, vals, lam, n_steps):
+def prufer_theta_piecewise(breaks, vals, lam, n_steps):
     # Classical RK4 sweep of the phase equation
     #   theta' = cos^2(theta) + (lam - v(x)) sin^2(theta),  theta(x0) = pi/2,
     # for a piecewise-constant v given by `breaks` (m+1 points) / `vals` (m).
@@ -226,10 +215,7 @@ def _prufer_theta_piecewise(breaks, vals, lam, n_steps):
     return theta
 
 
-prufer_theta_piecewise = maybe_njit(_prufer_theta_piecewise)
-
-
-def _prufer_theta_capped(c_decay, cap, lam, half_len, n_steps):
+def prufer_theta_capped(c_decay, cap, lam, half_len, n_steps):
     # Same phase sweep for v(x) = min(cap, c_decay / x^2) on (-half_len, half_len).
     h = 2.0 * half_len / n_steps
     theta = 0.5 * math.pi
@@ -266,10 +252,7 @@ def _prufer_theta_capped(c_decay, cap, lam, half_len, n_steps):
     return theta
 
 
-prufer_theta_capped = maybe_njit(_prufer_theta_capped)
-
-
-def _profile_rk4_capped(c_decay, cap, lam, half_len, n_samples, n_sub):
+def profile_rk4_capped(c_decay, cap, lam, half_len, n_samples, n_sub):
     # Integrates u'' = (v - lam) u with v(x) = min(cap, c_decay/x^2) from
     # (u, u') = (1, 0) at -half_len, recording u at n_samples uniform points
     # (endpoints included).  The state and all stored samples are rescaled
@@ -314,6 +297,3 @@ def _profile_rk4_capped(c_decay, cap, lam, half_len, n_samples, n_sub):
             for i in range(j + 1):
                 samples[i] *= inv
     return samples
-
-
-profile_rk4_capped = maybe_njit(_profile_rk4_capped)

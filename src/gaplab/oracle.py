@@ -242,17 +242,12 @@ def eigenvalues_exact(layers: LayerDecomposition, count: int = 2) -> Tuple[float
     l1 = layers.l1()
     free_gap = (math.pi / L) ** 2
     # lam0 <= min(max v, l1/L) by the Rayleigh quotient of the constant
-    # test function; lam1 <= pi^2/L^2 + max v, so the ceiling below always
-    # encloses both (the widening loop is belt and braces).
+    # test function and lam1 <= pi^2/L^2 + max v, so the ceiling below
+    # encloses both with a margin of at least 3 pi^2/L^2;
+    # _prufer_transition raises if the phase count disagrees.
     scale = max(1.0, maxv + 4.0 * free_gap)
     ceiling = min(maxv, l1 / L) + free_gap * 4.0 + maxv + 1e-9 * scale
     lo = -1e-9 * scale
-    for _ in range(8):
-        if _count_from_layers(layers, ceiling) >= count:
-            break
-        ceiling += free_gap * 4.0 + maxv + 1.0
-    else:
-        raise OracleError("could not certify enough eigenvalues below the ceiling")
 
     roots = []
     lo_k = lo

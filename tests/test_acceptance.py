@@ -1,8 +1,8 @@
 """Acceptance gate: one test per criterion, each printing a PASS line with
 its runtime (visible with ``pytest -s`` or in the captured-output section).
 
-Timings exclude the one-off numba JIT compilation, which a session-scoped
-warmup absorbs (compiled kernels are also disk-cached across runs).
+Timings exclude first-call costs (lazy imports, cold caches), which a
+module-scoped warmup absorbs before the timed criteria.
 """
 
 import json
@@ -29,7 +29,7 @@ PI_SQ = math.pi * math.pi
 
 
 @pytest.fixture(scope="module", autouse=True)
-def warmup_jit():
+def warmup():
     solve_extrapolated(Step(1.0, (-0.25, 0.25)), 1.0, n0=64, levels=2)
     eigenvalues_exact(decompose(Step(1.0, (-0.25, 0.25)), 1.0), 2)
 

@@ -1,5 +1,6 @@
 import json
 import math
+import pathlib
 import subprocess
 import sys
 
@@ -152,6 +153,28 @@ def test_sweep_threads_do_not_change_bytes(capsys, tmp_path, monkeypatch):
     monkeypatch.setenv("GAPLAB_THREADS", "3")
     assert run_cli(capsys, "sweep", "--config", cfg, "--output", str(b))[0] == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+# Unit-step sweep whose CSV bytes are pinned in tests/golden/step_sweep.csv
+# (`gaplab sweep --config '<this JSON>'`): a change to the solver's arithmetic
+# that moves any digit of the CSV fails here.
+GOLDEN_SWEEP = {
+    "potential": {"type": "step", "height": 1.0, "support": [-0.5, 0.5]},
+    "L_values": [10, 20, 40],
+    "cells_per_unit": 8,
+    "levels": 3,
+}
+
+
+@pytest.mark.filterwarnings("ignore:observed convergence order")
+def test_sweep_matches_golden_csv_bytes(capsys, tmp_path):
+    out_csv = tmp_path / "step.csv"
+    code, _, _ = run_cli(
+        capsys, "sweep", "--config", json.dumps(GOLDEN_SWEEP), "--output", str(out_csv),
+    )
+    assert code == 0
+    golden = pathlib.Path(__file__).parent / "golden" / "step_sweep.csv"
+    assert out_csv.read_bytes() == golden.read_bytes()
 
 
 def test_sweep_constant_matches_zero_rows(capsys, tmp_path):
