@@ -88,11 +88,16 @@ def _thread_workers(n_jobs: int) -> int:
     return max(1, min(cap, n_jobs))
 
 
+def _length(args) -> float:
+    L = args.length
+    if not (L > 0.0 and math.isfinite(L)):
+        raise InputError(f"--length must be finite and > 0, got {L}")
+    return L
+
+
 def cmd_solve(args) -> int:
     p = _parse_potential(args.potential)
-    L = args.length
-    if not (L and L > 0.0):
-        raise InputError(f"--length must be > 0, got {L}")
+    L = _length(args)
     n0 = args.cells if args.cells is not None else default_cell_count(L)
     result = solve_extrapolated(p, L, n0=n0, levels=args.levels)
     out = {
@@ -144,9 +149,7 @@ def _oracle_section(p, L, result, tol: float) -> dict:
 
 def cmd_verify(args) -> int:
     p = _parse_potential(args.potential)
-    L = args.length
-    if not (L and L > 0.0):
-        raise InputError(f"--length must be > 0, got {L}")
+    L = _length(args)
     n0 = args.cells if args.cells is not None else default_cell_count(L)
     result = solve_extrapolated(p, L, n0=n0, levels=args.levels)
     report = verify(p, L, result, TolerancePolicy(eps_rel=args.eps_rel))
@@ -197,8 +200,8 @@ class SweepConfig:
             raise InputError(
                 "sweep config needs either 'L_values' or 'L_min'/'L_max'/'count'"
             )
-        if not all(x > 0.0 for x in l_values):
-            raise InputError("sweep L values must be strictly positive")
+        if not all(x > 0.0 and math.isfinite(x) for x in l_values):
+            raise InputError("sweep L values must be finite and strictly positive")
         if any(b <= a for a, b in zip(l_values, l_values[1:])):
             raise InputError("sweep L values must be strictly increasing")
         cpu = int(d.get("cells_per_unit", 64))

@@ -11,12 +11,18 @@ which the tests use as an exact oracle.  Eigenvalues are located by
 Sturm-sequence bisection, eigenvectors by shifted inverse iteration, and
 ``solve_extrapolated`` removes the leading O(h^2) error by Richardson
 extrapolation over nested grids.
+
+Most of a solve is Sturm sweeps, so the two bisections of one operator share
+their counts, and each finer grid starts from counts taken around the value
+the coarser grids predict.  A count only ever decides a midpoint that plain
+bisection would decide the same way (the count is monotone in the shift),
+so this reuse changes the number of sweeps, never an eigenvalue.
 """
 
 import math
 import warnings
 from dataclasses import dataclass
-from typing import NamedTuple, Tuple
+from typing import NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -38,6 +44,8 @@ __all__ = [
 _INV_ITER_MAX = 50
 _INV_ITER_DIR_TOL = 1e-12
 _RESIDUAL_REL = 1e-8
+_GALLOP_START = 16.0  # first half-width around a guess, in bisection tolerances
+_GALLOP_GROWTH = 16.0
 
 
 class SolverError(RuntimeError):
@@ -56,6 +64,9 @@ class Grid:
             raise ValueError(f"grid length must be finite and > 0, got {self.L}")
         if self.N < 16:
             raise ValueError(f"grid needs at least 16 cells, got {self.N}")
+        h2 = self.h * self.h
+        if not (h2 > 0.0 and math.isfinite(1.0 / h2)):
+            raise ValueError(f"grid spacing h = {self.h:.3e} is too small: 1/h^2 overflows")
 
     @property
     def h(self) -> float:
@@ -145,7 +156,26 @@ def _start_vector(rng: np.random.Generator, n: int) -> np.ndarray:
     return rng.uniform(-1.0, 1.0, n)
 
 
-def lowest_two_eigenpairs(op: DiscreteOperator) -> Tuple[Eigenpair, Eigenpair]:
+def _gallop(diag, off2, pivmin, k, guess, lo, hi, counts):
+    """Count at guess -/+ w, w starting at 16 bisection tolerances and each
+    side widening 16-fold, until count(guess - w) <= k < count(guess + w) or
+    the side leaves the Gershgorin enclosure (lo, hi)."""
+    if not math.isfinite(guess):
+        return
+    start = _GALLOP_START * max(1e-13, 1e-12 * abs(guess))
+    for side in (-1.0, 1.0):
+        width = start
+        while lo < guess + side * width < hi:
+            shift = guess + side * width
+            count = counts[shift] = kernels.sturm_count(diag, off2, shift, pivmin)
+            if (count <= k) == (side < 0.0):  # this side encloses eigenvalue k
+                break
+            width *= _GALLOP_GROWTH
+
+
+def lowest_two_eigenpairs(
+    op: DiscreteOperator, near: Optional[Tuple[float, float]] = None
+) -> Tuple[Eigenpair, Eigenpair]:
     """Lowest two eigenpairs of the tridiagonal operator.
 
     Eigenvalues by bisection on the Sturm sign count (absolute tolerance
@@ -153,6 +183,10 @@ def lowest_two_eigenpairs(op: DiscreteOperator) -> Tuple[Eigenpair, Eigenpair]:
     bisected value as shift, at most 50 sweeps.  The second vector is
     re-orthogonalized against the first every sweep.  The ground vector is
     sign-fixed positive.  Raises :class:`SolverError` on non-convergence.
+
+    ``near`` is a guess (lambda0, lambda1), e.g. from a coarser grid; the
+    bisections start from Sturm counts taken around it.  It changes only how
+    many Sturm sweeps the bisections take, never the eigenpairs returned.
     """
     diag = np.ascontiguousarray(op.diag, dtype=float)
     off = np.ascontiguousarray(op.offdiag, dtype=float)
@@ -169,8 +203,24 @@ def lowest_two_eigenpairs(op: DiscreteOperator) -> Tuple[Eigenpair, Eigenpair]:
     lo = float(diag.min() - radius)
     hi = float(np.abs(diag).max() + radius)  # Gershgorin: bounds every eigenvalue
 
-    lam0 = kernels.bisect_eigenvalue(diag, off2, 0, lo, hi, pivmin)
-    lam1 = kernels.bisect_eigenvalue(diag, off2, 1, max(lo, lam0 - 1e-13), hi, pivmin)
+    # Sturm counts shared by both bisections (shift -> count).  They only
+    # decide midpoints without a sweep, never move one, so the seeds below
+    # change the cost of the bisection and not its result.
+    counts = {}
+    if near is None:
+        # T's row sums are v at the nodes, and min v <= lambda0 <= mean v
+        # (Weyl; the Rayleigh quotient of the constant vector)
+        rows = diag.copy()
+        rows[:-1] += off
+        rows[1:] += off
+        for shift in (float(rows.min()), float(rows.mean())):
+            counts[shift] = kernels.sturm_count(diag, off2, shift, pivmin)
+    else:
+        for k, guess in enumerate(near):
+            _gallop(diag, off2, pivmin, k, float(guess), lo, hi, counts)
+    lam0 = kernels.bisect_eigenvalue(diag, off2, 0, lo, hi, pivmin, counts)
+    lam1 = kernels.bisect_eigenvalue(diag, off2, 1, max(lo, lam0 - 1e-13), hi, pivmin,
+                                     counts)
     if not lam0 < lam1:
         # can only happen if the bisection tolerances overlap; 1-d Neumann
         # operators have simple eigenvalues
@@ -278,7 +328,14 @@ def solve_extrapolated(
     finest_grid = None
     for j in range(levels):
         grid = Grid(L, n0 * 2 ** j)
-        pair0, pair1 = lowest_two_eigenpairs(assemble(p, grid))
+        near = None
+        if j == 1:
+            near = (lam0s[0], lam1s[0])
+        elif j >= 2:
+            # the O(h^2) error quarters per halving of h
+            near = (lam0s[-1] + (lam0s[-1] - lam0s[-2]) / 4.0,
+                    lam1s[-1] + (lam1s[-1] - lam1s[-2]) / 4.0)
+        pair0, pair1 = lowest_two_eigenpairs(assemble(p, grid), near=near)
         lam0s.append(pair0.value)
         lam1s.append(pair1.value)
         finest_pair = (pair0, pair1)

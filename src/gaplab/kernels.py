@@ -1,9 +1,25 @@
 """Hot numeric loops shared by the eigensolver and the phase/profile integrators.
 
-Plain interpreted Python: scalar loops over numpy arrays, one definition
-per kernel.  The eigensolver kernels (Sturm count, bisection, shifted
-inverse iteration) follow LAPACK's tridiagonal routines; the phase and
-profile kernels are fixed-step RK4 sweeps, so phase counts are reproducible.
+Plain interpreted Python, one definition per kernel.  The eigensolver
+kernels (Sturm count, bisection, shifted inverse iteration) follow LAPACK's
+tridiagonal routines; the phase and profile kernels are fixed-step RK4
+sweeps, so phase counts are reproducible.
+
+The loops run on Python floats, not numpy scalars: each kernel converts its
+array arguments once per call with ``tolist()`` (scalars with ``float()``)
+and returns numpy arrays where it returns arrays.  Both are IEEE doubles
+and every operation keeps its order, so the results are bit for bit those
+of the same loops over numpy arrays, at a fraction of the indexing cost.
+Unlike a numpy scalar, a Python float raises ZeroDivisionError on a zero
+divisor instead of returning inf or nan: every divisor below is a pivot
+kept away from zero by `pivmin`, a maximum or norm checked to be nonzero, a
+step count, or the norm of the start vector, which must not be zero.
+
+``bisect_eigenvalue`` reuses Sturm counts it is given.  The count that
+IEEE arithmetic computes is non-decreasing in the shift (Kahan's
+monotonicity result; Demmel, Dhillon & Ren, ETNA 3, 1995), so an earlier
+count can settle a midpoint without a sweep and the bisection still takes
+exactly the midpoints of plain bisection.
 """
 
 import math
@@ -15,26 +31,46 @@ def sturm_count(diag, off2, shift, pivmin):
     # Sign count of the LDL^T pivots of (T - shift*I): the number of
     # eigenvalues of T strictly below `shift`.  `off2` holds the squared
     # off-diagonal entries; `pivmin` guards against zero pivots the same
-    # way LAPACK's bisection does (a tiny pivot is forced negative).
-    n = diag.shape[0]
+    # way LAPACK's bisection does (a pivot in (-pivmin, pivmin) is forced to
+    # -pivmin).  A pivot below pivmin is negative once guarded, so one
+    # comparison decides both the guard and the count.
+    shift = float(shift)
+    pivmin = float(pivmin)
+    neg_pivmin = -pivmin
+    a = diag.tolist()
     count = 0
-    d = diag[0] - shift
-    if -pivmin < d < pivmin:
-        d = -pivmin
-    if d < 0.0:
+    d = a[0] - shift
+    if d < pivmin:
+        if d > neg_pivmin:
+            d = neg_pivmin
         count += 1
-    for i in range(1, n):
-        d = diag[i] - shift - off2[i - 1] / d
-        if -pivmin < d < pivmin:
-            d = -pivmin
-        if d < 0.0:
+    for ai, bi in zip(a[1:], off2.tolist()):
+        d = ai - shift - bi / d
+        if d < pivmin:
+            if d > neg_pivmin:
+                d = neg_pivmin
             count += 1
     return count
 
 
-def bisect_eigenvalue(diag, off2, k, lo, hi, pivmin):
+def bisect_eigenvalue(diag, off2, k, lo, hi, pivmin, counts=None):
     # Bisect for the k-th (0-based) eigenvalue given the enclosure
     # count(lo) <= k < count(hi).  Stops at width max(1e-13, 1e-12*|lam|).
+    # `counts` (shift -> Sturm count of this matrix) lends earlier counts:
+    # the count is non-decreasing in the shift, so a midpoint at or below a
+    # shift counted <= k goes to lo, and one at or above a shift counted > k
+    # goes to hi, without a sweep.  The midpoints, and so the result, are
+    # those of plain bisection.  New counts are added to `counts`.
+    if counts is None:
+        counts = {}
+    below = -math.inf  # largest shift counted <= k
+    above = math.inf  # smallest shift counted > k
+    for shift, c in counts.items():
+        if c <= k:
+            if shift > below:
+                below = shift
+        elif shift < above:
+            above = shift
     while True:
         tol = 1e-12 * max(abs(lo), abs(hi))
         if tol < 1e-13:
@@ -44,10 +80,16 @@ def bisect_eigenvalue(diag, off2, k, lo, hi, pivmin):
         mid = 0.5 * (lo + hi)
         if mid <= lo or mid >= hi:
             break
-        if sturm_count(diag, off2, mid, pivmin) > k:
+        if mid <= below:
+            lo = mid
+        elif mid >= above:
             hi = mid
         else:
-            lo = mid
+            c = counts[mid] = sturm_count(diag, off2, mid, pivmin)
+            if c > k:
+                hi = above = mid
+            else:
+                lo = below = mid
     return 0.5 * (lo + hi)
 
 
@@ -63,110 +105,122 @@ def inverse_iteration(diag, off, sigma, start, ortho, max_iter, dir_tol, resid_t
     # ||(T - sigma) y_hat||_2 = 1/||y||_2, and near-exact shifts leave the
     # direction jittering in a rounding cloud that never meets dir_tol.
     # Returns (vector, iterations, converged); the vector is l2-normalized.
-    n = diag.shape[0]
-    d = np.empty(n)
-    du = np.empty(n - 1)
-    dl = np.empty(n - 1)
-    du2 = np.zeros(n - 2) if n > 2 else np.zeros(1)
-    piv = np.zeros(n - 1, np.uint8)
-    for i in range(n):
-        d[i] = diag[i] - sigma
-    for i in range(n - 1):
-        du[i] = off[i]
-    for i in range(n - 1):
-        sub = off[i]
-        if abs(d[i]) >= abs(sub):
-            if -pivmin < d[i] < pivmin:
-                d[i] = pivmin
-            fact = sub / d[i]
-            dl[i] = fact
-            d[i + 1] = d[i + 1] - fact * du[i]
-            if i < n - 2:
-                du2[i] = 0.0
+    sigma = float(sigma)
+    pivmin = float(pivmin)
+    off = off.tolist()
+    n = len(off) + 1
+    # LU of (T - sigma*I) with partial pivoting, as LAPACK's dgttrf; `di` and
+    # `dui` carry row i's pivot and superdiagonal, which step i-1 may change
+    d = []
+    du = []
+    dl = []
+    du2 = []
+    piv = []
+    shifted = [a - sigma for a in diag.tolist()]
+    di = shifted[0]
+    dui = off[0]
+    for sub, d_next, du_next in zip(off, shifted[1:], off[1:] + [0.0]):
+        if abs(di) >= abs(sub):
+            if -pivmin < di < pivmin:
+                di = pivmin
+            fact = sub / di
+            d.append(di)
+            du.append(dui)
+            du2.append(0.0)
+            piv.append(False)
+            di = d_next - fact * dui
+            dui = du_next
         else:
-            fact = d[i] / sub
-            dl[i] = fact
-            d[i] = sub
-            temp = du[i]
-            du[i] = d[i + 1]
-            d[i + 1] = temp - fact * d[i + 1]
-            if i < n - 2:
-                du2[i] = du[i + 1]
-                du[i + 1] = -fact * du[i + 1]
-            piv[i] = 1
-    if -pivmin < d[n - 1] < pivmin:
-        d[n - 1] = pivmin
+            fact = di / sub
+            d.append(sub)
+            du.append(d_next)
+            du2.append(du_next)
+            piv.append(True)
+            di = dui - fact * d_next
+            dui = -fact * du_next
+        dl.append(fact)
+    if -pivmin < di < pivmin:
+        di = pivmin
+    d.append(di)
+    del du2[n - 2:]  # the last row has no second superdiagonal
+    # back substitution runs from the last row up: its coefficients reversed
+    d_last = d[n - 1]
+    du_last = du[n - 2]
+    d_before_last = d[n - 2]
+    du_back = du[:n - 2][::-1]
+    du2_back = du2[::-1]
+    d_back = d[:n - 2][::-1]
 
-    x = np.empty(n)
+    x = start.tolist()
     s = 0.0
-    for i in range(n):
-        x[i] = start[i]
-        s += x[i] * x[i]
+    for a in x:
+        s += a * a
     s = math.sqrt(s)
-    for i in range(n):
-        x[i] /= s
+    x = [a / s for a in x]
+    if ortho is not None:
+        ortho = ortho.tolist()
 
-    y = np.empty(n)
     iters = 0
     converged = False
     for _ in range(max_iter):
         iters += 1
-        for i in range(n):
-            y[i] = x[i]
-        for i in range(n - 1):
-            if piv[i] == 0:
-                y[i + 1] -= dl[i] * y[i]
+        # L^-1 with the row interchanges; `c` carries row i into step i
+        y = []
+        c = x[0]
+        for a, f, swapped in zip(x[1:], dl, piv):
+            if swapped:
+                y.append(a)
+                c = c - f * a
             else:
-                temp = y[i]
-                y[i] = y[i + 1]
-                y[i + 1] = temp - dl[i] * y[i]
-        y[n - 1] = y[n - 1] / d[n - 1]
-        if n >= 2:
-            y[n - 2] = (y[n - 2] - du[n - 2] * y[n - 1]) / d[n - 2]
-        for i in range(n - 3, -1, -1):
-            y[i] = (y[i] - du[i] * y[i + 1] - du2[i] * y[i + 2]) / d[i]
+                y.append(c)
+                c = a - f * c
+        y.append(c)
+        # U^-1; z0, z1 carry rows i+1, i+2
+        z1 = y[n - 1] / d_last
+        z0 = (y[n - 2] - du_last * z1) / d_before_last
+        z = [z1, z0]
+        for a, u, u2, di in zip(y[n - 3::-1], du_back, du2_back, d_back):
+            zi = (a - u * z0 - u2 * z1) / di
+            z.append(zi)
+            z1 = z0
+            z0 = zi
+        z.reverse()
         # scale by the largest component first: a nearly exact shift makes the
         # solve blow up past 1e150 and the squared norm would overflow
-        amax = 0.0
-        for i in range(n):
-            a = abs(y[i])
-            if a > amax:
-                amax = a
+        amax = max(map(abs, z))
         if amax == 0.0 or not math.isfinite(amax):
             break
         inv0 = 1.0 / amax
-        for i in range(n):
-            y[i] *= inv0
+        y = [a * inv0 for a in z]
         if ortho is not None:
             dot = 0.0
-            for i in range(n):
-                dot += y[i] * ortho[i]
-            for i in range(n):
-                y[i] -= dot * ortho[i]
+            for a, b in zip(y, ortho):
+                dot += a * b
+            y = [a - dot * b for a, b in zip(y, ortho)]
         ny = 0.0
-        for i in range(n):
-            ny += y[i] * y[i]
+        dot_prev = 0.0
+        for a, b in zip(y, x):
+            ny += a * a
+            dot_prev += a * b
         ny = math.sqrt(ny)
         if ny == 0.0 or not math.isfinite(ny):
             break
         inv = 1.0 / ny
-        dot_prev = 0.0
-        for i in range(n):
-            dot_prev += y[i] * x[i]
         sgn = 1.0 if dot_prev >= 0.0 else -1.0
+        y = [sgn * a * inv for a in y]
         delta = 0.0
-        for i in range(n):
-            yi = sgn * y[i] * inv
-            dif = yi - x[i]
+        for a, b in zip(y, x):
+            dif = a - b
             delta += dif * dif
-            x[i] = yi
+        x = y
         if math.sqrt(delta) <= dir_tol:
             converged = True
             break
-        if iters >= 2 and 1.0 / (amax * ny) <= resid_tol:
+        growth = amax * ny  # may underflow to 0: an uncertified residual
+        if iters >= 2 and growth > 0.0 and 1.0 / growth <= resid_tol:
             converged = True
             break
-    return x, iters, converged
+    return np.array(x), iters, converged
 
 
 def prufer_theta_piecewise(breaks, vals, lam, n_steps):
@@ -175,10 +229,13 @@ def prufer_theta_piecewise(breaks, vals, lam, n_steps):
     # for a piecewise-constant v given by `breaks` (m+1 points) / `vals` (m).
     # The layer lookup is a forward-moving pointer: stage abscissae never
     # decrease, so the scan is O(1) amortized.
+    breaks = breaks.tolist()
+    vals = vals.tolist()
+    lam = float(lam)
+    m = len(vals)
     x0 = breaks[0]
-    x1 = breaks[vals.shape[0]]
+    x1 = breaks[m]
     h = (x1 - x0) / n_steps
-    m = vals.shape[0]
     theta = 0.5 * math.pi
     idx = 0
     x = x0
@@ -217,6 +274,10 @@ def prufer_theta_piecewise(breaks, vals, lam, n_steps):
 
 def prufer_theta_capped(c_decay, cap, lam, half_len, n_steps):
     # Same phase sweep for v(x) = min(cap, c_decay / x^2) on (-half_len, half_len).
+    c_decay = float(c_decay)
+    cap = float(cap)
+    lam = float(lam)
+    half_len = float(half_len)
     h = 2.0 * half_len / n_steps
     theta = 0.5 * math.pi
     x = -half_len
@@ -259,8 +320,11 @@ def profile_rk4_capped(c_decay, cap, lam, half_len, n_samples, n_sub):
     # whenever |u| or |u'| exceeds 1e15; the returned profile is therefore
     # defined only up to a positive factor, which is all the inf/sup ratio
     # needs.
-    samples = np.empty(n_samples)
-    samples[0] = 1.0
+    c_decay = float(c_decay)
+    cap = float(cap)
+    lam = float(lam)
+    half_len = float(half_len)
+    samples = [1.0]
     u = 1.0
     up = 0.0
     h = 2.0 * half_len / ((n_samples - 1) * n_sub)
@@ -286,7 +350,7 @@ def profile_rk4_capped(c_decay, cap, lam, half_len, n_samples, n_sub):
             u += h * (ku1 + 2.0 * ku2 + 2.0 * ku3 + ku4) / 6.0
             up += h * (kp1 + 2.0 * kp2 + 2.0 * kp3 + kp4) / 6.0
             x = xe
-        samples[j] = u
+        samples.append(u)
         au = abs(u)
         aup = abs(up)
         big = au if au > aup else aup
@@ -294,6 +358,5 @@ def profile_rk4_capped(c_decay, cap, lam, half_len, n_samples, n_sub):
             inv = 1.0 / big
             u *= inv
             up *= inv
-            for i in range(j + 1):
-                samples[i] *= inv
-    return samples
+            samples = [a * inv for a in samples]
+    return np.array(samples)

@@ -177,6 +177,32 @@ def test_sweep_matches_golden_csv_bytes(capsys, tmp_path):
     assert out_csv.read_bytes() == golden.read_bytes()
 
 
+# Potentials whose `gaplab solve` and `gaplab verify --oracle` stdout at
+# L = 10 (default cells) is pinned in tests/golden/{solve,verify}_<name>_L10.json.
+# Unlike the sweep CSV these also run the oracle's phase and profile kernels.
+GOLDEN_POTENTIALS = {
+    "step": {"type": "step", "height": 1.0, "support": [-0.5, 0.5]},
+    "multistep": {"type": "multistep", "pieces": [
+        {"height": 2.0, "support": [-3.0, -1.0]},
+        {"height": 0.5, "support": [1.5, 4.0]},
+    ]},
+    "capped": {"type": "inverse_square_capped", "decay": 1.0, "cap": 4.0},
+}
+
+
+@pytest.mark.filterwarnings("ignore:observed convergence order")
+@pytest.mark.parametrize("command", [("solve",), ("verify", "--oracle")])
+@pytest.mark.parametrize("name", sorted(GOLDEN_POTENTIALS))
+def test_cli_json_matches_golden_bytes(capsys, name, command):
+    code, out, _ = run_cli(
+        capsys, command[0], "--potential", json.dumps(GOLDEN_POTENTIALS[name]),
+        "--length", "10", *command[1:],
+    )
+    assert code == 0
+    golden = pathlib.Path(__file__).parent / "golden" / f"{command[0]}_{name}_L10.json"
+    assert out.encode() == golden.read_bytes()
+
+
 def test_sweep_constant_matches_zero_rows(capsys, tmp_path):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     cfg_c = dict(ZERO_SWEEP, potential={"type": "constant", "value": 1.0},
@@ -320,3 +346,26 @@ def test_module_entry_point_subprocess():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["gap"] == pytest.approx(math.pi**2 / 4, rel=1e-8)
+
+
+@pytest.mark.parametrize("command", ["solve", "verify"])
+@pytest.mark.parametrize("length, needle", [("inf", "finite"), ("1e-300", "1/h^2")])
+def test_impossible_length_exits_2(capsys, command, length, needle):
+    # inf has no cell count; at 1e-300 h^2 underflows and 1/h^2 overflows
+    code, _, err = run_cli(
+        capsys, command, "--potential", '{"type":"zero"}', "--length", length,
+    )
+    assert code == 2
+    assert needle in err
+
+
+@pytest.mark.parametrize("length, needle", [(1e-300, "1/h^2"), (math.inf, "finite")])
+def test_sweep_impossible_length_exits_2(capsys, tmp_path, length, needle):
+    cfg = {"potential": {"type": "zero"}, "L_values": [length, 1.0]}
+    out_csv = tmp_path / "x.csv"
+    code, _, err = run_cli(
+        capsys, "sweep", "--config", json.dumps(cfg), "--output", str(out_csv),
+    )
+    assert code == 2
+    assert needle in err
+    assert not out_csv.exists()

@@ -41,6 +41,10 @@ def test_grid_invariants():
         Grid(2.0, 8)
     with pytest.raises(ValueError):
         Grid(-1.0, 64)
+    with pytest.raises(ValueError, match="1/h"):
+        Grid(1e-300, 64)  # h^2 underflows to 0
+    with pytest.raises(ValueError, match="1/h"):
+        Grid(1e-155, 64)  # h^2 is subnormal and 1/h^2 overflows
 
 
 def test_assemble_free_stencil():
