@@ -31,6 +31,7 @@ from .fdsolver import (
     assemble,
     default_cell_count,
     lowest_two_eigenpairs,
+    lowest_two_eigenvalues,
     solve_extrapolated,
 )
 from .oracle import (
@@ -71,7 +72,8 @@ __all__ = [
     "sup_norm_on_interval", "to_dict", "from_dict", "to_json", "from_json",
     # solver
     "Grid", "DiscreteOperator", "Eigenpair", "SpectralResult", "SolverError",
-    "assemble", "lowest_two_eigenpairs", "solve_extrapolated", "default_cell_count",
+    "assemble", "lowest_two_eigenvalues", "lowest_two_eigenpairs", "solve_extrapolated",
+    "default_cell_count",
     # oracle
     "LayerDecomposition", "OracleError", "decompose", "match_value",
     "match_function", "eigenvalues_exact", "prufer_count",

@@ -225,7 +225,7 @@ class SweepConfig:
 
 
 def _sweep_row(cfg: SweepConfig, L: float) -> str:
-    n0 = max(cfg.min_cells, int(math.ceil(cfg.cells_per_unit * L)))
+    n0 = default_cell_count(L, cfg.cells_per_unit, cfg.min_cells)
     try:
         result = solve_extrapolated(cfg.potential, L, n0=n0, levels=cfg.levels)
         report = verify(cfg.potential, L, result)

@@ -8,9 +8,14 @@ the free operator's spectrum in closed form,
     lambda_k = (4/h^2) sin^2(k pi / (2N)),   eigvec_k(i) = cos(k pi (2i+1)/(2N)),
 
 which the tests use as an exact oracle.  Eigenvalues are located by
-Sturm-sequence bisection, eigenvectors by shifted inverse iteration, and
+Sturm-sequence bisection (``lowest_two_eigenvalues``), eigenvectors by
+shifted inverse iteration (``lowest_two_eigenpairs``), and
 ``solve_extrapolated`` removes the leading O(h^2) error by Richardson
-extrapolation over nested grids.
+extrapolation over nested grids.  Extrapolation needs only the eigenvalues
+of the coarser grids, and the ground state comes from the finest grid, so
+the coarser grids are solved for eigenvalues only; the finest grid runs
+inverse iteration and keeps every certificate (convergence, both residual
+checks, the positivity of the ground state).
 
 Most of a solve is Sturm sweeps, so the two bisections of one operator share
 their counts, and each finer grid starts from counts taken around the value
@@ -36,6 +41,7 @@ __all__ = [
     "SpectralResult",
     "SolverError",
     "assemble",
+    "lowest_two_eigenvalues",
     "lowest_two_eigenpairs",
     "solve_extrapolated",
     "default_cell_count",
@@ -64,9 +70,18 @@ class Grid:
             raise ValueError(f"grid length must be finite and > 0, got {self.L}")
         if self.N < 16:
             raise ValueError(f"grid needs at least 16 cells, got {self.N}")
+        # numpy refuses an array of more than intp.max bytes
+        if self.N > np.iinfo(np.intp).max // np.dtype(float).itemsize:
+            raise ValueError(
+                f"grid of N = {self.N:.3e} cells on L = {self.L} is larger than "
+                "numpy can index as an array of doubles"
+            )
         h2 = self.h * self.h
         if not (h2 > 0.0 and math.isfinite(1.0 / h2)):
             raise ValueError(f"grid spacing h = {self.h:.3e} is too small: 1/h^2 overflows")
+        # the eigensolver squares the off-diagonal entries -1/h^2
+        if not math.isfinite((1.0 / h2) * (1.0 / h2)):
+            raise ValueError(f"grid spacing h = {self.h:.3e} is too small: 1/h^4 overflows")
 
     @property
     def h(self) -> float:
@@ -136,7 +151,12 @@ class SpectralResult:
 
 def default_cell_count(L: float, per_unit: int = 64, floor: int = 256) -> int:
     """Sweep-friendly default N0 = max(floor, ceil(per_unit * L))."""
-    return max(floor, int(math.ceil(per_unit * L)))
+    cells = per_unit * L
+    if not math.isfinite(cells):
+        raise ValueError(
+            f"L = {L} at {per_unit} cells per unit needs more cells than numpy can index"
+        )
+    return max(floor, int(math.ceil(cells)))
 
 
 def assemble(p: PotentialSpec, grid: Grid) -> DiscreteOperator:
@@ -173,32 +193,32 @@ def _gallop(diag, off2, pivmin, k, guess, lo, hi, counts):
             width *= _GALLOP_GROWTH
 
 
-def lowest_two_eigenpairs(
-    op: DiscreteOperator, near: Optional[Tuple[float, float]] = None
-) -> Tuple[Eigenpair, Eigenpair]:
-    """Lowest two eigenpairs of the tridiagonal operator.
-
-    Eigenvalues by bisection on the Sturm sign count (absolute tolerance
-    max(1e-13, 1e-12 |lambda|)); eigenvectors by inverse iteration with the
-    bisected value as shift, at most 50 sweeps.  The second vector is
-    re-orthogonalized against the first every sweep.  The ground vector is
-    sign-fixed positive.  Raises :class:`SolverError` on non-convergence.
-
-    ``near`` is a guess (lambda0, lambda1), e.g. from a coarser grid; the
-    bisections start from Sturm counts taken around it.  It changes only how
-    many Sturm sweeps the bisections take, never the eigenpairs returned.
-    """
+def _kernel_inputs(op: DiscreteOperator):
+    """(diag, off, off2, pivmin) of the operator as the kernels take them."""
     diag = np.ascontiguousarray(op.diag, dtype=float)
     off = np.ascontiguousarray(op.offdiag, dtype=float)
-    n = diag.size
-    if n < 2:
+    if diag.size < 2:
         raise SolverError("need at least a 2x2 operator")
     off2 = off * off
     # zero-pivot guard for the Sturm recurrence and the shifted LU; far below
     # any eigenvalue tolerance but large enough that 1/pivmin cannot overflow
     # the back-substitution
     pivmin = max(off2.max(), 1.0) * 1e-250
+    return diag, off, off2, pivmin
 
+
+def lowest_two_eigenvalues(
+    op: DiscreteOperator, near: Optional[Tuple[float, float]] = None
+) -> Tuple[float, float]:
+    """Lowest two eigenvalues of the tridiagonal operator, by bisection on
+    the Sturm sign count (absolute tolerance max(1e-13, 1e-12 |lambda|)).
+
+    ``near`` is a guess (lambda0, lambda1), e.g. from a coarser grid; the
+    bisections start from Sturm counts taken around it.  It changes only how
+    many Sturm sweeps the bisections take, never the values returned.
+    Raises :class:`SolverError` if the two values are not separated.
+    """
+    diag, off, off2, pivmin = _kernel_inputs(op)
     radius = 2.0 * np.abs(off).max()
     lo = float(diag.min() - radius)
     hi = float(np.abs(diag).max() + radius)  # Gershgorin: bounds every eigenvalue
@@ -225,6 +245,24 @@ def lowest_two_eigenpairs(
         # can only happen if the bisection tolerances overlap; 1-d Neumann
         # operators have simple eigenvalues
         raise SolverError(f"eigenvalues not separated: {lam0} vs {lam1}")
+    return lam0, lam1
+
+
+def lowest_two_eigenpairs(
+    op: DiscreteOperator, near: Optional[Tuple[float, float]] = None
+) -> Tuple[Eigenpair, Eigenpair]:
+    """Lowest two eigenpairs of the tridiagonal operator.
+
+    Eigenvalues from :func:`lowest_two_eigenvalues` (``near`` is passed on
+    and never changes the result); eigenvectors by inverse iteration with
+    the bisected value as shift, at most 50 sweeps.  The second vector is
+    re-orthogonalized against the first every sweep.  The ground vector is
+    sign-fixed positive.  Raises :class:`SolverError` on non-convergence, on
+    a residual above 1e-8 ||T|| or on a ground vector that is not positive.
+    """
+    lam0, lam1 = lowest_two_eigenvalues(op, near)
+    diag, off, _, pivmin = _kernel_inputs(op)
+    n = diag.size
 
     norm_t = op.norm_inf()
     resid_tol = 1e-11 * max(1.0, norm_t)
@@ -312,6 +350,12 @@ def solve_extrapolated(
     """Solve on grids n0, 2 n0, ..., Richardson-extrapolate both eigenvalues,
     and keep the ground state from the finest grid.
 
+    The coarser grids are solved for eigenvalues only
+    (:func:`lowest_two_eigenvalues`): the extrapolation uses nothing else of
+    them.  Only the finest grid runs :func:`lowest_two_eigenpairs`, whose
+    eigenvectors are checked for convergence, residual and positivity, so
+    only that grid can raise a :class:`SolverError` about an eigenvector.
+
     Warns (RuntimeWarning) when the observed convergence order strays from 2
     by more than 0.5 (expected for step potentials whose jumps fall inside
     cells); the extrapolated values are still returned.
@@ -324,8 +368,6 @@ def solve_extrapolated(
         raise ValueError(f"levels must be 2, 3 or 4, got {levels}")
 
     lam0s, lam1s = [], []
-    finest_pair = None
-    finest_grid = None
     for j in range(levels):
         grid = Grid(L, n0 * 2 ** j)
         near = None
@@ -335,11 +377,14 @@ def solve_extrapolated(
             # the O(h^2) error quarters per halving of h
             near = (lam0s[-1] + (lam0s[-1] - lam0s[-2]) / 4.0,
                     lam1s[-1] + (lam1s[-1] - lam1s[-2]) / 4.0)
-        pair0, pair1 = lowest_two_eigenpairs(assemble(p, grid), near=near)
-        lam0s.append(pair0.value)
-        lam1s.append(pair1.value)
-        finest_pair = (pair0, pair1)
-        finest_grid = grid
+        op = assemble(p, grid)
+        if j < levels - 1:
+            lam0_j, lam1_j = lowest_two_eigenvalues(op, near=near)
+        else:
+            ground, excited = lowest_two_eigenpairs(op, near=near)
+            lam0_j, lam1_j = ground.value, excited.value
+        lam0s.append(lam0_j)
+        lam1s.append(lam1_j)
 
     lam0 = _richardson(lam0s)
     lam1 = _richardson(lam1s)
@@ -361,14 +406,13 @@ def solve_extrapolated(
     if not gap > 0.0:
         raise SolverError(f"extrapolated gap is not positive: {gap}")
 
-    h = finest_grid.h
-    phi0 = finest_pair[0].vector / math.sqrt(h)  # l2 -> L2(I) normalization
+    phi0 = ground.vector / math.sqrt(grid.h)  # l2 -> L2(I) normalization
     phi0.flags.writeable = False
     return SpectralResult(
         lambda0=float(lam0),
         lambda1=float(lam1),
         gap=float(gap),
-        grid=finest_grid,
+        grid=grid,
         phi0=phi0,
         inf_phi0=float(phi0.min()),
         sup_phi0=float(phi0.max()),

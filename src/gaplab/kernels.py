@@ -15,6 +15,14 @@ divisor instead of returning inf or nan: every divisor below is a pivot
 kept away from zero by `pivmin`, a maximum or norm checked to be nonzero, a
 step count, or the norm of the start vector, which must not be zero.
 
+``sturm_count`` takes the shift off the diagonal once per call, in numpy,
+so its loop is ``d = c_i - b_i / d``; numpy's elementwise subtraction is the
+same correctly rounded IEEE operation as Python's, so every count is that
+of the loop that subtracts the shift at each step.  ``prufer_theta_piecewise``
+looks the layer up only for a step whose end passes the right break of the
+current layer; any other step lies in that layer and takes its value at all
+three stages, which is what the lookup would return.
+
 ``bisect_eigenvalue`` reuses Sturm counts it is given.  The count that
 IEEE arithmetic computes is non-decreasing in the shift (Kahan's
 monotonicity result; Demmel, Dhillon & Ren, ETNA 3, 1995), so an earlier
@@ -33,19 +41,19 @@ def sturm_count(diag, off2, shift, pivmin):
     # off-diagonal entries; `pivmin` guards against zero pivots the same
     # way LAPACK's bisection does (a pivot in (-pivmin, pivmin) is forced to
     # -pivmin).  A pivot below pivmin is negative once guarded, so one
-    # comparison decides both the guard and the count.
-    shift = float(shift)
+    # comparison decides both the guard and the count.  The shift is taken
+    # off the diagonal once, in numpy, before the loop.
     pivmin = float(pivmin)
     neg_pivmin = -pivmin
-    a = diag.tolist()
+    shifted = iter((diag - float(shift)).tolist())
     count = 0
-    d = a[0] - shift
+    d = next(shifted)
     if d < pivmin:
         if d > neg_pivmin:
             d = neg_pivmin
         count += 1
-    for ai, bi in zip(a[1:], off2.tolist()):
-        d = ai - shift - bi / d
+    for c, b in zip(shifted, off2.tolist()):
+        d = c - b / d
         if d < pivmin:
             if d > neg_pivmin:
                 d = neg_pivmin
@@ -228,7 +236,9 @@ def prufer_theta_piecewise(breaks, vals, lam, n_steps):
     #   theta' = cos^2(theta) + (lam - v(x)) sin^2(theta),  theta(x0) = pi/2,
     # for a piecewise-constant v given by `breaks` (m+1 points) / `vals` (m).
     # The layer lookup is a forward-moving pointer: stage abscissae never
-    # decrease, so the scan is O(1) amortized.
+    # decrease, so the scan is O(1) amortized.  A step whose end x + h does
+    # not pass the right break of the current layer lies inside that layer,
+    # so it takes the layer's value at all three stages without a scan.
     breaks = breaks.tolist()
     vals = vals.tolist()
     lam = float(lam)
@@ -236,30 +246,37 @@ def prufer_theta_piecewise(breaks, vals, lam, n_steps):
     x0 = breaks[0]
     x1 = breaks[m]
     h = (x1 - x0) / n_steps
+    half_h = 0.5 * h
     theta = 0.5 * math.pi
     idx = 0
+    right = breaks[1] if m > 1 else math.inf  # right break of layer idx
+    q = lam - vals[0]
     x = x0
     for _ in range(n_steps):
-        xm = x + 0.5 * h
         xe = x + h
-        while idx < m - 1 and x > breaks[idx + 1]:
-            idx += 1
-        q1 = lam - vals[idx]
-        j = idx
-        while j < m - 1 and xm > breaks[j + 1]:
-            j += 1
-        q2 = lam - vals[j]
-        while j < m - 1 and xe > breaks[j + 1]:
-            j += 1
-        q3 = lam - vals[j]
+        if xe <= right:
+            q1 = q2 = q3 = q
+        else:
+            xm = x + half_h
+            while idx < m - 1 and x > breaks[idx + 1]:
+                idx += 1
+            q1 = q = lam - vals[idx]
+            right = breaks[idx + 1] if idx < m - 1 else math.inf
+            j = idx
+            while j < m - 1 and xm > breaks[j + 1]:
+                j += 1
+            q2 = lam - vals[j]
+            while j < m - 1 and xe > breaks[j + 1]:
+                j += 1
+            q3 = lam - vals[j]
         st = math.sin(theta)
         ct = math.cos(theta)
         k1 = ct * ct + q1 * st * st
-        t2 = theta + 0.5 * h * k1
+        t2 = theta + half_h * k1
         st = math.sin(t2)
         ct = math.cos(t2)
         k2 = ct * ct + q2 * st * st
-        t3 = theta + 0.5 * h * k2
+        t3 = theta + half_h * k2
         st = math.sin(t3)
         ct = math.cos(t3)
         k3 = ct * ct + q2 * st * st

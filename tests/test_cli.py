@@ -1,11 +1,13 @@
 import json
 import math
+import os
 import pathlib
 import subprocess
 import sys
 
 import pytest
 
+import gaplab
 from gaplab.cli import SWEEP_CSV_HEADER, main
 
 
@@ -339,19 +341,30 @@ def test_usage_errors_exit_2(capsys):
 
 
 def test_module_entry_point_subprocess():
+    # the child imports the gaplab this process imported, whether it came
+    # from PYTHONPATH or from pytest's `pythonpath` setting
+    src = str(pathlib.Path(gaplab.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
     proc = subprocess.run(
         [sys.executable, "-m", "gaplab", "solve", "--potential", '{"type":"zero"}',
          "--length", "2"],
-        capture_output=True, text=True, timeout=600,
+        capture_output=True, text=True, timeout=600, env=env,
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["gap"] == pytest.approx(math.pi**2 / 4, rel=1e-8)
 
 
 @pytest.mark.parametrize("command", ["solve", "verify"])
-@pytest.mark.parametrize("length, needle", [("inf", "finite"), ("1e-300", "1/h^2")])
+@pytest.mark.parametrize("length, needle", [
+    ("inf", "finite"), ("1e-300", "1/h^2"), ("1e-150", "1/h^4"),
+    ("1e200", "L = 1e+200"), ("1e307", "L = 1e+307"),
+])
 def test_impossible_length_exits_2(capsys, command, length, needle):
-    # inf has no cell count; at 1e-300 h^2 underflows and 1/h^2 overflows
+    # inf has no cell count; at 1e-300 h^2 underflows and 1/h^2 overflows;
+    # at 1e-150 1/h^2 is finite but the squared off-diagonal 1/h^4 is not;
+    # 1e200 asks for more cells than numpy can index, and at 1e307 the cell
+    # count 64 L overflows to inf
     code, _, err = run_cli(
         capsys, command, "--potential", '{"type":"zero"}', "--length", length,
     )
@@ -359,9 +372,11 @@ def test_impossible_length_exits_2(capsys, command, length, needle):
     assert needle in err
 
 
-@pytest.mark.parametrize("length, needle", [(1e-300, "1/h^2"), (math.inf, "finite")])
+@pytest.mark.parametrize("length, needle", [
+    (1e-300, "1/h^2"), (math.inf, "finite"), (1e307, "L = 1e+307"),
+])
 def test_sweep_impossible_length_exits_2(capsys, tmp_path, length, needle):
-    cfg = {"potential": {"type": "zero"}, "L_values": [length, 1.0]}
+    cfg = {"potential": {"type": "zero"}, "L_values": sorted([length, 1.0])}
     out_csv = tmp_path / "x.csv"
     code, _, err = run_cli(
         capsys, "sweep", "--config", json.dumps(cfg), "--output", str(out_csv),

@@ -45,6 +45,12 @@ def test_grid_invariants():
         Grid(1e-300, 64)  # h^2 underflows to 0
     with pytest.raises(ValueError, match="1/h"):
         Grid(1e-155, 64)  # h^2 is subnormal and 1/h^2 overflows
+    with pytest.raises(ValueError, match=r"1/h\^4"):
+        Grid(1e-150, 256)  # 1/h^2 is finite, its square (the squared off-diagonal) is not
+    with pytest.raises(ValueError, match=r"N = 6\.400e\+201 cells on L = 1e\+200"):
+        Grid(1e200, 64 * 10**200)  # more cells than numpy can index
+    with pytest.raises(ValueError, match="numpy can index"):
+        Grid(1.0, 2**62)  # indexable, but not as doubles: 2^65 bytes
 
 
 def test_assemble_free_stencil():
