@@ -74,8 +74,8 @@ class TolerancePolicy:
     eps_rel: float = 1e-8
 
     def __post_init__(self):
-        if not self.eps_rel > 0.0:
-            raise ValueError("eps_rel must be positive")
+        if not (self.eps_rel > 0.0 and math.isfinite(self.eps_rel)):
+            raise ValueError(f"eps_rel must be finite and > 0, got {self.eps_rel}")
 
     def allowance(self, measured: float, bound: float, solver_err: float) -> float:
         return self.eps_rel * max(abs(measured), abs(bound)) + solver_err

@@ -88,16 +88,15 @@ def _thread_workers(n_jobs: int) -> int:
     return max(1, min(cap, n_jobs))
 
 
-def _length(args) -> float:
-    L = args.length
-    if not (L > 0.0 and math.isfinite(L)):
-        raise InputError(f"--length must be finite and > 0, got {L}")
-    return L
+def _positive(value: float, flag: str) -> float:
+    if not (value > 0.0 and math.isfinite(value)):
+        raise InputError(f"{flag} must be finite and > 0, got {value}")
+    return value
 
 
 def cmd_solve(args) -> int:
     p = _parse_potential(args.potential)
-    L = _length(args)
+    L = _positive(args.length, "--length")
     n0 = args.cells if args.cells is not None else default_cell_count(L)
     result = solve_extrapolated(p, L, n0=n0, levels=args.levels)
     out = {
@@ -149,17 +148,19 @@ def _oracle_section(p, L, result, tol: float) -> dict:
 
 def cmd_verify(args) -> int:
     p = _parse_potential(args.potential)
-    L = _length(args)
+    L = _positive(args.length, "--length")
+    policy = TolerancePolicy(eps_rel=_positive(args.eps_rel, "--eps-rel"))
+    oracle_tol = _positive(args.oracle_tol, "--oracle-tol")
     n0 = args.cells if args.cells is not None else default_cell_count(L)
     result = solve_extrapolated(p, L, n0=n0, levels=args.levels)
-    report = verify(p, L, result, TolerancePolicy(eps_rel=args.eps_rel))
+    report = verify(p, L, result, policy)
     payload = report.to_dict()
     payload["lambda0"] = result.lambda0
     payload["lambda1"] = result.lambda1
     payload["gap"] = result.gap
     ok = report.all_hold
     if args.oracle:
-        section = _oracle_section(p, L, result, args.oracle_tol)
+        section = _oracle_section(p, L, result, oracle_tol)
         payload["oracle"] = section
         ok = ok and section["ok"]
     print(json.dumps(payload, indent=2))

@@ -16,6 +16,11 @@ theta' = cos^2 theta + (lam - v) sin^2 theta integrated by fixed-step RK4
 (reproducible counts), and ``ground_state_profile`` integrates the eigenvalue
 ODE once to measure inf/sup of the ground state without touching the
 finite-difference machinery.
+
+``eigenvalues_exact`` uses the RK4 counts only to isolate each eigenvalue:
+once a bracket holds eigenvalue k alone (counts k and k + 1 at its ends, and
+D of the signs one simple zero implies), the sign of D decides every further
+bisection midpoint, since its zeros are exactly the eigenvalues.
 """
 
 import math
@@ -233,8 +238,10 @@ def _secant_polish(f, a, b, fa, fb):
 
 def eigenvalues_exact(layers: LayerDecomposition, count: int = 2) -> Tuple[float, ...]:
     """First ``count`` (1 or 2) Neumann eigenvalues as zeros of the matching
-    function, bracketed by phase counting and refined by bisection plus a
-    secant polish to relative ~1e-12."""
+    function D.  RK4 phase counts bisect until a bracket isolates each
+    eigenvalue; the sign of D decides the bisection from there, and a
+    sign-change bisection plus a secant polish on D refines the root to
+    relative ~1e-12.  The two eigenvalues share their phase counts."""
     if count not in (1, 2):
         raise ValueError("only the lowest two eigenvalues are supported")
     L = layers.length
@@ -251,29 +258,62 @@ def eigenvalues_exact(layers: LayerDecomposition, count: int = 2) -> Tuple[float
 
     roots = []
     lo_k = lo
+    counts = {}
     for k in range(count):
-        a, b = _prufer_transition(layers, k, lo_k, ceiling)
+        a, b = _prufer_transition(layers, k, lo_k, ceiling, counts)
         lam = _refine_root(layers, k, a, b, scale)
         roots.append(lam)
         lo_k = b
     return tuple(roots)
 
 
-def _prufer_transition(layers, k, lo, hi):
-    """Shrink [lo, hi] around the k-th count transition."""
-    c_lo = _count_from_layers(layers, lo)
-    c_hi = _count_from_layers(layers, hi)
+def _prufer_transition(layers, k, lo, hi, counts):
+    """Shrink [lo, hi] around eigenvalue k to a width of 1e-9 relative.
+
+    RK4 phase counts decide the midpoints only until the bracket isolates
+    eigenvalue k: count(lo) == k, count(hi) == k + 1, and D(lo), D(hi)
+    carry the signs one simple zero of D implies.  The zeros of D are
+    exactly the eigenvalues and are simple, so from then on the sign of D
+    at each midpoint decides it, free of RK4 truncation error.  If the
+    bracket never isolates, the counts decide every midpoint.  ``counts``
+    maps each shift counted so far to its count; the caller shares it
+    between eigenvalues.
+    """
+
+    def count(lam):
+        c = counts.get(lam)
+        if c is None:
+            c = counts[lam] = _count_from_layers(layers, lam)
+        return c
+
+    c_lo = count(lo)
+    c_hi = count(hi)
     if c_lo > k or c_hi < k + 1:
         raise OracleError(
             f"phase count does not bracket eigenvalue {k}: "
             f"count({lo})={c_lo}, count({hi})={c_hi}"
         )
+    want_left = 1.0 if k % 2 == 0 else -1.0  # sign of D below the k-th zero
     tol = max(1e-10, 1e-9 * max(abs(lo), abs(hi)))
+    while hi - lo > tol and not (
+        c_lo == k
+        and c_hi == k + 1
+        and match_value(layers, lo) * want_left > 0.0
+        and match_value(layers, hi) * want_left < 0.0
+    ):
+        mid = 0.5 * (lo + hi)
+        if mid <= lo or mid >= hi:
+            return lo, hi
+        c_mid = count(mid)
+        if c_mid > k:
+            hi, c_hi = mid, c_mid
+        else:
+            lo, c_lo = mid, c_mid
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
         if mid <= lo or mid >= hi:
             break
-        if _count_from_layers(layers, mid) > k:
+        if match_value(layers, mid) * want_left < 0.0:
             hi = mid
         else:
             lo = mid

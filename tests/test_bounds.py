@@ -132,8 +132,9 @@ def test_kirsch_comparison_bound_values():
 
 
 def test_policy_validation():
-    with pytest.raises(ValueError):
-        TolerancePolicy(eps_rel=0.0)
+    for eps_rel in (0.0, -1e-8, math.inf, math.nan):
+        with pytest.raises(ValueError, match="finite and > 0"):
+            TolerancePolicy(eps_rel=eps_rel)
     pol = TolerancePolicy()
     assert pol.allowance(1.0, 2.0, 0.5) == pytest.approx(2e-8 + 0.5)
 

@@ -372,6 +372,26 @@ def test_impossible_length_exits_2(capsys, command, length, needle):
     assert needle in err
 
 
+@pytest.mark.parametrize("flag", ["--oracle-tol", "--eps-rel"])
+@pytest.mark.parametrize("value", ["nan", "-1", "0", "inf", "-inf"])
+def test_impossible_tolerance_exits_2(capsys, monkeypatch, flag, value):
+    # an --oracle-tol of inf passes any deviation and one of nan, 0 or below
+    # fails every comparison (nan also prints invalid JSON); an --eps-rel of
+    # inf passes every bound check.  Each is refused as an input error
+    # before the solve, never reported as a result of the verification.
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved before the tolerances were checked")
+
+    monkeypatch.setattr(gaplab.cli, "solve_extrapolated", no_solve)
+    code, out, err = run_cli(
+        capsys, "verify", "--oracle", "--potential", '{"type":"zero"}',
+        "--length", "1", f"{flag}={value}",
+    )
+    assert code == 2
+    assert out == ""
+    assert f"{flag} must be finite and > 0" in err
+
+
 @pytest.mark.parametrize("length, needle", [
     (1e-300, "1/h^2"), (math.inf, "finite"), (1e307, "L = 1e+307"),
 ])

@@ -2,13 +2,17 @@ import json
 import math
 import pathlib
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from gaplab import (
     Constant,
     InverseSquareCapped,
     MultiStep,
+    OracleError,
     Step,
     Zero,
     decompose,
@@ -19,12 +23,18 @@ from gaplab import (
     prufer_count,
     solve_extrapolated,
 )
-from conftest import random_lattice_multistep
+from gaplab import kernels, oracle
+from conftest import random_lattice_multistep, random_multistep
+from test_golden_solve import _cases as golden_cases
 
 PI_SQ = math.pi * math.pi
 GOLDEN = json.loads(
     (pathlib.Path(__file__).parent / "golden" / "step_L10_eigenvalues.json").read_text()
 )
+# (potential, L) of the piecewise records in tests/golden/solve_cases.json
+GOLDEN_PIECEWISE = [
+    (p, L) for _, p, L, _ in golden_cases() if not isinstance(p, InverseSquareCapped)
+]
 
 
 def test_decompose_free_single_layer():
@@ -248,3 +258,140 @@ def test_near_degenerate_pair_large_interval():
     # each eigenvalue individually is limited by the bisection floor (~1e-12
     # absolute per level), far below the gap scale
     assert r.lambda0 == pytest.approx(ex0, rel=1e-7, abs=1e-11)
+
+
+def _mp_root(layers, guess, width):
+    """Zero of D within ``width`` of ``guess`` for the propagator
+    match_value applies (the same double layer lengths and heights), with
+    xi = lam - v and cos/sin/cosh/sinh at the working mpmath precision."""
+    mp = mpmath.mp
+    ells = [mp.mpf(float(ell)) for ell in np.diff(layers.breaks)]
+    heights = [mp.mpf(float(v)) for v in layers.values]
+
+    def d(lam):
+        u, up = mp.mpf(1), mp.mpf(0)
+        for ell, v in zip(ells, heights):
+            xi = lam - v
+            if xi > 0:
+                r = mp.sqrt(xi)
+                c, s = mp.cos(r * ell), mp.sin(r * ell) / r
+            elif xi < 0:
+                r = mp.sqrt(-xi)
+                c, s = mp.cosh(r * ell), mp.sinh(r * ell) / r
+            else:
+                c, s = mp.mpf(1), ell
+            u, up = c * u + s * up, -xi * s * u + c * up
+        return up
+
+    a, b = mp.mpf(guess) - width, mp.mpf(guess) + width
+    assert d(a) * d(b) < 0, f"no zero of D within {width!r} of {guess!r}"
+    return mp.findroot(d, (a, b), solver="anderson", verify=False)
+
+
+_OFF_LATTICE = st.builds(
+    lambda seed, L: (random_multistep(np.random.default_rng(seed), L), L),
+    st.integers(0, 2**32 - 1),
+    st.floats(0.5, 100.0),
+)
+
+
+@settings(max_examples=25, deadline=None)
+@given(_OFF_LATTICE)
+def test_eigenvalues_exact_matches_mp_root(case):
+    # Each eigenvalue lies within 4 units of a 40-digit root of the same
+    # propagator.  The unit is the ulp of the largest |xi| = |lam - v_j| (or
+    # of |lam| if larger): D rounds each xi_j to a double, which alone moves
+    # its zero by up to half an ulp of the largest, because the weights
+    # dlam/dv_j are >= 0 and sum to 1.  Against the ulp of lam alone, lam0 =
+    # 0.485 under a barrier of height 2.2 sits 6.8 ulp from the root,
+    # whichever bisection narrows the bracket.
+    p, L = case
+    layers = decompose(p, L)
+    heights = layers.values.tolist()
+    with mpmath.workdps(40):
+        for lam in eigenvalues_exact(layers, 2):
+            unit = math.ulp(max([abs(lam)] + [abs(lam - v) for v in heights]))
+            root = _mp_root(layers, lam, 64 * unit)
+            assert abs(mpmath.mpf(lam) - root) <= 4 * unit
+
+
+for _case in GOLDEN_PIECEWISE:
+    test_eigenvalues_exact_matches_mp_root = example(_case)(
+        test_eigenvalues_exact_matches_mp_root
+    )
+
+
+def test_eigenvalues_exact_phase_budget(monkeypatch):
+    # Bisecting on RK4 phase counts down to the 1e-9 stopping width takes 64
+    # phase sweeps per call.  Counts now only isolate each eigenvalue and
+    # the sign of D decides the remaining midpoints: the golden cases take
+    # 6-18.  The counts are deterministic: a change that loses the switch
+    # to D fails here.
+    calls = [0]
+    theta = kernels.prufer_theta_piecewise
+
+    def counted(*args):
+        calls[0] += 1
+        return theta(*args)
+
+    monkeypatch.setattr(kernels, "prufer_theta_piecewise", counted)
+    for p, L in GOLDEN_PIECEWISE:
+        calls[0] = 0
+        eigenvalues_exact(decompose(p, L), 2)
+        assert calls[0] <= 20, (p, L)
+
+
+def test_eigenvalues_exact_ignores_miscount_near_eigenvalue(monkeypatch):
+    # RK4 truncation can move a count transition off the eigenvalue.  A
+    # count one too high just below each eigenvalue must not move a result:
+    # the counts stop deciding midpoints once the bracket isolates the
+    # eigenvalue, long before a midpoint comes that close.
+    count = oracle._count_from_layers
+    for p, L in GOLDEN_PIECEWISE:
+        layers = decompose(p, L)
+        exact = eigenvalues_exact(layers, 2)
+        width = 1e-6 * max(1.0, layers.max_value() + 4.0 * (math.pi / L) ** 2)
+
+        def miscount(lay, lam):
+            below = any(ev - width < lam < ev for ev in exact)
+            return count(lay, lam) + below
+
+        with monkeypatch.context() as m:
+            m.setattr(oracle, "_count_from_layers", miscount)
+            assert eigenvalues_exact(layers, 2) == exact, (p, L)
+
+
+def test_eigenvalues_exact_checks_isolation_with_d(monkeypatch):
+    # A count one too low above lam1 still reads "above lam0", so a
+    # bisection for lam0 that trusted the counts alone would take a bracket
+    # holding lam0 and lam1 as isolating.  D has the same sign at both of
+    # its ends, so the counts keep deciding until the bracket holds lam0
+    # alone, and lam0 comes out unchanged.
+    count = oracle._count_from_layers
+    hit = 0
+    for p, L in GOLDEN_PIECEWISE:
+        layers = decompose(p, L)
+        lam0, lam1 = eigenvalues_exact(layers, 2)
+        calls = []
+
+        def miscount(lay, lam):
+            c = count(lay, lam)
+            calls.append(c)
+            return c - 1 if c == 2 else c
+
+        with monkeypatch.context() as m:
+            m.setattr(oracle, "_count_from_layers", miscount)
+            assert eigenvalues_exact(layers, 1) == (lam0,), (p, L)
+        hit += 2 in calls
+    assert hit > 0  # some bisection for lam0 counted a shift above lam1
+
+
+@pytest.mark.parametrize("cap", [0, 1])
+def test_count_that_does_not_bracket_raises(monkeypatch, cap):
+    # counts capped at `cap` never reach cap + 1 below the ceiling
+    count = oracle._count_from_layers
+    monkeypatch.setattr(
+        oracle, "_count_from_layers", lambda lay, lam: min(cap, count(lay, lam))
+    )
+    with pytest.raises(OracleError, match=f"does not bracket eigenvalue {cap}"):
+        eigenvalues_exact(decompose(Step(1.0, (-0.5, 0.5)), 10.0), 2)
