@@ -53,6 +53,7 @@ from .potentials import (
     PotentialSpec,
     Step,
     Zero,
+    break_points,
     evaluate,
     from_dict,
     from_json,
@@ -68,7 +69,7 @@ __all__ = [
     "__version__",
     # potentials
     "Zero", "Constant", "Step", "MultiStep", "InverseSquareCapped",
-    "PotentialSpec", "IntervalNorms", "evaluate", "interval_norms",
+    "PotentialSpec", "IntervalNorms", "break_points", "evaluate", "interval_norms",
     "sup_norm_on_interval", "to_dict", "from_dict", "to_json", "from_json",
     # solver
     "Grid", "DiscreteOperator", "Eigenpair", "SpectralResult", "SolverError",

@@ -15,14 +15,10 @@ from typing import Dict, List, NamedTuple, Optional
 
 import numpy as np
 
-from .fdsolver import SpectralResult
+from .fdsolver import Grid, SpectralResult
 from .potentials import (
     IntervalNorms,
-    InverseSquareCapped,
-    MultiStep,
     PotentialSpec,
-    Step,
-    cap_location,
     interval_norms,
     sup_norm_on_interval,
     to_dict,
@@ -153,30 +149,31 @@ class LogDerivativeCheck:
 
 
 def log_derivative_check(
-    phi0: np.ndarray, h: float, norms: IntervalNorms, lam0: float = 0.0
+    phi0: np.ndarray, grid: Grid, norms: IntervalNorms, lam0: float = 0.0
 ) -> LogDerivativeCheck:
-    """Central-difference log-derivative of a positive sampled eigenfunction.
+    """Central-difference log-derivative of a positive eigenfunction sampled
+    at the nodes of ``grid``, (phi_{i+1} - phi_{i-1}) / ((x_{i+1} - x_{i-1}) phi_i).
 
     Stencils touching values below 1e-10 of the peak are skipped: there the
     samples sit at the eigensolver's resolution floor (deep tunneling) and a
     difference quotient measures rounding, not the function.  The allowance
     covers the O(h * jump) kink error at potential discontinuities and the
-    O(h^2) error elsewhere, both scaled by the curvature level
-    (sup v + |lam0|) that phi''/phi can reach.
+    O(h^2) error elsewhere, h the largest cell width, both scaled by the
+    curvature level (sup v + |lam0|) that phi''/phi can reach.
     """
-    if h <= 0.0:
-        raise ValueError(f"grid spacing must be positive, got {h}")
     phi0 = np.asarray(phi0, dtype=float)
-    if phi0.size < 3:
-        raise ValueError("need at least 3 samples for a central difference")
+    if phi0.shape != (grid.N,):
+        raise ValueError(f"need one sample per node of the grid ({grid.N}), got {phi0.shape}")
     if phi0.min() <= 0.0:
         raise ValueError("eigenfunction samples must be strictly positive")
+    x = grid.nodes()
     resolved = phi0 >= 1e-10 * phi0.max()
     stencil_ok = resolved[:-2] & resolved[1:-1] & resolved[2:]
-    ratios = np.abs((phi0[2:] - phi0[:-2]) / (2.0 * h * phi0[1:-1]))
+    ratios = np.abs((phi0[2:] - phi0[:-2]) / ((x[2:] - x[:-2]) * phi0[1:-1]))
     max_ratio = float(ratios[stencil_ok].max()) if stencil_ok.any() else 0.0
     bound = 4.0 * norms.l1
     curvature = norms.sup + abs(lam0)
+    h = grid.h
     allowance = 1e-8 * (1.0 + bound) + 0.5 * h * curvature + 20.0 * h * h * curvature
     return LogDerivativeCheck(max_ratio, bound, allowance)
 
@@ -278,63 +275,6 @@ def _check_length(L: float) -> None:
         raise ValueError(f"interval length must be finite and > 0, got {L}")
 
 
-def _sampling_noise(p: PotentialSpec, L: float, result: SpectralResult) -> float:
-    """Analytic bound on the eigenvalue error from midpoint-sampling the
-    potential's non-smooth points.
-
-    A cell straddling a jump mis-weighs the potential by up to the jump
-    size (an O(h) effect); a cell straddling a derivative kink by up to
-    h |v' jump| (an O(h^2) effect).  Either shift oscillates with the
-    feature's offset inside its cell and can stay correlated across grid
-    refinements, so no a-posteriori estimate from the level sequence can
-    see it; this bound is h * sum |jump| phi0^2 + h^2 * sum |v' jump| phi0^2.
-    """
-    grid = result.grid
-    h = grid.h
-    half = 0.5 * L
-
-    def phi_sq_at(x: float) -> float:
-        idx = min(max(int((x + half) / h), 0), grid.N - 1)
-        return float(result.phi0[idx]) ** 2
-
-    pieces = ()
-    if isinstance(p, Step):
-        pieces = (p,)
-    elif isinstance(p, MultiStep):
-        pieces = p.pieces
-    elif isinstance(p, InverseSquareCapped):
-        xstar = cap_location(p)
-        if xstar >= half:
-            return 0.0
-        dv = 2.0 * p.decay / xstar ** 3
-        return h * h * dv * (phi_sq_at(-xstar) + phi_sq_at(xstar))
-    total = 0.0
-    for piece in pieces:
-        for edge in piece.support:
-            if -half < edge < half:
-                total += piece.height * phi_sq_at(edge)
-    return h * total
-
-
-def _robust_errors(p: PotentialSpec, L: float, result: SpectralResult):
-    """Per-eigenvalue error proxies for the tolerance policy.
-
-    The Richardson residual collapses when the level sequence is
-    noise-dominated, so it is floored by a third of the last level
-    difference (classical a-posteriori control) and by the analytic
-    jump-sampling noise bound.  The extrapolation tableau can amplify
-    finest-level noise by up to ~2.4x, hence the factor 2.5; the excited
-    state doubles it again because only phi0's amplitude at the jumps is
-    available as a stand-in for phi1's.
-    """
-    err0, err1 = result.error_estimate
-    if len(result.raw_lambda0) >= 2:
-        err0 = max(err0, abs(result.raw_lambda0[-1] - result.raw_lambda0[-2]) / 3.0)
-        err1 = max(err1, abs(result.raw_lambda1[-1] - result.raw_lambda1[-2]) / 3.0)
-    noise = _sampling_noise(p, L, result)
-    return max(err0, 2.5 * noise), max(err1, 5.0 * noise)
-
-
 def _make_check(name, direction, bound, measured, allowance, bound_log=None) -> BoundCheck:
     slack = (bound - measured) if direction == "<=" else (measured - bound)
     status = "holds" if slack >= -allowance else "violated"
@@ -378,7 +318,7 @@ def verify(
     """
     _check_length(L)
     norms = interval_norms(p, L)
-    err0, err1 = _robust_errors(p, L, result)
+    err0, err1 = result.error_estimate
     err_gap = err0 + err1
     lam0 = result.lambda0
     gap = result.gap
@@ -455,7 +395,7 @@ def verify(
     else:
         checks.append(_inapplicable("lambda0_le_decay_bound", "<="))
 
-    ld = log_derivative_check(result.phi0, result.grid.h, norms, lam0)
+    ld = log_derivative_check(result.phi0, result.grid, norms, lam0)
     checks.append(
         _make_check("logderiv_le_four_l1", "<=", ld.bound, ld.max_ratio, ld.allowance)
     )

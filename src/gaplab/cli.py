@@ -4,16 +4,13 @@ Exit codes: 0 success (all applicable checks hold), 1 numerical failure or
 bound violation, 2 usage/input error; nothing else.  Potentials and sweep
 configs are accepted either inline as JSON or as a path to a JSON file.
 CSV output is byte-stable across runs: fixed 17-significant-digit floats,
-'.' decimal separator, '\\n' line endings, rows in config order regardless
-of the parallelism cap (GAPLAB_THREADS, 0 = auto).
+'.' decimal separator, '\\n' line endings, rows in config order.
 """
 
 import argparse
-import concurrent.futures
 import csv
 import json
 import math
-import os
 import sys
 from dataclasses import dataclass
 from typing import List, Optional
@@ -73,19 +70,6 @@ def _fmt(value) -> str:
 
 def _sanitize(x: float) -> Optional[float]:
     return None if isinstance(x, float) and math.isnan(x) else x
-
-
-def _thread_workers(n_jobs: int) -> int:
-    raw = os.environ.get("GAPLAB_THREADS", "0").strip()
-    try:
-        cap = int(raw)
-    except ValueError as exc:
-        raise InputError(f"GAPLAB_THREADS must be an integer, got '{raw}'") from exc
-    if cap < 0:
-        raise InputError(f"GAPLAB_THREADS must be >= 0, got {cap}")
-    if cap == 0:
-        cap = os.cpu_count() or 1
-    return max(1, min(cap, n_jobs))
 
 
 def _positive(value: float, flag: str) -> float:
@@ -262,12 +246,7 @@ def cmd_sweep(args) -> int:
     output = args.output or cfg.output
     if not output:
         raise InputError("sweep needs an output CSV path ('output' field or --output)")
-    workers = _thread_workers(len(cfg.l_values))
-    if workers > 1:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(lambda L: _sweep_row(cfg, L), cfg.l_values))
-    else:
-        rows = [_sweep_row(cfg, L) for L in cfg.l_values]
+    rows = [_sweep_row(cfg, L) for L in cfg.l_values]
     with open(output, "w", encoding="utf-8", newline="") as fh:
         fh.write(SWEEP_CSV_HEADER + "\n")
         for row in rows:

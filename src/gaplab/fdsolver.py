@@ -1,9 +1,14 @@
-"""Finite-difference eigensolver for -u'' + v u on (-L/2, L/2) with Neumann ends.
+"""Finite-volume eigensolver for -u'' + v u on (-L/2, L/2) with Neumann ends.
 
-The discretization is the 3-point stencil on a cell-centered uniform grid;
-Neumann conditions enter through the natural reflection, which puts 1/h^2
-instead of 2/h^2 on the two boundary diagonal entries.  This choice keeps
-the free operator's spectrum in closed form,
+The grid is cell-centred with a face at every break of the potential (step
+edges, the capped family's kinks) and equal cells within each layer, so the
+centre value of v is a step's exact cell average and no jump falls inside a
+cell; on such piecewise-uniform grids the scheme converges at second order
+(supra-convergence: Manteuffel & White, Math. Comp. 47, 1986).  Neumann
+conditions enter as the absent flux beyond either end.  On a uniform grid
+(Zero, Constant) the operator is the 3-point stencil with 1/h^2 instead of
+2/h^2 on the two boundary diagonal entries, whose free spectrum is in
+closed form,
 
     lambda_k = (4/h^2) sin^2(k pi / (2N)),   eigvec_k(i) = cos(k pi (2i+1)/(2N)),
 
@@ -32,7 +37,7 @@ from typing import NamedTuple, Optional, Tuple
 import numpy as np
 
 from . import kernels
-from .potentials import PotentialSpec, evaluate
+from .potentials import PotentialSpec, break_points, evaluate
 
 __all__ = [
     "Grid",
@@ -52,6 +57,7 @@ _INV_ITER_DIR_TOL = 1e-12
 _RESIDUAL_REL = 1e-8
 _GALLOP_START = 16.0  # first half-width around a guess, in bisection tolerances
 _GALLOP_GROWTH = 16.0
+_THIN_LAYER = math.sqrt(np.finfo(float).eps)  # in units of L, see _nested_grids
 
 
 class SolverError(RuntimeError):
@@ -60,14 +66,28 @@ class SolverError(RuntimeError):
 
 @dataclass(frozen=True)
 class Grid:
-    """Cell-centered uniform grid on (-L/2, L/2): nodes at -L/2 + (i + 1/2) h."""
+    """Cell-centred grid on (-L/2, L/2) with a cell face at every break.
+
+    The interior ``breaks`` cut the interval into layers, and layer k is
+    split into ``counts[k]`` equal cells; node i is the centre of cell i.
+    ``Grid(L, N)`` is the uniform grid, nodes at -L/2 + (i + 1/2) L/N.
+    """
 
     L: float
     N: int
+    breaks: Tuple[float, ...] = ()
+    counts: Tuple[int, ...] = ()
 
     def __post_init__(self):
         if not (self.L > 0.0 and math.isfinite(self.L)):
             raise ValueError(f"grid length must be finite and > 0, got {self.L}")
+        if not self.counts:
+            object.__setattr__(self, "counts", (self.N,))
+        counts = self.counts
+        if len(counts) != len(self.breaks) + 1 or sum(counts) != self.N or min(counts) < 1:
+            raise ValueError("a grid needs one cell count >= 1 per layer, summing to N")
+        if not all(w > 0.0 for _, _, w in self._layers()):
+            raise ValueError("grid breaks must be increasing and inside (-L/2, L/2)")
         if self.N < 16:
             raise ValueError(f"grid needs at least 16 cells, got {self.N}")
         # numpy refuses an array of more than intp.max bytes
@@ -76,20 +96,30 @@ class Grid:
                 f"grid of N = {self.N:.3e} cells on L = {self.L} is larger than "
                 "numpy can index as an array of doubles"
             )
-        h2 = self.h * self.h
+        # every entry of the operator is at most 1/h^2 in the smallest width h,
+        # and the eigensolver squares the off-diagonal entries
+        h = min(w for _, _, w in self._layers())
+        h2 = h * h
         if not (h2 > 0.0 and math.isfinite(1.0 / h2)):
-            raise ValueError(f"grid spacing h = {self.h:.3e} is too small: 1/h^2 overflows")
-        # the eigensolver squares the off-diagonal entries -1/h^2
+            raise ValueError(f"grid spacing h = {h:.3e} is too small: 1/h^2 overflows")
         if not math.isfinite((1.0 / h2) * (1.0 / h2)):
-            raise ValueError(f"grid spacing h = {self.h:.3e} is too small: 1/h^4 overflows")
+            raise ValueError(f"grid spacing h = {h:.3e} is too small: 1/h^4 overflows")
+
+    def _layers(self):
+        """(left edge, cell count, cell width) of each layer."""
+        edges = (-0.5 * self.L, *self.breaks, 0.5 * self.L)
+        return [(a, c, (b - a) / c) for a, b, c in zip(edges, edges[1:], self.counts)]
 
     @property
     def h(self) -> float:
-        return self.L / self.N
+        """The largest cell width (L/N on a uniform grid)."""
+        return max(w for _, _, w in self._layers())
+
+    def widths(self) -> np.ndarray:
+        return np.repeat([w for _, _, w in self._layers()], self.counts)
 
     def nodes(self) -> np.ndarray:
-        h = self.h
-        return -0.5 * self.L + (np.arange(self.N) + 0.5) * h
+        return np.concatenate([a + (np.arange(c) + 0.5) * w for a, c, w in self._layers()])
 
 
 @dataclass(frozen=True)
@@ -127,13 +157,14 @@ class Eigenpair(NamedTuple):
 class SpectralResult:
     """Extrapolated lowest two eigenvalues plus the finest-grid ground state.
 
-    ``phi0`` is L2(I)-normalized (sum phi0_i^2 h = 1) and positive;
-    ``error_estimate`` holds |extrapolant - finest raw value| per eigenvalue;
-    ``observed_order`` is the measured convergence order from the last three
-    grids (nan when the differences sit at rounding level or levels == 2).
-    ``raw_lambda0`` / ``raw_lambda1`` keep the per-level values the
-    extrapolation consumed (coarsest first), handy for a-posteriori error
-    control.
+    ``phi0`` is L2(I)-normalized (sum phi0_i^2 w_i = 1 over the cell widths
+    of ``grid``) and positive.  ``error_estimate`` holds, per eigenvalue,
+    |extrapolant - finest raw value| plus the solver floor of the finest
+    grid, eps |y|^T |T| |y| + max(1e-13, 1e-12 |lambda|) for the eigenvector
+    y (eps ||T|| on a uniform grid).  ``observed_order`` is the measured
+    convergence order from the last three grids (nan when a difference is
+    within that floor, or levels == 2).  ``raw_lambda0`` / ``raw_lambda1``
+    keep the per-level values the extrapolation consumed (coarsest first).
     """
 
     lambda0: float
@@ -160,20 +191,47 @@ def default_cell_count(L: float, per_unit: int = 64, floor: int = 256) -> int:
 
 
 def assemble(p: PotentialSpec, grid: Grid) -> DiscreteOperator:
-    """Stencil assembly: diag_i = 2/h^2 + v(x_i), halved at the two boundary
-    cells; every off-diagonal entry is -1/h^2."""
-    h = grid.h
-    inv_h2 = 1.0 / (h * h)
-    diag = np.full(grid.N, 2.0 * inv_h2)
-    diag[0] = inv_h2
-    diag[-1] = inv_h2
+    """Finite-volume operator W^-1/2 A W^-1/2 for cell widths w_i and centre
+    spacings d_i = (w_i + w_{i+1})/2:
+
+        diag_i = 1/(w_i d_{i-1}) + 1/(w_i d_i) + v(x_i),
+        off_i  = -1/(d_i sqrt(w_i w_{i+1})),
+
+    with no flux term beyond either end (Neumann).  v is sampled at the
+    cell centres; with a face at every break that is the cell average of a
+    step and second-order accurate for the capped family.  On a uniform grid
+    this is the 3-point stencil, 2/h^2 + v (1/h^2 at the ends) and -1/h^2.
+    """
+    w = grid.widths()
+    d = 0.5 * (w[:-1] + w[1:])
+    diag = np.zeros(grid.N)
+    diag[:-1] += 1.0 / (w[:-1] * d)
+    diag[1:] += 1.0 / (w[1:] * d)
     diag = diag + evaluate(p, grid.nodes())
-    off = np.full(grid.N - 1, -inv_h2)
+    off = -1.0 / (d * np.sqrt(w[:-1] * w[1:]))
     return DiscreteOperator(diag, off)
 
 
-def _start_vector(rng: np.random.Generator, n: int) -> np.ndarray:
-    return rng.uniform(-1.0, 1.0, n)
+def _nested_grids(p: PotentialSpec, L: float, n0: int, levels: int):
+    """Grids of about n0, 2 n0, ... cells with a face at every break of p: a
+    layer of length l gets max(1, round(n0 l / L)) equal cells, doubled per
+    level so that the grids are nested.
+
+    A layer narrower than sqrt(eps) L keeps one cell at every level.  Split
+    into cells of width w, it would couple them by 1/w^2, whose rounding
+    moves lambda by ~eps/l (a 1-ulp layer's grid falls apart); kept whole,
+    it biases lambda by ~|v| l^2, which refinement does not remove but which
+    stays near rounding level below that width.
+    """
+    breaks = break_points(p, L)
+    edges = (-0.5 * L, *breaks, 0.5 * L)
+    lengths = [b - a for a, b in zip(edges, edges[1:])]
+    grids = []
+    for j in range(levels):
+        counts = tuple(1 if ell < _THIN_LAYER * L else max(1, round(n0 * (ell / L))) << j
+                       for ell in lengths)
+        grids.append(Grid(L, sum(counts), breaks, counts))
+    return grids
 
 
 def _gallop(diag, off2, pivmin, k, guess, lo, hi, counts):
@@ -267,31 +325,21 @@ def lowest_two_eigenpairs(
     norm_t = op.norm_inf()
     resid_tol = 1e-11 * max(1.0, norm_t)
     rng = np.random.default_rng(1234567891)
-    vec0 = None
-    for _ in range(2):
-        v, _, ok = kernels.inverse_iteration(
-            diag, off, lam0, _start_vector(rng, n), None,
-            _INV_ITER_MAX, _INV_ITER_DIR_TOL, resid_tol, pivmin,
-        )
-        if ok:
-            vec0 = v
-            break
-    if vec0 is None:
-        raise SolverError("inverse iteration for the ground state did not converge")
+
+    def vector(lam, ortho, state):
+        for _ in range(2):  # a second random start if the first does not converge
+            v, _, ok = kernels.inverse_iteration(
+                diag, off, lam, rng.uniform(-1.0, 1.0, n), ortho,
+                _INV_ITER_MAX, _INV_ITER_DIR_TOL, resid_tol, pivmin,
+            )
+            if ok:
+                return v
+        raise SolverError(f"inverse iteration for the {state} did not converge")
+
+    vec0 = vector(lam0, None, "ground state")
     if vec0.sum() < 0.0:
         vec0 = -vec0
-
-    vec1 = None
-    for _ in range(2):
-        v, _, ok = kernels.inverse_iteration(
-            diag, off, lam1, _start_vector(rng, n), vec0,
-            _INV_ITER_MAX, _INV_ITER_DIR_TOL, resid_tol, pivmin,
-        )
-        if ok:
-            vec1 = v
-            break
-    if vec1 is None:
-        raise SolverError("inverse iteration for the first excited state did not converge")
+    vec1 = vector(lam1, vec0, "first excited state")
     for lam, vec, which in ((lam0, vec0, "0"), (lam1, vec1, "1")):
         resid = float(np.linalg.norm(op.matvec(vec) - lam * vec))
         if resid > _RESIDUAL_REL * norm_t:
@@ -328,17 +376,13 @@ def _richardson(values):
     return row[0]
 
 
-def _observed_order(values, scale: float) -> float:
-    # `scale` is the spectral scale of the problem: differences at rounding
-    # level relative to it carry no order information (e.g. lambda0 = 0 for
-    # the free operator, or a constant potential's exact shift).
+def _observed_order(values, floor: float) -> float:
+    # differences within the solver floor carry no order information (e.g.
+    # lambda0 = 0 for the free operator, or a constant potential's exact shift)
     if len(values) < 3:
         return math.nan
-    v = values[-3:]
-    d1 = v[0] - v[1]
-    d2 = v[1] - v[2]
-    # below ~25x the bisection tolerance the differences carry no order signal
-    floor = max(1e-11 * max(scale, 1e-30), 2.5e-12)
+    d1 = values[-3] - values[-2]
+    d2 = values[-2] - values[-1]
     if abs(d1) <= floor or abs(d2) <= floor:
         return math.nan
     return math.log2(abs(d1 / d2))
@@ -356,9 +400,11 @@ def solve_extrapolated(
     eigenvectors are checked for convergence, residual and positivity, so
     only that grid can raise a :class:`SolverError` about an eigenvector.
 
-    Warns (RuntimeWarning) when the observed convergence order strays from 2
-    by more than 0.5 (expected for step potentials whose jumps fall inside
-    cells); the extrapolated values are still returned.
+    The grids have a face at every break of the potential and are nested
+    (every cell halved per level), so the error expands in even powers of
+    the cell widths.  Warns (RuntimeWarning) when the observed convergence
+    order strays from 2 by more than 0.5; the extrapolated values are still
+    returned.
     """
     if not (L > 0.0 and math.isfinite(L)):
         raise ValueError(f"interval length must be finite and > 0, got {L}")
@@ -368,8 +414,7 @@ def solve_extrapolated(
         raise ValueError(f"levels must be 2, 3 or 4, got {levels}")
 
     lam0s, lam1s = [], []
-    for j in range(levels):
-        grid = Grid(L, n0 * 2 ** j)
+    for j, grid in enumerate(_nested_grids(p, L, n0, levels)):
         near = None
         if j == 1:
             near = (lam0s[0], lam1s[0])
@@ -386,27 +431,33 @@ def solve_extrapolated(
         lam0s.append(lam0_j)
         lam1s.append(lam1_j)
 
-    lam0 = _richardson(lam0s)
-    lam1 = _richardson(lam1s)
-    err0 = abs(lam0 - lam0s[-1])
-    err1 = abs(lam1 - lam1s[-1])
-    scale = max(max(abs(x) for x in lam0s), max(abs(x) for x in lam1s))
-    p0 = _observed_order(lam0s, scale)
-    p1 = _observed_order(lam1s, scale)
-    for which, order in (("lambda0", p0), ("lambda1", p1)):
-        if not math.isnan(order) and abs(order - 2.0) > 0.5:
+    # what no level difference can show: the bisection tolerance, and the
+    # first-order shift eps |y|^T |T| |y| from rounding every entry of the
+    # finest operator by a relative eps (eps ||T|| on a uniform grid)
+    eps = np.finfo(float).eps
+    limits, errors, orders = [], [], []
+    for which, values, pair in (("lambda0", lam0s, ground), ("lambda1", lam1s, excited)):
+        y = np.abs(pair.vector)
+        rounding = eps * float(np.abs(op.diag) @ (y * y)
+                               + 2.0 * np.abs(op.offdiag) @ (y[:-1] * y[1:]))
+        floor = rounding + max(1e-13, 1e-12 * abs(values[-1]))
+        order = _observed_order(values, floor)
+        if abs(order - 2.0) > 0.5:
             warnings.warn(
-                f"observed convergence order {order:.2f} for {which} deviates from 2 "
-                "(potential discontinuities straddling cells?)",
+                f"observed convergence order {order:.2f} for {which} deviates from 2",
                 RuntimeWarning,
                 stacklevel=2,
             )
-
+        limit = _richardson(values)
+        limits.append(limit)
+        errors.append(abs(limit - values[-1]) + floor)
+        orders.append(order)
+    lam0, lam1 = limits
     gap = lam1 - lam0
     if not gap > 0.0:
         raise SolverError(f"extrapolated gap is not positive: {gap}")
 
-    phi0 = ground.vector / math.sqrt(grid.h)  # l2 -> L2(I) normalization
+    phi0 = ground.vector / np.sqrt(grid.widths())  # l2 -> L2(I) normalization
     phi0.flags.writeable = False
     return SpectralResult(
         lambda0=float(lam0),
@@ -416,8 +467,8 @@ def solve_extrapolated(
         phi0=phi0,
         inf_phi0=float(phi0.min()),
         sup_phi0=float(phi0.max()),
-        error_estimate=(float(err0), float(err1)),
-        observed_order=(p0, p1),
+        error_estimate=(float(errors[0]), float(errors[1])),
+        observed_order=(orders[0], orders[1]),
         raw_lambda0=tuple(lam0s),
         raw_lambda1=tuple(lam1s),
     )

@@ -20,7 +20,9 @@ finite-difference machinery.
 ``eigenvalues_exact`` uses the RK4 counts only to isolate each eigenvalue:
 once a bracket holds eigenvalue k alone (counts k and k + 1 at its ends, and
 D of the signs one simple zero implies), the sign of D decides every further
-bisection midpoint, since its zeros are exactly the eigenvalues.
+bisection midpoint, since its zeros are exactly the eigenvalues.  In double
+precision D is rounding noise within some ulp of a root, so the last step is
+one secant step on D evaluated in mpmath (imported on first use).
 """
 
 import math
@@ -30,15 +32,7 @@ from typing import Callable, Tuple
 import numpy as np
 
 from . import kernels
-from .potentials import (
-    Constant,
-    InverseSquareCapped,
-    MultiStep,
-    PotentialSpec,
-    Step,
-    Zero,
-    evaluate,
-)
+from .potentials import InverseSquareCapped, PotentialSpec, break_points, evaluate
 
 __all__ = [
     "LayerDecomposition",
@@ -56,7 +50,7 @@ _RENORM_LIMIT = 1e50
 
 
 class OracleError(RuntimeError):
-    """Raised when eigenvalue bracketing fails (should not occur)."""
+    """Raised when eigenvalue bracketing fails (e.g. an inseparable pair)."""
 
 
 @dataclass(frozen=True)
@@ -92,38 +86,16 @@ class LayerDecomposition:
 def decompose(p: PotentialSpec, L: float) -> LayerDecomposition:
     """Minimal layer list for a piecewise-constant potential, supports
     clipped to (-L/2, L/2).  Rejects non-piecewise-constant families."""
-    if not (L > 0.0 and math.isfinite(L)):
-        raise ValueError(f"interval length must be finite and > 0, got {L}")
     if isinstance(p, InverseSquareCapped):
         raise ValueError(
             "inverse-square potentials are not piecewise constant; "
             "use the phase-counting path instead"
         )
-    if not isinstance(p, (Zero, Constant, Step, MultiStep)):
-        raise TypeError(f"not a potential spec: {p!r}")
-    half = 0.5 * L
-    cuts = {-half, half}
-    pieces = ()
-    if isinstance(p, Step):
-        pieces = (p,)
-    elif isinstance(p, MultiStep):
-        pieces = p.pieces
-    for piece in pieces:
-        for edge in piece.support:
-            if -half < edge < half:
-                cuts.add(float(edge))
-    breaks = sorted(cuts)
-    values = [float(evaluate(p, 0.5 * (a + b))) for a, b in zip(breaks, breaks[1:])]
+    breaks = np.array([-0.5 * L, *break_points(p, L), 0.5 * L])
+    values = evaluate(p, 0.5 * (breaks[:-1] + breaks[1:]))
     # merge adjacent layers of equal height to keep the list minimal
-    m_breaks = [breaks[0]]
-    m_values = []
-    for b, v in zip(breaks[1:], values):
-        if m_values and v == m_values[-1]:
-            m_breaks[-1] = b
-        else:
-            m_breaks.append(b)
-            m_values.append(v)
-    return LayerDecomposition(np.array(m_breaks), np.array(m_values))
+    first = np.r_[True, values[1:] != values[:-1]]
+    return LayerDecomposition(np.r_[breaks[:-1][first], breaks[-1]], values[first])
 
 
 def _cs(xi: float, ell: float) -> Tuple[float, float]:
@@ -218,30 +190,52 @@ def _bisect_sign_change(f, a, b, fa, fb, abs_floor):
     return a, b, fa, fb
 
 
-def _secant_polish(f, a, b, fa, fb):
-    x0, f0, x1, f1 = a, fa, b, fb
-    best = 0.5 * (a + b)
-    for _ in range(8):
-        denom = f1 - f0
-        if denom == 0.0:
-            break
-        x2 = x1 - f1 * (x1 - x0) / denom
-        if not (a <= x2 <= b):
-            break
-        f2 = f(x2)
-        x0, f0, x1, f1 = x1, f1, x2, f2
-        best = x2
-        if f2 == 0.0 or abs(x1 - x0) <= 1e-16 * max(1.0, abs(x1)):
-            break
-    return best
+def _secant_step(layers, a, b):
+    """One secant step on D through a and b, with D at both in mpmath at 30
+    digits (the same double layer lengths and heights as match_value, and
+    xi = lam - v formed in mpmath), rounded once to a double.  In double, D
+    is rounding noise over some ulp around a root (the layer coefficients
+    cancel), so its sign cannot place the root closer; the secant through
+    two exact values of the smooth D at ends ~1e-13 apart lands within a
+    fraction of an ulp.  For a == b (a zero of D in double) it returns a."""
+    import mpmath
+
+    with mpmath.workdps(30):
+        ells = [mpmath.mpf(x) for x in np.diff(layers.breaks).tolist()]
+        heights = [mpmath.mpf(v) for v in layers.values.tolist()]
+
+        def d(lam):
+            u, up = mpmath.mpf(1), mpmath.mpf(0)
+            for ell, v in zip(ells, heights):
+                xi = lam - v
+                if xi > 0:
+                    r = mpmath.sqrt(xi)
+                    c, s = mpmath.cos_sin(r * ell)
+                    s /= r
+                elif xi < 0:
+                    r = mpmath.sqrt(-xi)
+                    c, s = mpmath.cosh(r * ell), mpmath.sinh(r * ell) / r
+                else:
+                    c, s = mpmath.mpf(1), ell
+                u, up = c * u + s * up, -xi * s * u + c * up
+            return up
+
+        a, b = mpmath.mpf(a), mpmath.mpf(b)
+        da, db = d(a), d(b)
+        if da == db:
+            return float(0.5 * (a + b))
+        return float(a - da * (b - a) / (db - da))
 
 
 def eigenvalues_exact(layers: LayerDecomposition, count: int = 2) -> Tuple[float, ...]:
     """First ``count`` (1 or 2) Neumann eigenvalues as zeros of the matching
     function D.  RK4 phase counts bisect until a bracket isolates each
-    eigenvalue; the sign of D decides the bisection from there, and a
-    sign-change bisection plus a secant polish on D refines the root to
-    relative ~1e-12.  The two eigenvalues share their phase counts."""
+    eigenvalue; the sign of D decides the bisection from there, a
+    sign-change bisection narrows the root to relative ~1e-13, and one
+    secant step on D evaluated in mpmath places it to within about an ulp
+    of the largest |lam - v|.  The two eigenvalues share their phase counts.
+    Raises :class:`OracleError` when eigenvalues k and k + 1 lie closer than
+    double precision can separate."""
     if count not in (1, 2):
         raise ValueError("only the lowest two eigenvalues are supported")
     L = layers.length
@@ -335,10 +329,8 @@ def _refine_root(layers, k, a, b, scale):
         if fb == 0.0:
             return bb
         if (fa > 0.0) == (want_left > 0.0) and (fb > 0.0) != (fa > 0.0):
-            aa, bb, fa, fb = _bisect_sign_change(f, aa, bb, fa, fb, abs_floor)
-            if fa == 0.0 and fb == 0.0:
-                return aa
-            return _secant_polish(f, aa, bb, fa, fb)
+            aa, bb, _, _ = _bisect_sign_change(f, aa, bb, fa, fb, abs_floor)
+            return _secant_step(layers, aa, bb)
         pad *= 4.0
     # last resort: scan for a sign change on a fine grid around the bracket
     grid = np.linspace(a - pad, b + pad, 257)
@@ -347,8 +339,15 @@ def _refine_root(layers, k, a, b, scale):
         if f0 == 0.0:
             return float(x0)
         if (f0 > 0.0) != (f1 > 0.0):
-            aa, bb, fa, fb = _bisect_sign_change(f, float(x0), float(x1), f0, f1, abs_floor)
-            return _secant_polish(f, aa, bb, fa, fb)
+            aa, bb, _, _ = _bisect_sign_change(f, float(x0), float(x1), f0, f1, abs_floor)
+            return _secant_step(layers, aa, bb)
+    if (vals[0] > 0.0) == (vals[-1] > 0.0) == (want_left > 0.0):
+        # D has the sign it has below eigenvalue k on both sides of where the
+        # phase count places it, so eigenvalue k + 1 is in there too
+        raise OracleError(
+            f"eigenvalues {k} and {k + 1} are not separable in double precision: "
+            f"the matching function keeps its sign across [{grid[0]:.17g}, {grid[-1]:.17g}]"
+        )
     raise OracleError(f"bracket failure for eigenvalue {k}")
 
 

@@ -10,14 +10,14 @@ by quadrature.  All families are non-negative and bounded:
 * ``MultiStep(pieces)``    sum of disjoint steps, sorted by left endpoint
 * ``InverseSquareCapped(decay, cap)``  v(x) = min(cap, decay / x^2)
 
-``interval_norms(p, L)`` restricts to the interval (-L/2, L/2) even when a
-step's support extends beyond it.
+``interval_norms(p, L)`` and ``break_points(p, L)`` restrict to the interval
+(-L/2, L/2) even when a step's support extends beyond it.
 """
 
 import json
 import math
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Optional, Tuple, Union
 
 import numpy as np
 
@@ -33,6 +33,7 @@ __all__ = [
     "interval_norms",
     "sup_norm_on_interval",
     "cap_location",
+    "break_points",
     "to_dict",
     "from_dict",
     "to_json",
@@ -128,6 +129,26 @@ class IntervalNorms:
 def cap_location(p: InverseSquareCapped) -> float:
     """|x| below which the cap is active: decay/x^2 >= cap iff |x| <= this."""
     return math.sqrt(p.decay / p.cap)
+
+
+def break_points(p: PotentialSpec, L: float) -> Tuple[float, ...]:
+    """Sorted distinct points strictly inside (-L/2, L/2) where v or v' jumps:
+    the step edges, and the capped family's kinks at +-cap_location(p)."""
+    if not (L > 0.0 and math.isfinite(L)):
+        raise ValueError(f"interval length must be finite and > 0, got {L}")
+    half = 0.5 * L
+    if isinstance(p, Step):
+        edges = p.support
+    elif isinstance(p, MultiStep):
+        edges = [edge for piece in p.pieces for edge in piece.support]
+    elif isinstance(p, InverseSquareCapped):
+        xstar = cap_location(p)
+        edges = (-xstar, xstar)
+    elif isinstance(p, (Zero, Constant)):
+        edges = ()
+    else:
+        raise TypeError(f"not a potential spec: {p!r}")
+    return tuple(sorted({float(e) for e in edges if -half < e < half}))
 
 
 def evaluate(p: PotentialSpec, x):

@@ -78,7 +78,6 @@ def _suite_cases(count, seed):
         yield p, L
 
 
-@pytest.mark.filterwarnings("ignore:observed convergence order")
 def test_criterion_3_randomized_inequality_suite():
     t0 = time.perf_counter()
     violations = []
@@ -120,7 +119,6 @@ def test_criterion_4_oracle_equivalence():
     _report(f"4 oracle equivalence (50 cases, worst {worst:.1e})", elapsed, 300)
 
 
-@pytest.mark.filterwarnings("ignore:observed convergence order")
 def test_criterion_5_gap_scaling_exponent(tmp_path):
     t0 = time.perf_counter()
     cfg = {
@@ -157,7 +155,6 @@ def test_criterion_6_convergence_order():
     _report(f"6 convergence order ({slope:.3f})", time.perf_counter() - t0, 30)
 
 
-@pytest.mark.filterwarnings("ignore:observed convergence order")
 def test_criterion_7_log_derivative_bound():
     t0 = time.perf_counter()
     for p, L in _suite_cases(50, seed=777001):
@@ -176,7 +173,7 @@ def test_criterion_8_cli_contract(tmp_path, capsys):
         ((["solve", "--potential", '{"type":"zero"}', "--length", "-2"]), 2),
         ((["solve", "--potential", '{"type":"zer', "--length", "2"]), 2),
         ((["solve", "--potential", "missing.json", "--length", "2"]), 2),
-        ((["verify", "--potential", '{"type":"step","height":1.0,"support":[-0.5,0.5]}',
+        ((["verify", "--potential", '{"type":"step","height":10.0,"support":[-0.5,0.5]}',
            "--length", "10", "--cells", "70", "--levels", "2", "--oracle"]), 1),
         ((["sweep", "--config", '{"L_values":[1.0]}', "--output", "x.csv"]), 2),
         ((["fit", "missing.csv", "--column", "gap"]), 2),

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from gaplab import (
     Constant,
+    Grid,
     InverseSquareCapped,
     IntervalNorms,
     Step,
@@ -140,17 +141,31 @@ def test_policy_validation():
 
 
 def test_log_derivative_flat_profile():
-    out = log_derivative_check(np.full(64, 2.0), 0.01, norms(l1=1.0))
+    out = log_derivative_check(np.full(64, 2.0), Grid(0.64, 64), norms(l1=1.0))
     assert out.max_ratio == 0.0
     assert out.bound == 4.0
     assert out.holds
 
 
 def test_log_derivative_rejects_bad_input():
+    phi = np.ones(16)
+    phi[5] = -1.0
     with pytest.raises(ValueError):
-        log_derivative_check(np.array([1.0, -1.0, 1.0]), 0.1, norms())
+        log_derivative_check(phi, Grid(1.6, 16), norms())
     with pytest.raises(ValueError):
-        log_derivative_check(np.array([1.0, 1.0, 1.0]), -0.1, norms())
+        log_derivative_check(np.ones(15), Grid(1.6, 16), norms())
+
+
+def test_log_derivative_uses_node_spacing():
+    # phi = exp(x) has phi'/phi = 1; on a grid with unequal cells the
+    # difference over the node spacing still reads 1 to O(h^2), and the
+    # allowance takes the largest width
+    grid = Grid(2.0, 40, (-0.5, 0.25), (5, 30, 5))
+    x = grid.nodes()
+    out = log_derivative_check(np.exp(x), grid, norms(l1=1.0, sup=1.0))
+    assert out.max_ratio == pytest.approx(1.0, abs=0.05)
+    assert grid.h == pytest.approx(0.15)
+    assert out.allowance == pytest.approx(1e-8 * 5.0 + 0.5 * 0.15 + 20.0 * 0.15**2)
 
 
 def test_log_derivative_skips_unresolved_floor():
@@ -159,7 +174,7 @@ def test_log_derivative_skips_unresolved_floor():
     phi = np.full(200, 1e-16)
     phi[:50] = np.geomspace(1.0, 1e-16, 50)
     phi[-50:] = np.geomspace(1e-16, 1.0, 50)
-    out = log_derivative_check(phi, 0.01, norms(l1=100.0, sup=3.0), lam0=0.1)
+    out = log_derivative_check(phi, Grid(2.0, 200), norms(l1=100.0, sup=3.0), lam0=0.1)
     assert math.isfinite(out.max_ratio)
 
 

@@ -222,7 +222,6 @@ def test_prufer_theta_piecewise_matches_reference_loop(seed, L, refine, n_any, l
     assert theta.hex() == ref.hex()
 
 
-@pytest.mark.filterwarnings("ignore:observed convergence order")
 def test_sturm_sweep_budget(monkeypatch):
     # Plain bisection of both eigenvalues from the Gershgorin range takes 324
     # Sturm sweeps on these three grids; shared and guessed counts take 155.

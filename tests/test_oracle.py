@@ -260,6 +260,17 @@ def test_near_degenerate_pair_large_interval():
     assert r.lambda0 == pytest.approx(ex0, rel=1e-7, abs=1e-11)
 
 
+def test_inseparable_pair_is_named():
+    # two wells 1.9 wide facing each other across a barrier of height 1.7
+    # and length 36.7: lambda0 and lambda1 split far below an ulp of lambda,
+    # so no double separates them
+    p = Step(1.7057922268019161, (-18.345257886888966, 18.34562563409414))
+    with pytest.raises(
+        OracleError, match="eigenvalues 0 and 1 are not separable in double precision"
+    ):
+        eigenvalues_exact(decompose(p, 40.46765440803851), 2)
+
+
 def _mp_root(layers, guess, width):
     """Zero of D within ``width`` of ``guess`` for the propagator
     match_value applies (the same double layer lengths and heights), with
@@ -315,7 +326,19 @@ def test_eigenvalues_exact_matches_mp_root(case):
             assert abs(mpmath.mpf(lam) - root) <= 4 * unit
 
 
-for _case in GOLDEN_PIECEWISE:
+# Draws the sign of D alone placed too far from the root: 8.0 units for the
+# first, whose D in double is rounding noise over about +-20 ulp around
+# lambda1.  In the second, RK4 counts read 2 from lam ~ 0.07405, below the
+# true lambda1 = 0.0745099352, and only the widening of the bracket finds it.
+_HARD_DRAWS = [
+    (Step(0.10774960509288478, (-20.58769893096204, 8.75542553603783)), 46.0),
+    (MultiStep((
+        Step(0.7425724426172284, (-14.8804573772953, -13.97882075091265)),
+        Step(1.050948135398843, (4.776519219772329, 10.359228302669493)),
+        Step(1.3554134339018993, (12.324501085561408, 16.537699511767617)),
+    )), 36.44577387190868),
+]
+for _case in GOLDEN_PIECEWISE + _HARD_DRAWS:
     test_eigenvalues_exact_matches_mp_root = example(_case)(
         test_eigenvalues_exact_matches_mp_root
     )

@@ -13,6 +13,7 @@ from gaplab import (
     MultiStep,
     Step,
     Zero,
+    break_points,
     evaluate,
     from_dict,
     from_json,
@@ -287,3 +288,14 @@ def test_evaluate_capped_array_with_origin():
     p = InverseSquareCapped(1.0, 4.0)
     xs = np.array([-1.0, -0.1, 0.0, 0.25, 3.0])
     np.testing.assert_allclose(evaluate(p, xs), [1.0, 4.0, 4.0, 4.0, 1.0 / 9.0])
+
+
+def test_break_points_clip_dedupe_and_kinks():
+    touching = MultiStep((Step(1.0, (-3.0, -1.0)), Step(2.0, (-1.0, 0.5))))
+    assert break_points(touching, 4.0) == (-1.0, 0.5)  # -3 is outside, -1 shared
+    assert break_points(Step(1.0, (-0.5, 0.5)), 1.0) == ()  # edges on the ends
+    assert break_points(InverseSquareCapped(1.0, 4.0), 2.0) == (-0.5, 0.5)
+    assert break_points(InverseSquareCapped(1.0, 4.0), 1.0) == ()  # all capped
+    assert break_points(Zero(), 1.0) == break_points(Constant(2.0), 1.0) == ()
+    with pytest.raises(ValueError):
+        break_points(Zero(), 0.0)
