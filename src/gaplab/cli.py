@@ -171,11 +171,15 @@ class SweepConfig:
             raise InputError(str(exc)) from exc
         if "L_values" in d:
             ls = d["L_values"]
-            if not (isinstance(ls, list) and len(ls) >= 1):
-                raise InputError("sweep field 'L_values' must be a non-empty list")
+            if not (isinstance(ls, list) and ls and all(map(_is_number, ls))):
+                raise InputError(
+                    f"sweep field 'L_values' must be a non-empty list of numbers, got {ls!r}"
+                )
             l_values = tuple(float(x) for x in ls)
         elif all(k in d for k in ("L_min", "L_max", "count")):
-            lmin, lmax, count = float(d["L_min"]), float(d["L_max"]), int(d["count"])
+            lmin = float(_sweep_field(d, "L_min", "a number"))
+            lmax = float(_sweep_field(d, "L_max", "a number"))
+            count = _sweep_field(d, "count", "an integer")
             if not (0.0 < lmin < lmax):
                 raise InputError("sweep fields must satisfy 0 < L_min < L_max")
             if count < 2:
@@ -189,9 +193,9 @@ class SweepConfig:
             raise InputError("sweep L values must be finite and strictly positive")
         if any(b <= a for a, b in zip(l_values, l_values[1:])):
             raise InputError("sweep L values must be strictly increasing")
-        cpu = int(d.get("cells_per_unit", 64))
-        min_cells = int(d.get("min_cells", 256))
-        levels = int(d.get("levels", 3))
+        cpu = _sweep_field(d, "cells_per_unit", "an integer", 64)
+        min_cells = _sweep_field(d, "min_cells", "an integer", 256)
+        levels = _sweep_field(d, "levels", "an integer", 3)
         if cpu < 1:
             raise InputError("sweep field 'cells_per_unit' must be >= 1")
         if min_cells < 64:
@@ -204,9 +208,29 @@ class SweepConfig:
             cells_per_unit=cpu,
             min_cells=min_cells,
             levels=levels,
-            output=d.get("output"),
-            plot_script=d.get("plot_script"),
+            output=_sweep_field(d, "output", "a path or null"),
+            plot_script=_sweep_field(d, "plot_script", "a path or null"),
         )
+
+
+def _is_number(val) -> bool:
+    return isinstance(val, (int, float)) and not isinstance(val, bool)
+
+
+_SWEEP_FIELD_KINDS = {
+    "a number": _is_number,
+    "an integer": lambda val: isinstance(val, int) and not isinstance(val, bool),
+    "a path or null": lambda val: val is None or isinstance(val, str),
+}
+
+
+def _sweep_field(d: dict, key: str, kind: str, default=None):
+    """Sweep config field ``key`` if present, else ``default``; a value not
+    of ``kind`` (a key of _SWEEP_FIELD_KINDS) is an input error."""
+    val = d.get(key, default)
+    if not _SWEEP_FIELD_KINDS[kind](val):
+        raise InputError(f"sweep field '{key}' must be {kind}, got {val!r}")
+    return val
 
 
 def _sweep_row(cfg: SweepConfig, L: float) -> str:
@@ -364,10 +388,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except ValueError as exc:  # InputError included
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (SolverError, OracleError) as exc:

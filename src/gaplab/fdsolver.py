@@ -13,14 +13,15 @@ closed form,
     lambda_k = (4/h^2) sin^2(k pi / (2N)),   eigvec_k(i) = cos(k pi (2i+1)/(2N)),
 
 which the tests use as an exact oracle.  Eigenvalues are located by
-Sturm-sequence bisection (``lowest_two_eigenvalues``), eigenvectors by
-shifted inverse iteration (``lowest_two_eigenpairs``), and
+Sturm-sequence bisection (``lowest_two_eigenvalues``), eigenvectors by one
+twisted-factorization solve at each bisected value (``lowest_two_eigenpairs``;
+Parlett & Dhillon, Linear Algebra Appl. 267, 1997), and
 ``solve_extrapolated`` removes the leading O(h^2) error by Richardson
 extrapolation over nested grids.  Extrapolation needs only the eigenvalues
 of the coarser grids, and the ground state comes from the finest grid, so
-the coarser grids are solved for eigenvalues only; the finest grid runs
-inverse iteration and keeps every certificate (convergence, both residual
-checks, the positivity of the ground state).
+the coarser grids are solved for eigenvalues only; the finest grid solves
+for the eigenvectors and keeps every certificate (finite vectors, both
+residual checks, the positivity of the ground state).
 
 Most of a solve is Sturm sweeps, so the two bisections of one operator share
 their counts, and each finer grid starts from counts taken around the value
@@ -52,8 +53,6 @@ __all__ = [
     "default_cell_count",
 ]
 
-_INV_ITER_MAX = 50
-_INV_ITER_DIR_TOL = 1e-12
 _RESIDUAL_REL = 1e-8
 _GALLOP_START = 16.0  # first half-width around a guess, in bisection tolerances
 _GALLOP_GROWTH = 16.0
@@ -258,9 +257,9 @@ def _kernel_inputs(op: DiscreteOperator):
     if diag.size < 2:
         raise SolverError("need at least a 2x2 operator")
     off2 = off * off
-    # zero-pivot guard for the Sturm recurrence and the shifted LU; far below
-    # any eigenvalue tolerance but large enough that 1/pivmin cannot overflow
-    # the back-substitution
+    # zero-pivot guard for the Sturm and twisted-factorization recurrences;
+    # far below any eigenvalue tolerance but large enough that off/pivmin
+    # cannot overflow the eigenvector recurrence
     pivmin = max(off2.max(), 1.0) * 1e-250
     return diag, off, off2, pivmin
 
@@ -312,54 +311,57 @@ def lowest_two_eigenpairs(
     """Lowest two eigenpairs of the tridiagonal operator.
 
     Eigenvalues from :func:`lowest_two_eigenvalues` (``near`` is passed on
-    and never changes the result); eigenvectors by inverse iteration with
-    the bisected value as shift, at most 50 sweeps.  The second vector is
-    re-orthogonalized against the first every sweep.  The ground vector is
-    sign-fixed positive.  Raises :class:`SolverError` on non-convergence, on
-    a residual above 1e-8 ||T|| or on a ground vector that is not positive.
+    and never changes the result); each eigenvector from one
+    twisted-factorization solve at the bisected value, which is one
+    inverse-iteration step from the best unit start vector.  The second
+    vector is orthogonalized against the first once.  The ground vector is
+    sign-fixed positive.  Raises :class:`SolverError` on a non-finite
+    vector, on a second vector that orthogonalization reduces to rounding
+    (norm at most N eps), on a residual above 1e-8 ||T|| or on a ground
+    vector that is not positive; each message reports lambda1 - lambda0
+    and eps ||T||.
     """
     lam0, lam1 = lowest_two_eigenvalues(op, near)
     diag, off, _, pivmin = _kernel_inputs(op)
-    n = diag.size
-
     norm_t = op.norm_inf()
-    resid_tol = 1e-11 * max(1.0, norm_t)
-    rng = np.random.default_rng(1234567891)
+    # a split near eps*||T|| leaves the solves unable to tell the two
+    # eigenvectors apart; the errors below report how close it is
+    split = (f"lambda1 - lambda0 = {lam1 - lam0:.3e}, "
+             f"eps*||T|| = {np.finfo(float).eps * norm_t:.3e}")
 
-    def vector(lam, ortho, state):
-        for _ in range(2):  # a second random start if the first does not converge
-            v, _, ok = kernels.inverse_iteration(
-                diag, off, lam, rng.uniform(-1.0, 1.0, n), ortho,
-                _INV_ITER_MAX, _INV_ITER_DIR_TOL, resid_tol, pivmin,
-            )
-            if ok:
-                return v
-        raise SolverError(f"inverse iteration for the {state} did not converge")
-
-    vec0 = vector(lam0, None, "ground state")
+    vecs = []
+    for lam, state in ((lam0, "ground state"), (lam1, "first excited state")):
+        vec, _, finite = kernels.inverse_iteration(diag, off, lam, pivmin)
+        if not finite:
+            raise SolverError(f"the {state} vector has a non-finite component ({split})")
+        vecs.append(vec)
+    vec0, vec1 = vecs
     if vec0.sum() < 0.0:
         vec0 = -vec0
-    vec1 = vector(lam1, vec0, "first excited state")
+    # the vectors are unit: a remainder within the N eps rounding of this
+    # step is no direction at all
+    vec1 = vec1 - (vec1 @ vec0) * vec0
+    norm1 = float(np.linalg.norm(vec1))
+    if not norm1 > vec1.size * np.finfo(float).eps:
+        raise SolverError(
+            f"the first excited state vector vanishes against the ground state ({split})"
+        )
+    vec1 = vec1 / norm1
     for lam, vec, which in ((lam0, vec0, "0"), (lam1, vec1, "1")):
         resid = float(np.linalg.norm(op.matvec(vec) - lam * vec))
         if resid > _RESIDUAL_REL * norm_t:
             raise SolverError(
-                f"eigenpair {which} residual {resid:.3e} exceeds {_RESIDUAL_REL:.0e} * ||T||"
+                f"eigenpair {which} residual {resid:.3e} exceeds "
+                f"{_RESIDUAL_REL:.0e} * ||T|| ({split})"
             )
-    # Positivity up to the resolution of inverse iteration: components the
-    # true ground state drives below ~1e-16 of its peak (deep tunneling) come
-    # out as rounding noise of either sign; clamp them to the measurement
-    # floor.  Anything more negative means a genuinely wrong vector.
+    # Positivity up to the resolution of the solve: components the true
+    # ground state drives below ~1e-16 of its peak (deep tunneling) come out
+    # as rounding noise of either sign; clamp them to the measurement floor.
+    # Anything more negative means a genuinely wrong vector.
     peak = float(vec0.max())
     if vec0.min() <= 0.0:
         if vec0.min() < -1e-12 * peak:
-            # a split near eps*||T|| leaves inverse iteration unable to tell
-            # the two eigenvectors apart
-            raise SolverError(
-                "ground-state vector is not strictly positive "
-                f"(lambda1 - lambda0 = {lam1 - lam0:.3e}, "
-                f"eps*||T|| = {np.finfo(float).eps * norm_t:.3e})"
-            )
+            raise SolverError(f"ground-state vector is not strictly positive ({split})")
         vec0 = np.maximum(vec0, 1e-16 * peak)
     return Eigenpair(float(lam0), vec0), Eigenpair(float(lam1), vec1)
 
@@ -397,7 +399,7 @@ def solve_extrapolated(
     The coarser grids are solved for eigenvalues only
     (:func:`lowest_two_eigenvalues`): the extrapolation uses nothing else of
     them.  Only the finest grid runs :func:`lowest_two_eigenpairs`, whose
-    eigenvectors are checked for convergence, residual and positivity, so
+    eigenvectors are checked for finiteness, residual and positivity, so
     only that grid can raise a :class:`SolverError` about an eigenvector.
 
     The grids have a face at every break of the potential and are nested

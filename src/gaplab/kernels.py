@@ -1,9 +1,9 @@
 """Hot numeric loops shared by the eigensolver and the phase/profile integrators.
 
 Plain interpreted Python, one definition per kernel.  The eigensolver
-kernels (Sturm count, bisection, shifted inverse iteration) follow LAPACK's
-tridiagonal routines; the phase and profile kernels are fixed-step RK4
-sweeps, so phase counts are reproducible.
+kernels (Sturm count, bisection, one inverse-iteration step by twisted
+factorization) follow LAPACK's tridiagonal routines; the phase and profile
+kernels are fixed-step RK4 sweeps, so phase counts are reproducible.
 
 The loops run on Python floats, not numpy scalars: each kernel converts its
 array arguments once per call with ``tolist()`` (scalars with ``float()``)
@@ -12,8 +12,8 @@ and every operation keeps its order, so the results are bit for bit those
 of the same loops over numpy arrays, at a fraction of the indexing cost.
 Unlike a numpy scalar, a Python float raises ZeroDivisionError on a zero
 divisor instead of returning inf or nan: every divisor below is a pivot
-kept away from zero by `pivmin`, a maximum or norm checked to be nonzero, a
-step count, or the norm of the start vector, which must not be zero.
+kept away from zero by `pivmin`, a step count, or a maximum checked to be
+nonzero.
 
 ``sturm_count`` takes the shift off the diagonal once per call, in numpy,
 so its loop is ``d = c_i - b_i / d``; numpy's elementwise subtraction is the
@@ -101,134 +101,56 @@ def bisect_eigenvalue(diag, off2, k, lo, hi, pivmin, counts=None):
     return 0.5 * (lo + hi)
 
 
-def inverse_iteration(diag, off, sigma, start, ortho, max_iter, dir_tol, resid_tol,
-                      pivmin):
-    # Inverse iteration with the shift `sigma` on the symmetric tridiagonal
-    # matrix (diag, off).  Factors (T - sigma*I) once by LU with partial
-    # pivoting, then iterates solves.  Unless `ortho` is None the iterate is
-    # re-orthogonalized against it every sweep (near-degenerate pairs).
-    # Accepts when the direction stabilizes to dir_tol, or (from the second
-    # sweep on) when the solve growth certifies a residual below resid_tol:
-    # with ||x||_2 = 1, the normalized iterate satisfies
-    # ||(T - sigma) y_hat||_2 = 1/||y||_2, and near-exact shifts leave the
-    # direction jittering in a rounding cloud that never meets dir_tol.
-    # Returns (vector, iterations, converged); the vector is l2-normalized.
-    sigma = float(sigma)
+def inverse_iteration(diag, off, sigma, pivmin):
+    # One step of inverse iteration on the symmetric tridiagonal (diag, off)
+    # with the shift `sigma`, from the best unit start vector e_r, by
+    # Fernando's twisted factorization (Parlett & Dhillon, LAA 267, 1997;
+    # Dhillon & Parlett, SIMAX 25, 2004).  The forward pivots d+ of
+    # T - sigma*I = L D+ L^T are those of the Sturm recurrence, with its
+    # pivmin guard; the backward pivots d- are those of U D- U^T.  Twisted
+    # at r, the two factors solve (T - sigma*I) z = gamma_r e_r with z_r = 1
+    # and gamma_r = d+_r + d-_r - (a_r - sigma) = 1 / [(T - sigma*I)^-1]_rr.
+    # r = argmin |gamma_r| picks the e_r with the largest such entry, and the
+    # residual |gamma_r| / ||z||_2 is then at most sqrt(n) |lambda - sigma|
+    # for the eigenvalue lambda nearest sigma.  z is filled outward from r
+    # by the two bidiagonal recurrences.
+    # Returns (vector, 1, finite): the l2-normalized vector, the one solve,
+    # and whether every component stayed finite.
     pivmin = float(pivmin)
+    neg_pivmin = -pivmin
+    shifted = (diag - float(sigma)).tolist()
     off = off.tolist()
-    n = len(off) + 1
-    # LU of (T - sigma*I) with partial pivoting, as LAPACK's dgttrf; `di` and
-    # `dui` carry row i's pivot and superdiagonal, which step i-1 may change
-    d = []
-    du = []
-    dl = []
-    du2 = []
-    piv = []
-    shifted = [a - sigma for a in diag.tolist()]
-    di = shifted[0]
-    dui = off[0]
-    for sub, d_next, du_next in zip(off, shifted[1:], off[1:] + [0.0]):
-        if abs(di) >= abs(sub):
-            if -pivmin < di < pivmin:
-                di = pivmin
-            fact = sub / di
-            d.append(di)
-            du.append(dui)
-            du2.append(0.0)
-            piv.append(False)
-            di = d_next - fact * dui
-            dui = du_next
-        else:
-            fact = di / sub
-            d.append(sub)
-            du.append(d_next)
-            du2.append(du_next)
-            piv.append(True)
-            di = dui - fact * d_next
-            dui = -fact * du_next
-        dl.append(fact)
-    if -pivmin < di < pivmin:
-        di = pivmin
-    d.append(di)
-    del du2[n - 2:]  # the last row has no second superdiagonal
-    # back substitution runs from the last row up: its coefficients reversed
-    d_last = d[n - 1]
-    du_last = du[n - 2]
-    d_before_last = d[n - 2]
-    du_back = du[:n - 2][::-1]
-    du2_back = du2[::-1]
-    d_back = d[:n - 2][::-1]
+    n = len(shifted)
 
-    x = start.tolist()
-    s = 0.0
-    for a in x:
-        s += a * a
-    s = math.sqrt(s)
-    x = [a / s for a in x]
-    if ortho is not None:
-        ortho = ortho.tolist()
+    def pivots(cs, bs):
+        d = cs[0]
+        if neg_pivmin < d < pivmin:
+            d = neg_pivmin
+        out = [d]
+        for c, b in zip(cs[1:], bs):
+            d = c - b * b / d
+            if neg_pivmin < d < pivmin:
+                d = neg_pivmin
+            out.append(d)
+        return out
 
-    iters = 0
-    converged = False
-    for _ in range(max_iter):
-        iters += 1
-        # L^-1 with the row interchanges; `c` carries row i into step i
-        y = []
-        c = x[0]
-        for a, f, swapped in zip(x[1:], dl, piv):
-            if swapped:
-                y.append(a)
-                c = c - f * a
-            else:
-                y.append(c)
-                c = a - f * c
-        y.append(c)
-        # U^-1; z0, z1 carry rows i+1, i+2
-        z1 = y[n - 1] / d_last
-        z0 = (y[n - 2] - du_last * z1) / d_before_last
-        z = [z1, z0]
-        for a, u, u2, di in zip(y[n - 3::-1], du_back, du2_back, d_back):
-            zi = (a - u * z0 - u2 * z1) / di
-            z.append(zi)
-            z1 = z0
-            z0 = zi
-        z.reverse()
-        # scale by the largest component first: a nearly exact shift makes the
-        # solve blow up past 1e150 and the squared norm would overflow
-        amax = max(map(abs, z))
-        if amax == 0.0 or not math.isfinite(amax):
-            break
-        inv0 = 1.0 / amax
-        y = [a * inv0 for a in z]
-        if ortho is not None:
-            dot = 0.0
-            for a, b in zip(y, ortho):
-                dot += a * b
-            y = [a - dot * b for a, b in zip(y, ortho)]
-        ny = 0.0
-        dot_prev = 0.0
-        for a, b in zip(y, x):
-            ny += a * a
-            dot_prev += a * b
-        ny = math.sqrt(ny)
-        if ny == 0.0 or not math.isfinite(ny):
-            break
-        inv = 1.0 / ny
-        sgn = 1.0 if dot_prev >= 0.0 else -1.0
-        y = [sgn * a * inv for a in y]
-        delta = 0.0
-        for a, b in zip(y, x):
-            dif = a - b
-            delta += dif * dif
-        x = y
-        if math.sqrt(delta) <= dir_tol:
-            converged = True
-            break
-        growth = amax * ny  # may underflow to 0: an uncertified residual
-        if iters >= 2 and growth > 0.0 and 1.0 / growth <= resid_tol:
-            converged = True
-            break
-    return np.array(x), iters, converged
+    fwd = pivots(shifted, off)
+    bwd = pivots(shifted[::-1], off[::-1])[::-1]
+    r = min(range(n), key=lambda i: abs(fwd[i] + bwd[i] - shifted[i]))
+    z = [0.0] * n
+    z[r] = zi = 1.0
+    for i in range(r - 1, -1, -1):
+        zi = z[i] = -(off[i] / fwd[i]) * zi
+    zi = 1.0
+    for i in range(r + 1, n):
+        zi = z[i] = -(off[i - 1] / bwd[i]) * zi
+    z = np.array(z)
+    # scale by the largest component first: the squared norm could overflow
+    amax = float(np.abs(z).max())
+    if not math.isfinite(amax):
+        return z, 1, False
+    z /= amax
+    return z / np.linalg.norm(z), 1, True
 
 
 def prufer_theta_piecewise(breaks, vals, lam, n_steps):

@@ -270,8 +270,9 @@ def _prufer_transition(layers, k, lo, hi, counts):
     exactly the eigenvalues and are simple, so from then on the sign of D
     at each midpoint decides it, free of RK4 truncation error.  If the
     bracket never isolates, the counts decide every midpoint.  ``counts``
-    maps each shift counted so far to its count; the caller shares it
-    between eigenvalues.
+    maps each shift counted so far to its count, and each midpoint that D
+    puts above the isolated eigenvalue to the count k + 1 that isolation
+    implies; the caller shares it between eigenvalues.
     """
 
     def count(lam):
@@ -308,7 +309,9 @@ def _prufer_transition(layers, k, lo, hi, counts):
         if mid <= lo or mid >= hi:
             break
         if match_value(layers, mid) * want_left < 0.0:
+            # mid lies between eigenvalues k and k + 1: its count is k + 1
             hi = mid
+            counts[mid] = k + 1
         else:
             lo = mid
     return lo, hi

@@ -253,6 +253,31 @@ def test_sweep_bad_config_exits_2(capsys, tmp_path, cfg, needle):
     assert needle in err
 
 
+@pytest.mark.parametrize(
+    "fields, needle",
+    [
+        ({"L_values": [1.0], "output": 2}, "'output' must be a path"),
+        ({"L_values": [1.0], "plot_script": 7}, "'plot_script' must be a path"),
+        ({"L_values": [1.0, None]}, "'L_values' must be a non-empty list of numbers"),
+        ({"L_values": [True]}, "'L_values' must be a non-empty list of numbers"),
+        ({"L_min": 1.0, "L_max": None, "count": 3}, "'L_max' must be a number"),
+        ({"L_min": 1.0, "L_max": 4.0, "count": 2.5}, "'count' must be an integer"),
+        ({"L_values": [1.0], "levels": None}, "'levels' must be an integer"),
+        ({"L_values": [1.0], "cells_per_unit": 8.9}, "'cells_per_unit' must be an integer"),
+        ({"L_values": [1.0], "min_cells": "300"}, "'min_cells' must be an integer"),
+    ],
+)
+def test_sweep_config_field_types_exit_2(capsys, tmp_path, fields, needle):
+    # a JSON value of the wrong type is an input error, before any solve or write
+    out_csv = tmp_path / "x.csv"
+    cfg = {"potential": {"type": "zero"}, "output": str(out_csv), **fields}
+    code, out, err = run_cli(capsys, "sweep", "--config", json.dumps(cfg))
+    assert code == 2
+    assert out == ""
+    assert needle in err
+    assert not out_csv.exists()
+
+
 def test_sweep_requires_output(capsys):
     code, _, err = run_cli(
         capsys, "sweep", "--config", json.dumps({"potential": {"type": "zero"}, "L_values": [1.0]}),

@@ -167,16 +167,22 @@ def test_constant_is_exact_shift():
 
 
 def test_eigenvalues_match_lapack():
+    # Eigenvalues to 1e-11; eigenvectors to an angle of twice eps ||T|| / gap,
+    # the conditioning of the eigenvector.  The last case is a double well
+    # whose split, 1.7e-8, is small but resolvable (eps ||T|| is 3.6e-12).
     rng = np.random.default_rng(11)
-    for _ in range(5):
-        p = random_multistep(rng, 6.0)
-        op = assemble(p, Grid(6.0, 512))
+    cases = [(random_multistep(rng, 6.0), 6.0, 512) for _ in range(5)]
+    cases.append((Step(0.4, (-18.0, 18.0)), 40.0, 2560))
+    for p, L, n in cases:
+        op = assemble(p, Grid(L, n))
         ours = lowest_two_eigenpairs(op)
-        ref = eigh_tridiagonal(
-            op.diag, op.offdiag, select="i", select_range=(0, 1), eigvals_only=True
-        )
+        ref, vecs = eigh_tridiagonal(op.diag, op.offdiag, select="i", select_range=(0, 1))
         assert ours[0].value == pytest.approx(ref[0], rel=1e-11, abs=1e-11)
         assert ours[1].value == pytest.approx(ref[1], rel=1e-11, abs=1e-11)
+        conditioning = np.finfo(float).eps * op.norm_inf() / (ref[1] - ref[0])
+        for pair, ref_vec in zip(ours, vecs.T):
+            sin_angle = np.linalg.norm(pair.vector - (pair.vector @ ref_vec) * ref_vec)
+            assert sin_angle <= 2.0 * conditioning
 
 
 def test_monotonicity_nonnegative_potential_raises_lambda0():
@@ -316,29 +322,68 @@ def test_default_cell_count():
     assert default_cell_count(400.0) == 25600
 
 
-def test_sign_changing_ground_state_reports_split(monkeypatch):
-    # Two 8-cell Neumann blocks joined by a weak link (a path-graph
-    # Laplacian): lambda0 = 0 and lambda1 ~ 2.5e-9.  The patched kernel hands
-    # back -phi1 for the ground state, a vector whose residual passes the
-    # 1e-8 * ||T|| certificate but which changes sign.
+def _weak_link():
+    """Two 8-cell Neumann blocks joined by a weak link (a path-graph
+    Laplacian): lambda0 = 0 and lambda1 ~ 2.5e-9.  Returns the operator and
+    its dense eigenvalues and eigenvectors."""
     diag = np.full(16, 2.0)
     diag[[0, 7, 8, 15]] = 1.0
     off = np.full(15, -1.0)
     off[7] = -1e-8
     diag[[7, 8]] -= off[7]
     op = DiscreteOperator(diag, off)
-    dense = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
-    lams, vecs = np.linalg.eigh(dense)
-    phi0, phi1 = vecs[:, 0], vecs[:, 1]
+    lams, vecs = np.linalg.eigh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
+    return op, lams, vecs
 
-    def swapped(diag, off, sigma, start, ortho, *rest):
-        return (phi0 if ortho is not None else -phi1), 1, True
 
-    monkeypatch.setattr(kernels, "inverse_iteration", swapped)
-    with pytest.raises(SolverError, match="not strictly positive") as info:
-        lowest_two_eigenpairs(op)
-    split, floor = (
-        float(x) for x in re.findall(r"= ([-+.e\d]+)", str(info.value))
-    )
+def _hand_back(monkeypatch, *vectors):
+    """Patch the eigenvector kernel to return `vectors`, ground state first."""
+    handed = iter(vectors)
+
+    def kernel(diag, off, sigma, pivmin):
+        v = next(handed)
+        return v, 1, bool(np.isfinite(v).all())
+
+    monkeypatch.setattr(kernels, "inverse_iteration", kernel)
+
+
+def _assert_reports_split(message, op, lams):
+    split, floor = (float(x) for x in re.findall(r"= ([-+.e\d]+)", message))
     assert split == pytest.approx(lams[1] - lams[0], rel=1e-2)
     assert floor == pytest.approx(np.finfo(float).eps * op.norm_inf(), rel=1e-3)
+
+
+def test_sign_changing_ground_state_reports_split(monkeypatch):
+    # The patched kernel hands back -phi1 for the ground state, a vector
+    # whose residual passes the 1e-8 * ||T|| certificate but which changes
+    # sign.
+    op, lams, vecs = _weak_link()
+    _hand_back(monkeypatch, -vecs[:, 1], vecs[:, 0])
+    with pytest.raises(SolverError, match="not strictly positive") as info:
+        lowest_two_eigenpairs(op)
+    _assert_reports_split(str(info.value), op, lams)
+
+
+def test_excited_residual_failure_reports_split(monkeypatch):
+    # A split below what double precision separates leaves the lambda1 solve
+    # with a vector that is no eigenvector.  The patched kernel hands back
+    # phi2 for it: orthogonal to the ground state, residual lambda2 - lambda1.
+    op, lams, vecs = _weak_link()
+    _hand_back(monkeypatch, vecs[:, 0], vecs[:, 2])
+    with pytest.raises(SolverError, match=r"eigenpair 1 residual .* \* \|\|T\|\| \(") as info:
+        lowest_two_eigenpairs(op)
+    _assert_reports_split(str(info.value), op, lams)
+
+
+@pytest.mark.parametrize("vector, needle", [
+    (np.full(16, np.nan), "non-finite"),
+    (None, "vanishes"),
+])
+def test_unusable_vectors_raise(monkeypatch, vector, needle):
+    # No fallback: a non-finite solve, or an excited vector that is the
+    # ground vector again, is a SolverError.
+    op, _, vecs = _weak_link()
+    v = vecs[:, 0] if vector is None else vector
+    _hand_back(monkeypatch, v, v)
+    with pytest.raises(SolverError, match=needle):
+        lowest_two_eigenpairs(op)

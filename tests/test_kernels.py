@@ -1,4 +1,5 @@
-"""Kernel shortcuts that save work but never move a result.
+"""Kernel shortcuts that save work but never move a result, and the
+one-solve eigenvector kernel's residual.
 
 ``bisect_eigenvalue`` decides a midpoint from an earlier count whenever the
 count's monotonicity in the shift settles it, and ``lowest_two_eigenvalues``
@@ -95,6 +96,26 @@ def test_sturm_count_monotone_near_eigenvalue(seed, j):
     shifts = np.sort(lam + ulp * rng.uniform(-6.0, 6.0, 64))
     counts = [kernels.sturm_count(diag, off2, s, pivmin) for s in shifts]
     assert all(a <= b for a, b in zip(counts, counts[1:]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(0, 1))
+def test_inverse_iteration_one_solve_residual(seed, k):
+    # From the best start e_r, one twisted-factorization solve leaves a
+    # residual of at most sqrt(n) |lambda - sigma| (Parlett & Dhillon, LAA
+    # 267, 1997); sigma is the bisected value, within its tolerance plus
+    # eps * ||T|| of lambda.  The weakly linked pairs are included.
+    rng = np.random.default_rng(seed)
+    diag, off = random_tridiagonal(rng)
+    off2, pivmin, lo, hi = _bisect_inputs(diag, off)
+    sigma = kernels.bisect_eigenvalue(diag, off2, k, lo, hi, pivmin)
+    vec, solves, finite = kernels.inverse_iteration(diag, off, sigma, pivmin)
+    assert (solves, finite) == (1, True)
+    assert np.linalg.norm(vec) == pytest.approx(1.0, abs=1e-14)
+    op = DiscreteOperator(diag, off)
+    shift_error = max(1e-13, 1e-12 * abs(sigma)) + EPS * op.norm_inf()
+    residual = np.linalg.norm(op.matvec(vec) - sigma * vec)
+    assert residual <= math.sqrt(diag.size) * shift_error
 
 
 def reference_sturm_count(diag, off2, shift, pivmin):
@@ -225,9 +246,10 @@ def test_prufer_theta_piecewise_matches_reference_loop(seed, L, refine, n_any, l
 def test_sturm_sweep_budget(monkeypatch):
     # Plain bisection of both eigenvalues from the Gershgorin range takes 324
     # Sturm sweeps on these three grids; shared and guessed counts take 155.
-    # Only the finest grid runs inverse iteration (4 sweeps here); the two
-    # coarse grids are solved for eigenvalues only.  The counts are
-    # deterministic: a change that loses the reuse fails here.
+    # Only the finest grid solves for eigenvectors, one twisted-factorization
+    # solve per eigenvalue (2 here); the two coarse grids are solved for
+    # eigenvalues only.  The counts are deterministic: a change that loses
+    # the reuse fails here.
     calls = {"sturm": 0, "inverse_sweeps": 0}
     sturm_count = kernels.sturm_count
     inverse_iteration = kernels.inverse_iteration
@@ -245,4 +267,4 @@ def test_sturm_sweep_budget(monkeypatch):
     monkeypatch.setattr(kernels, "inverse_iteration", counted_inverse)
     solve_extrapolated(Step(1.0, (-0.5, 0.5)), 100.0, n0=800, levels=3)
     assert calls["sturm"] <= 194
-    assert calls["inverse_sweeps"] == 4
+    assert calls["inverse_sweeps"] == 2

@@ -347,9 +347,10 @@ for _case in GOLDEN_PIECEWISE + _HARD_DRAWS:
 def test_eigenvalues_exact_phase_budget(monkeypatch):
     # Bisecting on RK4 phase counts down to the 1e-9 stopping width takes 64
     # phase sweeps per call.  Counts now only isolate each eigenvalue and
-    # the sign of D decides the remaining midpoints: the golden cases take
-    # 6-18.  The counts are deterministic: a change that loses the switch
-    # to D fails here.
+    # the sign of D decides the remaining midpoints, and eigenvalue 1 starts
+    # from a lower end whose count isolation already implies: the golden
+    # cases take 5-17.  The counts are deterministic: a change that loses
+    # the switch to D fails here.
     calls = [0]
     theta = kernels.prufer_theta_piecewise
 
@@ -361,7 +362,7 @@ def test_eigenvalues_exact_phase_budget(monkeypatch):
     for p, L in GOLDEN_PIECEWISE:
         calls[0] = 0
         eigenvalues_exact(decompose(p, L), 2)
-        assert calls[0] <= 20, (p, L)
+        assert calls[0] <= 17, (p, L)
 
 
 def test_eigenvalues_exact_ignores_miscount_near_eigenvalue(monkeypatch):
