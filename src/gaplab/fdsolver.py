@@ -379,13 +379,15 @@ def _richardson(values):
 
 
 def _observed_order(values, floor: float) -> float:
-    # differences within the solver floor carry no order information (e.g.
-    # lambda0 = 0 for the free operator, or a constant potential's exact shift)
+    # differences within rounding carry no order information (e.g. lambda0 =
+    # 0 for the free operator, or a constant potential's exact shift).  A
+    # level difference carries the floors of both its levels, and `floor`,
+    # the finest level's, is the largest of them.
     if len(values) < 3:
         return math.nan
     d1 = values[-3] - values[-2]
     d2 = values[-2] - values[-1]
-    if abs(d1) <= floor or abs(d2) <= floor:
+    if abs(d1) <= 2.0 * floor or abs(d2) <= 2.0 * floor:
         return math.nan
     return math.log2(abs(d1 / d2))
 

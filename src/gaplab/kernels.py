@@ -19,9 +19,8 @@ nonzero.
 so its loop is ``d = c_i - b_i / d``; numpy's elementwise subtraction is the
 same correctly rounded IEEE operation as Python's, so every count is that
 of the loop that subtracts the shift at each step.  ``prufer_theta_piecewise``
-looks the layer up only for a step whose end passes the right break of the
-current layer; any other step lies in that layer and takes its value at all
-three stages, which is what the lookup would return.
+ends a step on every break of the potential, so each step sees one constant
+layer value and the sweep keeps RK4's fourth order across the jumps.
 
 ``bisect_eigenvalue`` reuses Sturm counts it is given.  The count that
 IEEE arithmetic computes is non-decreasing in the shift (Kahan's
@@ -157,57 +156,36 @@ def prufer_theta_piecewise(breaks, vals, lam, n_steps):
     # Classical RK4 sweep of the phase equation
     #   theta' = cos^2(theta) + (lam - v(x)) sin^2(theta),  theta(x0) = pi/2,
     # for a piecewise-constant v given by `breaks` (m+1 points) / `vals` (m).
-    # The layer lookup is a forward-moving pointer: stage abscissae never
-    # decrease, so the scan is O(1) amortized.  A step whose end x + h does
-    # not pass the right break of the current layer lies inside that layer,
-    # so it takes the layer's value at all three stages without a scan.
+    # Every step ends on the breaks: layer j takes max(1, ceil(n_steps l_j / L))
+    # equal steps, none longer than L / n_steps.  q = lam - v_j is constant
+    # within each step, so the sweep keeps RK4's fourth order across the jumps.
     breaks = breaks.tolist()
-    vals = vals.tolist()
     lam = float(lam)
-    m = len(vals)
-    x0 = breaks[0]
-    x1 = breaks[m]
-    h = (x1 - x0) / n_steps
-    half_h = 0.5 * h
+    per_length = n_steps / (breaks[-1] - breaks[0])
     theta = 0.5 * math.pi
-    idx = 0
-    right = breaks[1] if m > 1 else math.inf  # right break of layer idx
-    q = lam - vals[0]
-    x = x0
-    for _ in range(n_steps):
-        xe = x + h
-        if xe <= right:
-            q1 = q2 = q3 = q
-        else:
-            xm = x + half_h
-            while idx < m - 1 and x > breaks[idx + 1]:
-                idx += 1
-            q1 = q = lam - vals[idx]
-            right = breaks[idx + 1] if idx < m - 1 else math.inf
-            j = idx
-            while j < m - 1 and xm > breaks[j + 1]:
-                j += 1
-            q2 = lam - vals[j]
-            while j < m - 1 and xe > breaks[j + 1]:
-                j += 1
-            q3 = lam - vals[j]
-        st = math.sin(theta)
-        ct = math.cos(theta)
-        k1 = ct * ct + q1 * st * st
-        t2 = theta + half_h * k1
-        st = math.sin(t2)
-        ct = math.cos(t2)
-        k2 = ct * ct + q2 * st * st
-        t3 = theta + half_h * k2
-        st = math.sin(t3)
-        ct = math.cos(t3)
-        k3 = ct * ct + q2 * st * st
-        t4 = theta + h * k3
-        st = math.sin(t4)
-        ct = math.cos(t4)
-        k4 = ct * ct + q3 * st * st
-        theta += h * (k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0
-        x = xe
+    for left, right, v in zip(breaks, breaks[1:], vals.tolist()):
+        ell = right - left
+        n = max(1, math.ceil(per_length * ell))
+        h = ell / n
+        half_h = 0.5 * h
+        q = lam - v
+        for _ in range(n):
+            st = math.sin(theta)
+            ct = math.cos(theta)
+            k1 = ct * ct + q * st * st
+            t2 = theta + half_h * k1
+            st = math.sin(t2)
+            ct = math.cos(t2)
+            k2 = ct * ct + q * st * st
+            t3 = theta + half_h * k2
+            st = math.sin(t3)
+            ct = math.cos(t3)
+            k3 = ct * ct + q * st * st
+            t4 = theta + h * k3
+            st = math.sin(t4)
+            ct = math.cos(t4)
+            k4 = ct * ct + q * st * st
+            theta += h * (k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0
     return theta
 
 

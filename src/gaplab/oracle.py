@@ -13,16 +13,18 @@ root-finder never sees the removable singularity at lam = v_layer.
 
 Eigenvalue counting for arbitrary potentials uses the phase equation
 theta' = cos^2 theta + (lam - v) sin^2 theta integrated by fixed-step RK4
-(reproducible counts), and ``ground_state_profile`` integrates the eigenvalue
-ODE once to measure inf/sup of the ground state without touching the
+(reproducible counts); for a piecewise-constant potential every step ends
+on a layer break.  ``ground_state_profile`` integrates the eigenvalue ODE
+once to measure inf/sup of the ground state without touching the
 finite-difference machinery.
 
-``eigenvalues_exact`` uses the RK4 counts only to isolate each eigenvalue:
-once a bracket holds eigenvalue k alone (counts k and k + 1 at its ends, and
-D of the signs one simple zero implies), the sign of D decides every further
-bisection midpoint, since its zeros are exactly the eigenvalues.  In double
-precision D is rounding noise within some ulp of a root, so the last step is
-one secant step on D evaluated in mpmath (imported on first use).
+``eigenvalues_exact`` finds each eigenvalue with one bracket routine that
+uses the RK4 counts only to isolate it: once a bracket holds eigenvalue k
+alone (counts k and k + 1 at its ends, and D of the signs one simple zero
+implies), the sign of D decides every further bisection midpoint, since its
+zeros are exactly the eigenvalues.  In double precision D is rounding noise
+within some ulp of a root, so the last step is one secant step on D
+evaluated in mpmath (imported on first use).
 """
 
 import math
@@ -159,7 +161,8 @@ def prufer_count(p: PotentialSpec, L: float, lam: float) -> int:
     """Number of Neumann eigenvalues strictly below ``lam``.
 
     Fixed-step RK4 keeps counts reproducible across sweeps; the step obeys
-    h <= min(1e-3 L, 0.1/sqrt(1+|lam|)).  Rejects |lam| > 1e12.
+    h <= min(1e-3 L, 0.1/sqrt(1+|lam|)), and for a piecewise-constant
+    potential every step ends on a layer break.  Rejects |lam| > 1e12.
     """
     if not (L > 0.0 and math.isfinite(L)):
         raise ValueError(f"interval length must be finite and > 0, got {L}")
@@ -170,24 +173,6 @@ def prufer_count(p: PotentialSpec, L: float, lam: float) -> int:
         theta = kernels.prufer_theta_capped(p.decay, p.cap, lam, 0.5 * L, n)
         return _count_from_theta(theta)
     return _count_from_layers(decompose(p, L), lam)
-
-
-def _bisect_sign_change(f, a, b, fa, fb, abs_floor):
-    for _ in range(200):
-        width = b - a
-        if width <= max(1e-13 * max(abs(a), abs(b)), abs_floor):
-            break
-        mid = 0.5 * (a + b)
-        if mid <= a or mid >= b:
-            break
-        fm = f(mid)
-        if fm == 0.0:
-            return mid, mid, 0.0, 0.0
-        if (fm > 0.0) == (fa > 0.0):
-            a, fa = mid, fm
-        else:
-            b, fb = mid, fm
-    return a, b, fa, fb
 
 
 def _secant_step(layers, a, b):
@@ -229,11 +214,11 @@ def _secant_step(layers, a, b):
 
 def eigenvalues_exact(layers: LayerDecomposition, count: int = 2) -> Tuple[float, ...]:
     """First ``count`` (1 or 2) Neumann eigenvalues as zeros of the matching
-    function D.  RK4 phase counts bisect until a bracket isolates each
-    eigenvalue; the sign of D decides the bisection from there, a
-    sign-change bisection narrows the root to relative ~1e-13, and one
-    secant step on D evaluated in mpmath places it to within about an ulp
-    of the largest |lam - v|.  The two eigenvalues share their phase counts.
+    function D.  RK4 phase counts, whose steps end on every layer break,
+    bisect until a bracket isolates each eigenvalue; the sign of D decides
+    the bisection from there down to relative ~1e-13, and one secant step
+    on D evaluated in mpmath places the root to within about an ulp of the
+    largest |lam - v|.  The two eigenvalues share their phase counts.
     Raises :class:`OracleError` when eigenvalues k and k + 1 lie closer than
     double precision can separate."""
     if count not in (1, 2):
@@ -245,34 +230,33 @@ def eigenvalues_exact(layers: LayerDecomposition, count: int = 2) -> Tuple[float
     # lam0 <= min(max v, l1/L) by the Rayleigh quotient of the constant
     # test function and lam1 <= pi^2/L^2 + max v, so the ceiling below
     # encloses both with a margin of at least 3 pi^2/L^2;
-    # _prufer_transition raises if the phase count disagrees.
+    # _bracket_root raises if the phase count disagrees.
     scale = max(1.0, maxv + 4.0 * free_gap)
     ceiling = min(maxv, l1 / L) + free_gap * 4.0 + maxv + 1e-9 * scale
     lo = -1e-9 * scale
 
     roots = []
-    lo_k = lo
     counts = {}
     for k in range(count):
-        a, b = _prufer_transition(layers, k, lo_k, ceiling, counts)
-        lam = _refine_root(layers, k, a, b, scale)
+        lam, lo = _bracket_root(layers, k, lo, ceiling, counts, scale)
         roots.append(lam)
-        lo_k = b
     return tuple(roots)
 
 
-def _prufer_transition(layers, k, lo, hi, counts):
-    """Shrink [lo, hi] around eigenvalue k to a width of 1e-9 relative.
+def _bracket_root(layers, k, lo, hi, counts, scale):
+    """Eigenvalue k by bisection of [lo, hi], and the bracket's upper end.
 
     RK4 phase counts decide the midpoints only until the bracket isolates
     eigenvalue k: count(lo) == k, count(hi) == k + 1, and D(lo), D(hi)
     carry the signs one simple zero of D implies.  The zeros of D are
     exactly the eigenvalues and are simple, so from then on the sign of D
-    at each midpoint decides it, free of RK4 truncation error.  If the
-    bracket never isolates, the counts decide every midpoint.  ``counts``
-    maps each shift counted so far to its count, and each midpoint that D
-    puts above the isolated eigenvalue to the count k + 1 that isolation
-    implies; the caller shares it between eigenvalues.
+    decides each midpoint, free of RK4 truncation error, down to a width of
+    max(1e-13 relative, 1e-15 scale); one secant step on D in mpmath then
+    places the root.  A bracket that reaches 1e-9 relative without
+    isolating raises :class:`OracleError`.  ``counts`` maps each shift
+    counted so far to its count, and each midpoint that D puts above the
+    isolated eigenvalue to the count k + 1 that isolation implies; the
+    caller shares it between eigenvalues.
     """
 
     def count(lam):
@@ -290,68 +274,39 @@ def _prufer_transition(layers, k, lo, hi, counts):
         )
     want_left = 1.0 if k % 2 == 0 else -1.0  # sign of D below the k-th zero
     tol = max(1e-10, 1e-9 * max(abs(lo), abs(hi)))
-    while hi - lo > tol and not (
+    while not (
         c_lo == k
         and c_hi == k + 1
         and match_value(layers, lo) * want_left > 0.0
         and match_value(layers, hi) * want_left < 0.0
     ):
+        if hi - lo <= tol:
+            if c_hi >= k + 2:
+                raise OracleError(
+                    f"eigenvalues {k} and {k + 1} are not separable in double "
+                    f"precision: the phase count jumps from {c_lo} to {c_hi} "
+                    f"across [{lo:.17g}, {hi:.17g}]"
+                )
+            raise OracleError(
+                f"phase counts do not isolate eigenvalue {k}: "
+                f"count({lo:.17g})={c_lo}, count({hi:.17g})={c_hi}"
+            )
         mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:
-            return lo, hi
         c_mid = count(mid)
         if c_mid > k:
             hi, c_hi = mid, c_mid
         else:
             lo, c_lo = mid, c_mid
+    tol = max(1e-13 * max(abs(lo), abs(hi)), 1e-15 * scale)
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:
-            break
         if match_value(layers, mid) * want_left < 0.0:
             # mid lies between eigenvalues k and k + 1: its count is k + 1
             hi = mid
             counts[mid] = k + 1
         else:
             lo = mid
-    return lo, hi
-
-
-def _refine_root(layers, k, a, b, scale):
-    f = match_function(layers)
-    want_left = 1.0 if k % 2 == 0 else -1.0  # sign of D below the k-th zero
-    pad = max(b - a, 1e-12 * scale)
-    abs_floor = 1e-15 * scale
-    for _ in range(12):
-        aa = a - pad
-        bb = b + pad
-        fa = f(aa)
-        fb = f(bb)
-        if fa == 0.0:
-            return aa
-        if fb == 0.0:
-            return bb
-        if (fa > 0.0) == (want_left > 0.0) and (fb > 0.0) != (fa > 0.0):
-            aa, bb, _, _ = _bisect_sign_change(f, aa, bb, fa, fb, abs_floor)
-            return _secant_step(layers, aa, bb)
-        pad *= 4.0
-    # last resort: scan for a sign change on a fine grid around the bracket
-    grid = np.linspace(a - pad, b + pad, 257)
-    vals = [f(x) for x in grid]
-    for x0, x1, f0, f1 in zip(grid, grid[1:], vals, vals[1:]):
-        if f0 == 0.0:
-            return float(x0)
-        if (f0 > 0.0) != (f1 > 0.0):
-            aa, bb, _, _ = _bisect_sign_change(f, float(x0), float(x1), f0, f1, abs_floor)
-            return _secant_step(layers, aa, bb)
-    if (vals[0] > 0.0) == (vals[-1] > 0.0) == (want_left > 0.0):
-        # D has the sign it has below eigenvalue k on both sides of where the
-        # phase count places it, so eigenvalue k + 1 is in there too
-        raise OracleError(
-            f"eigenvalues {k} and {k + 1} are not separable in double precision: "
-            f"the matching function keeps its sign across [{grid[0]:.17g}, {grid[-1]:.17g}]"
-        )
-    raise OracleError(f"bracket failure for eigenvalue {k}")
+    return _secant_step(layers, lo, hi), hi
 
 
 @dataclass(frozen=True)

@@ -10,6 +10,7 @@ from gaplab import (
     Constant,
     DiscreteOperator,
     Grid,
+    InverseSquareCapped,
     MultiStep,
     SolverError,
     Step,
@@ -243,6 +244,17 @@ def test_convergence_order_constant_potential():
     ns = np.array([64.0 * 2**j for j in range(4)])
     slope, _ = np.polyfit(np.log(ns), np.log(errs), 1)
     assert -slope == pytest.approx(2.0, abs=0.1)
+
+
+def test_rounding_level_difference_reads_no_order():
+    # Criterion-3 suite draw: the finest level difference of lambda1 is
+    # 6.2e-11 against a finest-level floor of 5.8e-11.  A level difference
+    # carries both levels' floors, so it is rounding, not an order of 1.49.
+    p = InverseSquareCapped(2.7701106888897016, 3.7840966601371955)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        r = solve_extrapolated(p, 80.19065303497489, n0=5133, levels=3)
+    assert math.isnan(r.observed_order[1])
 
 
 def _oracle_dev(p, L, r):

@@ -261,14 +261,14 @@ def test_near_degenerate_pair_large_interval():
 
 
 def test_inseparable_pair_is_named():
-    # two wells 1.9 wide facing each other across a barrier of height 1.7
-    # and length 36.7: lambda0 and lambda1 split far below an ulp of lambda,
-    # so no double separates them
-    p = Step(1.7057922268019161, (-18.345257886888966, 18.34562563409414))
+    # two wells 2 wide, mirror images across a barrier of height 1.7 and
+    # length 36: lambda0 and lambda1 split far below an ulp of lambda, so no
+    # double separates them
+    p = Step(1.7, (-18.0, 18.0))
     with pytest.raises(
         OracleError, match="eigenvalues 0 and 1 are not separable in double precision"
     ):
-        eigenvalues_exact(decompose(p, 40.46765440803851), 2)
+        eigenvalues_exact(decompose(p, 40.0), 2)
 
 
 def _mp_root(layers, guess, width):
@@ -328,8 +328,12 @@ def test_eigenvalues_exact_matches_mp_root(case):
 
 # Draws the sign of D alone placed too far from the root: 8.0 units for the
 # first, whose D in double is rounding noise over about +-20 ulp around
-# lambda1.  In the second, RK4 counts read 2 from lam ~ 0.07405, below the
-# true lambda1 = 0.0745099352, and only the widening of the bracket finds it.
+# lambda1.  In the second, RK4 steps that straddled the breaks counted 2 from
+# lam ~ 0.07405, below the true lambda1 = 0.0745099352.  The third has wells
+# 1.88857 and 1.88820 wide across a barrier 36.7 long: the detuning splits
+# lambda0 and lambda1 by 9.2e-5, and the oracle once called them
+# inseparable.  The last two are barriers 1e-6 and 1e-7 wide that steps of
+# 1e-2 straddled: their counts read 1 below lambda0, and the oracle raised.
 _HARD_DRAWS = [
     (Step(0.10774960509288478, (-20.58769893096204, 8.75542553603783)), 46.0),
     (MultiStep((
@@ -337,6 +341,10 @@ _HARD_DRAWS = [
         Step(1.050948135398843, (4.776519219772329, 10.359228302669493)),
         Step(1.3554134339018993, (12.324501085561408, 16.537699511767617)),
     )), 36.44577387190868),
+    (Step(1.7057922268019161, (-18.345257886888966, 18.34562563409414)),
+     40.46765440803851),
+    (Step(1e6, (0.0, 1e-6)), 10.0),
+    (Step(1e7, (0.0, 1e-7)), 10.0),
 ]
 for _case in GOLDEN_PIECEWISE + _HARD_DRAWS:
     test_eigenvalues_exact_matches_mp_root = example(_case)(
@@ -419,3 +427,17 @@ def test_count_that_does_not_bracket_raises(monkeypatch, cap):
     )
     with pytest.raises(OracleError, match=f"does not bracket eigenvalue {cap}"):
         eigenvalues_exact(decompose(Step(1.0, (-0.5, 0.5)), 10.0), 2)
+
+
+def test_counts_that_never_isolate_raise(monkeypatch):
+    # Counts that jump from 0 to 2 at a point m between lam0 and lam1, with
+    # a count of 1 only within 1e-6 above m, narrow the bracket onto m.  D
+    # has one sign on both sides of m, so no bracket isolates eigenvalue 0.
+    layers = decompose(Step(1.0, (-0.5, 0.5)), 10.0)
+    lam0, lam1 = eigenvalues_exact(layers, 2)
+    m = 0.5 * (lam0 + lam1)
+    monkeypatch.setattr(
+        oracle, "_count_from_layers", lambda lay, lam: (lam > m) + (lam > m + 1e-6)
+    )
+    with pytest.raises(OracleError, match="phase counts do not isolate eigenvalue 0"):
+        eigenvalues_exact(layers, 2)
