@@ -251,7 +251,11 @@ def _gallop(diag, off2, pivmin, k, guess, lo, hi, counts):
 
 
 def _kernel_inputs(op: DiscreteOperator):
-    """(diag, off, off2, pivmin) of the operator as the kernels take them."""
+    """(diag, off, off2, pivmin) of the operator as the kernels take them.
+
+    ``off2``, the squared off-diagonal, is a Python list: every Sturm sweep
+    of this operator iterates it as it is, so it is converted here once per
+    operator rather than once per sweep."""
     diag = np.ascontiguousarray(op.diag, dtype=float)
     off = np.ascontiguousarray(op.offdiag, dtype=float)
     if diag.size < 2:
@@ -261,7 +265,7 @@ def _kernel_inputs(op: DiscreteOperator):
     # far below any eigenvalue tolerance but large enough that off/pivmin
     # cannot overflow the eigenvector recurrence
     pivmin = max(off2.max(), 1.0) * 1e-250
-    return diag, off, off2, pivmin
+    return diag, off, off2.tolist(), pivmin
 
 
 def lowest_two_eigenvalues(

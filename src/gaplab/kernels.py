@@ -7,20 +7,26 @@ kernels are fixed-step RK4 sweeps, so phase counts are reproducible.
 
 The loops run on Python floats, not numpy scalars: each kernel converts its
 array arguments once per call with ``tolist()`` (scalars with ``float()``)
-and returns numpy arrays where it returns arrays.  Both are IEEE doubles
-and every operation keeps its order, so the results are bit for bit those
-of the same loops over numpy arrays, at a fraction of the indexing cost.
-Unlike a numpy scalar, a Python float raises ZeroDivisionError on a zero
-divisor instead of returning inf or nan: every divisor below is a pivot
-kept away from zero by `pivmin`, a step count, or a maximum checked to be
-nonzero.
+and returns numpy arrays where it returns arrays.  The one exception is an
+input that is the same for every sweep of one operator: ``sturm_count`` and
+``bisect_eigenvalue`` take the squared off-diagonal ``off2`` as the list the
+eigensolver builds once per operator, since the bisections sweep one
+operator some dozens of times.  Python floats and numpy doubles are both
+IEEE doubles and every operation keeps its order, so the results are bit
+for bit those of the same loops over numpy arrays, at a fraction of the
+indexing cost.  Unlike a numpy scalar, a Python
+float raises ZeroDivisionError on a zero divisor instead of returning inf or
+nan: every divisor in a loop below is a pivot kept away from zero by
+`pivmin`, a step count, or a maximum checked to be nonzero.
 
 ``sturm_count`` takes the shift off the diagonal once per call, in numpy,
 so its loop is ``d = c_i - b_i / d``; numpy's elementwise subtraction is the
 same correctly rounded IEEE operation as Python's, so every count is that
-of the loop that subtracts the shift at each step.  ``prufer_theta_piecewise``
-ends a step on every break of the potential, so each step sees one constant
-layer value and the sweep keeps RK4's fourth order across the jumps.
+of the loop that subtracts the shift at each step.  ``inverse_iteration``
+fills its vector by cumulative products in numpy, which change no bit of
+the per-index loop (see there).  ``prufer_theta_piecewise`` ends a step on
+every break of the potential, so each step sees one constant layer value
+and the sweep keeps RK4's fourth order across the jumps.
 
 ``bisect_eigenvalue`` reuses Sturm counts it is given.  The count that
 IEEE arithmetic computes is non-decreasing in the shift (Kahan's
@@ -36,10 +42,10 @@ import numpy as np
 
 def sturm_count(diag, off2, shift, pivmin):
     # Sign count of the LDL^T pivots of (T - shift*I): the number of
-    # eigenvalues of T strictly below `shift`.  `off2` holds the squared
-    # off-diagonal entries; `pivmin` guards against zero pivots the same
-    # way LAPACK's bisection does (a pivot in (-pivmin, pivmin) is forced to
-    # -pivmin).  A pivot below pivmin is negative once guarded, so one
+    # eigenvalues of T strictly below `shift`.  `off2` is the list of the
+    # squared off-diagonal entries; `pivmin` guards against zero pivots the
+    # same way LAPACK's bisection does (a pivot in (-pivmin, pivmin) is forced
+    # to -pivmin).  A pivot below pivmin is negative once guarded, so one
     # comparison decides both the guard and the count.  The shift is taken
     # off the diagonal once, in numpy, before the loop.
     pivmin = float(pivmin)
@@ -51,7 +57,7 @@ def sturm_count(diag, off2, shift, pivmin):
         if d > neg_pivmin:
             d = neg_pivmin
         count += 1
-    for c, b in zip(shifted, off2.tolist()):
+    for c, b in zip(shifted, off2):
         d = c - b / d
         if d < pivmin:
             if d > neg_pivmin:
@@ -112,38 +118,40 @@ def inverse_iteration(diag, off, sigma, pivmin):
     # r = argmin |gamma_r| picks the e_r with the largest such entry, and the
     # residual |gamma_r| / ||z||_2 is then at most sqrt(n) |lambda - sigma|
     # for the eigenvalue lambda nearest sigma.  z is filled outward from r
-    # by the two bidiagonal recurrences.
+    # by the two bidiagonal recurrences,
+    #   z_i = -(b_i / d+_i) z_{i+1} (i < r),  z_i = -(b_{i-1} / d-_i) z_{i-1} (i > r),
+    # as cumulative products of the ratios outward from r.  They are the same
+    # bits as that loop: (-b)/d == -(b/d), IEEE products commute, and
+    # np.multiply.accumulate multiplies left to right.
     # Returns (vector, 1, finite): the l2-normalized vector, the one solve,
     # and whether every component stayed finite.
     pivmin = float(pivmin)
     neg_pivmin = -pivmin
-    shifted = (diag - float(sigma)).tolist()
-    off = off.tolist()
-    n = len(shifted)
+    shifted = diag - float(sigma)
+    cs = shifted.tolist()
+    bs = off.tolist()
 
     def pivots(cs, bs):
-        d = cs[0]
+        cs = iter(cs)
+        d = next(cs)
         if neg_pivmin < d < pivmin:
             d = neg_pivmin
         out = [d]
-        for c, b in zip(cs[1:], bs):
+        for c, b in zip(cs, bs):
             d = c - b * b / d
             if neg_pivmin < d < pivmin:
                 d = neg_pivmin
             out.append(d)
         return out
 
-    fwd = pivots(shifted, off)
-    bwd = pivots(shifted[::-1], off[::-1])[::-1]
-    r = min(range(n), key=lambda i: abs(fwd[i] + bwd[i] - shifted[i]))
-    z = [0.0] * n
-    z[r] = zi = 1.0
-    for i in range(r - 1, -1, -1):
-        zi = z[i] = -(off[i] / fwd[i]) * zi
-    zi = 1.0
-    for i in range(r + 1, n):
-        zi = z[i] = -(off[i - 1] / bwd[i]) * zi
-    z = np.array(z)
+    fwd = np.array(pivots(cs, bs))
+    bwd = np.array(pivots(reversed(cs), reversed(bs)))[::-1]
+    r = int(np.argmin(np.abs(fwd + bwd - shifted)))  # the first minimum
+    z = np.empty(diag.size)
+    z[r] = 1.0
+    with np.errstate(over="ignore"):
+        z[:r] = np.cumprod((-off[:r] / fwd[:r])[::-1])[::-1]
+        z[r + 1:] = np.cumprod(-off[r:] / bwd[r + 1:])
     # scale by the largest component first: the squared norm could overflow
     amax = float(np.abs(z).max())
     if not math.isfinite(amax):

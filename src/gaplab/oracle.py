@@ -163,6 +163,11 @@ def prufer_count(p: PotentialSpec, L: float, lam: float) -> int:
     Fixed-step RK4 keeps counts reproducible across sweeps; the step obeys
     h <= min(1e-3 L, 0.1/sqrt(1+|lam|)), and for a piecewise-constant
     potential every step ends on a layer break.  Rejects |lam| > 1e12.
+
+    The count is exact only while h |lam - v| <~ 1.  The step bound keeps
+    h sqrt(|lam - v|) small, not h |lam - v|, the largest rate of the phase
+    equation, so counts go wrong past |lam| ~ 100: on Zero() at L = 10 this
+    returns 45 at lam = 200, where the count is 46.
     """
     if not (L > 0.0 and math.isfinite(L)):
         raise ValueError(f"interval length must be finite and > 0, got {L}")
@@ -332,6 +337,12 @@ def ground_state_profile(
     ``lam0`` should come from :func:`eigenvalues_exact` or the
     finite-difference solver.  The state is renormalized whenever |u| passes
     1e15, which leaves the inf/sup ratio untouched.
+
+    One shot from the left end cannot follow deep tunneling: it picks up the
+    growing mode, and the ratio is then no reference for the solver's.  For
+    Step(2.331495070458611, (-15.197894751115527, 23.76147902369693)) at
+    L = 51.56692688606229 the ratio is 0.0 at the exact lambda0 and 4.9e-24
+    at the solver's, whose inf/sup phi0 is 3.5e-27 (n0 = 3301).
     """
     if not (L > 0.0 and math.isfinite(L)):
         raise ValueError(f"interval length must be finite and > 0, got {L}")
@@ -363,10 +374,11 @@ def _profile_piecewise(layers: LayerDecomposition, lam: float, xs: np.ndarray) -
         left = float(breaks[j])
         right = float(breaks[j + 1])
         xi = lam - float(values[j])
-        last = j == values.size - 1
-        hi = pos
-        while hi < xs.size and (xs[hi] <= right or last):
-            hi += 1
+        # xs is sorted: the samples up to right, and all that remain on the last layer
+        if j == values.size - 1:
+            hi = xs.size
+        else:
+            hi = int(np.searchsorted(xs, right, side="right"))
         if hi > pos:
             t = xs[pos:hi] - left
             z = xi * t * t

@@ -4,9 +4,10 @@ eigenvector kernel's residual, and the phase sweep's order.
 ``bisect_eigenvalue`` decides a midpoint from an earlier count whenever the
 count's monotonicity in the shift settles it, and ``lowest_two_eigenvalues``
 seeds those counts around a guess.  ``sturm_count`` takes the shift off the
-diagonal before its loop.  These properties pin down that none of them
-changes a single bit of the output: the last against a copy of the loop as
-it was before that shortcut.  ``prufer_theta_piecewise`` ends a step on
+diagonal before its loop, and ``inverse_iteration`` fills its vector by
+cumulative products.  These properties pin down that none of them changes a
+single bit of the output: the last two against copies of the loops as they
+were before those shortcuts.  ``prufer_theta_piecewise`` ends a step on
 every break of the potential; its tests pin RK4's fourth order off the
 lattice and a count across a barrier far narrower than one step.
 """
@@ -31,6 +32,7 @@ from gaplab import (
     solve_extrapolated,
 )
 from gaplab import kernels
+from gaplab.fdsolver import _kernel_inputs
 from conftest import random_capped, random_multistep
 
 EPS = np.finfo(float).eps
@@ -58,8 +60,8 @@ def random_tridiagonal(rng):
 
 
 def _bisect_inputs(diag, off):
-    off2 = off * off
-    pivmin = max(off2.max(), 1.0) * 1e-250
+    # off2 and pivmin exactly as the eigensolver hands them to the kernels
+    _, _, off2, pivmin = _kernel_inputs(DiscreteOperator(diag, off))
     radius = 2.0 * np.abs(off).max()
     lo = float(diag.min() - radius)
     hi = float(np.abs(diag).max() + radius)
@@ -132,7 +134,7 @@ def reference_sturm_count(diag, off2, shift, pivmin):
         if d > -pivmin:
             d = -pivmin
         count += 1
-    for ai, bi in zip(a[1:], off2.tolist()):
+    for ai, bi in zip(a[1:], off2):
         d = ai - shift - bi / d
         if d < pivmin:
             if d > -pivmin:
@@ -154,6 +156,61 @@ def test_sturm_count_matches_reference_loop(seed, j):
     for s in shifts:
         assert kernels.sturm_count(diag, off2, s, pivmin) == \
             reference_sturm_count(diag, off2, s, pivmin)
+
+
+def reference_inverse_iteration(diag, off, sigma, pivmin):
+    # the twisted solve with z filled and r picked index by index
+    pivmin = float(pivmin)
+    neg_pivmin = -pivmin
+    shifted = (diag - float(sigma)).tolist()
+    off = off.tolist()
+    n = len(shifted)
+
+    def pivots(cs, bs):
+        d = cs[0]
+        if neg_pivmin < d < pivmin:
+            d = neg_pivmin
+        out = [d]
+        for c, b in zip(cs[1:], bs):
+            d = c - b * b / d
+            if neg_pivmin < d < pivmin:
+                d = neg_pivmin
+            out.append(d)
+        return out
+
+    fwd = pivots(shifted, off)
+    bwd = pivots(shifted[::-1], off[::-1])[::-1]
+    r = min(range(n), key=lambda i: abs(fwd[i] + bwd[i] - shifted[i]))
+    z = [0.0] * n
+    z[r] = zi = 1.0
+    for i in range(r - 1, -1, -1):
+        zi = z[i] = -(off[i] / fwd[i]) * zi
+    zi = 1.0
+    for i in range(r + 1, n):
+        zi = z[i] = -(off[i - 1] / bwd[i]) * zi
+    z = np.array(z)
+    amax = float(np.abs(z).max())
+    if not math.isfinite(amax):
+        return z, 1, False
+    z /= amax
+    return z / np.linalg.norm(z), 1, True
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_inverse_iteration_matches_reference_loop(seed):
+    # at both bisected eigenvalues and at a shift that is none, the weakly
+    # linked pairs included: the same bits as the per-index loop
+    rng = np.random.default_rng(seed)
+    diag, off = random_tridiagonal(rng)
+    off2, pivmin, lo, hi = _bisect_inputs(diag, off)
+    shifts = [kernels.bisect_eigenvalue(diag, off2, k, lo, hi, pivmin) for k in (0, 1)]
+    shifts.append(float(rng.uniform(lo, hi)))
+    for sigma in shifts:
+        vec, solves, finite = kernels.inverse_iteration(diag, off, sigma, pivmin)
+        ref_vec, ref_solves, ref_finite = reference_inverse_iteration(diag, off, sigma, pivmin)
+        assert (solves, finite) == (ref_solves, ref_finite)
+        assert vec.tobytes() == ref_vec.tobytes()
 
 
 guesses = st.one_of(

@@ -142,6 +142,13 @@ def test_prufer_counts_capped_potential():
     assert prufer_count(p, L, r.lambda1 + 0.5 * gap) >= 2
 
 
+@pytest.mark.xfail(strict=True, reason="the RK4 step keeps h*sqrt(lam) small, not "
+                   "h*lam; closed-form counts (ROADMAP item 1, stage B) would mend it")
+def test_prufer_counts_free_interval_high_lambda():
+    # Neumann eigenvalues (k pi / 10)^2, k = 0..45, lie below 200; RK4 counts 45
+    assert prufer_count(Zero(), 10.0, 200.0) == 46
+
+
 def test_prufer_rejects_huge_lambda():
     with pytest.raises(ValueError, match="underflow"):
         prufer_count(Zero(), 1.0, 2e12)
@@ -217,6 +224,19 @@ def test_profile_multistep_matches_fd_ratio():
     prof = ground_state_profile(p, L, lam0, samples=4097)
     r = solve_extrapolated(p, L, n0=1024, levels=3)
     assert prof.ratio == pytest.approx(r.inf_phi0 / r.sup_phi0, rel=1e-4)
+
+
+@pytest.mark.xfail(strict=True, reason="a single shot from the left end picks up "
+                   "the growing mode in deep tunneling")
+def test_profile_follows_deep_tunneling():
+    # suite seed 159 case 10: the profile reads 0.0 at the exact lambda0 and
+    # 4.9e-24 at the solver's, against the solver's inf/sup phi0 of 3.5e-27
+    p = Step(2.331495070458611, (-15.197894751115527, 23.76147902369693))
+    L = 51.56692688606229
+    lam0, _ = eigenvalues_exact(decompose(p, L), 2)
+    r = solve_extrapolated(p, L, n0=3301, levels=3)
+    prof = ground_state_profile(p, L, lam0)
+    assert prof.ratio == pytest.approx(r.inf_phi0 / r.sup_phi0, rel=0.05, abs=0.0)
 
 
 def test_profile_input_validation():
