@@ -8,16 +8,16 @@ kernels are fixed-step RK4 sweeps, so phase counts are reproducible.
 The loops run on Python floats, not numpy scalars: each kernel converts its
 array arguments once per call with ``tolist()`` (scalars with ``float()``)
 and returns numpy arrays where it returns arrays.  The one exception is an
-input that is the same for every sweep of one operator: ``sturm_count`` and
-``bisect_eigenvalue`` take the squared off-diagonal ``off2`` as the list the
-eigensolver builds once per operator, since the bisections sweep one
-operator some dozens of times.  Python floats and numpy doubles are both
-IEEE doubles and every operation keeps its order, so the results are bit
-for bit those of the same loops over numpy arrays, at a fraction of the
-indexing cost.  Unlike a numpy scalar, a Python
-float raises ZeroDivisionError on a zero divisor instead of returning inf or
-nan: every divisor in a loop below is a pivot kept away from zero by
-`pivmin`, a step count, or a maximum checked to be nonzero.
+input that is the same for every sweep of one operator: ``sturm_count``,
+``sturm_newton`` and ``bisect_eigenvalue`` take the squared off-diagonal
+``off2`` as the list the eigensolver builds once per operator, since the
+bisections sweep one operator some dozens of times.  Python floats and
+numpy doubles are both IEEE doubles and every operation keeps its order, so
+the results are bit for bit those of the same loops over numpy arrays, at a
+fraction of the indexing cost.  Unlike a numpy scalar, a Python float raises
+ZeroDivisionError on a zero divisor instead of returning inf or nan: every
+divisor in a loop below is a pivot kept away from zero by `pivmin`, a step
+count, or a maximum checked to be nonzero.
 
 ``sturm_count`` takes the shift off the diagonal once per call, in numpy,
 so its loop is ``d = c_i - b_i / d``; numpy's elementwise subtraction is the
@@ -32,7 +32,10 @@ and the sweep keeps RK4's fourth order across the jumps.
 IEEE arithmetic computes is non-decreasing in the shift (Kahan's
 monotonicity result; Demmel, Dhillon & Ren, ETNA 3, 1995), so an earlier
 count can settle a midpoint without a sweep and the bisection still takes
-exactly the midpoints of plain bisection.
+exactly the midpoints of plain bisection.  ``sturm_newton`` computes
+``sturm_count``'s pivots and count operation for operation, so its counts
+are as good as any other, and also returns the logarithmic derivative of
+the determinant for a Newton step toward an eigenvalue.
 """
 
 import math
@@ -64,6 +67,37 @@ def sturm_count(diag, off2, shift, pivmin):
                 d = neg_pivmin
             count += 1
     return count
+
+
+def sturm_newton(diag, off2, shift, pivmin):
+    # sturm_count's sweep (the same pivots, guard and count) that also sums
+    # the logarithmic derivative of det(T - shift*I) = prod d_i:
+    #   dlogdet = sum r_i,  r_i = d_i' / d_i,  d_i' = q r_{i-1} - 1,  q = b_i / d_{i-1},
+    # from d_i = c_i - q, which is -sum_j 1 / (lambda_j - shift).  A Newton
+    # step on the determinant is then shift - 1 / dlogdet.  Past a guarded
+    # pivot the sum may overflow to inf or nan; the count stays exact.
+    # Returns (count, dlogdet).
+    pivmin = float(pivmin)
+    neg_pivmin = -pivmin
+    shifted = iter((diag - float(shift)).tolist())
+    count = 0
+    d = next(shifted)
+    if d < pivmin:
+        if d > neg_pivmin:
+            d = neg_pivmin
+        count += 1
+    r = -1.0 / d
+    total = r
+    for c, b in zip(shifted, off2):
+        q = b / d
+        d = c - q
+        if d < pivmin:
+            if d > neg_pivmin:
+                d = neg_pivmin
+            count += 1
+        r = (q * r - 1.0) / d
+        total += r
+    return count, total
 
 
 def bisect_eigenvalue(diag, off2, k, lo, hi, pivmin, counts=None):
@@ -164,19 +198,21 @@ def prufer_theta_piecewise(breaks, vals, lam, n_steps):
     # Classical RK4 sweep of the phase equation
     #   theta' = cos^2(theta) + (lam - v(x)) sin^2(theta),  theta(x0) = pi/2,
     # for a piecewise-constant v given by `breaks` (m+1 points) / `vals` (m).
-    # Every step ends on the breaks: layer j takes max(1, ceil(n_steps l_j / L))
-    # equal steps, none longer than L / n_steps.  q = lam - v_j is constant
-    # within each step, so the sweep keeps RK4's fourth order across the jumps.
+    # Every step ends on the breaks: layer j takes max(1, ceil(n_steps l_j / L),
+    # ceil(2 l_j |lam - v_j|)) equal steps, none longer than L / n_steps, and
+    # h |lam - v_j| <= 1/2 bounds the largest rate of the equation per step.
+    # q = lam - v_j is constant within each step, so the sweep keeps RK4's
+    # fourth order across the jumps.
     breaks = breaks.tolist()
     lam = float(lam)
     per_length = n_steps / (breaks[-1] - breaks[0])
     theta = 0.5 * math.pi
     for left, right, v in zip(breaks, breaks[1:], vals.tolist()):
         ell = right - left
-        n = max(1, math.ceil(per_length * ell))
+        q = lam - v
+        n = max(1, math.ceil(per_length * ell), math.ceil(2.0 * ell * abs(q)))
         h = ell / n
         half_h = 0.5 * h
-        q = lam - v
         for _ in range(n):
             st = math.sin(theta)
             ct = math.cos(theta)

@@ -137,8 +137,12 @@ def match_function(layers: LayerDecomposition) -> Callable[[float], float]:
     return lambda lam: match_value(layers, lam)
 
 
-def _steps_for(L: float, lam: float) -> int:
+def _steps_for(L: float, lam: float, rate: float = 0.0) -> int:
+    """RK4 steps over a length L with h <= min(1e-3 L, 0.1/sqrt(1+|lam|)),
+    and h <= 0.5/rate for a largest |lam - v| ``rate`` > 0."""
     h_max = min(1e-3 * L, 0.1 / math.sqrt(1.0 + abs(lam)))
+    if rate > 0.0:
+        h_max = min(h_max, 0.5 / rate)
     if h_max <= 0.0 or L / h_max > 1e12:
         raise ValueError(f"phase integration step underflow at lam={lam}")
     return int(math.ceil(L / h_max))
@@ -161,20 +165,18 @@ def prufer_count(p: PotentialSpec, L: float, lam: float) -> int:
     """Number of Neumann eigenvalues strictly below ``lam``.
 
     Fixed-step RK4 keeps counts reproducible across sweeps; the step obeys
-    h <= min(1e-3 L, 0.1/sqrt(1+|lam|)), and for a piecewise-constant
-    potential every step ends on a layer break.  Rejects |lam| > 1e12.
-
-    The count is exact only while h |lam - v| <~ 1.  The step bound keeps
-    h sqrt(|lam - v|) small, not h |lam - v|, the largest rate of the phase
-    equation, so counts go wrong past |lam| ~ 100: on Zero() at L = 10 this
-    returns 45 at lam = 200, where the count is 46.
+    h <= min(1e-3 L, 0.1/sqrt(1+|lam|)) and h |lam - v| <= 1/2, which bounds
+    the largest rate of the phase equation: per layer for a
+    piecewise-constant potential, whose every step ends on a layer break,
+    and with |lam - v| <= max(|lam|, |lam - cap|) for the capped family.
+    Rejects |lam| > 1e12.
     """
     if not (L > 0.0 and math.isfinite(L)):
         raise ValueError(f"interval length must be finite and > 0, got {L}")
     if abs(lam) > 1e12:
         raise ValueError(f"phase integration step underflow at lam={lam}")
     if isinstance(p, InverseSquareCapped):
-        n = _steps_for(L, lam)
+        n = _steps_for(L, lam, max(abs(lam), abs(lam - p.cap)))
         theta = kernels.prufer_theta_capped(p.decay, p.cap, lam, 0.5 * L, n)
         return _count_from_theta(theta)
     return _count_from_layers(decompose(p, L), lam)
@@ -233,11 +235,14 @@ def eigenvalues_exact(layers: LayerDecomposition, count: int = 2) -> Tuple[float
     l1 = layers.l1()
     free_gap = (math.pi / L) ** 2
     # lam0 <= min(max v, l1/L) by the Rayleigh quotient of the constant
-    # test function and lam1 <= pi^2/L^2 + max v, so the ceiling below
-    # encloses both with a margin of at least 3 pi^2/L^2;
+    # test function, and lam1 <= pi^2/L^2 + min(max v, 3 l1/L) by the largest
+    # Rayleigh quotient on span{1, cos(pi (x + L/2) / L)}, since v >= 0 and
+    # every u there has u^2 <= 3 mean(u^2).  So the ceiling below encloses
+    # both with a margin of at least 3 pi^2/L^2 and keeps the phase counts
+    # near the two eigenvalues, where their steps stay few;
     # _bracket_root raises if the phase count disagrees.
     scale = max(1.0, maxv + 4.0 * free_gap)
-    ceiling = min(maxv, l1 / L) + free_gap * 4.0 + maxv + 1e-9 * scale
+    ceiling = min(maxv, 3.0 * l1 / L) + free_gap * 4.0 + 1e-9 * scale
     lo = -1e-9 * scale
 
     roots = []

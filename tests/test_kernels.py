@@ -3,11 +3,13 @@ eigenvector kernel's residual, and the phase sweep's order.
 
 ``bisect_eigenvalue`` decides a midpoint from an earlier count whenever the
 count's monotonicity in the shift settles it, and ``lowest_two_eigenvalues``
-seeds those counts around a guess.  ``sturm_count`` takes the shift off the
-diagonal before its loop, and ``inverse_iteration`` fills its vector by
-cumulative products.  These properties pin down that none of them changes a
-single bit of the output: the last two against copies of the loops as they
-were before those shortcuts.  ``prufer_theta_piecewise`` ends a step on
+seeds those counts with Newton sweeps (``sturm_newton``, which must count
+exactly like ``sturm_count``) from a guess and around where they end.
+``sturm_count`` takes the shift off the diagonal before its loop, and
+``inverse_iteration`` fills its vector by cumulative products.  These
+properties pin down that none of them changes a single bit of the output:
+the last two against copies of the loops as they were before those
+shortcuts.  ``prufer_theta_piecewise`` ends a step on
 every break of the potential; its tests pin RK4's fourth order off the
 lattice and a count across a barrier far narrower than one step.
 """
@@ -32,7 +34,7 @@ from gaplab import (
     solve_extrapolated,
 )
 from gaplab import kernels
-from gaplab.fdsolver import _kernel_inputs
+from gaplab.fdsolver import _kernel_inputs, _nested_grids
 from conftest import random_capped, random_multistep
 
 EPS = np.finfo(float).eps
@@ -144,6 +146,34 @@ def reference_sturm_count(diag, off2, shift, pivmin):
 
 
 @settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_sturm_newton_counts_like_sturm_count(seed):
+    # The Newton sweep's count is sturm_count's at random shifts, at both
+    # bisected eigenvalues and where the pivot guard is hit (a shift equal to
+    # the first diagonal entry makes the first pivot zero), so its counts can
+    # seed the bisections.  Its dlogdet is -sum_j 1 / (lambda_j - shift).
+    rng = np.random.default_rng(seed)
+    diag, off = random_tridiagonal(rng)
+    off2, pivmin, lo, hi = _bisect_inputs(diag, off)
+    randoms = [float(s) for s in rng.uniform(lo, hi, 8)]
+    bisected = [kernels.bisect_eigenvalue(diag, off2, k, lo, hi, pivmin) for k in (0, 1)]
+    for s in randoms + bisected + [float(diag[0])]:
+        count, _ = kernels.sturm_newton(diag, off2, s, pivmin)
+        assert count == kernels.sturm_count(diag, off2, s, pivmin)
+    lams = np.linalg.eigvalsh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
+    # eigvalsh places each lambda_j within a few eps * ||T||, so the
+    # reference is good to a relative 1e-8 only at shifts at least
+    # 1e-6 ||T|| away from every eigenvalue
+    norm = DiscreteOperator(diag, off).norm_inf()
+    assert diag.size <= 64
+    for s in randoms:
+        if np.abs(lams - s).min() < 1e-6 * norm:
+            continue
+        _, dlogdet = kernels.sturm_newton(diag, off2, s, pivmin)
+        assert dlogdet == pytest.approx(-np.sum(1.0 / (lams - s)), rel=1e-8, abs=0.0)
+
+
+@settings(max_examples=200, deadline=None)
 @given(st.integers(0, 2**32 - 1), st.integers(0, 1))
 def test_sturm_count_matches_reference_loop(seed, j):
     rng = np.random.default_rng(seed)
@@ -245,6 +275,19 @@ def test_eigenvalues_match_eigenpairs(seed, L, guess0, guess1):
         assert lowest_two_eigenvalues(op, near=near) == (pair0.value, pair1.value)
 
 
+@settings(max_examples=20, deadline=None)
+@given(st.integers(0, 10_000), st.floats(0.5, 40.0))
+def test_guided_levels_match_unguided(seed, L):
+    # Every level of solve_extrapolated starts from a guess (level 0 from a
+    # grid a quarter its size); each raw value is the unguided bisection's.
+    rng = np.random.default_rng(seed)
+    p = random_multistep(rng, L) if seed % 2 else random_capped(rng)
+    n0 = default_cell_count(L, floor=512)  # as in acceptance criterion 3
+    r = solve_extrapolated(p, L, n0=n0, levels=3)
+    for grid, lam0, lam1 in zip(_nested_grids(p, L, n0, 3), r.raw_lambda0, r.raw_lambda1):
+        assert lowest_two_eigenvalues(assemble(p, grid)) == (lam0, lam1)
+
+
 def test_prufer_theta_piecewise_fourth_order_off_lattice():
     # Steps end on every break, so q = lam - v is constant within each step
     # and the sweep converges at RK4's order 4 however the breaks fall.
@@ -287,18 +330,27 @@ def test_phase_count_resolves_thin_tall_barrier(height):
 
 def test_sturm_sweep_budget(monkeypatch):
     # Plain bisection of both eigenvalues from the Gershgorin range takes 324
-    # Sturm sweeps on these three grids; shared and guessed counts take 155.
+    # Sturm sweeps on the three grids of N = 800, 1600 and 3200 cells.
+    # Counts shared by the two bisections and taken around the guess of the
+    # level before cut that to 155 sweeps (229600 cells).  Level 0 guessed
+    # from a grid of 200 cells and Newton sweeps from every guess cut it to
+    # the sweeps pinned below: 146160 cells, a Newton sweep weighted 2.2.
     # Only the finest grid solves for eigenvectors, one twisted-factorization
-    # solve per eigenvalue (2 here); the two coarse grids are solved for
-    # eigenvalues only.  The counts are deterministic: a change that loses
-    # the reuse fails here.
-    calls = {"sturm": 0, "inverse_sweeps": 0}
+    # solve per eigenvalue (2 here).  The counts are deterministic: a change
+    # that loses the reuse fails here.
+    sweeps = {}  # N -> [Sturm sweeps, Newton sweeps]
+    calls = {"inverse_sweeps": 0}
     sturm_count = kernels.sturm_count
+    sturm_newton = kernels.sturm_newton
     inverse_iteration = kernels.inverse_iteration
 
-    def counted_sturm(*args):
-        calls["sturm"] += 1
-        return sturm_count(*args)
+    def counted_sturm(diag, *args):
+        sweeps.setdefault(diag.size, [0, 0])[0] += 1
+        return sturm_count(diag, *args)
+
+    def counted_newton(diag, *args):
+        sweeps.setdefault(diag.size, [0, 0])[1] += 1
+        return sturm_newton(diag, *args)
 
     def counted_inverse(*args):
         out = inverse_iteration(*args)
@@ -306,7 +358,8 @@ def test_sturm_sweep_budget(monkeypatch):
         return out
 
     monkeypatch.setattr(kernels, "sturm_count", counted_sturm)
+    monkeypatch.setattr(kernels, "sturm_newton", counted_newton)
     monkeypatch.setattr(kernels, "inverse_iteration", counted_inverse)
     solve_extrapolated(Step(1.0, (-0.5, 0.5)), 100.0, n0=800, levels=3)
-    assert calls["sturm"] <= 194
+    assert sweeps == {200: [74, 0], 800: [16, 5], 1600: [17, 4], 3200: [17, 2]}
     assert calls["inverse_sweeps"] == 2

@@ -142,11 +142,20 @@ def test_prufer_counts_capped_potential():
     assert prufer_count(p, L, r.lambda1 + 0.5 * gap) >= 2
 
 
-@pytest.mark.xfail(strict=True, reason="the RK4 step keeps h*sqrt(lam) small, not "
-                   "h*lam; closed-form counts (ROADMAP item 1, stage B) would mend it")
-def test_prufer_counts_free_interval_high_lambda():
-    # Neumann eigenvalues (k pi / 10)^2, k = 0..45, lie below 200; RK4 counts 45
-    assert prufer_count(Zero(), 10.0, 200.0) == 46
+@pytest.mark.parametrize("lam", [200.0, 400.0, 1000.0])
+def test_prufer_counts_free_interval_high_lambda(lam):
+    # the Neumann eigenvalues (k pi / L)^2 below lam are k = 0 .. floor(L sqrt(lam) / pi);
+    # with a step bounded only by 0.1 / sqrt(1 + lam) RK4 counted 45, 65 and 185
+    L = 10.0
+    assert prufer_count(Zero(), L, lam) == math.floor(L * math.sqrt(lam) / math.pi) + 1
+
+
+@pytest.mark.parametrize("lam, count", [(400.0, 64), (1000.0, 101)])
+def test_prufer_counts_capped_high_lambda(lam, count):
+    # eigenvalues 63 and 64 lie near 392.5 and 405.0, 100 and 101 near 987.7
+    # and 1007.5 (finite-volume grids of 20000 and 40000 cells agree to 0.02);
+    # with a step bounded only by 0.1 / sqrt(1 + lam) RK4 counted 65 and 194
+    assert prufer_count(InverseSquareCapped(1.0, 4.0), 10.0, lam) == count
 
 
 def test_prufer_rejects_huge_lambda():
