@@ -41,7 +41,6 @@ from .oracle import (
     decompose,
     eigenvalues_exact,
     ground_state_profile,
-    match_function,
     match_value,
     prufer_count,
 )
@@ -77,7 +76,7 @@ __all__ = [
     "default_cell_count",
     # oracle
     "LayerDecomposition", "OracleError", "decompose", "match_value",
-    "match_function", "eigenvalues_exact", "prufer_count",
+    "eigenvalues_exact", "prufer_count",
     "GroundStateProfile", "ground_state_profile",
     # bounds
     "LogFloat", "TolerancePolicy", "BoundCheck", "BoundReport",

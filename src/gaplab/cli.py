@@ -17,15 +17,10 @@ from typing import List, Optional
 
 import numpy as np
 
-from .bounds import (
-    TolerancePolicy,
-    gap_lower_bound,
-    kirsch_comparison_bound,
-    verify,
-)
+from .bounds import TolerancePolicy, verify
 from .fdsolver import SolverError, default_cell_count, solve_extrapolated
 from .oracle import OracleError, decompose, eigenvalues_exact, prufer_count
-from .potentials import InverseSquareCapped, from_dict, interval_norms, to_dict
+from .potentials import InverseSquareCapped, from_dict, to_dict
 
 SWEEP_CSV_HEADER = (
     "L,lambda0,lambda1,gap,inf_phi0,sup_phi0,theorem_bound,kirsch_bound,"
@@ -238,9 +233,8 @@ def _sweep_row(cfg: SweepConfig, L: float) -> str:
     try:
         result = solve_extrapolated(cfg.potential, L, n0=n0, levels=cfg.levels)
         report = verify(cfg.potential, L, result)
-        norms = interval_norms(cfg.potential, L)
-        theorem = gap_lower_bound(norms, L).value
-        kirsch = kirsch_comparison_bound(result.inf_phi0, result.sup_phi0, L)
+        theorem = report.check("gap_ge_exp_bound").bound
+        kirsch = report.check("gap_ge_kirsch_bound").bound
         passed, total = report.counts
         status = "ok" if report.all_hold else "violated"
         cells = [

@@ -32,11 +32,7 @@ d log|det| / d sigma (``kernels.sturm_newton``), and the bisection starts
 from counts taken at those steps and around where they end.  A count only
 ever decides a midpoint that plain bisection would decide the same way (the
 count is monotone in the shift), so this reuse changes the number of
-sweeps, never an eigenvalue.  Per eigenvalue on the benchmark's 39 cases,
-levels 0, 1 and 2 took 43 (no guess), 28 and 11 Sturm sweeps before the
-quarter grid and the Newton steps; now they take 8.6, 8.6 and 9.6 Sturm
-sweeps plus 2.2, 1.8 and 1.0 Newton sweeps (each costs about 1.8 Sturm
-sweeps), and the quarter grid 42.5 sweeps of a quarter the cells.
+sweeps, never an eigenvalue.
 """
 
 import math

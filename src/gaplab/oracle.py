@@ -29,7 +29,7 @@ evaluated in mpmath (imported on first use).
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -41,7 +41,6 @@ __all__ = [
     "OracleError",
     "decompose",
     "match_value",
-    "match_function",
     "eigenvalues_exact",
     "prufer_count",
     "GroundStateProfile",
@@ -130,11 +129,6 @@ def match_value(layers: LayerDecomposition, lam: float) -> float:
             u /= big
             up /= big
     return up
-
-
-def match_function(layers: LayerDecomposition) -> Callable[[float], float]:
-    """lam -> D(lam); zeros of D are the Neumann eigenvalues."""
-    return lambda lam: match_value(layers, lam)
 
 
 def _steps_for(L: float, lam: float, rate: float = 0.0) -> int:

@@ -10,6 +10,11 @@ by quadrature.  All families are non-negative and bounded:
 * ``MultiStep(pieces)``    sum of disjoint steps, sorted by left endpoint
 * ``InverseSquareCapped(decay, cap)``  v(x) = min(cap, decay / x^2)
 
+The first four are one class, sums of indicator steps: every query treats
+Zero as a multistep with no pieces, Constant and Step as one-piece
+multisteps (a constant's piece is the whole line), and only the capped
+family has a branch of its own.
+
 ``interval_norms(p, L)`` and ``break_points(p, L)`` restrict to the interval
 (-L/2, L/2) even when a step's support extends beyond it.
 """
@@ -131,52 +136,55 @@ def cap_location(p: InverseSquareCapped) -> float:
     return math.sqrt(p.decay / p.cap)
 
 
+def _pieces(p: PotentialSpec):
+    """The (height, a, b) steps of a piecewise-constant spec, in MultiStep
+    order; None for the capped family."""
+    if isinstance(p, Zero):
+        return []
+    if isinstance(p, Constant):
+        return [(p.value, -math.inf, math.inf)]
+    if isinstance(p, Step):
+        return [(p.height, *p.support)]
+    if isinstance(p, MultiStep):
+        return [(s.height, *s.support) for s in p.pieces]
+    if isinstance(p, InverseSquareCapped):
+        return None
+    raise TypeError(f"not a potential spec: {p!r}")
+
+
 def break_points(p: PotentialSpec, L: float) -> Tuple[float, ...]:
     """Sorted distinct points strictly inside (-L/2, L/2) where v or v' jumps:
     the step edges, and the capped family's kinks at +-cap_location(p)."""
     if not (L > 0.0 and math.isfinite(L)):
         raise ValueError(f"interval length must be finite and > 0, got {L}")
     half = 0.5 * L
-    if isinstance(p, Step):
-        edges = p.support
-    elif isinstance(p, MultiStep):
-        edges = [edge for piece in p.pieces for edge in piece.support]
-    elif isinstance(p, InverseSquareCapped):
+    pieces = _pieces(p)
+    if pieces is None:
         xstar = cap_location(p)
         edges = (-xstar, xstar)
-    elif isinstance(p, (Zero, Constant)):
-        edges = ()
     else:
-        raise TypeError(f"not a potential spec: {p!r}")
+        edges = [edge for _, a, b in pieces for edge in (a, b)]
     return tuple(sorted({float(e) for e in edges if -half < e < half}))
 
 
 def evaluate(p: PotentialSpec, x):
-    """Pointwise value v(x); accepts a scalar or an ndarray."""
+    """Pointwise value v(x); accepts a scalar or an ndarray.  Where two
+    steps touch, the first one's height holds."""
     scalar = np.isscalar(x)
     xs = np.asarray(x, dtype=float)
-    if isinstance(p, Zero):
-        out = np.zeros_like(xs)
-    elif isinstance(p, Constant):
-        out = np.full_like(xs, p.value)
-    elif isinstance(p, Step):
-        a, b = p.support
-        out = np.where((xs >= a) & (xs <= b), p.height, 0.0)
-    elif isinstance(p, MultiStep):
-        out = np.zeros_like(xs)
-        claimed = np.zeros(xs.shape, dtype=bool)
-        for piece in p.pieces:
-            a, b = piece.support
-            hit = (xs >= a) & (xs <= b) & ~claimed
-            out = np.where(hit, piece.height, out)
-            claimed |= hit
-    elif isinstance(p, InverseSquareCapped):
+    pieces = _pieces(p)
+    if pieces is None:
         x2 = xs * xs
         with np.errstate(divide="ignore"):
             tail = np.divide(p.decay, x2, out=np.full_like(x2, np.inf), where=x2 > 0)
         out = np.minimum(p.cap, tail)
     else:
-        raise TypeError(f"not a potential spec: {p!r}")
+        out = np.zeros_like(xs)
+        claimed = np.zeros(xs.shape, dtype=bool)
+        for height, a, b in pieces:
+            hit = (xs >= a) & (xs <= b) & ~claimed
+            out = np.where(hit, height, out)
+            claimed |= hit
     return float(out) if scalar else out
 
 
@@ -188,45 +196,15 @@ def interval_norms(p: PotentialSpec, L: float) -> IntervalNorms:
     """Closed-form L1 and sup norms over I = (-L/2, L/2), plus the decay
     constant when the family admits one.
 
-    A step whose support contains the origin is reported without a decay
-    constant and the quadratic-decay bounds are marked inapplicable for it.
+    A positive step whose support contains the origin (a positive constant
+    included) leaves no decay constant, and the quadratic-decay bounds are
+    marked inapplicable for it.
     """
     if not (L > 0.0 and math.isfinite(L)):
         raise ValueError(f"interval length must be finite and > 0, got {L}")
     half = 0.5 * L
-    if isinstance(p, Zero):
-        return IntervalNorms(0.0, 0.0, 0.0)
-    if isinstance(p, Constant):
-        c = None if p.value > 0.0 else 0.0
-        return IntervalNorms(p.value * L, p.value, c)
-    if isinstance(p, Step):
-        a, b = p.support
-        width = _overlap(a, b, -half, half)
-        sup = p.height if width > 0.0 else 0.0
-        if p.height == 0.0:
-            c = 0.0
-        elif a <= 0.0 <= b:
-            c = None
-        else:
-            c = p.height * max(a * a, b * b)
-        return IntervalNorms(p.height * width, sup, c)
-    if isinstance(p, MultiStep):
-        l1 = 0.0
-        sup = 0.0
-        c = 0.0
-        for piece in p.pieces:
-            a, b = piece.support
-            width = _overlap(a, b, -half, half)
-            l1 += piece.height * width
-            if width > 0.0 and piece.height > sup:
-                sup = piece.height
-            if piece.height > 0.0 and c is not None:
-                if a <= 0.0 <= b:
-                    c = None
-                else:
-                    c = max(c, piece.height * max(a * a, b * b))
-        return IntervalNorms(l1, sup, c)
-    if isinstance(p, InverseSquareCapped):
+    pieces = _pieces(p)
+    if pieces is None:
         xstar = cap_location(p)
         if half <= xstar:
             l1 = p.cap * L
@@ -234,33 +212,37 @@ def interval_norms(p: PotentialSpec, L: float) -> IntervalNorms:
             # 2*(int_0^x* cap dx + int_x*^half decay/x^2 dx), both in closed form
             l1 = 4.0 * math.sqrt(p.decay * p.cap) - 4.0 * p.decay / L
         return IntervalNorms(l1, p.cap, p.decay)
-    raise TypeError(f"not a potential spec: {p!r}")
+    l1 = 0.0
+    sup = 0.0
+    c = 0.0
+    for height, a, b in pieces:
+        width = _overlap(a, b, -half, half)
+        l1 += height * width
+        if width > 0.0 and height > sup:
+            sup = height
+        if height > 0.0 and c is not None:
+            if a <= 0.0 <= b:
+                c = None
+            else:
+                c = max(c, height * max(a * a, b * b))
+    return IntervalNorms(l1, sup, c)
 
 
 def sup_norm_on_interval(p: PotentialSpec, lo: float, hi: float) -> float:
     """Essential sup of v over (lo, hi), in closed form."""
     if not lo < hi:
         raise ValueError(f"empty interval ({lo}, {hi})")
-    if isinstance(p, Zero):
-        return 0.0
-    if isinstance(p, Constant):
-        return p.value
-    if isinstance(p, Step):
-        a, b = p.support
-        return p.height if _overlap(a, b, lo, hi) > 0.0 else 0.0
-    if isinstance(p, MultiStep):
-        sup = 0.0
-        for piece in p.pieces:
-            a, b = piece.support
-            if _overlap(a, b, lo, hi) > 0.0 and piece.height > sup:
-                sup = piece.height
-        return sup
-    if isinstance(p, InverseSquareCapped):
+    pieces = _pieces(p)
+    if pieces is None:
         if lo <= 0.0 <= hi:
             return p.cap
         d = min(abs(lo), abs(hi))
         return min(p.cap, p.decay / (d * d))
-    raise TypeError(f"not a potential spec: {p!r}")
+    sup = 0.0
+    for height, a, b in pieces:
+        if _overlap(a, b, lo, hi) > 0.0 and height > sup:
+            sup = height
+    return sup
 
 
 def to_dict(p: PotentialSpec) -> dict:

@@ -18,7 +18,6 @@ from gaplab import (
     decompose,
     eigenvalues_exact,
     ground_state_profile,
-    match_function,
     match_value,
     prufer_count,
     solve_extrapolated,
@@ -93,10 +92,9 @@ def test_match_function_free_closed_form():
 def test_match_sign_alternates_across_eigenvalues():
     lay = decompose(Step(1.0, (-0.5, 0.5)), 10.0)
     lam0, lam1 = eigenvalues_exact(lay, 2)
-    f = match_function(lay)
     d = max(1e-7, 1e-7 * lam1)
-    assert f(lam0 - d) > 0 > f(lam0 + d)
-    assert f(lam1 - d) < 0 < f(lam1 + d)
+    assert match_value(lay, lam0 - d) > 0 > match_value(lay, lam0 + d)
+    assert match_value(lay, lam1 - d) < 0 < match_value(lay, lam1 + d)
 
 
 def test_step_golden_values():
@@ -221,9 +219,8 @@ def test_match_value_renormalization_guard():
     assert math.isfinite(match_value(lay, 0.1))
     lam0, lam1 = eigenvalues_exact(lay, 2)
     assert 0.0 < lam0 < lam1
-    f = match_function(lay)
     d = 1e-9 * max(1.0, lam1)
-    assert f(lam0 - d) > 0 > f(lam0 + d)
+    assert match_value(lay, lam0 - d) > 0 > match_value(lay, lam0 + d)
 
 
 def test_profile_multistep_matches_fd_ratio():

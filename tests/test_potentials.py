@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -101,16 +102,7 @@ def test_decay_constant_rules():
 
 def _segments(p, L):
     half = 0.5 * L
-    cuts = {-half, half}
-    pieces = ()
-    if isinstance(p, Step):
-        pieces = (p,)
-    elif isinstance(p, MultiStep):
-        pieces = p.pieces
-    for piece in pieces:
-        for e in piece.support:
-            if -half < e < half:
-                cuts.add(float(e))
+    cuts = {-half, half, *break_points(p, L)}
     if isinstance(p, InverseSquareCapped):
         # octave grading: the x^-2 tail has a fast-growing 4th derivative, so
         # balance the per-segment Simpson error by doubling segment lengths
@@ -184,6 +176,52 @@ def test_sup_bounds_pointwise_values(seed, L):
     xs = rng.uniform(-0.5 * L, 0.5 * L, 1000)
     assert np.all(evaluate(p, xs) <= n.sup + 1e-12)
     assert n.l1 <= n.sup * L + 1e-12 * max(1.0, n.sup * L)
+
+
+def _bits(v):
+    """Exact identity of a query result: array bytes, float bits, None."""
+    if isinstance(v, np.ndarray):
+        return v.dtype.str, v.shape, v.tobytes()
+    if isinstance(v, tuple):
+        return tuple(_bits(e) for e in v)
+    return None if v is None else float(v).hex()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.floats(0.5, 60.0),
+    st.floats(0.0, 10.0),
+    st.floats(-40.0, 40.0),
+    st.floats(1e-3, 40.0),
+    st.integers(0, 10_000),
+)
+def test_piecewise_families_agree_bit_for_bit(L, h, a, width, seed):
+    # Zero, Step and Constant are no-piece and one-piece multisteps: every
+    # query must return the same bits for the family and its multistep form
+    b = a + width
+    half = 0.5 * L
+    reach = 2.0 * max(half, abs(a), abs(b)) + 1.0
+    rng = np.random.default_rng(seed)
+    xs = rng.uniform(-reach, reach, 64)
+    xs[:4] = (a, b, -half, half)  # step edges and interval ends
+    lo, hi = sorted(rng.uniform(-reach, reach, 2))
+    pairs = [
+        (Zero(), MultiStep(())),
+        (Step(h, (a, b)), MultiStep((Step(h, (a, b)),))),
+        # a constant equals a single step covering I and every sample point
+        (Constant(h), MultiStep((Step(h, (-reach, reach)),))),
+    ]
+    for p, q in pairs:
+        assert _bits(evaluate(p, xs)) == _bits(evaluate(q, xs))
+        for x in xs[:8]:
+            assert _bits(evaluate(p, float(x))) == _bits(evaluate(q, float(x)))
+        assert _bits(break_points(p, L)) == _bits(break_points(q, L))
+        assert _bits(astuple(interval_norms(p, L))) == _bits(astuple(interval_norms(q, L)))
+        for interval in ((lo, hi), (-half, half), (a, b)):
+            if interval[0] < interval[1]:
+                assert _bits(sup_norm_on_interval(p, *interval)) == _bits(
+                    sup_norm_on_interval(q, *interval)
+                )
 
 
 def test_sup_norm_on_subinterval():
