@@ -10,7 +10,7 @@ it fails by more than everything the discretization could account for.
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Dict, List, NamedTuple, Optional
 
 import numpy as np
@@ -19,6 +19,7 @@ from .fdsolver import Grid, SpectralResult
 from .potentials import (
     IntervalNorms,
     PotentialSpec,
+    _check_length,
     interval_norms,
     sup_norm_on_interval,
     to_dict,
@@ -36,7 +37,6 @@ __all__ = [
     "lambda0_upper_bounds",
     "kirsch_comparison_bound",
     "log_derivative_check",
-    "LogDerivativeCheck",
     "verify",
 ]
 
@@ -136,49 +136,6 @@ def kirsch_comparison_bound(inf_phi0: float, sup_phi0: float, L: float) -> float
 
 
 @dataclass(frozen=True)
-class LogDerivativeCheck:
-    """Measured max |phi0'/phi0| against 4 ||v||_1 plus a discretization term."""
-
-    max_ratio: float
-    bound: float
-    allowance: float
-
-    @property
-    def holds(self) -> bool:
-        return self.max_ratio <= self.bound + self.allowance
-
-
-def log_derivative_check(
-    phi0: np.ndarray, grid: Grid, norms: IntervalNorms, lam0: float = 0.0
-) -> LogDerivativeCheck:
-    """Central-difference log-derivative of a positive eigenfunction sampled
-    at the nodes of ``grid``, (phi_{i+1} - phi_{i-1}) / ((x_{i+1} - x_{i-1}) phi_i).
-
-    Stencils touching values below 1e-10 of the peak are skipped: there the
-    samples sit at the eigensolver's resolution floor (deep tunneling) and a
-    difference quotient measures rounding, not the function.  The allowance
-    covers the O(h * jump) kink error at potential discontinuities and the
-    O(h^2) error elsewhere, h the largest cell width, both scaled by the
-    curvature level (sup v + |lam0|) that phi''/phi can reach.
-    """
-    phi0 = np.asarray(phi0, dtype=float)
-    if phi0.shape != (grid.N,):
-        raise ValueError(f"need one sample per node of the grid ({grid.N}), got {phi0.shape}")
-    if phi0.min() <= 0.0:
-        raise ValueError("eigenfunction samples must be strictly positive")
-    x = grid.nodes()
-    resolved = phi0 >= 1e-10 * phi0.max()
-    stencil_ok = resolved[:-2] & resolved[1:-1] & resolved[2:]
-    ratios = np.abs((phi0[2:] - phi0[:-2]) / ((x[2:] - x[:-2]) * phi0[1:-1]))
-    max_ratio = float(ratios[stencil_ok].max()) if stencil_ok.any() else 0.0
-    bound = 4.0 * norms.l1
-    curvature = norms.sup + abs(lam0)
-    h = grid.h
-    allowance = 1e-8 * (1.0 + bound) + 0.5 * h * curvature + 20.0 * h * h * curvature
-    return LogDerivativeCheck(max_ratio, bound, allowance)
-
-
-@dataclass(frozen=True)
 class BoundCheck:
     """One verified inequality.
 
@@ -195,21 +152,6 @@ class BoundCheck:
     slack: float
     allowance: float
     status: str
-
-    def as_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "direction": self.direction,
-            "bound": self.bound,
-            "bound_log": self.bound_log,
-            "measured": self.measured,
-            "slack": self.slack,
-            "allowance": self.allowance,
-            "status": self.status,
-        }
-
-
-_CSV_FIELDS = ["name", "direction", "bound", "bound_log", "measured", "slack", "allowance", "status"]
 
 
 @dataclass(frozen=True)
@@ -248,31 +190,11 @@ class BoundReport:
             "checks_passed": passed,
             "checks_total": total,
             "all_hold": self.all_hold,
-            "checks": [c.as_dict() for c in self.checks],
+            "checks": [asdict(c) for c in self.checks],
         }
 
     def to_json(self, indent: Optional[int] = 2) -> str:
         return json.dumps(self.to_dict(), indent=indent)
-
-    @staticmethod
-    def csv_header() -> str:
-        return ",".join(_CSV_FIELDS)
-
-    def csv_rows(self) -> List[str]:
-        rows = []
-        for c in self.checks:
-            d = c.as_dict()
-            cells = []
-            for k in _CSV_FIELDS:
-                v = d[k]
-                cells.append(f"{v:.17g}" if isinstance(v, float) else str(v))
-            rows.append(",".join(cells))
-        return rows
-
-
-def _check_length(L: float) -> None:
-    if not (L > 0.0 and math.isfinite(L)):
-        raise ValueError(f"interval length must be finite and > 0, got {L}")
 
 
 def _make_check(name, direction, bound, measured, allowance, bound_log=None) -> BoundCheck:
@@ -303,6 +225,42 @@ def _inapplicable(name, direction) -> BoundCheck:
         allowance=math.nan,
         status="inapplicable",
     )
+
+
+def log_derivative_check(
+    phi0: np.ndarray,
+    grid: Grid,
+    norms: IntervalNorms,
+    lam0: float = 0.0,
+    policy: TolerancePolicy = TolerancePolicy(),
+) -> BoundCheck:
+    """Central-difference log-derivative of a positive eigenfunction sampled
+    at the nodes of ``grid``, (phi_{i+1} - phi_{i-1}) / ((x_{i+1} - x_{i-1}) phi_i).
+
+    Stencils touching values below 1e-10 of the peak are skipped: there the
+    samples sit at the eigensolver's resolution floor (deep tunneling) and a
+    difference quotient measures rounding, not the function.  Returns the
+    check ``logderiv_le_four_l1`` of the largest ratio against 4 ||v||_1.
+    Its allowance is ``policy.eps_rel`` (1 + 4 ||v||_1) plus the O(h * jump)
+    kink error at potential discontinuities and the O(h^2) error elsewhere,
+    h the largest cell width, both scaled by the curvature level
+    (sup v + |lam0|) that phi''/phi can reach.
+    """
+    phi0 = np.asarray(phi0, dtype=float)
+    if phi0.shape != (grid.N,):
+        raise ValueError(f"need one sample per node of the grid ({grid.N}), got {phi0.shape}")
+    if phi0.min() <= 0.0:
+        raise ValueError("eigenfunction samples must be strictly positive")
+    x = grid.nodes()
+    resolved = phi0 >= 1e-10 * phi0.max()
+    stencil_ok = resolved[:-2] & resolved[1:-1] & resolved[2:]
+    ratios = np.abs((phi0[2:] - phi0[:-2]) / ((x[2:] - x[:-2]) * phi0[1:-1]))
+    max_ratio = float(ratios[stencil_ok].max()) if stencil_ok.any() else 0.0
+    bound = 4.0 * norms.l1
+    curvature = norms.sup + abs(lam0)
+    h = grid.h
+    allowance = policy.eps_rel * (1.0 + bound) + 0.5 * h * curvature + 20.0 * h * h * curvature
+    return _make_check("logderiv_le_four_l1", "<=", bound, max_ratio, allowance)
 
 
 def verify(
@@ -395,10 +353,7 @@ def verify(
     else:
         checks.append(_inapplicable("lambda0_le_decay_bound", "<="))
 
-    ld = log_derivative_check(result.phi0, result.grid, norms, lam0)
-    checks.append(
-        _make_check("logderiv_le_four_l1", "<=", ld.bound, ld.max_ratio, ld.allowance)
-    )
+    checks.append(log_derivative_check(result.phi0, result.grid, norms, lam0, policy))
 
     return BoundReport(
         potential=to_dict(p),

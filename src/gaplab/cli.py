@@ -306,10 +306,12 @@ def cmd_fit(args) -> int:
         raise InputError(f"cannot read CSV '{args.csv}': {exc}") from exc
     if len(ls) < 3:
         raise InputError(f"need at least 3 rows in range, got {len(ls)}")
-    if any(not y > 0.0 for y in ys) or any(math.isnan(y) for y in ys):
-        raise InputError(
-            f"column '{args.column}' has non-positive entries; log-log fit undefined"
-        )
+    for name, values in (("L", ls), (args.column, ys)):
+        if not all(v > 0.0 and math.isfinite(v) for v in values):
+            raise InputError(
+                f"column '{name}' has non-positive or non-finite entries; "
+                "log-log fit undefined"
+            )
     log_l = np.log(np.asarray(ls))
     log_y = np.log(np.asarray(ys))
     slope, intercept = np.polyfit(log_l, log_y, 1)

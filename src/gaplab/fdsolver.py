@@ -43,7 +43,7 @@ from typing import NamedTuple, Optional, Tuple
 import numpy as np
 
 from . import kernels
-from .potentials import PotentialSpec, break_points, evaluate
+from .potentials import PotentialSpec, _check_length, break_points, evaluate
 
 __all__ = [
     "Grid",
@@ -84,8 +84,7 @@ class Grid:
     counts: Tuple[int, ...] = ()
 
     def __post_init__(self):
-        if not (self.L > 0.0 and math.isfinite(self.L)):
-            raise ValueError(f"grid length must be finite and > 0, got {self.L}")
+        _check_length(self.L)
         if not self.counts:
             object.__setattr__(self, "counts", (self.N,))
         counts = self.counts
@@ -165,7 +164,7 @@ class SpectralResult:
     ``phi0`` is L2(I)-normalized (sum phi0_i^2 w_i = 1 over the cell widths
     of ``grid``) and positive.  ``error_estimate`` holds, per eigenvalue,
     |extrapolant - finest raw value| plus the solver floor of the finest
-    grid, eps |y|^T |T| |y| + max(1e-13, 1e-12 |lambda|) for the eigenvector
+    grid, eps |y|^T |T| |y| + kernels.tolerance(lambda) for the eigenvector
     y (eps ||T|| on a uniform grid).  ``observed_order`` is the measured
     convergence order from the last three grids (nan when a difference is
     within that floor, or levels == 2).  ``raw_lambda0`` / ``raw_lambda1``
@@ -245,7 +244,7 @@ def _gallop(diag, off2, pivmin, k, guess, lo, hi, counts):
     the side leaves the Gershgorin enclosure (lo, hi)."""
     if not math.isfinite(guess):
         return
-    start = _GALLOP_START * max(1e-13, 1e-12 * abs(guess))
+    start = _GALLOP_START * kernels.tolerance(guess)
     for side in (-1.0, 1.0):
         width = start
         while lo < guess + side * width < hi:
@@ -279,7 +278,7 @@ def _newton(diag, off2, pivmin, guess, gap, counts, deflate=None):
         if not abs(step) < last:  # a nan step fails this too
             break
         sigma -= step
-        if step * step <= 0.25 * max(1e-13, 1e-12 * abs(sigma)) * gap:
+        if step * step <= 0.25 * kernels.tolerance(sigma) * gap:
             break
         last = abs(step)
     return sigma
@@ -349,7 +348,7 @@ def lowest_two_eigenvalues(
     op: DiscreteOperator, near: Optional[Tuple[float, float]] = None
 ) -> Tuple[float, float]:
     """Lowest two eigenvalues of the tridiagonal operator, by bisection on
-    the Sturm sign count (absolute tolerance max(1e-13, 1e-12 |lambda|)).
+    the Sturm sign count (absolute tolerance kernels.tolerance(lambda)).
 
     ``near`` is a guess (lambda0, lambda1), e.g. from a coarser grid.  Newton
     steps on the determinant move each guess toward its eigenvalue (lambda1
@@ -467,8 +466,7 @@ def solve_extrapolated(
     order strays from 2 by more than 0.5; the extrapolated values are still
     returned.
     """
-    if not (L > 0.0 and math.isfinite(L)):
-        raise ValueError(f"interval length must be finite and > 0, got {L}")
+    _check_length(L)
     if n0 < 64:
         raise ValueError(f"coarsest grid needs n0 >= 64, got {n0}")
     if levels not in (2, 3, 4):
@@ -506,7 +504,7 @@ def solve_extrapolated(
         y = np.abs(pair.vector)
         rounding = eps * float(np.abs(op.diag) @ (y * y)
                                + 2.0 * np.abs(op.offdiag) @ (y[:-1] * y[1:]))
-        floor = rounding + max(1e-13, 1e-12 * abs(values[-1]))
+        floor = rounding + kernels.tolerance(values[-1])
         order = _observed_order(values, floor)
         if abs(order - 2.0) > 0.5:
             warnings.warn(

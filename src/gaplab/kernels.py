@@ -28,14 +28,15 @@ the per-index loop (see there).  ``prufer_theta_piecewise`` ends a step on
 every break of the potential, so each step sees one constant layer value
 and the sweep keeps RK4's fourth order across the jumps.
 
-``bisect_eigenvalue`` reuses Sturm counts it is given.  The count that
-IEEE arithmetic computes is non-decreasing in the shift (Kahan's
-monotonicity result; Demmel, Dhillon & Ren, ETNA 3, 1995), so an earlier
-count can settle a midpoint without a sweep and the bisection still takes
-exactly the midpoints of plain bisection.  ``sturm_newton`` computes
-``sturm_count``'s pivots and count operation for operation, so its counts
-are as good as any other, and also returns the logarithmic derivative of
-the determinant for a Newton step toward an eigenvalue.
+``bisect_eigenvalue`` stops at the width ``tolerance(lam)`` and reuses
+Sturm counts it is given.  The count that IEEE arithmetic computes is
+non-decreasing in the shift (Kahan's monotonicity result; Demmel, Dhillon
+& Ren, ETNA 3, 1995), so an earlier count can settle a midpoint without a
+sweep and the bisection still takes exactly the midpoints of plain
+bisection.  ``sturm_newton`` computes ``sturm_count``'s pivots and count
+operation for operation, so its counts are as good as any other, and also
+returns the logarithmic derivative of the determinant for a Newton step
+toward an eigenvalue.
 """
 
 import math
@@ -100,9 +101,14 @@ def sturm_newton(diag, off2, shift, pivmin):
     return count, total
 
 
+def tolerance(x):
+    """Absolute bisection tolerance at x: max(1e-13, 1e-12 |x|)."""
+    return max(1e-13, 1e-12 * abs(x))
+
+
 def bisect_eigenvalue(diag, off2, k, lo, hi, pivmin, counts=None):
     # Bisect for the k-th (0-based) eigenvalue given the enclosure
-    # count(lo) <= k < count(hi).  Stops at width max(1e-13, 1e-12*|lam|).
+    # count(lo) <= k < count(hi).  Stops at width tolerance(max(|lo|, |hi|)).
     # `counts` (shift -> Sturm count of this matrix) lends earlier counts:
     # the count is non-decreasing in the shift, so a midpoint at or below a
     # shift counted <= k goes to lo, and one at or above a shift counted > k
@@ -119,10 +125,7 @@ def bisect_eigenvalue(diag, off2, k, lo, hi, pivmin, counts=None):
         elif shift < above:
             above = shift
     while True:
-        tol = 1e-12 * max(abs(lo), abs(hi))
-        if tol < 1e-13:
-            tol = 1e-13
-        if hi - lo <= tol:
+        if hi - lo <= tolerance(max(abs(lo), abs(hi))):
             break
         mid = 0.5 * (lo + hi)
         if mid <= lo or mid >= hi:

@@ -34,7 +34,7 @@ from typing import Tuple
 import numpy as np
 
 from . import kernels
-from .potentials import InverseSquareCapped, PotentialSpec, break_points, evaluate
+from .potentials import InverseSquareCapped, PotentialSpec, _check_length, break_points, evaluate
 
 __all__ = [
     "LayerDecomposition",
@@ -133,11 +133,11 @@ def match_value(layers: LayerDecomposition, lam: float) -> float:
 
 def _steps_for(L: float, lam: float, rate: float = 0.0) -> int:
     """RK4 steps over a length L with h <= min(1e-3 L, 0.1/sqrt(1+|lam|)),
-    and h <= 0.5/rate for a largest |lam - v| ``rate`` > 0."""
+    and h <= 0.5/rate for a largest |lam - v| ``rate`` > 0; rejects |lam| > 1e12."""
     h_max = min(1e-3 * L, 0.1 / math.sqrt(1.0 + abs(lam)))
     if rate > 0.0:
         h_max = min(h_max, 0.5 / rate)
-    if h_max <= 0.0 or L / h_max > 1e12:
+    if abs(lam) > 1e12 or h_max <= 0.0 or L / h_max > 1e12:
         raise ValueError(f"phase integration step underflow at lam={lam}")
     return int(math.ceil(L / h_max))
 
@@ -148,8 +148,6 @@ def _count_from_theta(theta: float) -> int:
 
 
 def _count_from_layers(layers: LayerDecomposition, lam: float) -> int:
-    if abs(lam) > 1e12:
-        raise ValueError(f"phase integration step underflow at lam={lam}")
     n = _steps_for(layers.length, lam)
     theta = kernels.prufer_theta_piecewise(layers.breaks, layers.values, lam, n)
     return _count_from_theta(theta)
@@ -165,10 +163,7 @@ def prufer_count(p: PotentialSpec, L: float, lam: float) -> int:
     and with |lam - v| <= max(|lam|, |lam - cap|) for the capped family.
     Rejects |lam| > 1e12.
     """
-    if not (L > 0.0 and math.isfinite(L)):
-        raise ValueError(f"interval length must be finite and > 0, got {L}")
-    if abs(lam) > 1e12:
-        raise ValueError(f"phase integration step underflow at lam={lam}")
+    _check_length(L)
     if isinstance(p, InverseSquareCapped):
         n = _steps_for(L, lam, max(abs(lam), abs(lam - p.cap)))
         theta = kernels.prufer_theta_capped(p.decay, p.cap, lam, 0.5 * L, n)
@@ -343,8 +338,7 @@ def ground_state_profile(
     L = 51.56692688606229 the ratio is 0.0 at the exact lambda0 and 4.9e-24
     at the solver's, whose inf/sup phi0 is 3.5e-27 (n0 = 3301).
     """
-    if not (L > 0.0 and math.isfinite(L)):
-        raise ValueError(f"interval length must be finite and > 0, got {L}")
+    _check_length(L)
     if samples < 16:
         raise ValueError(f"need at least 16 samples, got {samples}")
     xs = np.linspace(-0.5 * L, 0.5 * L, samples)

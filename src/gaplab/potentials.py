@@ -37,7 +37,6 @@ __all__ = [
     "evaluate",
     "interval_norms",
     "sup_norm_on_interval",
-    "cap_location",
     "break_points",
     "to_dict",
     "from_dict",
@@ -131,6 +130,12 @@ class IntervalNorms:
     decay_constant: Optional[float]
 
 
+def _check_length(L: float) -> None:
+    """Reject an interval length that is not finite and > 0."""
+    if not (L > 0.0 and math.isfinite(L)):
+        raise ValueError(f"interval length must be finite and > 0, got {L}")
+
+
 def cap_location(p: InverseSquareCapped) -> float:
     """|x| below which the cap is active: decay/x^2 >= cap iff |x| <= this."""
     return math.sqrt(p.decay / p.cap)
@@ -155,8 +160,7 @@ def _pieces(p: PotentialSpec):
 def break_points(p: PotentialSpec, L: float) -> Tuple[float, ...]:
     """Sorted distinct points strictly inside (-L/2, L/2) where v or v' jumps:
     the step edges, and the capped family's kinks at +-cap_location(p)."""
-    if not (L > 0.0 and math.isfinite(L)):
-        raise ValueError(f"interval length must be finite and > 0, got {L}")
+    _check_length(L)
     half = 0.5 * L
     pieces = _pieces(p)
     if pieces is None:
@@ -200,8 +204,7 @@ def interval_norms(p: PotentialSpec, L: float) -> IntervalNorms:
     included) leaves no decay constant, and the quadratic-decay bounds are
     marked inapplicable for it.
     """
-    if not (L > 0.0 and math.isfinite(L)):
-        raise ValueError(f"interval length must be finite and > 0, got {L}")
+    _check_length(L)
     half = 0.5 * L
     pieces = _pieces(p)
     if pieces is None:

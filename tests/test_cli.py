@@ -341,6 +341,19 @@ def test_fit_input_errors_exit_2(capsys, tmp_path, args, needle):
     assert needle in err
 
 
+@pytest.mark.parametrize("bad_l, bad_gap, column", [
+    ("0.0", "0.5", "L"), ("-1.0", "0.5", "L"), ("nan", "0.5", "L"), ("inf", "0.5", "L"),
+    ("4.0", "inf", "gap"),
+])
+def test_fit_rejects_bad_entries_before_the_log(capsys, tmp_path, bad_l, bad_gap, column):
+    csv_path = tmp_path / "bad.csv"
+    csv_path.write_text(f"L,gap\n1.0,2.0\n2.0,1.0\n{bad_l},{bad_gap}\n")
+    code, out, err = run_cli(capsys, "fit", str(csv_path), "--column", "gap")
+    assert code == 2
+    assert out == ""
+    assert f"column '{column}' has non-positive or non-finite entries" in err
+
+
 def test_fit_missing_file_exits_2(capsys):
     code, _, err = run_cli(capsys, "fit", "missing.csv", "--column", "gap")
     assert code == 2
