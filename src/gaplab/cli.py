@@ -158,6 +158,9 @@ class SweepConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "SweepConfig":
+        unknown = [k for k in d if k not in _SWEEP_KEYS]
+        if unknown:
+            raise InputError(f"unknown sweep config field {unknown[0]!r}")
         if "potential" not in d:
             raise InputError("sweep config missing field 'potential'")
         try:
@@ -206,6 +209,12 @@ class SweepConfig:
             output=_sweep_field(d, "output", "a path or null"),
             plot_script=_sweep_field(d, "plot_script", "a path or null"),
         )
+
+
+_SWEEP_KEYS = (
+    "potential", "L_values", "L_min", "L_max", "count",
+    "cells_per_unit", "min_cells", "levels", "output", "plot_script",
+)
 
 
 def _is_number(val) -> bool:

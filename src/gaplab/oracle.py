@@ -13,10 +13,11 @@ root-finder never sees the removable singularity at lam = v_layer.
 
 Eigenvalue counting for arbitrary potentials uses the phase equation
 theta' = cos^2 theta + (lam - v) sin^2 theta integrated by fixed-step RK4
-(reproducible counts); for a piecewise-constant potential every step ends
-on a layer break.  ``ground_state_profile`` integrates the eigenvalue ODE
-once to measure inf/sup of the ground state without touching the
-finite-difference machinery.
+(reproducible counts; a sweep of over 1e12 steps is refused); for a
+piecewise-constant potential every step ends on a layer break.
+``ground_state_profile`` integrates the eigenvalue ODE once to measure
+inf/sup of the ground state without touching the finite-difference
+machinery.
 
 ``eigenvalues_exact`` finds each eigenvalue with one bracket routine that
 uses the RK4 counts only to isolate it: once a bracket holds eigenvalue k
@@ -24,7 +25,8 @@ alone (counts k and k + 1 at its ends, and D of the signs one simple zero
 implies), the sign of D decides every further bisection midpoint, since its
 zeros are exactly the eigenvalues.  In double precision D is rounding noise
 within some ulp of a root, so the last step is one secant step on D
-evaluated in mpmath (imported on first use).
+evaluated in mpmath (imported on first use).  Eigenvalue 1's bracket
+starts where eigenvalue 0's ended; no count is taken below zero (it is 0).
 """
 
 import math
@@ -131,13 +133,14 @@ def match_value(layers: LayerDecomposition, lam: float) -> float:
     return up
 
 
-def _steps_for(L: float, lam: float, rate: float = 0.0) -> int:
+def _steps_for(L: float, lam: float, rate: float = 0.0, rate_steps: float = 0.0) -> int:
     """RK4 steps over a length L with h <= min(1e-3 L, 0.1/sqrt(1+|lam|)),
-    and h <= 0.5/rate for a largest |lam - v| ``rate`` > 0; rejects |lam| > 1e12."""
+    and h <= 0.5/rate for a largest |lam - v| ``rate`` > 0.  Rejects |lam| > 1e12
+    and over 1e12 steps, ``rate_steps`` (sum_j 2 l_j |lam - v_j|) included."""
     h_max = min(1e-3 * L, 0.1 / math.sqrt(1.0 + abs(lam)))
     if rate > 0.0:
         h_max = min(h_max, 0.5 / rate)
-    if abs(lam) > 1e12 or h_max <= 0.0 or L / h_max > 1e12:
+    if abs(lam) > 1e12 or h_max <= 0.0 or L / h_max + rate_steps > 1e12:
         raise ValueError(f"phase integration step underflow at lam={lam}")
     return int(math.ceil(L / h_max))
 
@@ -148,7 +151,8 @@ def _count_from_theta(theta: float) -> int:
 
 
 def _count_from_layers(layers: LayerDecomposition, lam: float) -> int:
-    n = _steps_for(layers.length, lam)
+    rate_steps = 2.0 * float(np.abs(lam - layers.values) @ np.diff(layers.breaks))
+    n = _steps_for(layers.length, lam, rate_steps=rate_steps)
     theta = kernels.prufer_theta_piecewise(layers.breaks, layers.values, lam, n)
     return _count_from_theta(theta)
 
@@ -161,7 +165,8 @@ def prufer_count(p: PotentialSpec, L: float, lam: float) -> int:
     the largest rate of the phase equation: per layer for a
     piecewise-constant potential, whose every step ends on a layer break,
     and with |lam - v| <= max(|lam|, |lam - cap|) for the capped family.
-    Rejects |lam| > 1e12.
+    Rejects |lam| > 1e12 and a sweep of over 1e12 steps, layer j's
+    ceil(2 l_j |lam - v_j|) included.
     """
     _check_length(L)
     if isinstance(p, InverseSquareCapped):
@@ -214,7 +219,8 @@ def eigenvalues_exact(layers: LayerDecomposition, count: int = 2) -> Tuple[float
     bisect until a bracket isolates each eigenvalue; the sign of D decides
     the bisection from there down to relative ~1e-13, and one secant step
     on D evaluated in mpmath places the root to within about an ulp of the
-    largest |lam - v|.  The two eigenvalues share their phase counts.
+    largest |lam - v|.  No count is taken below zero, where it is 0, and
+    eigenvalue 1's bracket starts where eigenvalue 0's ended, at count 1.
     Raises :class:`OracleError` when eigenvalues k and k + 1 lie closer than
     double precision can separate."""
     if count not in (1, 2):
@@ -232,18 +238,21 @@ def eigenvalues_exact(layers: LayerDecomposition, count: int = 2) -> Tuple[float
     # _bracket_root raises if the phase count disagrees.
     scale = max(1.0, maxv + 4.0 * free_gap)
     ceiling = min(maxv, 3.0 * l1 / L) + free_gap * 4.0 + 1e-9 * scale
-    lo = -1e-9 * scale
+    c_ceiling = _count_from_layers(layers, ceiling)
+    # below min v >= 0 the phase stays in (0, pi/2], so the count at lo is 0
+    lo, c_lo = -1e-9 * scale, 0
 
     roots = []
-    counts = {}
     for k in range(count):
-        lam, lo = _bracket_root(layers, k, lo, ceiling, counts, scale)
+        lam, lo = _bracket_root(layers, k, lo, c_lo, ceiling, c_ceiling, scale)
+        c_lo = k + 1
         roots.append(lam)
     return tuple(roots)
 
 
-def _bracket_root(layers, k, lo, hi, counts, scale):
-    """Eigenvalue k by bisection of [lo, hi], and the bracket's upper end.
+def _bracket_root(layers, k, lo, c_lo, hi, c_hi, scale):
+    """Eigenvalue k by bisection of [lo, hi] (phase counts c_lo, c_hi), and
+    the bracket's final upper end.
 
     RK4 phase counts decide the midpoints only until the bracket isolates
     eigenvalue k: count(lo) == k, count(hi) == k + 1, and D(lo), D(hi)
@@ -252,20 +261,9 @@ def _bracket_root(layers, k, lo, hi, counts, scale):
     decides each midpoint, free of RK4 truncation error, down to a width of
     max(1e-13 relative, 1e-15 scale); one secant step on D in mpmath then
     places the root.  A bracket that reaches 1e-9 relative without
-    isolating raises :class:`OracleError`.  ``counts`` maps each shift
-    counted so far to its count, and each midpoint that D puts above the
-    isolated eigenvalue to the count k + 1 that isolation implies; the
-    caller shares it between eigenvalues.
+    isolating raises :class:`OracleError`.  The upper end returned lies
+    between eigenvalues k and k + 1: its count is k + 1.
     """
-
-    def count(lam):
-        c = counts.get(lam)
-        if c is None:
-            c = counts[lam] = _count_from_layers(layers, lam)
-        return c
-
-    c_lo = count(lo)
-    c_hi = count(hi)
     if c_lo > k or c_hi < k + 1:
         raise OracleError(
             f"phase count does not bracket eigenvalue {k}: "
@@ -291,7 +289,7 @@ def _bracket_root(layers, k, lo, hi, counts, scale):
                 f"count({lo:.17g})={c_lo}, count({hi:.17g})={c_hi}"
             )
         mid = 0.5 * (lo + hi)
-        c_mid = count(mid)
+        c_mid = _count_from_layers(layers, mid)
         if c_mid > k:
             hi, c_hi = mid, c_mid
         else:
@@ -300,9 +298,7 @@ def _bracket_root(layers, k, lo, hi, counts, scale):
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
         if match_value(layers, mid) * want_left < 0.0:
-            # mid lies between eigenvalues k and k + 1: its count is k + 1
             hi = mid
-            counts[mid] = k + 1
         else:
             lo = mid
     return _secant_step(layers, lo, hi), hi

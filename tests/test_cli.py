@@ -243,6 +243,10 @@ def test_sweep_geomspace_config(capsys, tmp_path):
         ({"potential": {"type": "zero"}, "L_min": 4.0, "L_max": 1.0, "count": 3}, "L_min"),
         ({"potential": {"type": "zero"}, "L_min": 1.0, "L_max": 4.0, "count": 1}, "count"),
         ({"potential": {"type": "zero"}, "L_values": [1.0], "levels": 7}, "levels"),
+        ({"potential": {"type": "zero"}, "L_values": [1.0], "cell_per_unit": 8},
+         "unknown sweep config field 'cell_per_unit'"),
+        ({"potential": {"type": "zero"}, "L_values": [1.0], "L": 2.0},
+         "unknown sweep config field 'L'"),
     ],
 )
 def test_sweep_bad_config_exits_2(capsys, tmp_path, cfg, needle):

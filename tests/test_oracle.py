@@ -1,6 +1,7 @@
 import json
 import math
 import pathlib
+import time
 
 import mpmath
 import numpy as np
@@ -159,6 +160,17 @@ def test_prufer_counts_capped_high_lambda(lam, count):
 def test_prufer_rejects_huge_lambda():
     with pytest.raises(ValueError, match="underflow"):
         prufer_count(Zero(), 1.0, 2e12)
+
+
+def test_prufer_step_guard_counts_layer_steps():
+    # at lam = 1e12 the length-based steps are ~1e7, but every layer adds
+    # ceil(2 l |lam - v|) rate steps: 2e12 in all, weeks of RK4
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="underflow"):
+        prufer_count(Zero(), 1.0, 1e12)
+    assert time.perf_counter() - start < 1.0
+    # a thin tall barrier adds only 2 l v = 2 rate steps: still counted
+    assert prufer_count(Step(1e7, (0.0, 1e-7)), 10.0, 200.0) == 46
 
 
 def test_profile_free_is_flat():
@@ -381,10 +393,10 @@ for _case in GOLDEN_PIECEWISE + _HARD_DRAWS:
 def test_eigenvalues_exact_phase_budget(monkeypatch):
     # Bisecting on RK4 phase counts down to the 1e-9 stopping width takes 64
     # phase sweeps per call.  Counts now only isolate each eigenvalue and
-    # the sign of D decides the remaining midpoints, and eigenvalue 1 starts
-    # from a lower end whose count isolation already implies: the golden
-    # cases take 5-17.  The counts are deterministic: a change that loses
-    # the switch to D fails here.
+    # the sign of D decides the remaining midpoints; the count below zero is
+    # 0 without a sweep, and eigenvalue 1 starts where eigenvalue 0 ended:
+    # the golden cases take 4-14.  The counts are deterministic: a change
+    # that loses the switch to D fails here.
     calls = [0]
     theta = kernels.prufer_theta_piecewise
 
@@ -396,7 +408,25 @@ def test_eigenvalues_exact_phase_budget(monkeypatch):
     for p, L in GOLDEN_PIECEWISE:
         calls[0] = 0
         eigenvalues_exact(decompose(p, L), 2)
-        assert calls[0] <= 17, (p, L)
+        assert calls[0] <= 14, (p, L)
+
+
+def test_eigenvalues_exact_counts_each_shift_once(monkeypatch):
+    # Within one call no count is taken below zero (v >= 0 makes it 0) and
+    # no shift is counted twice: each bracket hands its ends' counts on.
+    count = oracle._count_from_layers
+    shifts = []
+
+    def recorded(lay, lam):
+        shifts.append(lam)
+        return count(lay, lam)
+
+    monkeypatch.setattr(oracle, "_count_from_layers", recorded)
+    for p, L in GOLDEN_PIECEWISE:
+        shifts.clear()
+        eigenvalues_exact(decompose(p, L), 2)
+        assert shifts and min(shifts) >= 0.0, (p, L)
+        assert len(set(shifts)) == len(shifts), (p, L)
 
 
 def test_eigenvalues_exact_ignores_miscount_near_eigenvalue(monkeypatch):
