@@ -7,9 +7,11 @@ the matching function D(lam) = u'(L/2), where (u, u') is propagated from
     [ c(xi, l)        s(xi, l) ]        xi = lam - v_layer,
     [ -xi s(xi, l)    c(xi, l) ]
 
-with c = cos(sqrt(xi) l) and s = sin(sqrt(xi) l)/sqrt(xi) continued evenly
-through xi = 0 (cosh/sinh branch for xi < 0, Taylor series near 0), so the
-root-finder never sees the removable singularity at lam = v_layer.
+with c = cos(sqrt(xi) l), s = sin(sqrt(xi) l)/sqrt(xi), continued by cosh
+and sinh for xi < 0 and by (1, l) at xi = 0.  ``_cs`` writes them once for
+math, numpy and mpmath.  Neither branch cancels as xi -> 0, so D is
+continuous through lam = v_layer; layers where sqrt(v - lam) l > 350 are
+walked in renormalized pieces, so cosh never overflows.
 
 Eigenvalue counting for arbitrary potentials uses the phase equation
 theta' = cos^2 theta + (lam - v) sin^2 theta integrated by fixed-step RK4
@@ -50,6 +52,8 @@ __all__ = [
 ]
 
 _RENORM_LIMIT = 1e50
+_PIECE_EXPONENT = 350.0  # largest sqrt(v - lam) l of one piece: cosh(350) ~ 5e151
+_MAX_PIECES = 10**6
 
 
 class OracleError(RuntimeError):
@@ -101,29 +105,51 @@ def decompose(p: PotentialSpec, L: float) -> LayerDecomposition:
     return LayerDecomposition(np.r_[breaks[:-1][first], breaks[-1]], values[first])
 
 
-def _cs(xi: float, ell: float) -> Tuple[float, float]:
-    """Propagator coefficients c, s with the even continuation through xi=0."""
-    z = xi * ell * ell
-    if z > 1e-10:
-        r = math.sqrt(xi)
-        return math.cos(r * ell), math.sin(r * ell) / r
-    if z < -1e-10:
-        r = math.sqrt(-xi)
-        return math.cosh(r * ell), math.sinh(r * ell) / r
-    # |xi| l^2 <= 1e-10: two Taylor terms leave a relative error ~ z^2/24
-    return 1.0 - 0.5 * z, ell * (1.0 - z / 6.0)
+def _cs(xi, t, lib=math):
+    """Propagator entries (c, s) over a length t at xi = lam - v in the
+    arithmetic ``lib`` (math, numpy for an array t, or mpmath)."""
+    if xi > 0:
+        r = lib.sqrt(xi)
+        x = r * t
+        return lib.cos(x), lib.sin(x) / r
+    if xi < 0:
+        r = lib.sqrt(-xi)
+        x = r * t
+        return lib.cosh(x), lib.sinh(x) / r
+    return 1.0, t
+
+
+def _check_lambda(lam: float) -> None:
+    if not math.isfinite(lam):
+        raise ValueError(f"lambda must be finite, got {lam}")
+
+
+def _pieces(layers: LayerDecomposition, lam):
+    """(left end, length, xi = lam - v) of each piece from -L/2 to L/2.  A
+    layer with sqrt(v - lam) l > 350 is cut into equal pieces (at most 1e6)
+    below that, so cosh stays under 1e152."""
+    breaks = layers.breaks.tolist()
+    for left, right, v in zip(breaks, breaks[1:], layers.values.tolist()):
+        ell = right - left
+        xi = lam - v
+        n = math.ceil(math.sqrt(-xi) * ell / _PIECE_EXPONENT) if xi < 0 else 1
+        if n == 1:
+            yield left, ell, xi
+        elif n > _MAX_PIECES:
+            raise ValueError(f"layer ({left}, {right}) of height {v} too opaque at lambda={lam}")
+        else:
+            h = ell / n
+            for i in range(n):
+                yield left + i * h, h, xi
 
 
 def match_value(layers: LayerDecomposition, lam: float) -> float:
     """D(lam) = u'(L/2) for the left-Neumann solution; a positive rescaling
     is applied when the state grows past 1e50, so zeros and signs are exact
-    but the scale is not."""
+    but the scale is not.  Rejects a non-finite ``lam``."""
+    _check_lambda(lam)
     u, up = 1.0, 0.0
-    breaks = layers.breaks
-    values = layers.values
-    for j in range(values.size):
-        ell = float(breaks[j + 1] - breaks[j])
-        xi = lam - float(values[j])
+    for _, ell, xi in _pieces(layers, lam):
         c, s = _cs(xi, ell)
         u, up = c * u + s * up, -xi * s * u + c * up
         big = max(abs(u), abs(up))
@@ -165,10 +191,11 @@ def prufer_count(p: PotentialSpec, L: float, lam: float) -> int:
     the largest rate of the phase equation: per layer for a
     piecewise-constant potential, whose every step ends on a layer break,
     and with |lam - v| <= max(|lam|, |lam - cap|) for the capped family.
-    Rejects |lam| > 1e12 and a sweep of over 1e12 steps, layer j's
-    ceil(2 l_j |lam - v_j|) included.
+    Rejects a non-finite lam, |lam| > 1e12 and a sweep of over 1e12 steps,
+    layer j's ceil(2 l_j |lam - v_j|) included.
     """
     _check_length(L)
+    _check_lambda(lam)
     if isinstance(p, InverseSquareCapped):
         n = _steps_for(L, lam, max(abs(lam), abs(lam - p.cap)))
         theta = kernels.prufer_theta_capped(p.decay, p.cap, lam, 0.5 * L, n)
@@ -178,34 +205,22 @@ def prufer_count(p: PotentialSpec, L: float, lam: float) -> int:
 
 def _secant_step(layers, a, b):
     """One secant step on D through a and b, with D at both in mpmath at 30
-    digits (the same double layer lengths and heights as match_value, and
-    xi = lam - v formed in mpmath), rounded once to a double.  In double, D
-    is rounding noise over some ulp around a root (the layer coefficients
-    cancel), so its sign cannot place the root closer; the secant through
-    two exact values of the smooth D at ends ~1e-13 apart lands within a
-    fraction of an ulp.  For a == b (a zero of D in double) it returns a."""
+    digits (the pieces match_value walks, with xi = lam - v formed in
+    mpmath), rounded once to a double.  In double, D is rounding noise over
+    some ulp around a root (the layer coefficients cancel), so its sign
+    cannot place the root closer; the secant through two exact values of
+    the smooth D at ends ~1e-13 apart lands within a fraction of an ulp.
+    For a == b (a zero of D in double) it returns a."""
     import mpmath
 
+    def d(lam):  # never rescaled: mpmath cannot overflow
+        u, up = mpmath.mpf(1), mpmath.mpf(0)
+        for _, ell, xi in _pieces(layers, lam):
+            c, s = _cs(xi, ell, mpmath)
+            u, up = c * u + s * up, -xi * s * u + c * up
+        return up
+
     with mpmath.workdps(30):
-        ells = [mpmath.mpf(x) for x in np.diff(layers.breaks).tolist()]
-        heights = [mpmath.mpf(v) for v in layers.values.tolist()]
-
-        def d(lam):
-            u, up = mpmath.mpf(1), mpmath.mpf(0)
-            for ell, v in zip(ells, heights):
-                xi = lam - v
-                if xi > 0:
-                    r = mpmath.sqrt(xi)
-                    c, s = mpmath.cos_sin(r * ell)
-                    s /= r
-                elif xi < 0:
-                    r = mpmath.sqrt(-xi)
-                    c, s = mpmath.cosh(r * ell), mpmath.sinh(r * ell) / r
-                else:
-                    c, s = mpmath.mpf(1), ell
-                u, up = c * u + s * up, -xi * s * u + c * up
-            return up
-
         a, b = mpmath.mpf(a), mpmath.mpf(b)
         da, db = d(a), d(b)
         if da == db:
@@ -325,8 +340,10 @@ def ground_state_profile(
     u at ``samples`` uniform points (endpoints included).
 
     ``lam0`` should come from :func:`eigenvalues_exact` or the
-    finite-difference solver.  The state is renormalized whenever |u| passes
-    1e15, which leaves the inf/sup ratio untouched.
+    finite-difference solver; a non-finite one is rejected.  The capped
+    family takes twice the RK4 steps of a phase count, under the same
+    limits.  The state is renormalized whenever |u| or |u'| passes 1e15,
+    which leaves the inf/sup ratio untouched.
 
     One shot from the left end cannot follow deep tunneling: it picks up the
     growing mode, and the ratio is then no reference for the solver's.  For
@@ -335,12 +352,13 @@ def ground_state_profile(
     at the solver's, whose inf/sup phi0 is 3.5e-27 (n0 = 3301).
     """
     _check_length(L)
+    _check_lambda(lam0)
     if samples < 16:
         raise ValueError(f"need at least 16 samples, got {samples}")
     xs = np.linspace(-0.5 * L, 0.5 * L, samples)
     if isinstance(p, InverseSquareCapped):
-        h_max = min(5e-4 * L, 0.05 / math.sqrt(1.0 + abs(lam0)))
-        n_sub = max(2, int(math.ceil(L / ((samples - 1) * h_max))))
+        # twice the steps of a phase count, under the same limits
+        n_sub = max(2, math.ceil(2 * _steps_for(L, lam0) / (samples - 1)))
         u = kernels.profile_rk4_capped(p.decay, p.cap, lam0, 0.5 * L, samples, n_sub)
     else:
         u = _profile_piecewise(decompose(p, L), lam0, xs)
@@ -353,43 +371,20 @@ def ground_state_profile(
 
 
 def _profile_piecewise(layers: LayerDecomposition, lam: float, xs: np.ndarray) -> np.ndarray:
-    """Exact layer-by-layer evaluation of the left-Neumann solution at xs."""
+    """Exact piece-by-piece evaluation of the left-Neumann solution at xs."""
+    pieces = list(_pieces(layers, lam))
+    # xs is sorted: a piece takes the samples up to its right end, the last one all that remain
+    ends = np.searchsorted(xs, [left for left, _, _ in pieces[1:]] + [math.inf], side="right")
     out = np.empty(xs.size)
     u, up = 1.0, 0.0
-    breaks = layers.breaks
-    values = layers.values
     pos = 0
-    for j in range(values.size):
-        left = float(breaks[j])
-        right = float(breaks[j + 1])
-        xi = lam - float(values[j])
-        # xs is sorted: the samples up to right, and all that remain on the last layer
-        if j == values.size - 1:
-            hi = xs.size
-        else:
-            hi = int(np.searchsorted(xs, right, side="right"))
-        if hi > pos:
-            t = xs[pos:hi] - left
-            z = xi * t * t
-            c = np.empty_like(t)
-            s = np.empty_like(t)
-            osc = z > 1e-10
-            dec = z < -1e-10
-            mid = ~(osc | dec)
-            if xi > 0.0:
-                r = math.sqrt(xi)
-                c[osc] = np.cos(r * t[osc])
-                s[osc] = np.sin(r * t[osc]) / r
-            elif xi < 0.0:
-                r = math.sqrt(-xi)
-                c[dec] = np.cosh(r * t[dec])
-                s[dec] = np.sinh(r * t[dec]) / r
-            c[mid] = 1.0 - 0.5 * z[mid]
-            s[mid] = t[mid] * (1.0 - z[mid] / 6.0)
-            out[pos:hi] = c * u + s * up
-            pos = hi
-        cl, sl = _cs(xi, right - left)
-        u, up = cl * u + sl * up, -xi * sl * u + cl * up
+    for (left, ell, xi), end in zip(pieces, ends):
+        if end > pos:
+            c, s = _cs(xi, xs[pos:end] - left, np)
+            out[pos:end] = c * u + s * up
+            pos = end
+        c, s = _cs(xi, ell)
+        u, up = c * u + s * up, -xi * s * u + c * up
         big = max(abs(u), abs(up))
         if big > 1e15:
             inv = 1.0 / big

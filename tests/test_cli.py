@@ -118,6 +118,21 @@ def test_verify_with_oracle_counts_for_capped(capsys):
     assert payload["oracle"]["ok"] is True
 
 
+def test_verify_oracle_through_opaque_barrier(capsys):
+    # the barrier is 80 wide at height 100: cosh(sqrt(100 - lam) * 80) is
+    # past the double range, which once made the oracle raise OverflowError
+    # (so did Step(1e4, (2, 10)) at L = 20, whose phase counts take seconds)
+    code, out, _ = run_cli(
+        capsys, "verify", "--potential",
+        '{"type": "step", "height": 100, "support": [-35, 45]}',
+        "--length", "90", "--oracle",
+    )
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["oracle"]["mode"] == "eigenvalues"
+    assert payload["oracle"]["rel_dev"] <= 1e-6
+
+
 ZERO_SWEEP = {
     "potential": {"type": "zero"},
     "L_values": [1.0, 2.0, 4.0, 8.0],

@@ -264,6 +264,99 @@ def test_profile_input_validation():
         ground_state_profile(Zero(), 1.0, 0.0, samples=4)
 
 
+_STEP = Step(1.0, (-0.5, 0.5))
+_CAPPED = InverseSquareCapped(1.0, 4.0)
+
+
+@pytest.mark.parametrize("call, match", [
+    (lambda: prufer_count(_STEP, 10.0, math.nan), "lambda must be finite, got nan"),
+    (lambda: prufer_count(_CAPPED, 10.0, -math.inf), "lambda must be finite, got -inf"),
+    (lambda: ground_state_profile(_STEP, 10.0, math.nan), "lambda must be finite, got nan"),
+    (lambda: ground_state_profile(_CAPPED, 10.0, math.inf), "lambda must be finite, got inf"),
+    (lambda: match_value(decompose(_STEP, 10.0), math.nan), "lambda must be finite, got nan"),
+    # RK4 over 2e9 steps: the capped profile keeps the phase count's limits
+    (lambda: ground_state_profile(_CAPPED, 10.0, 1e14), "underflow at lam=100000000000000.0"),
+    # sqrt(1e300) * 1 / 350 pieces in one layer
+    (lambda: match_value(decompose(Step(1e300, (0.0, 1.0)), 2.0), 0.0), "too opaque"),
+], ids=["count-nan", "count-capped-inf", "profile-nan", "profile-capped-inf", "match-nan",
+        "profile-capped-1e14", "match-1e300-barrier"])
+def test_oracle_refuses_at_once(call, match):
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match=match):
+        call()
+    assert time.perf_counter() - start < 1.0
+
+
+@pytest.mark.parametrize("p, L", [
+    (Step(1e4, (2.0, 10.0)), 20.0),
+    (Step(100.0, (-35.0, 45.0)), 90.0),
+])
+def test_profile_through_opaque_barrier(p, L):
+    # sqrt(v - lam) l is about 800 in the barrier, where cosh overflows a
+    # double: the layer is walked in pieces, renormalized between them
+    prof = ground_state_profile(p, L, 0.05)
+    assert np.all(np.isfinite(prof.values))
+    assert 0.0 <= prof.ratio <= 1.0
+    assert math.isfinite(match_value(decompose(p, L), 0.05))
+
+
+_EPS = 2.0 ** -52
+# xi t^2 from 0 through the old Taylor band |xi t^2| <= 1e-10, its edges, to 1e4
+_XI_T2 = [0.0] + [sign * z for sign in (1.0, -1.0) for z in (
+    1e-300, 1e-30, 1e-12, 1e-10 * (1 - 1e-9), 1e-10, 1e-10 * (1 + 1e-9), 1e-8,
+    1e-2, 1.0, 30.0, 1e4,
+)]
+
+
+@pytest.mark.parametrize("t", [1e-3, 0.7, 3.0, 50.0])
+def test_layer_transfer_matches_40_digits(t):
+    # One _cs serves doubles (math), sample arrays (numpy) and the secant's
+    # 30-digit mpmath.  Each stays within 2 eps, times 1 + sqrt(|xi|) t for
+    # the rounding of the argument, of the 40-digit value.
+    for z in _XI_T2:
+        xi = z / (t * t)
+        with mpmath.workdps(40):
+            x = mpmath.sqrt(abs(mpmath.mpf(xi))) * t
+            if xi > 0:
+                c, s = mpmath.cos(x), mpmath.sin(x) / x * t
+            elif xi < 0:
+                c, s = mpmath.cosh(x), mpmath.sinh(x) / x * t
+            else:
+                c, s = mpmath.mpf(1), mpmath.mpf(t)
+            cond = 1.0 + float(x)
+            got = [oracle._cs(xi, t)]
+            got += [tuple(float(a[1]) for a in np.broadcast_arrays(
+                *oracle._cs(xi, np.array([0.0, t]), np)))]
+            for gc, gs in got:
+                assert abs(gc - c) <= 2 * _EPS * cond * abs(c), (z, t)
+                assert abs(gs - s) <= 2 * _EPS * cond * abs(s), (z, t)
+            with mpmath.workdps(30):
+                gc, gs = oracle._cs(mpmath.mpf(xi), t, mpmath)
+            assert abs(gc - c) <= 1e-28 * cond * abs(c), (z, t)
+            assert abs(gs - s) <= 1e-28 * cond * abs(s), (z, t)
+
+
+def test_match_value_constant_changes_sign_continuously():
+    # For Constant(c), D(lam) is -sqrt(xi) sin(sqrt(xi) L) above c,
+    # sqrt(-xi) sinh(sqrt(-xi) L) below and 0 at c, with xi = lam - c.
+    # Through lam = c (and the old Taylor band |xi| L^2 <= 1e-10) D stays
+    # within 4 eps of it, so its sign flips at c alone and it falls steadily.
+    c, L = 2.3, 4.0
+    lay = decompose(Constant(c), L)
+    steps = [k for j in range(0, 37, 3) for k in (-(2 ** j), 2 ** j)] + [0]
+    values = []
+    for k in sorted(steps):
+        lam = c + k * math.ulp(c)
+        xi = lam - c  # exact
+        with mpmath.workdps(40):
+            r = mpmath.sqrt(abs(mpmath.mpf(xi)))
+            want = (-r * mpmath.sin(r * L) if xi > 0 else r * mpmath.sinh(r * L)) if xi else 0
+        d = match_value(lay, lam)
+        assert abs(d - want) <= 4 * _EPS * abs(want), k
+        values.append(d)
+    assert all(b < a for a, b in zip(values, values[1:]))
+
+
 def test_eigenvalues_exact_rejects_higher_counts():
     with pytest.raises(ValueError):
         eigenvalues_exact(decompose(Zero(), 1.0), 3)
@@ -370,8 +463,11 @@ def test_eigenvalues_exact_matches_mp_root(case):
 # lam ~ 0.07405, below the true lambda1 = 0.0745099352.  The third has wells
 # 1.88857 and 1.88820 wide across a barrier 36.7 long: the detuning splits
 # lambda0 and lambda1 by 9.2e-5, and the oracle once called them
-# inseparable.  The last two are barriers 1e-6 and 1e-7 wide that steps of
+# inseparable.  The next two are barriers 1e-6 and 1e-7 wide that steps of
 # 1e-2 straddled: their counts read 1 below lambda0, and the oracle raised.
+# In the last, a barrier 80 wide at height 100, cosh(sqrt(100 - lam) 80)
+# overflows a double and the oracle raised OverflowError; D now walks it in
+# pieces.
 _HARD_DRAWS = [
     (Step(0.10774960509288478, (-20.58769893096204, 8.75542553603783)), 46.0),
     (MultiStep((
@@ -383,6 +479,7 @@ _HARD_DRAWS = [
      40.46765440803851),
     (Step(1e6, (0.0, 1e-6)), 10.0),
     (Step(1e7, (0.0, 1e-7)), 10.0),
+    (Step(100.0, (-35.0, 45.0)), 90.0),
 ]
 for _case in GOLDEN_PIECEWISE + _HARD_DRAWS:
     test_eigenvalues_exact_matches_mp_root = example(_case)(
