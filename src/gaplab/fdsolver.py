@@ -23,8 +23,21 @@ the coarser grids are solved for eigenvalues only; the finest grid solves
 for the eigenvectors and keeps every certificate (finite vectors, both
 residual checks, the positivity of the ground state).
 
-Most of a solve is Sturm sweeps, so the two bisections of one operator share
-their counts, and every grid starts from a guess: level 0 from a grid a
+Most of a solve is Sturm sweeps.  Every potential of the capped family is
+even, and so is a centred step; a grid with symmetric breaks and counts
+places its nodes mirror-symmetrically, so such a potential assembles a
+mirror-symmetric operator, whose diagonal and off-diagonal are bitwise
+palindromes.  Such an operator splits into an even and an odd half of
+about N/2 cells (Cantoni & Butler, Linear Algebra Appl. 13, 1976):
+lambda0 is the lowest eigenvalue of the even half, lambda1 that of the odd
+half, and each eigenvector is one solve on its half mirrored back to length
+N.  Each value then costs half the cells per sweep, and a split between
+lambda0 and lambda1 near eps ||T|| can no longer mix the two vectors.  Any
+other operator runs the general path on the whole matrix: its two
+bisections share their Sturm counts, and the Newton steps toward lambda1
+are deflated by lambda0 (Maehly).
+
+On either path every grid starts from a guess: level 0 from a grid a
 quarter its size (for n0 >= 256), level 1 from level 0, finer levels from
 the value the coarser ones predict.  Newton steps on det(T - sigma I) move
 each guess toward its eigenvalue, each step one Sturm sweep that also sums
@@ -123,12 +136,23 @@ class Grid:
         return np.repeat([w for _, _, w in self._layers()], self.counts)
 
     def nodes(self) -> np.ndarray:
-        return np.concatenate([a + (np.arange(c) + 0.5) * w for a, c, w in self._layers()])
+        """Cell centres.  On a mirror-symmetric grid (symmetric breaks and
+        counts) the right half is the left half mirrored, x_{N-1-i} = -x_i
+        bitwise, so that an even potential assembles a palindrome."""
+        x = np.concatenate([a + (np.arange(c) + 0.5) * w for a, c, w in self._layers()])
+        mirrored = tuple(-b for b in reversed(self.breaks))
+        if self.counts == self.counts[::-1] and self.breaks == mirrored:
+            half = self.N // 2
+            x[self.N - half:] = -x[half - 1::-1]
+            if self.N % 2:
+                x[half] = 0.0
+        return x
 
 
 @dataclass(frozen=True)
 class DiscreteOperator:
-    """Symmetric tridiagonal matrix: main diagonal and (constant) off-diagonal."""
+    """Symmetric tridiagonal matrix: main diagonal and off-diagonal (which
+    varies where the cell width changes, at layer faces)."""
 
     diag: np.ndarray
     offdiag: np.ndarray
@@ -302,38 +326,93 @@ def _kernel_inputs(op: DiscreteOperator):
     return diag, off, off2.tolist(), pivmin
 
 
-def _bisect_lowest_two(inputs, near):
-    """Bisected (lambda0, lambda1) of the operator with these kernel inputs,
-    not yet checked for separation; see lowest_two_eigenvalues."""
-    diag, off, off2, pivmin = inputs
-    radius = 2.0 * np.abs(off).max()
-    lo = float(diag.min() - radius)
-    hi = float(np.abs(diag).max() + radius)  # Gershgorin: bounds every eigenvalue
+def _mirror_halves(op: DiscreteOperator):
+    """The even and odd halves of a mirror-symmetric operator, or None.
 
-    # Sturm counts shared by both bisections (shift -> count).  They only
-    # decide midpoints without a sweep, never move one, so the seeds below
-    # change the cost of the bisection and not its result.
-    counts = {}
-    if near is None:
-        # T's row sums are v at the nodes, and min v <= lambda0 <= mean v
-        # (Weyl; the Rayleigh quotient of the constant vector)
-        rows = diag.copy()
-        rows[:-1] += off
-        rows[1:] += off
-        for shift in (float(rows.min()), float(rows.mean())):
-            counts[shift] = kernels.sturm_count(diag, off2, shift, pivmin)
+    T is mirror-symmetric when its diagonal and off-diagonal are bitwise
+    palindromes; with a negative off-diagonal, lambda0 is then the lowest
+    eigenvalue of the even half and lambda1 that of the odd half (a Jacobi
+    matrix's k-th eigenvector changes sign k times; Cantoni & Butler,
+    Linear Algebra Appl. 13, 1976).  Each half acts on the right half of
+    the vector.  For N = 2m both are the lower-right m x m block, with the
+    centre coupling c added to (even) or taken off (odd) its first diagonal
+    entry.  For N = 2m + 1 the even half adds the centre node, coupled by
+    sqrt(2) c, and the odd half is the block alone.  Operators below 4
+    cells, or with an off-diagonal entry >= 0, are not split."""
+    diag, off = op.diag, op.offdiag
+    n = diag.size
+    if not (n >= 4 and np.all(off < 0.0) and np.array_equal(diag, diag[::-1])
+            and np.array_equal(off, off[::-1])):
+        return None
+    m = n // 2
+    if n % 2 == 0:
+        even, odd = diag[m:].copy(), diag[m:].copy()
+        even[0] += off[m - 1]
+        odd[0] -= off[m - 1]
+        return DiscreteOperator(even, off[m:]), DiscreteOperator(odd, off[m:])
+    coupled = off[m:].copy()
+    coupled[0] *= math.sqrt(2.0)
+    return DiscreteOperator(diag[m:], coupled), DiscreteOperator(diag[m + 1:], off[m + 1:])
+
+
+def _unfold(y, n, parity):
+    """The unit length-n vector, even (parity 1.0) or odd (-1.0), whose
+    right half solves that half of the operator (see _mirror_halves); for
+    odd n the even half's first entry is the centre, scaled back by
+    sqrt(2)."""
+    m = n // 2
+    x = y[y.size - m:]
+    vec = np.empty(n)
+    vec[n - m:] = x
+    vec[:m] = parity * x[::-1]
+    if n % 2:
+        vec[m] = math.sqrt(2.0) * y[0] if parity > 0.0 else 0.0
+    return vec * math.sqrt(0.5)
+
+
+def _bisect_lowest_two(op: DiscreteOperator, near):
+    """Bisected (lambda0, lambda1) of the operator, not yet checked for
+    separation, and per eigenvalue the kernel inputs it was bisected on and
+    its parity (1.0 even, -1.0 odd; None unsplit); see
+    lowest_two_eigenvalues."""
+    halves = _mirror_halves(op)
+    if halves is None:
+        # one matrix holds both eigenvalues (k = 0 and 1), and its Sturm
+        # counts (shift -> count) are shared by both bisections
+        inputs = _kernel_inputs(op)
+        sectors = ((inputs, 0, None), (inputs, 1, None))
     else:
-        guess0, guess1 = float(near[0]), float(near[1])
-        gap = abs(guess1 - guess0)
-        guess0 = _newton(diag, off2, pivmin, guess0, gap, counts)
-        _gallop(diag, off2, pivmin, 0, guess0, lo, hi, counts)
-    lam0 = kernels.bisect_eigenvalue(diag, off2, 0, lo, hi, pivmin, counts)
+        sectors = ((_kernel_inputs(halves[0]), 0, 1.0), (_kernel_inputs(halves[1]), 0, -1.0))
     if near is not None:
-        guess1 = _newton(diag, off2, pivmin, guess1, gap, counts, deflate=lam0)
-        _gallop(diag, off2, pivmin, 1, guess1, lo, hi, counts)
-    lam1 = kernels.bisect_eigenvalue(diag, off2, 1, max(lo, lam0 - 1e-13), hi, pivmin,
-                                     counts)
-    return lam0, lam1
+        guesses = (float(near[0]), float(near[1]))
+        gap = abs(guesses[1] - guesses[0])
+    lams = []
+    for j, (inputs, k, _) in enumerate(sectors):
+        diag, off, off2, pivmin = inputs
+        radius = 2.0 * np.abs(off).max()
+        lo = float(diag.min() - radius)
+        hi = float(np.abs(diag).max() + radius)  # Gershgorin: bounds every eigenvalue
+        # Counts only decide midpoints without a sweep, never move one, so
+        # the seeds below change the cost of the bisection and not its result.
+        if k == 0:
+            counts = {}
+            if near is None:
+                # T's row sums are v at the nodes, and min v <= lambda0 <= mean v
+                # (Weyl; the Rayleigh quotient of the constant vector)
+                rows = diag.copy()
+                rows[:-1] += off
+                rows[1:] += off
+                for shift in (float(rows.min()), float(rows.mean())):
+                    counts[shift] = kernels.sturm_count(diag, off2, shift, pivmin)
+        if near is not None:
+            # lambda1 of the unsplit matrix is deflated by the bisected lambda0
+            guess = _newton(diag, off2, pivmin, guesses[j], gap, counts,
+                            deflate=lams[0] if k else None)
+            _gallop(diag, off2, pivmin, k, guess, lo, hi, counts)
+        if k:
+            lo = max(lo, lams[0] - 1e-13)
+        lams.append(kernels.bisect_eigenvalue(diag, off2, k, lo, hi, pivmin, counts))
+    return lams, sectors
 
 
 def _separated(lam0, lam1):
@@ -350,14 +429,21 @@ def lowest_two_eigenvalues(
     """Lowest two eigenvalues of the tridiagonal operator, by bisection on
     the Sturm sign count (absolute tolerance kernels.tolerance(lambda)).
 
+    A mirror-symmetric operator (bitwise palindromes, negative off-diagonal)
+    is split into its even and odd halves, and each value is the lowest
+    eigenvalue of one half: half the cells per sweep, and no count of one
+    value depends on the other.  Any other operator is bisected whole, the
+    two bisections sharing their Sturm counts.
+
     ``near`` is a guess (lambda0, lambda1), e.g. from a coarser grid.  Newton
     steps on the determinant move each guess toward its eigenvalue (lambda1
-    deflated by the bisected lambda0), and the bisections start from Sturm
-    counts taken at those steps and around where they end.  It changes only
-    how many Sturm sweeps the bisections take, never the values returned.
-    Raises :class:`SolverError` if the two values are not separated.
+    of an unsplit operator deflated by the bisected lambda0, Maehly), and
+    the bisections start from Sturm counts taken at those steps and around
+    where they end.  It changes only how many Sturm sweeps the bisections
+    take, never the values returned.  Raises :class:`SolverError` if the two
+    values are not separated.
     """
-    return _separated(*_bisect_lowest_two(_kernel_inputs(op), near))
+    return _separated(*_bisect_lowest_two(op, near)[0])
 
 
 def lowest_two_eigenpairs(
@@ -368,29 +454,34 @@ def lowest_two_eigenpairs(
     Eigenvalues from :func:`lowest_two_eigenvalues` (``near`` is passed on
     and never changes the result); each eigenvector from one
     twisted-factorization solve at the bisected value, which is one
-    inverse-iteration step from the best unit start vector.  The second
-    vector is orthogonalized against the first once.  The ground vector is
-    sign-fixed positive.  Raises :class:`SolverError` on a non-finite
-    vector, on a second vector that orthogonalization reduces to rounding
-    (norm at most N eps), on a residual above 1e-8 ||T|| or on a ground
-    vector that is not positive; each message reports lambda1 - lambda0
-    and eps ||T||.
+    inverse-iteration step from the best unit start vector.  A split
+    operator solves on the half that holds the value and mirrors the
+    solution back to length N, even for lambda0 and odd for lambda1, so a
+    split between lambda0 and lambda1 near eps ||T|| cannot mix the two
+    vectors.  The certificates run on the full vectors against the full
+    operator: the second vector is orthogonalized against the first once,
+    and the ground vector is sign-fixed positive.  Raises
+    :class:`SolverError` on a non-finite vector, on a second vector that
+    orthogonalization reduces to rounding (norm at most N eps), on a
+    residual above 1e-8 ||T|| or on a ground vector that is not positive;
+    each message reports lambda1 - lambda0 and eps ||T||.
     """
-    inputs = _kernel_inputs(op)
-    lam0, lam1 = _separated(*_bisect_lowest_two(inputs, near))
-    diag, off, _, pivmin = inputs
+    lams, sectors = _bisect_lowest_two(op, near)
+    lam0, lam1 = _separated(*lams)
     norm_t = op.norm_inf()
-    # a split near eps*||T|| leaves the solves unable to tell the two
-    # eigenvectors apart; the errors below report how close it is
+    # a split near eps*||T|| leaves the unsplit solves unable to tell the
+    # two eigenvectors apart; the errors below report how close it is
     split = (f"lambda1 - lambda0 = {lam1 - lam0:.3e}, "
              f"eps*||T|| = {np.finfo(float).eps * norm_t:.3e}")
 
     vecs = []
-    for lam, state in ((lam0, "ground state"), (lam1, "first excited state")):
+    for lam, (inputs, _, parity), state in zip(
+            (lam0, lam1), sectors, ("ground state", "first excited state")):
+        diag, off, _, pivmin = inputs
         vec, _, finite = kernels.inverse_iteration(diag, off, lam, pivmin)
         if not finite:
             raise SolverError(f"the {state} vector has a non-finite component ({split})")
-        vecs.append(vec)
+        vecs.append(vec if parity is None else _unfold(vec, op.diag.size, parity))
     vec0, vec1 = vecs
     if vec0.sum() < 0.0:
         vec0 = -vec0
@@ -479,7 +570,7 @@ def solve_extrapolated(
             # guessed from a grid a quarter the size, not checked for
             # separation: a guess never changes a value
             quarter = _nested_grids(p, L, n0 // 4, 1)[0]
-            near = _bisect_lowest_two(_kernel_inputs(assemble(p, quarter)), None)
+            near = _bisect_lowest_two(assemble(p, quarter), None)[0]
         elif j == 1:
             near = (lam0s[0], lam1s[0])
         elif j >= 2:

@@ -4,6 +4,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy.linalg import eigh_tridiagonal
 
 from gaplab import (
@@ -24,7 +26,8 @@ from gaplab import (
     solve_extrapolated,
 )
 from gaplab import kernels
-from conftest import random_multistep
+from gaplab.fdsolver import _mirror_halves, _nested_grids
+from conftest import random_capped, random_multistep
 
 PI_SQ = math.pi * math.pi
 
@@ -334,15 +337,17 @@ def test_default_cell_count():
     assert default_cell_count(400.0) == 25600
 
 
-def _weak_link():
-    """Two 8-cell Neumann blocks joined by a weak link (a path-graph
-    Laplacian): lambda0 = 0 and lambda1 ~ 2.5e-9.  Returns the operator and
-    its dense eigenvalues and eigenvectors."""
+def _weak_link(left=7):
+    """Neumann blocks of `left` and 16 - `left` cells joined by a weak link
+    (a path-graph Laplacian): lambda0 = 0 and lambda1 ~ 2.5e-9.  Returns the
+    operator and its dense eigenvalues and eigenvectors.  Unequal blocks
+    make no mirror image, so the eigensolver bisects and solves the whole
+    matrix; left = 8 is mirror-symmetric and split into halves."""
     diag = np.full(16, 2.0)
-    diag[[0, 7, 8, 15]] = 1.0
+    diag[[0, left - 1, left, 15]] = 1.0
     off = np.full(15, -1.0)
-    off[7] = -1e-8
-    diag[[7, 8]] -= off[7]
+    off[left - 1] = -1e-8
+    diag[[left - 1, left]] -= off[left - 1]
     op = DiscreteOperator(diag, off)
     lams, vecs = np.linalg.eigh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
     return op, lams, vecs
@@ -399,3 +404,98 @@ def test_unusable_vectors_raise(monkeypatch, vector, needle):
     _hand_back(monkeypatch, v, v)
     with pytest.raises(SolverError, match=needle):
         lowest_two_eigenpairs(op)
+
+
+@pytest.mark.parametrize("bad, needle", [
+    ("non-finite", "non-finite"),
+    ("zero", "vanishes"),
+    ("phi2", "eigenpair 0 residual"),
+])
+def test_split_path_keeps_certificates(monkeypatch, bad, needle):
+    # The mirror-symmetric weak link is split, and each eigenvector solve
+    # runs on an 8-cell half.  The patched kernel hands back half vectors
+    # (the right half of a unit vector, times sqrt(2)): the certificates
+    # still run on the mirrored vectors against the full operator.  phi2,
+    # the even state above the pair, passes every check but the residual.
+    op, lams, vecs = _weak_link(8)
+    even, odd = _mirror_halves(op)
+    assert even.diag.size == odd.diag.size == 8
+    ground, excited = (vecs[8:, k] * math.sqrt(2.0) for k in (0, 1))
+    if bad == "non-finite":
+        ground = np.full(8, np.nan)
+    elif bad == "zero":
+        excited = np.zeros(8)
+    else:
+        ground = vecs[8:, 2] * math.sqrt(2.0)
+    _hand_back(monkeypatch, ground, excited)
+    with pytest.raises(SolverError, match=needle) as info:
+        lowest_two_eigenpairs(op)
+    _assert_reports_split(str(info.value), op, lams)
+
+
+def test_split_weak_link_matches_dense():
+    # the even half is the 8-cell Neumann block, the odd half the same block
+    # with the link's 2e-8 on its first diagonal entry
+    op, lams, vecs = _weak_link(8)
+    pairs = lowest_two_eigenpairs(op)
+    for k, pair in enumerate(pairs):
+        assert pair.value == pytest.approx(lams[k], abs=1e-13)
+        assert abs(float(pair.vector @ vecs[:, k])) == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("decay, cap, ratio", [
+    (4.813604793300804, 7.861723353326532, 1.6017e-5),
+    (4.889495615165041, 6.73753048312226, 1.8744e-5),
+], ids=["suite_seed_1002", "suite_seed_152"])
+def test_symmetric_double_well_ground_state(decay, cap, ratio):
+    # Capped draws of the criterion-3 suite whose finest-grid split
+    # lambda1 - lambda0 (4.4e-11 for the first) is below eps ||T|| (5.8e-11):
+    # one solve on the whole operator mixed the two states and read inf/sup
+    # phi0 = 1.146e-5 and 1.468e-5.  The ratios are the exact ground
+    # state's, from Bessel functions at 40 digits.
+    r = solve_extrapolated(InverseSquareCapped(decay, cap), 80.19065303497489, n0=5133)
+    assert r.inf_phi0 / r.sup_phi0 == pytest.approx(ratio, rel=1e-3)
+
+
+def _even_potential(kind, rng, L):
+    """A centred step, a mirror-symmetric pair of steps or a capped draw."""
+    if kind == 0:
+        a = float(rng.uniform(0.01, 0.49)) * L
+        return Step(float(rng.uniform(0.0, 3.0)), (-a, a))
+    if kind == 1:
+        a, b = sorted(float(x) for x in rng.uniform(0.01, 0.49, 2) * L)
+        height = float(rng.uniform(0.0, 3.0))
+        return MultiStep((Step(height, (-b, -a)), Step(height, (a, b))))
+    return random_capped(rng)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2), st.integers(0, 10_000), st.floats(0.5, 20.0), st.integers(256, 600))
+def test_even_potentials_split_like_lapack(kind, seed, L, n0):
+    # Every grid of an even potential, the quarter grid that guesses level 0
+    # included, is mirror-symmetric bitwise, so its
+    # operator is a palindrome and is split.  Where double precision
+    # resolves the pair, the split eigenvalues agree with LAPACK's to the
+    # bisection tolerance plus eps ||T||.  Each vector agrees to an angle of
+    # (tol + eps ||T||) / gap, gap to the nearest other eigenvalue, plus
+    # LAPACK's eps ||T|| / gap: the solve runs at the bisected value, up to
+    # tol from the eigenvalue (a 63-cell quarter grid's lambda1 vector lay
+    # 4.0e-13 from the 40-digit one, with tol / gap = 1.7e-12 and
+    # eps ||T|| / gap = 1.6e-13).
+    p = _even_potential(kind, np.random.default_rng(seed), L)
+    for grid in _nested_grids(p, L, n0 // 4, 1) + _nested_grids(p, L, n0, 2):
+        x = grid.nodes()
+        assert np.array_equal(x[::-1], -x)  # exact equality, the centre 0 of odd N too
+        op = assemble(p, grid)
+        assert np.array_equal(op.diag[::-1], op.diag)
+        assert np.array_equal(op.offdiag[::-1], op.offdiag)
+        assert _mirror_halves(op) is not None
+        ref, vecs = eigh_tridiagonal(op.diag, op.offdiag, select="i", select_range=(0, 2))
+        rounding = np.finfo(float).eps * op.norm_inf()
+        assume(ref[1] - ref[0] > 2.0 * (kernels.tolerance(ref[1]) + rounding))
+        gaps = (ref[1] - ref[0], min(ref[1] - ref[0], ref[2] - ref[1]))
+        for k, pair in enumerate(lowest_two_eigenpairs(op)):
+            assert abs(pair.value - ref[k]) <= kernels.tolerance(ref[k]) + rounding
+            ref_vec = vecs[:, k]
+            sin_angle = np.linalg.norm(pair.vector - (pair.vector @ ref_vec) * ref_vec)
+            assert sin_angle <= (kernels.tolerance(ref[k]) + 2.0 * rounding) / gaps[k]

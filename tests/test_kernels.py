@@ -334,11 +334,14 @@ def test_sturm_sweep_budget(monkeypatch):
     # Counts shared by the two bisections and taken around the guess of the
     # level before cut that to 155 sweeps (229600 cells).  Level 0 guessed
     # from a grid of 200 cells and Newton sweeps from every guess cut it to
-    # the sweeps pinned below: 146160 cells, a Newton sweep weighted 2.2.
-    # Only the finest grid solves for eigenvectors, one twisted-factorization
-    # solve per eigenvalue (2 here).  The counts are deterministic: a change
-    # that loses the reuse fails here.
-    sweeps = {}  # N -> [Sturm sweeps, Newton sweeps]
+    # 146160 cells, a Newton sweep weighted 2.2.  The centred step is even,
+    # so every grid, the quarter grid too, is split into an even and an odd
+    # half of N/2 cells, each bisected for its lowest eigenvalue: the sweeps
+    # pinned below, keyed by the half size, are 70280 cells.  Only the
+    # finest grid solves for eigenvectors, one twisted-factorization solve
+    # per eigenvalue on its half (2 here).  The counts are deterministic: a
+    # change that loses the reuse or the split fails here.
+    sweeps = {}  # N / 2 -> [Sturm sweeps, Newton sweeps]
     calls = {"inverse_sweeps": 0}
     sturm_count = kernels.sturm_count
     sturm_newton = kernels.sturm_newton
@@ -361,5 +364,5 @@ def test_sturm_sweep_budget(monkeypatch):
     monkeypatch.setattr(kernels, "sturm_newton", counted_newton)
     monkeypatch.setattr(kernels, "inverse_iteration", counted_inverse)
     solve_extrapolated(Step(1.0, (-0.5, 0.5)), 100.0, n0=800, levels=3)
-    assert sweeps == {200: [74, 0], 800: [16, 5], 1600: [17, 4], 3200: [17, 2]}
+    assert sweeps == {100: [78, 0], 400: [14, 5], 800: [16, 4], 1600: [16, 2]}
     assert calls["inverse_sweeps"] == 2
