@@ -283,77 +283,44 @@ def verify(
     inf0 = result.inf_phi0
     sup0 = result.sup_phi0
     ratio = inf0 / sup0
-    sqrt_l = math.sqrt(L)
     # map the eigenvalue error estimates onto eigenfunction-level checks via
     # the relative scale of the spectral problem
     scale0 = max(abs(result.lambda0), abs(result.lambda1), PI_SQ / (L * L))
     rel_solver = err_gap / scale0
 
-    checks: List[BoundCheck] = []
+    def check(name, direction, bound, measured, solver_err, bound_log=None):
+        """``measured`` against ``bound`` under ``policy``, widened by the
+        solver term ``solver_err``; inapplicable when ``bound`` is None."""
+        if bound is None:
+            return _inapplicable(name, direction)
+        allowance = policy.allowance(measured, bound, solver_err)
+        return _make_check(name, direction, bound, measured, allowance, bound_log)
 
-    b = gap_lower_bound(norms, L)
-    checks.append(
-        _make_check("gap_ge_exp_bound", ">=", b.value, gap,
-                    policy.allowance(gap, b.value, err_gap), b.log)
-    )
-
+    gap_b = gap_lower_bound(norms, L)
     kb = kirsch_comparison_bound(inf0, sup0, L)
-    checks.append(
-        _make_check("gap_ge_kirsch_bound", ">=", kb, gap,
-                    policy.allowance(gap, kb, err_gap + rel_solver * kb))
-    )
-
-    b = inf_lower_bound(norms, L)
-    checks.append(
-        _make_check("inf_ge_exp_bound", ">=", b.value, inf0,
-                    policy.allowance(inf0, b.value, rel_solver * max(inf0, b.value)), b.log)
-    )
-
-    b = harnack_floor(norms, L)
-    checks.append(
-        _make_check("ratio_ge_harnack_floor", ">=", b.value, ratio,
-                    policy.allowance(ratio, b.value, rel_solver * max(ratio, b.value)), b.log)
-    )
-
-    if norms.decay_constant is not None:
-        sb = sup_upper_bound(norms.decay_constant, L)
-        checks.append(
-            _make_check("sup_le_decay_bound", "<=", sb, sup0,
-                        policy.allowance(sup0, sb, rel_solver * sup0))
-        )
-    else:
-        checks.append(_inapplicable("sup_le_decay_bound", "<="))
-
-    rayleigh_sup = math.sqrt(max(lam0, 0.0) * L) + 1.0 / sqrt_l
-    checks.append(
-        _make_check("sup_le_lambda0_bound", "<=", rayleigh_sup, sup0,
-                    policy.allowance(sup0, rayleigh_sup, rel_solver * sup0 + math.sqrt(err0 * L)))
-    )
-
-    pinch = 1.0 / sqrt_l
-    checks.append(
-        _make_check("sup_ge_inv_sqrt_L", ">=", pinch, sup0,
-                    policy.allowance(sup0, pinch, rel_solver * sup0))
-    )
-
+    inf_b = inf_lower_bound(norms, L)
+    harnack = harnack_floor(norms, L)
+    decay = norms.decay_constant
+    sb = sup_upper_bound(decay, L) if decay is not None else None
+    pinch = 1.0 / math.sqrt(L)
+    rayleigh_sup = math.sqrt(max(lam0, 0.0) * L) + pinch
     upper = lambda0_upper_bounds(p, norms, L)
-    checks.append(
-        _make_check("lambda0_le_l1_over_L", "<=", upper["l1_over_L"], lam0,
-                    policy.allowance(lam0, upper["l1_over_L"], err0))
-    )
-    checks.append(
-        _make_check("lambda0_le_quarter_sup", "<=", upper["quarter_tail"], lam0,
-                    policy.allowance(lam0, upper["quarter_tail"], err0))
-    )
-    if "decay" in upper:
-        checks.append(
-            _make_check("lambda0_le_decay_bound", "<=", upper["decay"], lam0,
-                        policy.allowance(lam0, upper["decay"], err0))
-        )
-    else:
-        checks.append(_inapplicable("lambda0_le_decay_bound", "<="))
-
-    checks.append(log_derivative_check(result.phi0, result.grid, norms, lam0, policy))
+    checks = [
+        check("gap_ge_exp_bound", ">=", gap_b.value, gap, err_gap, gap_b.log),
+        check("gap_ge_kirsch_bound", ">=", kb, gap, err_gap + rel_solver * kb),
+        check("inf_ge_exp_bound", ">=", inf_b.value, inf0,
+              rel_solver * max(inf0, inf_b.value), inf_b.log),
+        check("ratio_ge_harnack_floor", ">=", harnack.value, ratio,
+              rel_solver * max(ratio, harnack.value), harnack.log),
+        check("sup_le_decay_bound", "<=", sb, sup0, rel_solver * sup0),
+        check("sup_le_lambda0_bound", "<=", rayleigh_sup, sup0,
+              rel_solver * sup0 + math.sqrt(err0 * L)),
+        check("sup_ge_inv_sqrt_L", ">=", pinch, sup0, rel_solver * sup0),
+        check("lambda0_le_l1_over_L", "<=", upper["l1_over_L"], lam0, err0),
+        check("lambda0_le_quarter_sup", "<=", upper["quarter_tail"], lam0, err0),
+        check("lambda0_le_decay_bound", "<=", upper.get("decay"), lam0, err0),
+        log_derivative_check(result.phi0, result.grid, norms, lam0, policy),
+    ]
 
     return BoundReport(
         potential=to_dict(p),

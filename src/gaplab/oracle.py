@@ -15,7 +15,7 @@ walked in renormalized pieces, so cosh never overflows.
 
 Eigenvalue counting for arbitrary potentials uses the phase equation
 theta' = cos^2 theta + (lam - v) sin^2 theta integrated by fixed-step RK4
-(reproducible counts; a sweep of over 1e12 steps is refused); for a
+(reproducible counts; a sweep of over 1e9 steps is refused); for a
 piecewise-constant potential every step ends on a layer break.
 ``ground_state_profile`` integrates the eigenvalue ODE once to measure
 inf/sup of the ground state without touching the finite-difference
@@ -27,8 +27,10 @@ alone (counts k and k + 1 at its ends, and D of the signs one simple zero
 implies), the sign of D decides every further bisection midpoint, since its
 zeros are exactly the eigenvalues.  In double precision D is rounding noise
 within some ulp of a root, so the last step is one secant step on D
-evaluated in mpmath (imported on first use).  Eigenvalue 1's bracket
-starts where eigenvalue 0's ended; no count is taken below zero (it is 0).
+evaluated in mpmath (imported on first use).  D and its secant share one
+layer walk, which takes the arithmetic as a parameter.  Eigenvalue 1's
+bracket starts where eigenvalue 0's ended; no count is taken below zero
+(it is 0).
 """
 
 import math
@@ -148,25 +150,34 @@ def match_value(layers: LayerDecomposition, lam: float) -> float:
     is applied when the state grows past 1e50, so zeros and signs are exact
     but the scale is not.  Rejects a non-finite ``lam``."""
     _check_lambda(lam)
+    return _walk(layers, lam)
+
+
+def _walk(layers: LayerDecomposition, lam, lib=math):
+    """D(lam), with (u, u') carried from (1, 0) through every piece in the
+    arithmetic ``lib``: in double (math) rescaled past 1e50, in mpmath
+    (for an mpmath ``lam``) never, since it cannot overflow and a rescale
+    at one end of a secant but not the other would skew the step."""
     u, up = 1.0, 0.0
     for _, ell, xi in _pieces(layers, lam):
-        c, s = _cs(xi, ell)
+        c, s = _cs(xi, ell, lib)
         u, up = c * u + s * up, -xi * s * u + c * up
-        big = max(abs(u), abs(up))
-        if big > _RENORM_LIMIT:
-            u /= big
-            up /= big
+        if lib is math:
+            big = max(abs(u), abs(up))
+            if big > _RENORM_LIMIT:
+                u /= big
+                up /= big
     return up
 
 
 def _steps_for(L: float, lam: float, rate: float = 0.0, rate_steps: float = 0.0) -> int:
     """RK4 steps over a length L with h <= min(1e-3 L, 0.1/sqrt(1+|lam|)),
     and h <= 0.5/rate for a largest |lam - v| ``rate`` > 0.  Rejects |lam| > 1e12
-    and over 1e12 steps, ``rate_steps`` (sum_j 2 l_j |lam - v_j|) included."""
+    and over 1e9 steps, ``rate_steps`` (sum_j 2 l_j |lam - v_j|) included."""
     h_max = min(1e-3 * L, 0.1 / math.sqrt(1.0 + abs(lam)))
     if rate > 0.0:
         h_max = min(h_max, 0.5 / rate)
-    if abs(lam) > 1e12 or h_max <= 0.0 or L / h_max + rate_steps > 1e12:
+    if abs(lam) > 1e12 or h_max <= 0.0 or L / h_max + rate_steps > 1e9:
         raise ValueError(f"phase integration step underflow at lam={lam}")
     return int(math.ceil(L / h_max))
 
@@ -191,7 +202,7 @@ def prufer_count(p: PotentialSpec, L: float, lam: float) -> int:
     the largest rate of the phase equation: per layer for a
     piecewise-constant potential, whose every step ends on a layer break,
     and with |lam - v| <= max(|lam|, |lam - cap|) for the capped family.
-    Rejects a non-finite lam, |lam| > 1e12 and a sweep of over 1e12 steps,
+    Rejects a non-finite lam, |lam| > 1e12 and a sweep of over 1e9 steps,
     layer j's ceil(2 l_j |lam - v_j|) included.
     """
     _check_length(L)
@@ -213,16 +224,9 @@ def _secant_step(layers, a, b):
     For a == b (a zero of D in double) it returns a."""
     import mpmath
 
-    def d(lam):  # never rescaled: mpmath cannot overflow
-        u, up = mpmath.mpf(1), mpmath.mpf(0)
-        for _, ell, xi in _pieces(layers, lam):
-            c, s = _cs(xi, ell, mpmath)
-            u, up = c * u + s * up, -xi * s * u + c * up
-        return up
-
     with mpmath.workdps(30):
         a, b = mpmath.mpf(a), mpmath.mpf(b)
-        da, db = d(a), d(b)
+        da, db = _walk(layers, a, mpmath), _walk(layers, b, mpmath)
         if da == db:
             return float(0.5 * (a + b))
         return float(a - da * (b - a) / (db - da))

@@ -1,6 +1,10 @@
 """The public API as a whole: its names, and the rules every entry point shares."""
 
 import math
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -49,3 +53,17 @@ def test_public_names_declared_once_per_module():
     assert set(names) == {"__version__"}.union(*(m.__all__ for m in modules))
     for name in names:
         assert getattr(gaplab, name) is not None
+
+
+def test_import_loads_neither_scipy_nor_mpmath():
+    # a fresh `import gaplab` is the benchmark's setup time: `import
+    # scipy.linalg` alone once added 0.30 s to it, and mpmath is imported
+    # only by the oracle's secant step
+    src = str(pathlib.Path(gaplab.__file__).resolve().parent.parent)
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, gaplab; print(sorted({'scipy', 'mpmath'} & set(sys.modules)))"],
+        capture_output=True, text=True, timeout=600, env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

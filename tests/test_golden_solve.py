@@ -17,7 +17,6 @@ import hashlib
 import json
 import math
 import pathlib
-import warnings
 
 import numpy as np
 
@@ -60,9 +59,7 @@ def _floats(xs):
 def _record(kind, p, L, n0):
     rec = {"kind": kind, "potential": repr(p), "L": repr(L), "n0": n0}
     try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            r = solve_extrapolated(p, L, n0=n0, levels=3)
+        r = solve_extrapolated(p, L, n0=n0, levels=3)
     except SolverError as exc:
         rec["error"] = str(exc)
         return rec

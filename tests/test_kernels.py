@@ -328,7 +328,11 @@ def test_phase_count_resolves_thin_tall_barrier(height):
     assert [prufer_count(p, 10.0, lam) for lam in shifts] == [0, 1, 2]
 
 
-def test_sturm_sweep_budget(monkeypatch):
+@pytest.mark.parametrize("p, expected", [
+    (Step(1.0, (-0.5, 0.5)), {100: [78, 0], 400: [14, 5], 800: [16, 4], 1600: [16, 2]}),
+    (Step(1.0, (-0.5, 1.5)), {200: [71, 0], 800: [17, 5], 1600: [18, 4], 3200: [17, 2]}),
+], ids=["centred", "off_centre"])
+def test_sturm_sweep_budget(monkeypatch, p, expected):
     # Plain bisection of both eigenvalues from the Gershgorin range takes 324
     # Sturm sweeps on the three grids of N = 800, 1600 and 3200 cells.
     # Counts shared by the two bisections and taken around the guess of the
@@ -339,9 +343,12 @@ def test_sturm_sweep_budget(monkeypatch):
     # half of N/2 cells, each bisected for its lowest eigenvalue: the sweeps
     # pinned below, keyed by the half size, are 70280 cells.  Only the
     # finest grid solves for eigenvectors, one twisted-factorization solve
-    # per eigenvalue on its half (2 here).  The counts are deterministic: a
-    # change that loses the reuse or the split fails here.
-    sweeps = {}  # N / 2 -> [Sturm sweeps, Newton sweeps]
+    # per eigenvalue on its half (2 here).  The off-centre step is no
+    # palindrome: it pins the general path, whole operators keyed by N,
+    # whose sweeps move if Maehly deflation or count sharing is lost.  The
+    # counts are deterministic: a change that loses the reuse or the split
+    # fails here.
+    sweeps = {}  # operator size -> [Sturm sweeps, Newton sweeps]
     calls = {"inverse_sweeps": 0}
     sturm_count = kernels.sturm_count
     sturm_newton = kernels.sturm_newton
@@ -363,6 +370,6 @@ def test_sturm_sweep_budget(monkeypatch):
     monkeypatch.setattr(kernels, "sturm_count", counted_sturm)
     monkeypatch.setattr(kernels, "sturm_newton", counted_newton)
     monkeypatch.setattr(kernels, "inverse_iteration", counted_inverse)
-    solve_extrapolated(Step(1.0, (-0.5, 0.5)), 100.0, n0=800, levels=3)
-    assert sweeps == {100: [78, 0], 400: [14, 5], 800: [16, 4], 1600: [16, 2]}
+    solve_extrapolated(p, 100.0, n0=800, levels=3)
+    assert sweeps == expected
     assert calls["inverse_sweeps"] == 2

@@ -164,11 +164,14 @@ def test_prufer_rejects_huge_lambda():
 
 def test_prufer_step_guard_counts_layer_steps():
     # at lam = 1e12 the length-based steps are ~1e7, but every layer adds
-    # ceil(2 l |lam - v|) rate steps: 2e12 in all, weeks of RK4
-    start = time.perf_counter()
-    with pytest.raises(ValueError, match="underflow"):
-        prufer_count(Zero(), 1.0, 1e12)
-    assert time.perf_counter() - start < 1.0
+    # ceil(2 l |lam - v|) rate steps: 2e12 in all, weeks of RK4.  At lam =
+    # 1e11, or a cap of 1e11 (h <= 0.5 / 1e11), a sweep takes 2e11 steps,
+    # about a day at 0.5 us a step, over the limit of 1e9
+    for p, lam in [(Zero(), 1e12), (Zero(), 1e11), (InverseSquareCapped(1.0, 1e11), 1.0)]:
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="underflow"):
+            prufer_count(p, 1.0, lam)
+        assert time.perf_counter() - start < 1.0
     # a thin tall barrier adds only 2 l v = 2 rate steps: still counted
     assert prufer_count(Step(1e7, (0.0, 1e-7)), 10.0, 200.0) == 46
 
