@@ -251,7 +251,7 @@ def _sweep_row(cfg: SweepConfig, L: float) -> str:
             result.inf_phi0, result.sup_phi0, theorem, kirsch,
             max(result.error_estimate), passed, total, status,
         ]
-    except (SolverError, OracleError, FloatingPointError) as exc:
+    except SolverError as exc:
         nan = math.nan
         cells = [L, nan, nan, nan, nan, nan, nan, nan, nan, 0, 0, f"error:{type(exc).__name__}"]
     return ",".join(_fmt(c) for c in cells)
@@ -268,20 +268,24 @@ plot '{csv}' every ::1 using 1:4 with linespoints title 'measured gap', \\
 """
 
 
+def _write_text(path: str, text: str) -> None:
+    try:
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise InputError(f"cannot write '{path}': {exc}") from exc
+
+
 def cmd_sweep(args) -> int:
     cfg = SweepConfig.from_dict(_load_json_arg(args.config, "sweep config"))
     output = args.output or cfg.output
     if not output:
         raise InputError("sweep needs an output CSV path ('output' field or --output)")
     rows = [_sweep_row(cfg, L) for L in cfg.l_values]
-    with open(output, "w", encoding="utf-8", newline="") as fh:
-        fh.write(SWEEP_CSV_HEADER + "\n")
-        for row in rows:
-            fh.write(row + "\n")
+    _write_text(output, "".join(f"{line}\n" for line in [SWEEP_CSV_HEADER, *rows]))
     plot_path = args.plot or cfg.plot_script
     if plot_path:
-        with open(plot_path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(_PLOT_TEMPLATE.format(csv=output))
+        _write_text(plot_path, _PLOT_TEMPLATE.format(csv=output))
     failed = sum(1 for r in rows if not r.endswith(",ok"))
     print(f"wrote {len(rows)} rows to {output}" + (f" ({failed} failed)" if failed else ""))
     return 1 if failed else 0
@@ -303,7 +307,7 @@ def cmd_fit(args) -> int:
                 try:
                     l_val = float(row["L"])
                     y_val = float(row[args.column])
-                except ValueError as exc:
+                except (TypeError, ValueError) as exc:  # TypeError: a missing field
                     raise InputError(f"non-numeric entry in {args.csv}: {exc}") from exc
                 if args.lmin is not None and l_val < args.lmin:
                     continue
@@ -321,6 +325,8 @@ def cmd_fit(args) -> int:
                 f"column '{name}' has non-positive or non-finite entries; "
                 "log-log fit undefined"
             )
+    if len(set(ls)) < 2:  # np.polyfit would fail in LAPACK on a single L
+        raise InputError(f"need at least 2 distinct L values in range, got {len(set(ls))}")
     log_l = np.log(np.asarray(ls))
     log_y = np.log(np.asarray(ys))
     slope, intercept = np.polyfit(log_l, log_y, 1)

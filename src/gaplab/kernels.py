@@ -43,6 +43,10 @@ import math
 
 import numpy as np
 
+# a profile's state (u, u') is rescaled by 1/max(|u|, |u'|) once that passes
+# this; the oracle's layer walk takes the same limit
+RENORM_LIMIT = 1e15
+
 
 def sturm_count(diag, off2, shift, pivmin):
     # Sign count of the LDL^T pivots of (T - shift*I): the number of
@@ -281,9 +285,9 @@ def profile_rk4_capped(c_decay, cap, lam, half_len, n_samples, n_sub):
     # Integrates u'' = (v - lam) u with v(x) = min(cap, c_decay/x^2) from
     # (u, u') = (1, 0) at -half_len, recording u at n_samples uniform points
     # (endpoints included).  The state and all stored samples are rescaled
-    # whenever |u| or |u'| exceeds 1e15; the returned profile is therefore
-    # defined only up to a positive factor, which is all the inf/sup ratio
-    # needs.
+    # whenever |u| or |u'| exceeds RENORM_LIMIT; the returned profile is
+    # therefore defined only up to a positive factor, which is all the
+    # inf/sup ratio needs.
     c_decay = float(c_decay)
     cap = float(cap)
     lam = float(lam)
@@ -318,7 +322,7 @@ def profile_rk4_capped(c_decay, cap, lam, half_len, n_samples, n_sub):
         au = abs(u)
         aup = abs(up)
         big = au if au > aup else aup
-        if big > 1e15:
+        if big > RENORM_LIMIT:
             inv = 1.0 / big
             u *= inv
             up *= inv

@@ -11,15 +11,17 @@ with c = cos(sqrt(xi) l), s = sin(sqrt(xi) l)/sqrt(xi), continued by cosh
 and sinh for xi < 0 and by (1, l) at xi = 0.  ``_cs`` writes them once for
 math, numpy and mpmath.  Neither branch cancels as xi -> 0, so D is
 continuous through lam = v_layer; layers where sqrt(v - lam) l > 350 are
-walked in renormalized pieces, so cosh never overflows.
+walked in pieces, so cosh never overflows.  D, its mpmath secant and the
+piecewise ground-state profile take their states from one walk, which
+rescales the state past 1e15 (in double only).
 
 Eigenvalue counting for arbitrary potentials uses the phase equation
 theta' = cos^2 theta + (lam - v) sin^2 theta integrated by fixed-step RK4
 (reproducible counts; a sweep of over 1e9 steps is refused); for a
 piecewise-constant potential every step ends on a layer break.
-``ground_state_profile`` integrates the eigenvalue ODE once to measure
-inf/sup of the ground state without touching the finite-difference
-machinery.
+``ground_state_profile`` measures inf/sup of the ground state without the
+finite-difference machinery; the capped one takes twice the RK4 steps of a
+phase count, by the same step rule.
 
 ``eigenvalues_exact`` finds each eigenvalue with one bracket routine that
 uses the RK4 counts only to isolate it: once a bracket holds eigenvalue k
@@ -27,10 +29,8 @@ alone (counts k and k + 1 at its ends, and D of the signs one simple zero
 implies), the sign of D decides every further bisection midpoint, since its
 zeros are exactly the eigenvalues.  In double precision D is rounding noise
 within some ulp of a root, so the last step is one secant step on D
-evaluated in mpmath (imported on first use).  D and its secant share one
-layer walk, which takes the arithmetic as a parameter.  Eigenvalue 1's
-bracket starts where eigenvalue 0's ended; no count is taken below zero
-(it is 0).
+evaluated in mpmath (imported on first use).  Eigenvalue 1's bracket starts
+where eigenvalue 0's ended; no count is taken below zero (it is 0).
 """
 
 import math
@@ -53,7 +53,7 @@ __all__ = [
     "ground_state_profile",
 ]
 
-_RENORM_LIMIT = 1e50
+_RENORM_LIMIT = kernels.RENORM_LIMIT  # 1e15, the capped profile's too
 _PIECE_EXPONENT = 350.0  # largest sqrt(v - lam) l of one piece: cosh(350) ~ 5e151
 _MAX_PIECES = 10**6
 
@@ -146,28 +146,40 @@ def _pieces(layers: LayerDecomposition, lam):
 
 
 def match_value(layers: LayerDecomposition, lam: float) -> float:
-    """D(lam) = u'(L/2) for the left-Neumann solution; a positive rescaling
-    is applied when the state grows past 1e50, so zeros and signs are exact
-    but the scale is not.  Rejects a non-finite ``lam``."""
+    """D(lam) = u'(L/2) for the left-Neumann solution; the walk rescales the
+    state by a positive factor whenever it grows past 1e15, so zeros and
+    signs are exact but the scale is not.  Rejects a non-finite ``lam``."""
     _check_lambda(lam)
-    return _walk(layers, lam)
+    return _match(layers, lam)
+
+
+def _match(layers: LayerDecomposition, lam, lib=math):
+    """D(lam) in the arithmetic ``lib``: u' where the walk ends."""
+    for _, _, _, up, _ in _walk(layers, lam, lib):
+        pass
+    return up
 
 
 def _walk(layers: LayerDecomposition, lam, lib=math):
-    """D(lam), with (u, u') carried from (1, 0) through every piece in the
-    arithmetic ``lib``: in double (math) rescaled past 1e50, in mpmath
-    (for an mpmath ``lam``) never, since it cannot overflow and a rescale
-    at one end of a secant but not the other would skew the step."""
+    """Carry (u, u') from (1, 0) at -L/2 through the pieces in the arithmetic
+    ``lib``, yielding (left, xi, u, u', inv) for each piece: its left end and
+    xi, the state at its right end, and the factor the state was just scaled
+    by, 1/max(|u|, |u'|) past 1e15 in double (math), else 1.0.  mpmath never
+    rescales: a rescale at one end of a secant but not the other would skew it."""
     u, up = 1.0, 0.0
-    for _, ell, xi in _pieces(layers, lam):
+    for left, ell, xi in _pieces(layers, lam):
         c, s = _cs(xi, ell, lib)
         u, up = c * u + s * up, -xi * s * u + c * up
-        if lib is math:
-            big = max(abs(u), abs(up))
-            if big > _RENORM_LIMIT:
-                u /= big
-                up /= big
-    return up
+        inv = 1.0
+        if lib is math and max(abs(u), abs(up)) > _RENORM_LIMIT:
+            inv = 1.0 / max(abs(u), abs(up))
+            u, up = u * inv, up * inv
+        yield left, xi, u, up, inv
+
+
+def _capped_steps(p: InverseSquareCapped, L: float, lam: float) -> int:
+    """RK4 steps of a capped phase count, whose |lam - v| <= max(|lam|, |lam - cap|)."""
+    return _steps_for(L, lam, max(abs(lam), abs(lam - p.cap)))
 
 
 def _steps_for(L: float, lam: float, rate: float = 0.0, rate_steps: float = 0.0) -> int:
@@ -208,7 +220,7 @@ def prufer_count(p: PotentialSpec, L: float, lam: float) -> int:
     _check_length(L)
     _check_lambda(lam)
     if isinstance(p, InverseSquareCapped):
-        n = _steps_for(L, lam, max(abs(lam), abs(lam - p.cap)))
+        n = _capped_steps(p, L, lam)
         theta = kernels.prufer_theta_capped(p.decay, p.cap, lam, 0.5 * L, n)
         return _count_from_theta(theta)
     return _count_from_layers(decompose(p, L), lam)
@@ -226,7 +238,7 @@ def _secant_step(layers, a, b):
 
     with mpmath.workdps(30):
         a, b = mpmath.mpf(a), mpmath.mpf(b)
-        da, db = _walk(layers, a, mpmath), _walk(layers, b, mpmath)
+        da, db = _match(layers, a, mpmath), _match(layers, b, mpmath)
         if da == db:
             return float(0.5 * (a + b))
         return float(a - da * (b - a) / (db - da))
@@ -361,38 +373,24 @@ def ground_state_profile(
         raise ValueError(f"need at least 16 samples, got {samples}")
     xs = np.linspace(-0.5 * L, 0.5 * L, samples)
     if isinstance(p, InverseSquareCapped):
-        # twice the steps of a phase count, under the same limits
-        n_sub = max(2, math.ceil(2 * _steps_for(L, lam0) / (samples - 1)))
+        n_sub = max(2, math.ceil(2 * _capped_steps(p, L, lam0) / (samples - 1)))
         u = kernels.profile_rk4_capped(p.decay, p.cap, lam0, 0.5 * L, samples, n_sub)
     else:
-        u = _profile_piecewise(decompose(p, L), lam0, xs)
+        walk = list(_walk(decompose(p, L), lam0))
+        # xs is sorted: a piece takes the samples up to its right end, the last one all that remain
+        ends = np.searchsorted(xs, [left for left, *_ in walk[1:]] + [math.inf], side="right")
+        u = np.empty(samples)
+        u_left, up_left, pos = 1.0, 0.0, 0
+        for (left, xi, u_right, up_right, inv), end in zip(walk, ends):
+            if end > pos:
+                c, s = _cs(xi, xs[pos:end] - left, np)
+                u[pos:end] = c * u_left + s * up_left
+            if inv != 1.0:
+                u[:end] *= inv
+            pos, u_left, up_left = end, u_right, up_right
     au = np.abs(u)
     xs.flags.writeable = False
     u.flags.writeable = False
     return GroundStateProfile(
         x=xs, values=u, min_abs=float(au.min()), max_abs=float(au.max())
     )
-
-
-def _profile_piecewise(layers: LayerDecomposition, lam: float, xs: np.ndarray) -> np.ndarray:
-    """Exact piece-by-piece evaluation of the left-Neumann solution at xs."""
-    pieces = list(_pieces(layers, lam))
-    # xs is sorted: a piece takes the samples up to its right end, the last one all that remain
-    ends = np.searchsorted(xs, [left for left, _, _ in pieces[1:]] + [math.inf], side="right")
-    out = np.empty(xs.size)
-    u, up = 1.0, 0.0
-    pos = 0
-    for (left, ell, xi), end in zip(pieces, ends):
-        if end > pos:
-            c, s = _cs(xi, xs[pos:end] - left, np)
-            out[pos:end] = c * u + s * up
-            pos = end
-        c, s = _cs(xi, ell)
-        u, up = c * u + s * up, -xi * s * u + c * up
-        big = max(abs(u), abs(up))
-        if big > 1e15:
-            inv = 1.0 / big
-            u *= inv
-            up *= inv
-            out[:pos] *= inv
-    return out

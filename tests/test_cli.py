@@ -305,6 +305,42 @@ def test_sweep_requires_output(capsys):
     assert "output" in err
 
 
+@pytest.mark.parametrize("bad", ["output", "plot"])
+def test_sweep_unwritable_path_exits_2(capsys, tmp_path, bad):
+    # a path in a missing directory is an input error naming the path
+    missing = str(tmp_path / "no_such_dir" / "x.out")
+    output = missing if bad == "output" else str(tmp_path / "zero.csv")
+    plot = missing if bad == "plot" else str(tmp_path / "zero.gp")
+    code, out, err = run_cli(
+        capsys, "sweep", "--config", json.dumps(ZERO_SWEEP), "--output", output, "--plot", plot,
+    )
+    assert code == 2
+    assert out == ""
+    assert f"cannot write '{missing}'" in err
+    assert "failure" not in err
+
+
+def test_sweep_error_row(capsys, monkeypatch, tmp_path):
+    # a SolverError on one L makes that row an error row; the others are solved
+    solve = gaplab.cli.solve_extrapolated
+
+    def failing_solve(p, L, **kwargs):
+        if L == 2.0:
+            raise gaplab.SolverError("no convergence")
+        return solve(p, L, **kwargs)
+
+    monkeypatch.setattr(gaplab.cli, "solve_extrapolated", failing_solve)
+    out_csv = tmp_path / "zero.csv"
+    code, out, _ = run_cli(
+        capsys, "sweep", "--config", json.dumps(ZERO_SWEEP), "--output", str(out_csv),
+    )
+    assert code == 1
+    assert "(1 failed)" in out
+    rows = [line.split(",") for line in out_csv.read_text().splitlines()[1:]]
+    assert [row[-1] for row in rows] == ["ok", "error:SolverError", "ok", "ok"]
+    assert rows[1][:-1] == ["2", *["nan"] * 8, "0", "0"]
+
+
 def _write_zero_sweep(capsys, tmp_path):
     out_csv = tmp_path / "zero.csv"
     run_cli(capsys, "sweep", "--config", json.dumps(ZERO_SWEEP), "--output", str(out_csv))
@@ -371,6 +407,28 @@ def test_fit_rejects_bad_entries_before_the_log(capsys, tmp_path, bad_l, bad_gap
     assert code == 2
     assert out == ""
     assert f"column '{column}' has non-positive or non-finite entries" in err
+
+
+def test_fit_missing_field_exits_2(capsys, tmp_path):
+    # the short second row has no gap field: csv gives None, not a string
+    csv_path = tmp_path / "short.csv"
+    csv_path.write_text("L,gap\n1.0,2.0\n2.0\n4.0,0.5\n")
+    code, out, err = run_cli(capsys, "fit", str(csv_path), "--column", "gap")
+    assert code == 2
+    assert out == ""
+    assert f"non-numeric entry in {csv_path}" in err
+
+
+def test_fit_needs_two_distinct_lengths(capfd, tmp_path):
+    # a single L leaves the fit undefined: refused before np.polyfit, whose
+    # LAPACK call would print to the process's stderr
+    csv_path = tmp_path / "one_l.csv"
+    csv_path.write_text("L,gap\n2.0,1.0\n2.0,1.1\n2.0,0.9\n")
+    code = main(["fit", str(csv_path), "--column", "gap"])
+    out, err = capfd.readouterr()
+    assert code == 2
+    assert out == ""
+    assert err == "error: need at least 2 distinct L values in range, got 1\n"
 
 
 def test_fit_missing_file_exits_2(capsys):

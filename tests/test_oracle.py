@@ -220,6 +220,64 @@ def test_profile_renormalization_guard():
     assert prof.max_abs < 1e16  # unrescaled growth would reach ~2e17
 
 
+def _shot_mpmath(layers, lam, xs):
+    """u at the sorted points xs of the shot from (u, u') = (1, 0) at -L/2,
+    walked layer by layer in mpmath at 30 digits and never rescaled."""
+    out = []
+    with mpmath.workdps(30):
+        u, up, lam = mpmath.mpf(1), mpmath.mpf(0), mpmath.mpf(lam)
+        xs = iter(xs.tolist())
+        x = next(xs, None)
+        breaks = layers.breaks.tolist()
+        for left, right, v in zip(breaks, breaks[1:], layers.values.tolist()):
+            xi = lam - v
+            r = mpmath.sqrt(abs(xi))
+
+            def cs(t):
+                if xi > 0:
+                    return mpmath.cos(r * t), mpmath.sin(r * t) / r
+                return mpmath.cosh(r * t), mpmath.sinh(r * t) / r
+
+            while x is not None and (x <= right or right == breaks[-1]):
+                c, s = cs(x - mpmath.mpf(left))
+                out.append(c * u + s * up)
+                x = next(xs, None)
+            c, s = cs(mpmath.mpf(right) - left)
+            u, up = c * u + s * up, -xi * s * u + c * up
+        peak = max(abs(a) for a in out)
+        return np.array([float(a / peak) for a in out])
+
+
+@pytest.mark.parametrize("p, lam, rescale_at", [
+    (Step(4.0, (-30.0, -10.0)), None, "mid-shot"),
+    (Step(9.0, (10.0, 30.0)), 0.1, "after the last piece"),
+], ids=["mid-shot", "after-last-piece"])
+def test_profile_rescale_matches_unrescaled_shot(p, lam, rescale_at):
+    # the walk rescales the state past 1e15 (once here, as named), and each
+    # rescale must scale every sample taken before it: the profile over its
+    # peak matches the unrescaled mpmath shot over its own
+    L = 60.0
+    layers = decompose(p, L)
+    lam = eigenvalues_exact(layers, 1)[0] if lam is None else lam
+    prof = ground_state_profile(p, L, lam)
+    want = _shot_mpmath(layers, lam, prof.x)
+    assert np.max(np.abs(want)) == 1.0
+    np.testing.assert_allclose(prof.values / prof.max_abs, want, rtol=0.0, atol=1e-12)
+    # the shot grows past 1e17 in the barrier; rescaled, no sample does
+    assert prof.max_abs < 1e16
+    if rescale_at == "after the last piece":
+        # the state at L/2 is scaled to max(|u|, |u'|) = 1 and u peaks there
+        assert prof.max_abs <= 1.0
+
+
+def test_profile_capped_keeps_count_step_rule():
+    # the capped profile's RK4 steps keep the phase count's h |lam - v| <= 1/2
+    # (here rate 1e3), so the default 2049 samples read the converged ratio,
+    # pinned from 8e5 RK4 steps (4e5 give the same 17 digits)
+    prof = ground_state_profile(InverseSquareCapped(1.0, 1e3), 20.0, 0.05306121905652732)
+    assert prof.ratio == pytest.approx(1.9185208546470802e-4, rel=1e-4)
+
+
 def test_profile_detuned_lambda_stays_finite():
     # a wrong eigenvalue guess must not crash the integrator
     prof = ground_state_profile(Step(2.0, (-0.5, 0.5)), 60.0, 0.9, samples=513)
@@ -228,8 +286,8 @@ def test_profile_detuned_lambda_stays_finite():
 
 
 def test_match_value_renormalization_guard():
-    # hyperbolic growth through a wide tall barrier passes 1e50; the rescale
-    # keeps D finite with its sign structure intact
+    # hyperbolic growth through a wide tall barrier (about e^119) passes the
+    # walk's 1e15 limit; the rescale keeps D finite with its signs intact
     lay = decompose(Step(9.0, (-25.0, 15.0)), 60.0)
     assert math.isfinite(match_value(lay, 0.1))
     lam0, lam1 = eigenvalues_exact(lay, 2)
