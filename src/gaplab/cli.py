@@ -11,6 +11,7 @@ import argparse
 import csv
 import json
 import math
+import os
 import sys
 from dataclasses import dataclass
 from typing import List, Optional
@@ -281,9 +282,15 @@ def cmd_sweep(args) -> int:
     output = args.output or cfg.output
     if not output:
         raise InputError("sweep needs an output CSV path ('output' field or --output)")
+    plot_path = args.plot or cfg.plot_script
+    # a missing directory is known before the rows are solved; any other
+    # write error surfaces when the file is written
+    for path in filter(None, (output, plot_path)):
+        folder = os.path.dirname(path)
+        if folder and not os.path.isdir(folder):
+            raise InputError(f"cannot write '{path}': no such directory '{folder}'")
     rows = [_sweep_row(cfg, L) for L in cfg.l_values]
     _write_text(output, "".join(f"{line}\n" for line in [SWEEP_CSV_HEADER, *rows]))
-    plot_path = args.plot or cfg.plot_script
     if plot_path:
         _write_text(plot_path, _PLOT_TEMPLATE.format(csv=output))
     failed = sum(1 for r in rows if not r.endswith(",ok"))

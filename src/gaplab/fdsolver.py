@@ -38,11 +38,13 @@ bisections share their Sturm counts, and the Newton steps toward lambda1
 are deflated by lambda0 (Maehly).
 
 On either path every grid starts from a guess: level 0 from a grid a
-quarter its size (for n0 >= 256), level 1 from level 0, finer levels from
-the value the coarser ones predict.  Newton steps on det(T - sigma I) move
-each guess toward its eigenvalue, each step one Sturm sweep that also sums
-d log|det| / d sigma (``kernels.sturm_newton``), and the bisection starts
-from counts taken at those steps and around where they end.  A count only
+quarter its size (for n0 >= 256), bisected only to a relative width of
+_GUESS_WIDTH, level 1 from level 0, finer levels from the value the coarser
+ones predict.  Newton steps on det(T - sigma I) move each guess toward its
+eigenvalue, each step one Sturm sweep that also sums d log|det| / d sigma
+(``kernels.sturm_newton``), and the bisection starts from counts taken at
+those steps and in a window around where they end, as wide as the error
+the last step predicts (``_gallop``).  A count only
 ever decides a midpoint that plain bisection would decide the same way (the
 count is monotone in the shift), so this reuse changes the number of
 sweeps, never an eigenvalue.
@@ -72,10 +74,11 @@ __all__ = [
 ]
 
 _RESIDUAL_REL = 1e-8
-_GALLOP_START = 16.0  # first half-width around a guess, in bisection tolerances
-_GALLOP_GROWTH = 16.0
 _NEWTON_STEPS = 8  # most Newton sweeps per guessed eigenvalue
-_THIN_LAYER = math.sqrt(np.finfo(float).eps)  # in units of L, see _nested_grids
+_GUESS_WIDTH = 1e-3  # relative width to which the quarter grid is bisected
+_GALLOP_WIDE = 16.0  # first half-width, in tolerances, where Newton says nothing
+_EPS = np.finfo(float).eps
+_THIN_LAYER = math.sqrt(_EPS)  # in units of L, see _nested_grids
 
 
 class SolverError(RuntimeError):
@@ -262,21 +265,30 @@ def _nested_grids(p: PotentialSpec, L: float, n0: int, levels: int):
     return grids
 
 
-def _gallop(diag, off2, pivmin, k, guess, lo, hi, counts):
-    """Count at guess -/+ w, w starting at 16 bisection tolerances and each
-    side widening 16-fold, until count(guess - w) <= k < count(guess + w) or
-    the side leaves the Gershgorin enclosure (lo, hi)."""
+def _gallop(diag, off2, pivmin, k, guess, step, gap, lo, hi, counts):
+    """Count at guess -/+ w, each side widening 4-fold, until count(guess - w)
+    <= k < count(guess + w) or the side leaves the Gershgorin enclosure
+    (lo, hi).  w starts at the error the last Newton step predicts,
+    step^2 / gap, but at no less than the bisection tolerance at guess nor
+    than the rounding floor eps ||T|| / 20 (hi >= ||T||), to which the
+    Newton iterate settles however short its steps.  When Newton did not
+    converge (step inf) or gap is not positive and finite, w starts at
+    16 tolerances."""
     if not math.isfinite(guess):
         return
-    start = _GALLOP_START * kernels.tolerance(guess)
+    tol = kernels.tolerance(guess)
+    if step < math.inf and 0.0 < gap < math.inf:
+        width = max(tol, step * step / gap, _EPS * hi / 20.0)
+    else:
+        width = _GALLOP_WIDE * tol
     for side in (-1.0, 1.0):
-        width = start
-        while lo < guess + side * width < hi:
-            shift = guess + side * width
+        w = width
+        while lo < guess + side * w < hi:
+            shift = guess + side * w
             count = counts[shift] = kernels.sturm_count(diag, off2, shift, pivmin)
             if (count <= k) == (side < 0.0):  # this side encloses eigenvalue k
                 break
-            width *= _GALLOP_GROWTH
+            w *= 4.0
 
 
 def _newton(diag, off2, pivmin, guess, gap, counts, deflate=None):
@@ -286,8 +298,9 @@ def _newton(diag, off2, pivmin, guess, gap, counts, deflate=None):
     gap / 4, where the next error is within a quarter of the bisection
     tolerance tol for eigenvalues about ``gap`` apart, or when a step is not
     finite or not shorter than the one before, or after _NEWTON_STEPS
-    sweeps.  Each sweep's Sturm count goes into ``counts``; returns the last
-    iterate."""
+    sweeps.  Each sweep's Sturm count goes into ``counts``.  Returns the
+    last iterate and the size of the step that passed the stop test, inf
+    when none did."""
     sigma = guess
     last = math.inf
     for _ in range(_NEWTON_STEPS):
@@ -303,9 +316,9 @@ def _newton(diag, off2, pivmin, guess, gap, counts, deflate=None):
             break
         sigma -= step
         if step * step <= 0.25 * kernels.tolerance(sigma) * gap:
-            break
+            return sigma, abs(step)
         last = abs(step)
-    return sigma
+    return sigma, math.inf
 
 
 def _kernel_inputs(op: DiscreteOperator):
@@ -370,11 +383,12 @@ def _unfold(y, n, parity):
     return vec * math.sqrt(0.5)
 
 
-def _bisect_lowest_two(op: DiscreteOperator, near):
+def _bisect_lowest_two(op: DiscreteOperator, near, rel_width=0.0):
     """Bisected (lambda0, lambda1) of the operator, not yet checked for
     separation, and per eigenvalue the kernel inputs it was bisected on and
     its parity (1.0 even, -1.0 odd; None unsplit); see
-    lowest_two_eigenvalues."""
+    lowest_two_eigenvalues.  ``rel_width`` > 0 stops each bisection at that
+    relative width instead of the tolerance: a guess, not a result."""
     halves = _mirror_halves(op)
     if halves is None:
         # one matrix holds both eigenvalues (k = 0 and 1), and its Sturm
@@ -406,12 +420,13 @@ def _bisect_lowest_two(op: DiscreteOperator, near):
                     counts[shift] = kernels.sturm_count(diag, off2, shift, pivmin)
         if near is not None:
             # lambda1 of the unsplit matrix is deflated by the bisected lambda0
-            guess = _newton(diag, off2, pivmin, guesses[j], gap, counts,
-                            deflate=lams[0] if k else None)
-            _gallop(diag, off2, pivmin, k, guess, lo, hi, counts)
+            guess, step = _newton(diag, off2, pivmin, guesses[j], gap, counts,
+                                  deflate=lams[0] if k else None)
+            _gallop(diag, off2, pivmin, k, guess, step, gap, lo, hi, counts)
         if k:
             lo = max(lo, lams[0] - 1e-13)
-        lams.append(kernels.bisect_eigenvalue(diag, off2, k, lo, hi, pivmin, counts))
+        lams.append(kernels.bisect_eigenvalue(diag, off2, k, lo, hi, pivmin, counts,
+                                              rel_width))
     return lams, sectors
 
 
@@ -570,7 +585,7 @@ def solve_extrapolated(
             # guessed from a grid a quarter the size, not checked for
             # separation: a guess never changes a value
             quarter = _nested_grids(p, L, n0 // 4, 1)[0]
-            near = _bisect_lowest_two(assemble(p, quarter), None)[0]
+            near = _bisect_lowest_two(assemble(p, quarter), None, _GUESS_WIDTH)[0]
         elif j == 1:
             near = (lam0s[0], lam1s[0])
         elif j >= 2:

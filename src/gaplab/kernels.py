@@ -28,15 +28,15 @@ the per-index loop (see there).  ``prufer_theta_piecewise`` ends a step on
 every break of the potential, so each step sees one constant layer value
 and the sweep keeps RK4's fourth order across the jumps.
 
-``bisect_eigenvalue`` stops at the width ``tolerance(lam)`` and reuses
-Sturm counts it is given.  The count that IEEE arithmetic computes is
-non-decreasing in the shift (Kahan's monotonicity result; Demmel, Dhillon
-& Ren, ETNA 3, 1995), so an earlier count can settle a midpoint without a
-sweep and the bisection still takes exactly the midpoints of plain
-bisection.  ``sturm_newton`` computes ``sturm_count``'s pivots and count
-operation for operation, so its counts are as good as any other, and also
-returns the logarithmic derivative of the determinant for a Newton step
-toward an eigenvalue.
+``bisect_eigenvalue`` stops at the width ``tolerance(lam)``, or at a wider
+relative width for a guess, and reuses Sturm counts it is given.  The count
+that IEEE arithmetic computes is non-decreasing in the shift (Kahan's
+monotonicity result; Demmel, Dhillon & Ren, ETNA 3, 1995), so an earlier
+count can settle a midpoint without a sweep and the bisection still takes
+exactly the midpoints of plain bisection.  ``sturm_newton`` computes
+``sturm_count``'s pivots and count operation for operation, so its counts
+are as good as any other, and also returns the logarithmic derivative of
+the determinant for a Newton step toward an eigenvalue.
 """
 
 import math
@@ -110,9 +110,10 @@ def tolerance(x):
     return max(1e-13, 1e-12 * abs(x))
 
 
-def bisect_eigenvalue(diag, off2, k, lo, hi, pivmin, counts=None):
+def bisect_eigenvalue(diag, off2, k, lo, hi, pivmin, counts=None, rel_width=0.0):
     # Bisect for the k-th (0-based) eigenvalue given the enclosure
-    # count(lo) <= k < count(hi).  Stops at width tolerance(max(|lo|, |hi|)).
+    # count(lo) <= k < count(hi).  Stops at width tolerance(max(|lo|, |hi|)),
+    # or at rel_width * max(|lo|, |hi|) when that is wider (a guess).
     # `counts` (shift -> Sturm count of this matrix) lends earlier counts:
     # the count is non-decreasing in the shift, so a midpoint at or below a
     # shift counted <= k goes to lo, and one at or above a shift counted > k
@@ -129,7 +130,8 @@ def bisect_eigenvalue(diag, off2, k, lo, hi, pivmin, counts=None):
         elif shift < above:
             above = shift
     while True:
-        if hi - lo <= tolerance(max(abs(lo), abs(hi))):
+        top = max(abs(lo), abs(hi))
+        if hi - lo <= max(tolerance(top), rel_width * top):
             break
         mid = 0.5 * (lo + hi)
         if mid <= lo or mid >= hi:
@@ -170,23 +172,26 @@ def inverse_iteration(diag, off, sigma, pivmin):
     neg_pivmin = -pivmin
     shifted = diag - float(sigma)
     cs = shifted.tolist()
-    bs = off.tolist()
+    b2s = (off * off).tolist()
 
-    def pivots(cs, bs):
+    def pivots(cs, b2s):
+        # sturm_count's recurrence and guard, keeping every pivot
         cs = iter(cs)
         d = next(cs)
-        if neg_pivmin < d < pivmin:
-            d = neg_pivmin
-        out = [d]
-        for c, b in zip(cs, bs):
-            d = c - b * b / d
-            if neg_pivmin < d < pivmin:
+        if d < pivmin:
+            if d > neg_pivmin:
                 d = neg_pivmin
+        out = [d]
+        for c, b2 in zip(cs, b2s):
+            d = c - b2 / d
+            if d < pivmin:
+                if d > neg_pivmin:
+                    d = neg_pivmin
             out.append(d)
         return out
 
-    fwd = np.array(pivots(cs, bs))
-    bwd = np.array(pivots(reversed(cs), reversed(bs)))[::-1]
+    fwd = np.array(pivots(cs, b2s))
+    bwd = np.array(pivots(reversed(cs), reversed(b2s)))[::-1]
     r = int(np.argmin(np.abs(fwd + bwd - shifted)))  # the first minimum
     z = np.empty(diag.size)
     z[r] = 1.0

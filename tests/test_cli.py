@@ -306,8 +306,13 @@ def test_sweep_requires_output(capsys):
 
 
 @pytest.mark.parametrize("bad", ["output", "plot"])
-def test_sweep_unwritable_path_exits_2(capsys, tmp_path, bad):
-    # a path in a missing directory is an input error naming the path
+def test_sweep_unwritable_path_exits_2(capsys, monkeypatch, tmp_path, bad):
+    # a path in a missing directory is an input error naming the path, found
+    # before any row is solved
+    def no_solve(*args, **kwargs):
+        pytest.fail("a row was solved before the output paths were checked")
+
+    monkeypatch.setattr(gaplab.cli, "solve_extrapolated", no_solve)
     missing = str(tmp_path / "no_such_dir" / "x.out")
     output = missing if bad == "output" else str(tmp_path / "zero.csv")
     plot = missing if bad == "plot" else str(tmp_path / "zero.gp")

@@ -18,7 +18,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gaplab import (
@@ -252,6 +252,13 @@ guesses = st.one_of(
 
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 10_000), st.floats(0.5, 40.0), guesses, guesses)
+# equal guesses (gap 0, where the gallop cannot size its window by
+# step^2 / gap), a nan guess, and lambda0 of seed 1 (unsplit) moved up by
+# 1e6 tolerances; seed 2 is capped, so its operator is split
+@example(1, 10.0, 0.4, 0.4)
+@example(2, 10.0, 0.24, 0.24)
+@example(2, 10.0, math.nan, 0.2429)
+@example(1, 10.0, 0.18783781829724194, 0.628450065372437)
 def test_wrong_guess_changes_no_bit(seed, L, guess0, guess1):
     rng = np.random.default_rng(seed)
     p = random_multistep(rng, L) if seed % 2 else random_capped(rng)
@@ -329,25 +336,26 @@ def test_phase_count_resolves_thin_tall_barrier(height):
 
 
 @pytest.mark.parametrize("p, expected", [
-    (Step(1.0, (-0.5, 0.5)), {100: [78, 0], 400: [14, 5], 800: [16, 4], 1600: [16, 2]}),
-    (Step(1.0, (-0.5, 1.5)), {200: [71, 0], 800: [17, 5], 1600: [18, 4], 3200: [17, 2]}),
+    (Step(1.0, (-0.5, 0.5)), {100: [32, 0], 400: [7, 5], 800: [8, 4], 1600: [10, 2]}),
+    (Step(1.0, (-0.5, 1.5)), {200: [25, 0], 800: [10, 5], 1600: [8, 4], 3200: [9, 2]}),
 ], ids=["centred", "off_centre"])
 def test_sturm_sweep_budget(monkeypatch, p, expected):
     # Plain bisection of both eigenvalues from the Gershgorin range takes 324
     # Sturm sweeps on the three grids of N = 800, 1600 and 3200 cells.
     # Counts shared by the two bisections and taken around the guess of the
     # level before cut that to 155 sweeps (229600 cells).  Level 0 guessed
-    # from a grid of 200 cells and Newton sweeps from every guess cut it to
-    # 146160 cells, a Newton sweep weighted 2.2.  The centred step is even,
-    # so every grid, the quarter grid too, is split into an even and an odd
-    # half of N/2 cells, each bisected for its lowest eigenvalue: the sweeps
-    # pinned below, keyed by the half size, are 70280 cells.  Only the
-    # finest grid solves for eigenvectors, one twisted-factorization solve
-    # per eigenvalue on its half (2 here).  The off-centre step is no
-    # palindrome: it pins the general path, whole operators keyed by N,
-    # whose sweeps move if Maehly deflation or count sharing is lost.  The
-    # counts are deterministic: a change that loses the reuse or the split
-    # fails here.
+    # from a grid of 200 cells bisected to a relative width of 1e-3, Newton
+    # sweeps from every guess, and a gallop window sized by the last Newton
+    # step cut it to the off-centre pins below: 91560 cells, a Newton sweep
+    # weighted 2.2.  The centred step is even, so every grid, the quarter
+    # grid too, is split into an even and an odd half of N/2 cells, each
+    # bisected for its lowest eigenvalue: the sweeps pinned below, keyed by
+    # the half size, are 46880 cells.  Only the finest grid solves for
+    # eigenvectors, one twisted-factorization solve per eigenvalue on its
+    # half (2 here).  The off-centre step is no palindrome: it pins the
+    # general path, whole operators keyed by N, whose sweeps move if Maehly
+    # deflation or count sharing is lost.  The counts are deterministic: a
+    # change that loses the reuse or the split fails here.
     sweeps = {}  # operator size -> [Sturm sweeps, Newton sweeps]
     calls = {"inverse_sweeps": 0}
     sturm_count = kernels.sturm_count
