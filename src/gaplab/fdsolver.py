@@ -47,7 +47,11 @@ those steps and in a window around where they end, as wide as the error
 the last step predicts (``_gallop``).  A count only
 ever decides a midpoint that plain bisection would decide the same way (the
 count is monotone in the shift), so this reuse changes the number of
-sweeps, never an eigenvalue.
+sweeps, never an eigenvalue.  Every count the window and the bisection
+take goes through ``kernels.counted``, which reuses the count of the
+nearest counted shift below or above when the shifted diagonal rounds to
+the same vector there: the count reads nothing else of the shift, so that
+reuse moves no bit either.
 """
 
 import math
@@ -265,42 +269,45 @@ def _nested_grids(p: PotentialSpec, L: float, n0: int, levels: int):
     return grids
 
 
-def _gallop(diag, off2, pivmin, k, guess, step, gap, lo, hi, counts):
+def _gallop(diag, off2, pivmin, k, guess, error, lo, hi, counts):
     """Count at guess -/+ w, each side widening 4-fold, until count(guess - w)
     <= k < count(guess + w) or the side leaves the Gershgorin enclosure
-    (lo, hi).  w starts at the error the last Newton step predicts,
-    step^2 / gap, but at no less than the bisection tolerance at guess nor
-    than the rounding floor eps ||T|| / 20 (hi >= ||T||), to which the
-    Newton iterate settles however short its steps.  When Newton did not
-    converge (step inf) or gap is not positive and finite, w starts at
-    16 tolerances."""
+    (lo, hi).  w starts at the error the last Newton step predicts, but at
+    no less than the bisection tolerance at guess nor than the rounding
+    floor eps ||T|| / 20 (hi >= ||T||), to which the Newton iterate settles
+    however short its steps.  When no Newton step passed its stop test
+    (error inf), w starts at 16 tolerances."""
     if not math.isfinite(guess):
         return
     tol = kernels.tolerance(guess)
-    if step < math.inf and 0.0 < gap < math.inf:
-        width = max(tol, step * step / gap, _EPS * hi / 20.0)
+    if error < math.inf:
+        width = max(tol, error, _EPS * hi / 20.0)
     else:
         width = _GALLOP_WIDE * tol
     for side in (-1.0, 1.0):
         w = width
         while lo < guess + side * w < hi:
             shift = guess + side * w
-            count = counts[shift] = kernels.sturm_count(diag, off2, shift, pivmin)
+            count = kernels.counted(diag, off2, shift, pivmin, counts)
             if (count <= k) == (side < 0.0):  # this side encloses eigenvalue k
                 break
             w *= 4.0
 
 
-def _newton(diag, off2, pivmin, guess, gap, counts, deflate=None):
+def _newton(diag, off2, pivmin, guess, gap, floor, counts, deflate=None):
     """Newton iterates sigma <- sigma - 1/s on det(T - sigma I) from guess,
     s = d log|det| / d sigma, deflated by the eigenvalue ``deflate`` when it
-    is given (s + 1/(deflate - sigma), Maehly).  Stops once step^2 <= tol
-    gap / 4, where the next error is within a quarter of the bisection
-    tolerance tol for eigenvalues about ``gap`` apart, or when a step is not
-    finite or not shorter than the one before, or after _NEWTON_STEPS
-    sweeps.  Each sweep's Sturm count goes into ``counts``.  Returns the
-    last iterate and the size of the step that passed the stop test, inf
-    when none did."""
+    is given (s + 1/(deflate - sigma), Maehly).  A step of size t leaves an
+    error of about t^2 / gap for the next eigenvalue ``gap`` away (None
+    where no guess tells), and at most t; from the second step on, the
+    contraction the last two steps t', t show, t^3 / t'^2, is an estimate
+    too, and the smaller one is taken.  Stops once that error is within a
+    quarter of the bisection tolerance, or once t is within the rounding
+    floor ``floor``, below which the steps are rounding noise however close
+    the eigenvalues; or when a step is not finite or not shorter than the
+    one before, or after _NEWTON_STEPS sweeps.  Each sweep's Sturm count
+    goes into ``counts``.  Returns the last iterate and the error its last
+    step predicts, inf when no step passed the stop test."""
     sigma = guess
     last = math.inf
     for _ in range(_NEWTON_STEPS):
@@ -312,12 +319,16 @@ def _newton(diag, off2, pivmin, guess, gap, counts, deflate=None):
         if dlogdet == 0.0:
             break
         step = 1.0 / dlogdet
-        if not abs(step) < last:  # a nan step fails this too
+        size = abs(step)
+        if not size < last:  # a nan step fails this too
             break
         sigma -= step
-        if step * step <= 0.25 * kernels.tolerance(sigma) * gap:
-            return sigma, abs(step)
-        last = abs(step)
+        error = size * min(1.0, size / gap) if gap is not None and gap > 0.0 else size
+        if last < math.inf:
+            error = min(error, size * (size / last) ** 2)
+        if error <= 0.25 * kernels.tolerance(sigma) or size <= floor:
+            return sigma, error
+        last = size
     return sigma, math.inf
 
 
@@ -401,7 +412,7 @@ def _bisect_lowest_two(op: DiscreteOperator, near, rel_width=0.0):
         guesses = (float(near[0]), float(near[1]))
         gap = abs(guesses[1] - guesses[0])
     lams = []
-    for j, (inputs, k, _) in enumerate(sectors):
+    for j, (inputs, k, parity) in enumerate(sectors):
         diag, off, off2, pivmin = inputs
         radius = 2.0 * np.abs(off).max()
         lo = float(diag.min() - radius)
@@ -419,10 +430,14 @@ def _bisect_lowest_two(op: DiscreteOperator, near, rel_width=0.0):
                 for shift in (float(rows.min()), float(rows.mean())):
                     counts[shift] = kernels.sturm_count(diag, off2, shift, pivmin)
         if near is not None:
-            # lambda1 of the unsplit matrix is deflated by the bisected lambda0
-            guess, step = _newton(diag, off2, pivmin, guesses[j], gap, counts,
-                                  deflate=lams[0] if k else None)
-            _gallop(diag, off2, pivmin, k, guess, step, gap, lo, hi, counts)
+            # lambda1 of the unsplit matrix is deflated by the bisected lambda0.
+            # A half's next eigenvalue is lambda2 > lambda1 (even) or lambda3
+            # (odd): lambda1 - lambda0 bounds the even half's gap from below
+            # and tells nothing of the odd half's.
+            guess, error = _newton(diag, off2, pivmin, guesses[j],
+                                   None if parity == -1.0 else gap, _EPS * hi, counts,
+                                   deflate=lams[0] if k else None)
+            _gallop(diag, off2, pivmin, k, guess, error, lo, hi, counts)
         if k:
             lo = max(lo, lams[0] - 1e-13)
         lams.append(kernels.bisect_eigenvalue(diag, off2, k, lo, hi, pivmin, counts,

@@ -33,7 +33,14 @@ relative width for a guess, and reuses Sturm counts it is given.  The count
 that IEEE arithmetic computes is non-decreasing in the shift (Kahan's
 monotonicity result; Demmel, Dhillon & Ren, ETNA 3, 1995), so an earlier
 count can settle a midpoint without a sweep and the bisection still takes
-exactly the midpoints of plain bisection.  ``sturm_newton`` computes
+exactly the midpoints of plain bisection.  A midpoint it must count goes
+through ``counted``, which reuses the count of the nearest counted shift
+below or above when ``diag - shift`` rounds to the same vector there
+(compared entry by entry): ``sturm_count`` reads nothing else of the
+shift, and the +0/-0 pair that compares equal meets the same pivot guard,
+so the count is the one a sweep would return.  On fine grids, where
+eps ||T|| lies far above the bisection tolerance, most of the last
+midpoints are settled so.  ``sturm_newton`` computes
 ``sturm_count``'s pivots and count operation for operation, so its counts
 are as good as any other, and also returns the logarithmic derivative of
 the determinant for a Newton step toward an eigenvalue.
@@ -105,6 +112,40 @@ def sturm_newton(diag, off2, shift, pivmin):
     return count, total
 
 
+def counted(diag, off2, shift, pivmin, counts):
+    """Sturm count of (diag, off2) at `shift`, added to `counts` (shift ->
+    count of this matrix): reused when the shifted diagonal rounds to the
+    vector of a shift already counted, swept by `sturm_count` otherwise.
+
+    `sturm_count` reads nothing of the shift but ``diag - shift`` (with
+    `off2` and `pivmin`, which are the same for every shift of one matrix),
+    so equal vectors give equal counts.  ``np.array_equal`` compares values,
+    and the only equal values with different bits are +0 and -0: such an
+    entry enters a pivot only as ``c - b / d``, and a zero pivot of either
+    sign is guarded to -pivmin, so the count is the same.  Rounding is
+    monotone, so ``diag - s`` for s between two shifts with equal vectors is
+    that vector too: comparing with the nearest counted shift below and the
+    nearest above finds every match.  The first entries are compared first,
+    as Python floats: where they differ, so do the vectors."""
+    if shift in counts:
+        return counts[shift]
+    below = above = None
+    for s in counts:
+        if s < shift:
+            if below is None or s > below:
+                below = s
+        elif above is None or s < above:
+            above = s
+    first = float(diag[0])
+    for s in (below, above):
+        if (s is not None and first - s == first - shift
+                and np.array_equal(diag - float(shift), diag - float(s))):
+            count = counts[shift] = counts[s]
+            return count
+    count = counts[shift] = sturm_count(diag, off2, shift, pivmin)
+    return count
+
+
 def tolerance(x):
     """Absolute bisection tolerance at x: max(1e-13, 1e-12 |x|)."""
     return max(1e-13, 1e-12 * abs(x))
@@ -141,7 +182,7 @@ def bisect_eigenvalue(diag, off2, k, lo, hi, pivmin, counts=None, rel_width=0.0)
         elif mid >= above:
             hi = mid
         else:
-            c = counts[mid] = sturm_count(diag, off2, mid, pivmin)
+            c = counted(diag, off2, mid, pivmin, counts)
             if c > k:
                 hi = above = mid
             else:

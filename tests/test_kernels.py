@@ -5,6 +5,10 @@ eigenvector kernel's residual, and the phase sweep's order.
 count's monotonicity in the shift settles it, and ``lowest_two_eigenvalues``
 seeds those counts with Newton sweeps (``sturm_newton``, which must count
 exactly like ``sturm_count``) from a guess and around where they end.
+``counted`` reuses a count wherever the shifted diagonal rounds to a vector
+already counted, and only then: a constructed matrix pins that every entry
+is compared, and fine grids, where most of the last midpoints round so,
+pin that no midpoint moves.
 ``sturm_count`` takes the shift off the diagonal before its loop, and
 ``inverse_iteration`` fills its vector by cumulative products.  These
 properties pin down that none of them changes a single bit of the output:
@@ -24,6 +28,7 @@ from hypothesis import strategies as st
 from gaplab import (
     DiscreteOperator,
     Grid,
+    InverseSquareCapped,
     Step,
     assemble,
     decompose,
@@ -33,7 +38,7 @@ from gaplab import (
     prufer_count,
     solve_extrapolated,
 )
-from gaplab import kernels
+from gaplab import fdsolver, kernels
 from gaplab.fdsolver import _kernel_inputs, _nested_grids
 from conftest import random_capped, random_multistep
 
@@ -70,16 +75,31 @@ def _bisect_inputs(diag, off):
     return off2, pivmin, lo, hi
 
 
-@settings(max_examples=200, deadline=None)
-@given(st.integers(0, 2**32 - 1), st.integers(0, 1), st.integers(0, 12))
-def test_bisection_with_counted_shifts_matches_plain(seed, k, n_known):
-    rng = np.random.default_rng(seed)
-    diag, off = random_tridiagonal(rng)
+def reference_bisect(diag, off2, k, lo, hi, pivmin):
+    # plain bisection: a Sturm sweep at every midpoint
+    while True:
+        top = max(abs(lo), abs(hi))
+        if hi - lo <= kernels.tolerance(top):
+            break
+        mid = 0.5 * (lo + hi)
+        if mid <= lo or mid >= hi:
+            break
+        if kernels.sturm_count(diag, off2, mid, pivmin) > k:
+            hi = mid
+        else:
+            lo = mid
+    return 0.5 * (lo + hi)
+
+
+def _check_counted_shifts(rng, diag, off, k, n_known):
+    # The bisection from no counts and from counts known beforehand takes
+    # the midpoints of plain bisection.  Known shifts lie anywhere in the
+    # enclosure, and some within a few eps * ||T|| of the lowest two
+    # eigenvalues, where the counts flip.
     off2, pivmin, lo, hi = _bisect_inputs(diag, off)
-    plain = kernels.bisect_eigenvalue(diag, off2, k, lo, hi, pivmin)
-    # known shifts anywhere in the enclosure, and some within a few
-    # eps * ||T|| of the lowest two eigenvalues, where the counts flip
-    lams = np.linalg.eigvalsh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
+    lams = [reference_bisect(diag, off2, j, lo, hi, pivmin) for j in (0, 1)]
+    plain = lams[k]
+    assert kernels.bisect_eigenvalue(diag, off2, k, lo, hi, pivmin) == plain
     ulp = EPS * DiscreteOperator(diag, off).norm_inf()
     shifts = list(rng.uniform(lo, hi, n_known))
     shifts += [float(lams[j] + ulp * rng.uniform(-4.0, 4.0))
@@ -90,6 +110,30 @@ def test_bisection_with_counted_shifts_matches_plain(seed, k, n_known):
     assert reused == plain
     # every count it took was recorded, and the earlier ones kept
     assert counts.items() >= known.items()
+    for s, c in counts.items():
+        assert c == kernels.sturm_count(diag, off2, s, pivmin)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(0, 1), st.integers(0, 12))
+def test_bisection_with_counted_shifts_matches_plain(seed, k, n_known):
+    rng = np.random.default_rng(seed)
+    diag, off = random_tridiagonal(rng)
+    _check_counted_shifts(rng, diag, off, k, n_known)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(0, 1), st.integers(0, 12),
+       st.floats(0.5, 4.0))
+def test_bisection_with_counted_shifts_matches_plain_fine_grid(seed, k, n_known, L):
+    # The finest grids of acceptance criterion 3 (256 cells per unit):
+    # ||T|| ~ 2.6e5, so eps ||T|| lies far above the bisection tolerance and
+    # most of the last midpoints shift the diagonal to a vector already
+    # counted.  Reusing those counts must not move a midpoint.
+    rng = np.random.default_rng(seed)
+    p = random_multistep(rng, L) if seed % 2 else random_capped(rng)
+    op = assemble(p, Grid(L, math.ceil(256 * L)))
+    _check_counted_shifts(rng, op.diag, op.offdiag, k, n_known)
 
 
 @settings(max_examples=200, deadline=None)
@@ -335,28 +379,48 @@ def test_phase_count_resolves_thin_tall_barrier(height):
     assert [prufer_count(p, 10.0, lam) for lam in shifts] == [0, 1, 2]
 
 
-@pytest.mark.parametrize("p, expected", [
-    (Step(1.0, (-0.5, 0.5)), {100: [32, 0], 400: [7, 5], 800: [8, 4], 1600: [10, 2]}),
-    (Step(1.0, (-0.5, 1.5)), {200: [25, 0], 800: [10, 5], 1600: [8, 4], 3200: [9, 2]}),
-], ids=["centred", "off_centre"])
-def test_sturm_sweep_budget(monkeypatch, p, expected):
-    # Plain bisection of both eigenvalues from the Gershgorin range takes 324
-    # Sturm sweeps on the three grids of N = 800, 1600 and 3200 cells.
-    # Counts shared by the two bisections and taken around the guess of the
-    # level before cut that to 155 sweeps (229600 cells).  Level 0 guessed
-    # from a grid of 200 cells bisected to a relative width of 1e-3, Newton
-    # sweeps from every guess, and a gallop window sized by the last Newton
-    # step cut it to the off-centre pins below: 91560 cells, a Newton sweep
-    # weighted 2.2.  The centred step is even, so every grid, the quarter
-    # grid too, is split into an even and an odd half of N/2 cells, each
-    # bisected for its lowest eigenvalue: the sweeps pinned below, keyed by
-    # the half size, are 46880 cells.  Only the finest grid solves for
-    # eigenvectors, one twisted-factorization solve per eigenvalue on its
-    # half (2 here).  The off-centre step is no palindrome: it pins the
-    # general path, whole operators keyed by N, whose sweeps move if Maehly
-    # deflation or count sharing is lost.  The counts are deterministic: a
-    # change that loses the reuse or the split fails here.
-    sweeps = {}  # operator size -> [Sturm sweeps, Newton sweeps]
+def test_reuse_needs_every_entry_equal(monkeypatch):
+    # Shifts s1 < s2, one ulp apart, whose shifted diagonals differ in the
+    # last entry only, by one ulp, and hold the same distinct values
+    # {low, high}; the last pivot is that entry minus low, so s2 counts one
+    # eigenvalue more.  A reuse that compared a prefix, the distinct values
+    # or within a tolerance would give s2 the count of s1.  The shifts one
+    # ulp outside, s0 and s3, round to the vectors of s1 and s2, and those
+    # counts are reused without a sweep.
+    s1 = -0.5
+    s2 = math.nextafter(s1, math.inf)
+    s0 = math.nextafter(s1, -math.inf)
+    s3 = math.nextafter(s2, math.inf)
+    ulp = 2.0 ** -52  # of 1.5
+    diag = np.array([1.5 + 2 * ulp, 1.5 + 4 * ulp, 1.5 + 3 * ulp])
+    low, high = float(diag[0] - s1), float(diag[1] - s1)
+    assert (diag - s0).tolist() == (diag - s1).tolist() == [low, high, high]
+    assert (diag - s3).tolist() == (diag - s2).tolist() == [low, high, low]
+    off2 = [0.0, low * high]  # the last pivot is diag[2] - s - low
+    pivmin = 1e-250
+    assert [kernels.sturm_count(diag, off2, s, pivmin) for s in (s0, s1, s2, s3)] == [0, 0, 1, 1]
+    for known, shift, expected in ((s1, s2, 1), (s2, s1, 0)):
+        counts = {known: kernels.sturm_count(diag, off2, known, pivmin)}
+        assert kernels.counted(diag, off2, shift, pivmin, counts) == expected
+        assert counts[shift] == expected
+
+    sweeps = []
+    sturm_count = kernels.sturm_count
+
+    def counted_sturm(*args):
+        sweeps.append(args[2])
+        return sturm_count(*args)
+
+    monkeypatch.setattr(kernels, "sturm_count", counted_sturm)
+    counts = {s0: 0, s3: 1}
+    assert [kernels.counted(diag, off2, s, pivmin, counts) for s in (s1, s2)] == [0, 1]
+    assert sweeps == []
+
+
+def _count_sweeps(monkeypatch):
+    """Operator size -> [Sturm sweeps, Newton sweeps] of what runs next, and
+    the number of twisted-factorization solves."""
+    sweeps = {}
     calls = {"inverse_sweeps": 0}
     sturm_count = kernels.sturm_count
     sturm_newton = kernels.sturm_newton
@@ -378,6 +442,77 @@ def test_sturm_sweep_budget(monkeypatch, p, expected):
     monkeypatch.setattr(kernels, "sturm_count", counted_sturm)
     monkeypatch.setattr(kernels, "sturm_newton", counted_newton)
     monkeypatch.setattr(kernels, "inverse_iteration", counted_inverse)
+    return sweeps, calls
+
+
+@pytest.mark.parametrize("p, expected", [
+    (Step(1.0, (-0.5, 0.5)), {100: [32, 0], 400: [9, 4], 800: [8, 4], 1600: [8, 3]}),
+    (Step(1.0, (-0.5, 1.5)), {200: [25, 0], 800: [10, 5], 1600: [8, 4], 3200: [6, 2]}),
+], ids=["centred", "off_centre"])
+def test_sturm_sweep_budget(monkeypatch, p, expected):
+    # Plain bisection of both eigenvalues from the Gershgorin range takes 324
+    # Sturm sweeps (614400 cells) on the three grids of N = 800, 1600 and
+    # 3200 cells.  Counts shared by the two bisections and taken around the
+    # guess of the level before cut that to 155 sweeps (229600 cells).
+    # Level 0 guessed from a grid of 200 cells bisected to a relative width
+    # of 1e-3, Newton sweeps from every guess and a gallop window sized by
+    # the last Newton step cut it to 91560 cells, a Newton sweep weighted
+    # 2.2.  Reusing the count of a shift whose shifted diagonal rounds to a
+    # vector already counted cuts the off-centre pins below to 81960 cells:
+    # 200*25 + 800*(10 + 2.2*5) + 1600*(8 + 2.2*4) + 3200*(6 + 2.2*2).  The
+    # centred step is even, so every grid, the quarter grid too, is split
+    # into an even and an odd half of N/2 cells, each bisected for its
+    # lowest eigenvalue: the sweeps pinned below, keyed by the half size,
+    # are 100*32 + 400*(9 + 2.2*4) + 800*(8 + 2.2*4) + 1600*(8 + 2.2*3) =
+    # 47120 cells.  Only the finest grid solves for eigenvectors, one
+    # twisted-factorization solve per eigenvalue on its half (2 here).  The
+    # off-centre step is no palindrome: it pins the general path, whole
+    # operators keyed by N, whose sweeps move if Maehly deflation or count
+    # sharing is lost.  The counts are deterministic: a change that loses
+    # the reuse or the split fails here.
+    sweeps, calls = _count_sweeps(monkeypatch)
     solve_extrapolated(p, 100.0, n0=800, levels=3)
     assert sweeps == expected
     assert calls["inverse_sweeps"] == 2
+
+
+def test_sturm_sweep_budget_finest_grid(monkeypatch):
+    # 256 cells per unit on the finest grid, as in acceptance criterion 3:
+    # ||T|| ~ 2.6e5, so eps ||T|| ~ 6e-11 lies far above the bisection
+    # tolerance of 1e-13, and most of the last midpoints shift the diagonal
+    # to a vector already counted.  Reusing those counts cuts the Sturm
+    # sweeps on the three grids from [10, 17, 20] to the [5, 6, 2] pinned
+    # below; the finest operator of 10240 cells is swept 2 times after its
+    # Newton steps instead of 20.
+    sweeps, _ = _count_sweeps(monkeypatch)
+    solve_extrapolated(Step(1.0, (-0.5, 1.5)), 40.0, n0=2560, levels=3)
+    assert sweeps == {640: [24, 0], 2560: [5, 4], 5120: [6, 4], 10240: [2, 2]}
+
+
+def test_newton_stops_at_rounding_floor(monkeypatch):
+    # Criterion 3's capped case at L = 80.19 (perfbench suite seed
+    # 20260808, case 11) has lambda1 - lambda0 = 1.05e-9 on a grid whose
+    # rounding floor eps ||T|| is 5.8e-11.  On the finest even half the
+    # Newton steps stay at 7.1e-12, rounding noise, which no test against
+    # tol (lambda1 - lambda0) / 4 = 2.6e-23 can pass: Newton stopped only
+    # when a step failed to shrink, and the bisection then opened its
+    # window at the 16-tolerance fallback and had to widen it.  Newton now
+    # stops at the floor, every run returns a finite predicted error, and
+    # the finest halves take [5, 2] sweeps, not [3, 4] (three of those
+    # Newton sweeps on the even half).
+    results = []
+    newton = fdsolver._newton
+
+    def recorded_newton(*args, **kwargs):
+        out = newton(*args, **kwargs)
+        results.append(out[1])
+        return out
+
+    monkeypatch.setattr(fdsolver, "_newton", recorded_newton)
+    sweeps, _ = _count_sweeps(monkeypatch)
+    p = InverseSquareCapped(4.470809127731707, 2.602031914971997)
+    L = 80.19065303497489
+    r = solve_extrapolated(p, L, n0=default_cell_count(L, floor=512), levels=3)
+    assert r.gap > 0.0
+    assert sweeps == {642: [34, 0], 2567: [6, 4], 5134: [4, 4], 10268: [5, 2]}
+    assert len(results) == 6 and all(e < math.inf for e in results)
