@@ -517,15 +517,15 @@ def lowest_two_eigenpairs(
         vec0 = -vec0
     # the vectors are unit: a remainder within the N eps rounding of this
     # step is no direction at all
-    vec1 = vec1 - (vec1 @ vec0) * vec0
-    norm1 = float(np.linalg.norm(vec1))
+    vec1 = vec1 - kernels.dot(vec1, vec0) * vec0
+    norm1 = kernels.norm(vec1)
     if not norm1 > vec1.size * np.finfo(float).eps:
         raise SolverError(
             f"the first excited state vector vanishes against the ground state ({split})"
         )
     vec1 = vec1 / norm1
     for lam, vec, which in ((lam0, vec0, "0"), (lam1, vec1, "1")):
-        resid = float(np.linalg.norm(op.matvec(vec) - lam * vec))
+        resid = kernels.norm(op.matvec(vec) - lam * vec)
         if resid > _RESIDUAL_REL * norm_t:
             raise SolverError(
                 f"eigenpair {which} residual {resid:.3e} exceeds "
@@ -623,8 +623,8 @@ def solve_extrapolated(
     limits, errors, orders = [], [], []
     for which, values, pair in (("lambda0", lam0s, ground), ("lambda1", lam1s, excited)):
         y = np.abs(pair.vector)
-        rounding = eps * float(np.abs(op.diag) @ (y * y)
-                               + 2.0 * np.abs(op.offdiag) @ (y[:-1] * y[1:]))
+        rounding = eps * (kernels.dot(np.abs(op.diag), y * y)
+                          + 2.0 * kernels.dot(np.abs(op.offdiag), y[:-1] * y[1:]))
         floor = rounding + kernels.tolerance(values[-1])
         order = _observed_order(values, floor)
         if abs(order - 2.0) > 0.5:

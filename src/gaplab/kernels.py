@@ -24,7 +24,10 @@ so its loop is ``d = c_i - b_i / d``; numpy's elementwise subtraction is the
 same correctly rounded IEEE operation as Python's, so every count is that
 of the loop that subtracts the shift at each step.  ``inverse_iteration``
 fills its vector by cumulative products in numpy, which change no bit of
-the per-index loop (see there).  ``prufer_theta_piecewise`` ends a step on
+the per-index loop (see there).  Its norm and the eigensolver's other sums
+(``dot``, ``norm``) use numpy's pairwise summation and never BLAS, whose
+threaded sums over long vectors change their last bits with the thread
+count.  ``prufer_theta_piecewise`` ends a step on
 every break of the potential, so each step sees one constant layer value
 and the sweep keeps RK4's fourth order across the jumps.
 
@@ -146,6 +149,19 @@ def counted(diag, off2, shift, pivmin, counts):
     return count
 
 
+def dot(x, y):
+    """sum_i x_i y_i by numpy's pairwise summation.  ``@`` and
+    ``np.linalg.norm`` call BLAS, which threads long vectors, and the last
+    bits of a threaded sum depend on the thread count; ``np.add.reduce``
+    never reaches BLAS."""
+    return float(np.add.reduce(x * y))
+
+
+def norm(x):
+    """The l2 norm of x, from ``dot``."""
+    return math.sqrt(dot(x, x))
+
+
 def tolerance(x):
     """Absolute bisection tolerance at x: max(1e-13, 1e-12 |x|)."""
     return max(1e-13, 1e-12 * abs(x))
@@ -244,7 +260,7 @@ def inverse_iteration(diag, off, sigma, pivmin):
     if not math.isfinite(amax):
         return z, 1, False
     z /= amax
-    return z / np.linalg.norm(z), 1, True
+    return z / norm(z), 1, True
 
 
 def prufer_theta_piecewise(breaks, vals, lam, n_steps):

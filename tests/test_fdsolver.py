@@ -1,5 +1,9 @@
 import math
+import os
+import pathlib
 import re
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -25,6 +29,7 @@ from gaplab import (
     lowest_two_eigenpairs,
     solve_extrapolated,
 )
+import gaplab
 from gaplab import kernels
 from gaplab.fdsolver import _mirror_halves, _nested_grids
 from conftest import random_capped, random_multistep
@@ -499,3 +504,31 @@ def test_even_potentials_split_like_lapack(kind, seed, L, n0):
             ref_vec = vecs[:, k]
             sin_angle = np.linalg.norm(pair.vector - (pair.vector @ ref_vec) * ref_vec)
             assert sin_angle <= (kernels.tolerance(ref[k]) + 2.0 * rounding) / gaps[k]
+
+
+_THREADS_PROBE = """
+import hashlib
+from gaplab import Step, solve_extrapolated
+r = solve_extrapolated(Step(1.0, (-0.5, 1.5)), 80.0, n0=5120, levels=3)
+print(r.grid.N, hashlib.sha256(r.phi0.tobytes()).hexdigest(), repr(r.inf_phi0),
+      repr(r.sup_phi0), repr(r.error_estimate))
+"""
+
+
+def test_output_bits_independent_of_blas_threads():
+    # OpenBLAS threads a dot product or norm over more than 10000 entries,
+    # and the last bits of a threaded sum depend on the thread count.  The
+    # finest operator here is unsplit with N = 20480; with np.linalg.norm
+    # and @ its phi0, inf_phi0, sup_phi0 and error_estimate differed in the
+    # last bits between 1 and 2 threads.  The solver sums with numpy's
+    # pairwise reduction, which never reaches BLAS.
+    src = str(pathlib.Path(gaplab.__file__).resolve().parent.parent)
+    outs = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": threads}
+        proc = subprocess.run([sys.executable, "-c", _THREADS_PROBE], capture_output=True,
+                              text=True, timeout=600, env=env)
+        assert proc.returncode == 0, proc.stderr
+        outs.append(proc.stdout)
+    assert outs[0].split()[0] == "20480"
+    assert outs[0] == outs[1]
