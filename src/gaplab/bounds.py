@@ -190,11 +190,17 @@ class BoundReport:
             "checks_passed": passed,
             "checks_total": total,
             "all_hold": self.all_hold,
-            "checks": [asdict(c) for c in self.checks],
+            "checks": [{k: json_number(v) for k, v in asdict(c).items()} for c in self.checks],
         }
 
     def to_json(self, indent: Optional[int] = 2) -> str:
         return json.dumps(self.to_dict(), indent=indent)
+
+
+def json_number(x):
+    """x, or None (JSON null) for a float that JSON has no number for: an
+    inapplicable check's nan, or the log -inf of a zero bound."""
+    return None if isinstance(x, float) and not math.isfinite(x) else x
 
 
 def _make_check(name, direction, bound, measured, allowance, bound_log=None) -> BoundCheck:

@@ -18,7 +18,7 @@ from typing import List, Optional
 
 import numpy as np
 
-from .bounds import TolerancePolicy, verify
+from .bounds import TolerancePolicy, json_number, verify
 from .fdsolver import SolverError, default_cell_count, solve_extrapolated
 from .oracle import OracleError, decompose, eigenvalues_exact, prufer_count
 from .potentials import InverseSquareCapped, from_dict, to_dict
@@ -64,10 +64,6 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _sanitize(x: float) -> Optional[float]:
-    return None if isinstance(x, float) and math.isnan(x) else x
-
-
 def _positive(value: float, flag: str) -> float:
     if not (value > 0.0 and math.isfinite(value)):
         raise InputError(f"{flag} must be finite and > 0, got {value}")
@@ -90,7 +86,7 @@ def cmd_solve(args) -> int:
         "inf_phi0": result.inf_phi0,
         "sup_phi0": result.sup_phi0,
         "error_estimate": list(result.error_estimate),
-        "observed_order": [_sanitize(o) for o in result.observed_order],
+        "observed_order": [json_number(o) for o in result.observed_order],
     }
     print(json.dumps(out, indent=2))
     return 0
@@ -162,6 +158,12 @@ class SweepConfig:
         unknown = [k for k in d if k not in _SWEEP_KEYS]
         if unknown:
             raise InputError(f"unknown sweep config field {unknown[0]!r}")
+        spaced = [k for k in ("L_min", "L_max", "count") if k in d]
+        if "L_values" in d and spaced:
+            raise InputError(
+                f"sweep config fields 'L_values' and {', '.join(map(repr, spaced))} "
+                "conflict: give either 'L_values' or 'L_min'/'L_max'/'count'"
+            )
         if "potential" not in d:
             raise InputError("sweep config missing field 'potential'")
         try:

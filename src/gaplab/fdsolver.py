@@ -44,14 +44,13 @@ ones predict.  Newton steps on det(T - sigma I) move each guess toward its
 eigenvalue, each step one Sturm sweep that also sums d log|det| / d sigma
 (``kernels.sturm_newton``), and the bisection starts from counts taken at
 those steps and in a window around where they end, as wide as the error
-the last step predicts (``_gallop``).  A count only
-ever decides a midpoint that plain bisection would decide the same way (the
-count is monotone in the shift), so this reuse changes the number of
-sweeps, never an eigenvalue.  Every count the window and the bisection
-take goes through ``kernels.counted``, which reuses the count of the
-nearest counted shift below or above when the shifted diagonal rounds to
-the same vector there: the count reads nothing else of the shift, so that
-reuse moves no bit either.
+the last step predicts (``_gallop``).  Each matrix, the whole operator or
+one half, keeps its counts in one ``kernels.SturmCounts``, which the
+Weyl seeds, the Newton steps, the window and the bisection all ask.  It
+settles a question from a kept count wherever the count's monotonicity in
+the shift, or a shifted diagonal that rounds to one already counted,
+decides it as a sweep would, so this reuse changes the number of sweeps,
+never an eigenvalue.
 """
 
 import math
@@ -269,7 +268,7 @@ def _nested_grids(p: PotentialSpec, L: float, n0: int, levels: int):
     return grids
 
 
-def _gallop(diag, off2, pivmin, k, guess, error, lo, hi, counts):
+def _gallop(counts, k, guess, error, lo, hi):
     """Count at guess -/+ w, each side widening 4-fold, until count(guess - w)
     <= k < count(guess + w) or the side leaves the Gershgorin enclosure
     (lo, hi).  w starts at the error the last Newton step predicts, but at
@@ -287,14 +286,12 @@ def _gallop(diag, off2, pivmin, k, guess, error, lo, hi, counts):
     for side in (-1.0, 1.0):
         w = width
         while lo < guess + side * w < hi:
-            shift = guess + side * w
-            count = kernels.counted(diag, off2, shift, pivmin, counts)
-            if (count <= k) == (side < 0.0):  # this side encloses eigenvalue k
-                break
+            if counts.exceeds(guess + side * w, k) == (side > 0.0):
+                break  # this side encloses eigenvalue k
             w *= 4.0
 
 
-def _newton(diag, off2, pivmin, guess, gap, floor, counts, deflate=None):
+def _newton(counts, guess, gap, floor, deflate=None):
     """Newton iterates sigma <- sigma - 1/s on det(T - sigma I) from guess,
     s = d log|det| / d sigma, deflated by the eigenvalue ``deflate`` when it
     is given (s + 1/(deflate - sigma), Maehly).  A step of size t leaves an
@@ -306,14 +303,15 @@ def _newton(diag, off2, pivmin, guess, gap, floor, counts, deflate=None):
     floor ``floor``, below which the steps are rounding noise however close
     the eigenvalues; or when a step is not finite or not shorter than the
     one before, or after _NEWTON_STEPS sweeps.  Each sweep's Sturm count
-    goes into ``counts``.  Returns the last iterate and the error its last
-    step predicts, inf when no step passed the stop test."""
+    is kept in ``counts`` (a kernels.SturmCounts).  Returns the last iterate
+    and the error its last step predicts, inf when no step passed the stop
+    test."""
     sigma = guess
     last = math.inf
     for _ in range(_NEWTON_STEPS):
         if not math.isfinite(sigma) or sigma == deflate:
             break
-        counts[sigma], dlogdet = kernels.sturm_newton(diag, off2, sigma, pivmin)
+        dlogdet = counts.newton(sigma)
         if deflate is not None:
             dlogdet += 1.0 / (deflate - sigma)
         if dlogdet == 0.0:
@@ -330,24 +328,6 @@ def _newton(diag, off2, pivmin, guess, gap, floor, counts, deflate=None):
             return sigma, error
         last = size
     return sigma, math.inf
-
-
-def _kernel_inputs(op: DiscreteOperator):
-    """(diag, off, off2, pivmin) of the operator as the kernels take them.
-
-    ``off2``, the squared off-diagonal, is a Python list: every Sturm sweep
-    of this operator iterates it as it is, so it is converted here once per
-    operator rather than once per sweep."""
-    diag = np.ascontiguousarray(op.diag, dtype=float)
-    off = np.ascontiguousarray(op.offdiag, dtype=float)
-    if diag.size < 2:
-        raise SolverError("need at least a 2x2 operator")
-    off2 = off * off
-    # zero-pivot guard for the Sturm and twisted-factorization recurrences;
-    # far below any eigenvalue tolerance but large enough that off/pivmin
-    # cannot overflow the eigenvector recurrence
-    pivmin = max(off2.max(), 1.0) * 1e-250
-    return diag, off, off2.tolist(), pivmin
 
 
 def _mirror_halves(op: DiscreteOperator):
@@ -396,52 +376,51 @@ def _unfold(y, n, parity):
 
 def _bisect_lowest_two(op: DiscreteOperator, near, rel_width=0.0):
     """Bisected (lambda0, lambda1) of the operator, not yet checked for
-    separation, and per eigenvalue the kernel inputs it was bisected on and
-    its parity (1.0 even, -1.0 odd; None unsplit); see
+    separation, and per eigenvalue the kernels.SturmCounts of the matrix it
+    was bisected on and its parity (1.0 even, -1.0 odd; None unsplit); see
     lowest_two_eigenvalues.  ``rel_width`` > 0 stops each bisection at that
     relative width instead of the tolerance: a guess, not a result."""
+    if op.diag.size < 2:
+        raise SolverError("need at least a 2x2 operator")
     halves = _mirror_halves(op)
     if halves is None:
-        # one matrix holds both eigenvalues (k = 0 and 1), and its Sturm
-        # counts (shift -> count) are shared by both bisections
-        inputs = _kernel_inputs(op)
-        sectors = ((inputs, 0, None), (inputs, 1, None))
+        # one matrix holds both eigenvalues (k = 0 and 1), and both
+        # bisections share its counts
+        counts = kernels.SturmCounts(op.diag, op.offdiag)
+        sectors = ((counts, 0, None), (counts, 1, None))
     else:
-        sectors = ((_kernel_inputs(halves[0]), 0, 1.0), (_kernel_inputs(halves[1]), 0, -1.0))
+        sectors = tuple((kernels.SturmCounts(half.diag, half.offdiag), 0, parity)
+                        for half, parity in zip(halves, (1.0, -1.0)))
     if near is not None:
         guesses = (float(near[0]), float(near[1]))
         gap = abs(guesses[1] - guesses[0])
     lams = []
-    for j, (inputs, k, parity) in enumerate(sectors):
-        diag, off, off2, pivmin = inputs
+    for j, (counts, k, parity) in enumerate(sectors):
+        diag, off = counts.diag, counts.off
         radius = 2.0 * np.abs(off).max()
         lo = float(diag.min() - radius)
         hi = float(np.abs(diag).max() + radius)  # Gershgorin: bounds every eigenvalue
         # Counts only decide midpoints without a sweep, never move one, so
         # the seeds below change the cost of the bisection and not its result.
-        if k == 0:
-            counts = {}
-            if near is None:
-                # T's row sums are v at the nodes, and min v <= lambda0 <= mean v
-                # (Weyl; the Rayleigh quotient of the constant vector)
-                rows = diag.copy()
-                rows[:-1] += off
-                rows[1:] += off
-                for shift in (float(rows.min()), float(rows.mean())):
-                    counts[shift] = kernels.sturm_count(diag, off2, shift, pivmin)
+        if near is None and k == 0:
+            # T's row sums are v at the nodes, and min v <= lambda0 <= mean v
+            # (Weyl; the Rayleigh quotient of the constant vector)
+            rows = diag.copy()
+            rows[:-1] += off
+            rows[1:] += off
+            for shift in (float(rows.min()), float(rows.mean())):
+                counts.exceeds(shift, 0)
         if near is not None:
             # lambda1 of the unsplit matrix is deflated by the bisected lambda0.
             # A half's next eigenvalue is lambda2 > lambda1 (even) or lambda3
             # (odd): lambda1 - lambda0 bounds the even half's gap from below
             # and tells nothing of the odd half's.
-            guess, error = _newton(diag, off2, pivmin, guesses[j],
-                                   None if parity == -1.0 else gap, _EPS * hi, counts,
-                                   deflate=lams[0] if k else None)
-            _gallop(diag, off2, pivmin, k, guess, error, lo, hi, counts)
+            guess, error = _newton(counts, guesses[j], None if parity == -1.0 else gap,
+                                   _EPS * hi, deflate=lams[0] if k else None)
+            _gallop(counts, k, guess, error, lo, hi)
         if k:
             lo = max(lo, lams[0] - 1e-13)
-        lams.append(kernels.bisect_eigenvalue(diag, off2, k, lo, hi, pivmin, counts,
-                                              rel_width))
+        lams.append(kernels.bisect_eigenvalue(counts, k, lo, hi, rel_width))
     return lams, sectors
 
 
@@ -505,10 +484,9 @@ def lowest_two_eigenpairs(
              f"eps*||T|| = {np.finfo(float).eps * norm_t:.3e}")
 
     vecs = []
-    for lam, (inputs, _, parity), state in zip(
+    for lam, (counts, _, parity), state in zip(
             (lam0, lam1), sectors, ("ground state", "first excited state")):
-        diag, off, _, pivmin = inputs
-        vec, _, finite = kernels.inverse_iteration(diag, off, lam, pivmin)
+        vec, _, finite = kernels.inverse_iteration(counts.diag, counts.off, lam, counts.pivmin)
         if not finite:
             raise SolverError(f"the {state} vector has a non-finite component ({split})")
         vecs.append(vec if parity is None else _unfold(vec, op.diag.size, parity))

@@ -8,13 +8,13 @@ kernels are fixed-step RK4 sweeps, so phase counts are reproducible.
 The loops run on Python floats, not numpy scalars: each kernel converts its
 array arguments once per call with ``tolist()`` (scalars with ``float()``)
 and returns numpy arrays where it returns arrays.  The one exception is an
-input that is the same for every sweep of one operator: ``sturm_count``,
-``sturm_newton`` and ``bisect_eigenvalue`` take the squared off-diagonal
-``off2`` as the list the eigensolver builds once per operator, since the
-bisections sweep one operator some dozens of times.  Python floats and
-numpy doubles are both IEEE doubles and every operation keeps its order, so
-the results are bit for bit those of the same loops over numpy arrays, at a
-fraction of the indexing cost.  Unlike a numpy scalar, a Python float raises
+input that is the same for every sweep of one operator: ``sturm_count``
+and ``sturm_newton`` take the squared off-diagonal ``off2`` as the list
+that ``SturmCounts`` builds once per operator, since the bisections sweep
+one operator some dozens of times.  Python floats and numpy doubles are
+both IEEE doubles and every operation keeps its order, so the results are
+bit for bit those of the same loops over numpy arrays, at a fraction of the
+indexing cost.  Unlike a numpy scalar, a Python float raises
 ZeroDivisionError on a zero divisor instead of returning inf or nan: every
 divisor in a loop below is a pivot kept away from zero by `pivmin`, a step
 count, or a maximum checked to be nonzero.
@@ -31,24 +31,23 @@ count.  ``prufer_theta_piecewise`` ends a step on
 every break of the potential, so each step sees one constant layer value
 and the sweep keeps RK4's fourth order across the jumps.
 
-``bisect_eigenvalue`` stops at the width ``tolerance(lam)``, or at a wider
-relative width for a guess, and reuses Sturm counts it is given.  The count
-that IEEE arithmetic computes is non-decreasing in the shift (Kahan's
-monotonicity result; Demmel, Dhillon & Ren, ETNA 3, 1995), so an earlier
-count can settle a midpoint without a sweep and the bisection still takes
-exactly the midpoints of plain bisection.  A midpoint it must count goes
-through ``counted``, which reuses the count of the nearest counted shift
-below or above when ``diag - shift`` rounds to the same vector there
-(compared entry by entry): ``sturm_count`` reads nothing else of the
-shift, and the +0/-0 pair that compares equal meets the same pivot guard,
-so the count is the one a sweep would return.  On fine grids, where
-eps ||T|| lies far above the bisection tolerance, most of the last
-midpoints are settled so.  ``sturm_newton`` computes
-``sturm_count``'s pivots and count operation for operation, so its counts
-are as good as any other, and also returns the logarithmic derivative of
-the determinant for a Newton step toward an eigenvalue.
+``SturmCounts`` is the one home of the counts taken on one matrix, and of
+the rule for reusing them.  ``bisect_eigenvalue`` stops at the width
+``tolerance(lam)``, or at a wider relative width for a guess, and asks the
+store at each midpoint.  The count that IEEE arithmetic computes is
+non-decreasing in the shift (Kahan's monotonicity result; Demmel, Dhillon
+& Ren, ETNA 3, 1995), so a kept count can settle a midpoint without a
+sweep and the bisection still takes exactly the midpoints of plain
+bisection; so can the count of the nearest counted shift below or above
+when ``diag - shift`` rounds to the same vector there.  On fine grids,
+where eps ||T|| lies far above the bisection tolerance, most of the last
+midpoints are settled so.  ``sturm_newton`` computes ``sturm_count``'s
+pivots and count operation for operation, so its counts are as good as
+any other, and also returns the logarithmic derivative of the determinant
+for a Newton step toward an eigenvalue.
 """
 
+import bisect
 import math
 
 import numpy as np
@@ -115,40 +114,6 @@ def sturm_newton(diag, off2, shift, pivmin):
     return count, total
 
 
-def counted(diag, off2, shift, pivmin, counts):
-    """Sturm count of (diag, off2) at `shift`, added to `counts` (shift ->
-    count of this matrix): reused when the shifted diagonal rounds to the
-    vector of a shift already counted, swept by `sturm_count` otherwise.
-
-    `sturm_count` reads nothing of the shift but ``diag - shift`` (with
-    `off2` and `pivmin`, which are the same for every shift of one matrix),
-    so equal vectors give equal counts.  ``np.array_equal`` compares values,
-    and the only equal values with different bits are +0 and -0: such an
-    entry enters a pivot only as ``c - b / d``, and a zero pivot of either
-    sign is guarded to -pivmin, so the count is the same.  Rounding is
-    monotone, so ``diag - s`` for s between two shifts with equal vectors is
-    that vector too: comparing with the nearest counted shift below and the
-    nearest above finds every match.  The first entries are compared first,
-    as Python floats: where they differ, so do the vectors."""
-    if shift in counts:
-        return counts[shift]
-    below = above = None
-    for s in counts:
-        if s < shift:
-            if below is None or s > below:
-                below = s
-        elif above is None or s < above:
-            above = s
-    first = float(diag[0])
-    for s in (below, above):
-        if (s is not None and first - s == first - shift
-                and np.array_equal(diag - float(shift), diag - float(s))):
-            count = counts[shift] = counts[s]
-            return count
-    count = counts[shift] = sturm_count(diag, off2, shift, pivmin)
-    return count
-
-
 def dot(x, y):
     """sum_i x_i y_i by numpy's pairwise summation.  ``@`` and
     ``np.linalg.norm`` call BLAS, which threads long vectors, and the last
@@ -167,25 +132,82 @@ def tolerance(x):
     return max(1e-13, 1e-12 * abs(x))
 
 
-def bisect_eigenvalue(diag, off2, k, lo, hi, pivmin, counts=None, rel_width=0.0):
-    # Bisect for the k-th (0-based) eigenvalue given the enclosure
-    # count(lo) <= k < count(hi).  Stops at width tolerance(max(|lo|, |hi|)),
-    # or at rel_width * max(|lo|, |hi|) when that is wider (a guess).
-    # `counts` (shift -> Sturm count of this matrix) lends earlier counts:
-    # the count is non-decreasing in the shift, so a midpoint at or below a
-    # shift counted <= k goes to lo, and one at or above a shift counted > k
-    # goes to hi, without a sweep.  The midpoints, and so the result, are
-    # those of plain bisection.  New counts are added to `counts`.
-    if counts is None:
-        counts = {}
-    below = -math.inf  # largest shift counted <= k
-    above = math.inf  # smallest shift counted > k
-    for shift, c in counts.items():
-        if c <= k:
-            if shift > below:
-                below = shift
-        elif shift < above:
-            above = shift
+class SturmCounts:
+    """One symmetric tridiagonal matrix (``diag``, ``off``) as the kernels
+    take it, with the Sturm counts taken on it so far, kept sorted by shift.
+
+    ``off2``, the squared off-diagonal, is a Python list: every sweep of
+    this matrix iterates it as it is, so it is converted once per matrix
+    rather than once per sweep.  ``exceeds(shift, k)`` answers from what
+    is kept whenever that settles it, and sweeps only where nothing does:
+
+    1. the count is non-decreasing in the shift, so a count > k at or
+       below the shift, or one <= k at or above it, settles the answer;
+    2. ``sturm_count`` reads nothing of the shift but ``diag - shift``, so
+       where that vector equals, entry for entry, the shifted diagonal at
+       the nearest counted shift below or above, that count is reused;
+    3. otherwise ``sturm_count`` sweeps, and its count is kept.
+
+    In rule 2 the only equal values with different bits are +0 and -0: such
+    an entry enters a pivot only as ``c - b / d``, and a zero pivot of
+    either sign is guarded to -pivmin, so the count is the one a sweep
+    would return.  Rounding is monotone, so ``diag - s`` for s between two
+    shifts with equal vectors is that vector too: the nearest counted
+    shifts below and above find every match.  The first entries are
+    compared first, as Python floats: where they differ, so do the vectors.
+    """
+
+    def __init__(self, diag, off):
+        self.diag = np.ascontiguousarray(diag, dtype=float)
+        self.off = np.ascontiguousarray(off, dtype=float)
+        off2 = self.off * self.off
+        # zero-pivot guard for the Sturm and twisted-factorization recurrences;
+        # far below any eigenvalue tolerance but large enough that off/pivmin
+        # cannot overflow the eigenvector recurrence
+        self.pivmin = max(off2.max(), 1.0) * 1e-250
+        self.off2 = off2.tolist()
+        self.shifts = []
+        self.counts = []  # the count at each of `shifts`
+
+    def exceeds(self, shift, k):
+        """Whether more than k eigenvalues lie below `shift` (count > k)."""
+        shifts, counts = self.shifts, self.counts
+        i = bisect.bisect_left(shifts, shift)  # shifts[i] is the first >= shift
+        above = i < len(shifts)
+        if above and counts[i] <= k:
+            return False
+        if above and shifts[i] == shift or i and counts[i - 1] > k:
+            return True
+        first = float(self.diag[0])
+        near = slice(max(i - 1, 0), i + 1)  # the nearest counted shifts below and above
+        for s, count in zip(shifts[near], counts[near]):
+            if (first - s == first - shift
+                    and np.array_equal(self.diag - float(shift), self.diag - float(s))):
+                break
+        else:
+            count = sturm_count(self.diag, self.off2, shift, self.pivmin)
+        shifts.insert(i, shift)
+        counts.insert(i, count)
+        return count > k
+
+    def newton(self, sigma):
+        """``sturm_newton`` at `sigma`: its count is kept and its logarithmic
+        derivative of the determinant returned."""
+        count, dlogdet = sturm_newton(self.diag, self.off2, sigma, self.pivmin)
+        i = bisect.bisect_left(self.shifts, sigma)
+        if i == len(self.shifts) or self.shifts[i] != sigma:
+            self.shifts.insert(i, sigma)
+            self.counts.insert(i, count)
+        return dlogdet
+
+
+def bisect_eigenvalue(counts, k, lo, hi, rel_width=0.0):
+    # Bisect for the k-th (0-based) eigenvalue of the matrix of `counts` (a
+    # SturmCounts) given the enclosure count(lo) <= k < count(hi).  Stops at
+    # width tolerance(max(|lo|, |hi|)), or at rel_width * max(|lo|, |hi|)
+    # when that is wider (a guess).  Each midpoint goes to `counts.exceeds`,
+    # which sweeps only where no count it keeps settles the midpoint; the
+    # midpoints, and so the result, are those of plain bisection.
     while True:
         top = max(abs(lo), abs(hi))
         if hi - lo <= max(tolerance(top), rel_width * top):
@@ -193,16 +215,10 @@ def bisect_eigenvalue(diag, off2, k, lo, hi, pivmin, counts=None, rel_width=0.0)
         mid = 0.5 * (lo + hi)
         if mid <= lo or mid >= hi:
             break
-        if mid <= below:
-            lo = mid
-        elif mid >= above:
+        if counts.exceeds(mid, k):
             hi = mid
         else:
-            c = counted(diag, off2, mid, pivmin, counts)
-            if c > k:
-                hi = above = mid
-            else:
-                lo = below = mid
+            lo = mid
     return 0.5 * (lo + hi)
 
 

@@ -81,6 +81,26 @@ def test_verify_zero_exit_zero_sharp(capsys):
     assert abs(gap_check["slack"]) < 1e-9 * gap_check["bound"]
 
 
+def _reject(constant):
+    raise ValueError(f"{constant} is not a JSON number")
+
+
+@pytest.mark.parametrize("potential, check, fields", [
+    # the decay checks need a decay constant: every float is nan
+    ('{"type": "step", "height": 1.0, "support": [-0.5, 0.5]}', "sup_le_decay_bound",
+     ("bound", "bound_log", "measured", "slack", "allowance")),
+    # ||v||_1 / L = 0, whose log is -inf
+    ('{"type": "zero"}', "lambda0_le_l1_over_L", ("bound_log",)),
+])
+def test_verify_prints_strict_json(capsys, potential, check, fields):
+    # JSON has no NaN or Infinity: a float without a JSON number prints null
+    code, out, _ = run_cli(capsys, "verify", "--potential", potential, "--length", "10")
+    assert code == 0
+    payload = json.loads(out, parse_constant=_reject)
+    entry = next(c for c in payload["checks"] if c["name"] == check)
+    assert [entry[f] for f in fields] == [None] * len(fields)
+
+
 def test_verify_with_oracle(capsys):
     code, out, _ = run_cli(
         capsys, "verify", "--potential",
@@ -262,6 +282,12 @@ def test_sweep_geomspace_config(capsys, tmp_path):
          "unknown sweep config field 'cell_per_unit'"),
         ({"potential": {"type": "zero"}, "L_values": [1.0], "L": 2.0},
          "unknown sweep config field 'L'"),
+        # both ways of giving the lengths: neither is silently dropped
+        ({"potential": {"type": "zero"}, "L_values": [1.0, 2.0],
+          "L_min": 1.0, "L_max": 4.0, "count": 3},
+         "fields 'L_values' and 'L_min', 'L_max', 'count' conflict"),
+        ({"potential": {"type": "zero"}, "L_values": [1.0, 2.0], "count": 3},
+         "fields 'L_values' and 'count' conflict"),
     ],
 )
 def test_sweep_bad_config_exits_2(capsys, tmp_path, cfg, needle):

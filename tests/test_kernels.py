@@ -1,14 +1,16 @@
 """Kernel shortcuts that save work but never move a result, the one-solve
 eigenvector kernel's residual, and the phase sweep's order.
 
-``bisect_eigenvalue`` decides a midpoint from an earlier count whenever the
-count's monotonicity in the shift settles it, and ``lowest_two_eigenvalues``
-seeds those counts with Newton sweeps (``sturm_newton``, which must count
-exactly like ``sturm_count``) from a guess and around where they end.
-``counted`` reuses a count wherever the shifted diagonal rounds to a vector
-already counted, and only then: a constructed matrix pins that every entry
-is compared, and fine grids, where most of the last midpoints round so,
-pin that no midpoint moves.
+``SturmCounts`` keeps the counts taken on one matrix.  It answers a
+bisection midpoint or a gallop shift from a kept count whenever the
+count's monotonicity in the shift settles it, without a sweep, and
+``lowest_two_eigenvalues`` seeds it with Newton sweeps (``sturm_newton``,
+which must count exactly like ``sturm_count``) from a guess and around
+where they end.  It reuses a count wherever the shifted diagonal rounds
+to a vector already counted, and only then: a constructed matrix pins
+that every entry is compared, and fine grids, where most of the last
+midpoints round so, pin that no midpoint moves and that every count it
+keeps is the one a sweep returns.
 ``sturm_count`` takes the shift off the diagonal before its loop, and
 ``inverse_iteration`` fills its vector by cumulative products.  These
 properties pin down that none of them changes a single bit of the output:
@@ -39,7 +41,7 @@ from gaplab import (
     solve_extrapolated,
 )
 from gaplab import fdsolver, kernels
-from gaplab.fdsolver import _kernel_inputs, _nested_grids
+from gaplab.fdsolver import _nested_grids
 from conftest import random_capped, random_multistep
 
 EPS = np.finfo(float).eps
@@ -67,16 +69,23 @@ def random_tridiagonal(rng):
 
 
 def _bisect_inputs(diag, off):
-    # off2 and pivmin exactly as the eigensolver hands them to the kernels
-    _, _, off2, pivmin = _kernel_inputs(DiscreteOperator(diag, off))
+    # a count store with off2 and pivmin exactly as the eigensolver builds
+    # them, and the Gershgorin enclosure
     radius = 2.0 * np.abs(off).max()
     lo = float(diag.min() - radius)
     hi = float(np.abs(diag).max() + radius)
-    return off2, pivmin, lo, hi
+    return kernels.SturmCounts(diag, off), lo, hi
 
 
-def reference_bisect(diag, off2, k, lo, hi, pivmin):
-    # plain bisection: a Sturm sweep at every midpoint
+def _kept(counts):
+    """shift -> count of every count the store keeps, which it keeps sorted
+    by shift, each shift once."""
+    assert counts.shifts == sorted(set(counts.shifts))
+    return dict(zip(counts.shifts, counts.counts))
+
+
+def reference_bracket(diag, off2, k, lo, hi, pivmin):
+    # plain bisection, a Sturm sweep at every midpoint: the last (lo, hi)
     while True:
         top = max(abs(lo), abs(hi))
         if hi - lo <= kernels.tolerance(top):
@@ -88,6 +97,11 @@ def reference_bisect(diag, off2, k, lo, hi, pivmin):
             hi = mid
         else:
             lo = mid
+    return lo, hi
+
+
+def reference_bisect(diag, off2, k, lo, hi, pivmin):
+    lo, hi = reference_bracket(diag, off2, k, lo, hi, pivmin)
     return 0.5 * (lo + hi)
 
 
@@ -95,23 +109,29 @@ def _check_counted_shifts(rng, diag, off, k, n_known):
     # The bisection from no counts and from counts known beforehand takes
     # the midpoints of plain bisection.  Known shifts lie anywhere in the
     # enclosure, and some within a few eps * ||T|| of the lowest two
-    # eigenvalues, where the counts flip.
-    off2, pivmin, lo, hi = _bisect_inputs(diag, off)
+    # eigenvalues, where the counts flip; they are kept as Newton counts,
+    # as the eigensolver keeps them.
+    counts, lo, hi = _bisect_inputs(diag, off)
+    off2, pivmin = counts.off2, counts.pivmin
     lams = [reference_bisect(diag, off2, j, lo, hi, pivmin) for j in (0, 1)]
     plain = lams[k]
-    assert kernels.bisect_eigenvalue(diag, off2, k, lo, hi, pivmin) == plain
+    assert kernels.bisect_eigenvalue(counts, k, lo, hi) == plain
     ulp = EPS * DiscreteOperator(diag, off).norm_inf()
     shifts = list(rng.uniform(lo, hi, n_known))
     shifts += [float(lams[j] + ulp * rng.uniform(-4.0, 4.0))
                for j in rng.integers(0, 2, n_known)]
-    counts = {s: kernels.sturm_count(diag, off2, s, pivmin) for s in shifts}
-    known = dict(counts)
-    reused = kernels.bisect_eigenvalue(diag, off2, k, lo, hi, pivmin, counts)
+    known = {s: kernels.sturm_count(diag, off2, s, pivmin) for s in shifts}
+    guided, _, _ = _bisect_inputs(diag, off)
+    for s in shifts:
+        guided.newton(s)
+    reused = kernels.bisect_eigenvalue(guided, k, lo, hi)
     assert reused == plain
-    # every count it took was recorded, and the earlier ones kept
-    assert counts.items() >= known.items()
-    for s, c in counts.items():
-        assert c == kernels.sturm_count(diag, off2, s, pivmin)
+    # every count either store took is kept, the known ones too, and is
+    # the count a sweep returns
+    assert _kept(guided).items() >= known.items()
+    for store in (counts, guided):
+        for s, c in _kept(store).items():
+            assert c == kernels.sturm_count(diag, off2, s, pivmin)
 
 
 @settings(max_examples=200, deadline=None)
@@ -141,7 +161,8 @@ def test_bisection_with_counted_shifts_matches_plain_fine_grid(seed, k, n_known,
 def test_sturm_count_monotone_near_eigenvalue(seed, j):
     rng = np.random.default_rng(seed)
     diag, off = random_tridiagonal(rng)
-    off2, pivmin, _, _ = _bisect_inputs(diag, off)
+    counts, _, _ = _bisect_inputs(diag, off)
+    off2, pivmin = counts.off2, counts.pivmin
     lam = np.linalg.eigvalsh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))[j]
     ulp = EPS * DiscreteOperator(diag, off).norm_inf()
     shifts = np.sort(lam + ulp * rng.uniform(-6.0, 6.0, 64))
@@ -158,9 +179,9 @@ def test_inverse_iteration_one_solve_residual(seed, k):
     # eps * ||T|| of lambda.  The weakly linked pairs are included.
     rng = np.random.default_rng(seed)
     diag, off = random_tridiagonal(rng)
-    off2, pivmin, lo, hi = _bisect_inputs(diag, off)
-    sigma = kernels.bisect_eigenvalue(diag, off2, k, lo, hi, pivmin)
-    vec, solves, finite = kernels.inverse_iteration(diag, off, sigma, pivmin)
+    counts, lo, hi = _bisect_inputs(diag, off)
+    sigma = kernels.bisect_eigenvalue(counts, k, lo, hi)
+    vec, solves, finite = kernels.inverse_iteration(diag, off, sigma, counts.pivmin)
     assert (solves, finite) == (1, True)
     assert np.linalg.norm(vec) == pytest.approx(1.0, abs=1e-14)
     op = DiscreteOperator(diag, off)
@@ -198,9 +219,10 @@ def test_sturm_newton_counts_like_sturm_count(seed):
     # seed the bisections.  Its dlogdet is -sum_j 1 / (lambda_j - shift).
     rng = np.random.default_rng(seed)
     diag, off = random_tridiagonal(rng)
-    off2, pivmin, lo, hi = _bisect_inputs(diag, off)
+    counts, lo, hi = _bisect_inputs(diag, off)
+    off2, pivmin = counts.off2, counts.pivmin
     randoms = [float(s) for s in rng.uniform(lo, hi, 8)]
-    bisected = [kernels.bisect_eigenvalue(diag, off2, k, lo, hi, pivmin) for k in (0, 1)]
+    bisected = [kernels.bisect_eigenvalue(counts, k, lo, hi) for k in (0, 1)]
     for s in randoms + bisected + [float(diag[0])]:
         count, _ = kernels.sturm_newton(diag, off2, s, pivmin)
         assert count == kernels.sturm_count(diag, off2, s, pivmin)
@@ -222,7 +244,8 @@ def test_sturm_newton_counts_like_sturm_count(seed):
 def test_sturm_count_matches_reference_loop(seed, j):
     rng = np.random.default_rng(seed)
     diag, off = random_tridiagonal(rng)
-    off2, pivmin, lo, hi = _bisect_inputs(diag, off)
+    counts, lo, hi = _bisect_inputs(diag, off)
+    off2, pivmin = counts.off2, counts.pivmin
     lam = np.linalg.eigvalsh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))[j]
     ulp = EPS * DiscreteOperator(diag, off).norm_inf()
     shifts = list(lam + ulp * rng.uniform(-6.0, 6.0, 32))  # numpy floats
@@ -277,8 +300,9 @@ def test_inverse_iteration_matches_reference_loop(seed):
     # linked pairs included: the same bits as the per-index loop
     rng = np.random.default_rng(seed)
     diag, off = random_tridiagonal(rng)
-    off2, pivmin, lo, hi = _bisect_inputs(diag, off)
-    shifts = [kernels.bisect_eigenvalue(diag, off2, k, lo, hi, pivmin) for k in (0, 1)]
+    counts, lo, hi = _bisect_inputs(diag, off)
+    pivmin = counts.pivmin
+    shifts = [kernels.bisect_eigenvalue(counts, k, lo, hi) for k in (0, 1)]
     shifts.append(float(rng.uniform(lo, hi)))
     for sigma in shifts:
         vec, solves, finite = kernels.inverse_iteration(diag, off, sigma, pivmin)
@@ -386,7 +410,9 @@ def test_reuse_needs_every_entry_equal(monkeypatch):
     # eigenvalue more.  A reuse that compared a prefix, the distinct values
     # or within a tolerance would give s2 the count of s1.  The shifts one
     # ulp outside, s0 and s3, round to the vectors of s1 and s2, and those
-    # counts are reused without a sweep.
+    # counts are reused without a sweep.  No count at one of these shifts
+    # settles another by monotonicity (k = 0: s1 and s0 count 0 from below,
+    # s2 and s3 count 1 from above), so every answer is a reuse or a sweep.
     s1 = -0.5
     s2 = math.nextafter(s1, math.inf)
     s0 = math.nextafter(s1, -math.inf)
@@ -399,10 +425,19 @@ def test_reuse_needs_every_entry_equal(monkeypatch):
     off2 = [0.0, low * high]  # the last pivot is diag[2] - s - low
     pivmin = 1e-250
     assert [kernels.sturm_count(diag, off2, s, pivmin) for s in (s0, s1, s2, s3)] == [0, 0, 1, 1]
+
+    def store():
+        # no off-diagonal entry squares to low * high, so the store's
+        # kernel inputs are set directly
+        counts = kernels.SturmCounts(diag, np.sqrt(off2))
+        counts.off2, counts.pivmin = off2, pivmin
+        return counts
+
     for known, shift, expected in ((s1, s2, 1), (s2, s1, 0)):
-        counts = {known: kernels.sturm_count(diag, off2, known, pivmin)}
-        assert kernels.counted(diag, off2, shift, pivmin, counts) == expected
-        assert counts[shift] == expected
+        counts = store()
+        counts.exceeds(known, 0)
+        assert counts.exceeds(shift, 0) == (expected > 0)
+        assert _kept(counts)[shift] == expected
 
     sweeps = []
     sturm_count = kernels.sturm_count
@@ -411,10 +446,46 @@ def test_reuse_needs_every_entry_equal(monkeypatch):
         sweeps.append(args[2])
         return sturm_count(*args)
 
+    counts = store()
+    counts.newton(s0)
+    counts.newton(s3)
     monkeypatch.setattr(kernels, "sturm_count", counted_sturm)
-    counts = {s0: 0, s3: 1}
-    assert [kernels.counted(diag, off2, s, pivmin, counts) for s in (s1, s2)] == [0, 1]
+    assert [counts.exceeds(s, 0) for s in (s1, s2)] == [False, True]
+    assert _kept(counts) == {s0: 0, s1: 0, s2: 1, s3: 1}
     assert sweeps == []
+
+
+def test_monotone_answers_never_sweep(monkeypatch):
+    # The free Neumann stencil of 16 cells.  Kept Newton counts at the last
+    # bracket (lo, hi) of plain bisection settle every midpoint it takes,
+    # each at or below lo or at or above hi; and Newton counts d to either
+    # side of lambda_1 settle the gallop's first shifts, guess -/+ w, once
+    # d <= w.  Neither sweeps.
+    n = 16
+    diag = np.full(n, 2.0)
+    diag[[0, -1]] = 1.0
+    off = np.full(n - 1, -1.0)
+    counts, lo, hi = _bisect_inputs(diag, off)
+    plain = reference_bracket(diag, counts.off2, 1, lo, hi, counts.pivmin)
+    for s in plain:
+        counts.newton(s)
+    kept = _kept(counts)
+
+    def sweep(diag, off2, shift, pivmin):
+        pytest.fail(f"swept at {shift!r}, which a kept count settles")
+
+    monkeypatch.setattr(kernels, "sturm_count", sweep)
+    assert kernels.bisect_eigenvalue(counts, 1, lo, hi) == 0.5 * (plain[0] + plain[1])
+    assert _kept(counts) == kept
+
+    lam1 = 4.0 * math.sin(math.pi / (2 * n)) ** 2
+    d = 1e-6
+    counts, lo, hi = _bisect_inputs(diag, off)
+    for s in (lam1 - d, lam1 + d):
+        counts.newton(s)
+    assert _kept(counts) == {lam1 - d: 1, lam1 + d: 2}
+    fdsolver._gallop(counts, 1, lam1, 2.0 * d, lo, hi)
+    assert _kept(counts) == {lam1 - d: 1, lam1 + d: 2}
 
 
 def _count_sweeps(monkeypatch):
@@ -446,7 +517,7 @@ def _count_sweeps(monkeypatch):
 
 
 @pytest.mark.parametrize("p, expected", [
-    (Step(1.0, (-0.5, 0.5)), {100: [32, 0], 400: [9, 4], 800: [8, 4], 1600: [8, 3]}),
+    (Step(1.0, (-0.5, 0.5)), {100: [32, 0], 400: [9, 4], 800: [8, 4], 1600: [7, 3]}),
     (Step(1.0, (-0.5, 1.5)), {200: [25, 0], 800: [10, 5], 1600: [8, 4], 3200: [6, 2]}),
 ], ids=["centred", "off_centre"])
 def test_sturm_sweep_budget(monkeypatch, p, expected):
@@ -463,8 +534,9 @@ def test_sturm_sweep_budget(monkeypatch, p, expected):
     # centred step is even, so every grid, the quarter grid too, is split
     # into an even and an odd half of N/2 cells, each bisected for its
     # lowest eigenvalue: the sweeps pinned below, keyed by the half size,
-    # are 100*32 + 400*(9 + 2.2*4) + 800*(8 + 2.2*4) + 1600*(8 + 2.2*3) =
-    # 47120 cells.  Only the finest grid solves for eigenvectors, one
+    # are 100*32 + 400*(9 + 2.2*4) + 800*(8 + 2.2*4) + 1600*(7 + 2.2*3) =
+    # 45520 cells; a gallop shift that a Newton count already settles is
+    # not swept.  Only the finest grid solves for eigenvectors, one
     # twisted-factorization solve per eigenvalue on its half (2 here).  The
     # off-centre step is no palindrome: it pins the general path, whole
     # operators keyed by N, whose sweeps move if Maehly deflation or count
@@ -499,7 +571,9 @@ def test_newton_stops_at_rounding_floor(monkeypatch):
     # window at the 16-tolerance fallback and had to widen it.  Newton now
     # stops at the floor, every run returns a finite predicted error, and
     # the finest halves take [5, 2] sweeps, not [3, 4] (three of those
-    # Newton sweeps on the even half).
+    # Newton sweeps on the even half).  The middle level's halves take
+    # [3, 4], not [4, 4]: a gallop shift that a Newton count already
+    # settles is not swept.
     results = []
     newton = fdsolver._newton
 
@@ -514,5 +588,5 @@ def test_newton_stops_at_rounding_floor(monkeypatch):
     L = 80.19065303497489
     r = solve_extrapolated(p, L, n0=default_cell_count(L, floor=512), levels=3)
     assert r.gap > 0.0
-    assert sweeps == {642: [34, 0], 2567: [6, 4], 5134: [4, 4], 10268: [5, 2]}
+    assert sweeps == {642: [34, 0], 2567: [6, 4], 5134: [3, 4], 10268: [5, 2]}
     assert len(results) == 6 and all(e < math.inf for e in results)
