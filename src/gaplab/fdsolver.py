@@ -19,9 +19,14 @@ Parlett & Dhillon, Linear Algebra Appl. 267, 1997), and
 ``solve_extrapolated`` removes the leading O(h^2) error by Richardson
 extrapolation over nested grids.  Extrapolation needs only the eigenvalues
 of the coarser grids, and the ground state comes from the finest grid, so
-the coarser grids are solved for eigenvalues only; the finest grid solves
-for the eigenvectors and keeps every certificate (finite vectors, both
-residual checks, the positivity of the ground state).
+the coarser grids are solved for eigenvalues only.  The finest grid solves
+for the ground vector and keeps its certificates (a finite vector, its
+residual, its positivity).  The excited vector would feed nothing but
+lambda1's rounding floor, which eps ||T||_inf bounds, so it is solved
+only on a graded grid where that bound is loose (see
+``solve_extrapolated``).  An unsplit operator whose lambda1 - lambda0 lies
+within the ground vector's rounding floor raises instead, since nothing
+then tells the two states apart.
 
 Most of a solve is Sturm sweeps.  Every potential of the capped family is
 even, and so is a centred step; a grid with symmetric breaks and counts
@@ -184,7 +189,7 @@ class DiscreteOperator:
 
 class Eigenpair(NamedTuple):
     value: float
-    vector: np.ndarray  # l2-normalized
+    vector: Optional[np.ndarray]  # l2-normalized; None where it was not solved
 
 
 @dataclass(frozen=True)
@@ -194,8 +199,11 @@ class SpectralResult:
     ``phi0`` is L2(I)-normalized (sum phi0_i^2 w_i = 1 over the cell widths
     of ``grid``) and positive.  ``error_estimate`` holds, per eigenvalue,
     |extrapolant - finest raw value| plus the solver floor of the finest
-    grid, eps |y|^T |T| |y| + kernels.tolerance(lambda) for the eigenvector
-    y (eps ||T|| on a uniform grid).  ``observed_order`` is the measured
+    grid, r + kernels.tolerance(lambda).  r is the rounding floor
+    eps |y|^T |T| |y| of the eigenvector y for lambda0 (eps ||T|| on a
+    uniform grid), and its bound eps ||T||_inf for lambda1; where that bound
+    exceeds twice lambda0's floor (a graded grid), lambda1's excited vector
+    is solved and its own floor taken.  ``observed_order`` is the measured
     convergence order from the last three grids (nan when a difference is
     within that floor, or levels == 2).  ``raw_lambda0`` / ``raw_lambda1``
     keep the per-level values the extrapolation consumed (coarsest first).
@@ -455,8 +463,17 @@ def lowest_two_eigenvalues(
     return _separated(*_bisect_lowest_two(op, near)[0])
 
 
+def _rounding(op: DiscreteOperator, vec: np.ndarray) -> float:
+    """eps |y|^T |T| |y| for the unit vector y = ``vec``: the first-order
+    shift of its eigenvalue from rounding every entry of T by a relative
+    eps.  At most eps ||T||_inf."""
+    y = np.abs(vec)
+    return _EPS * (kernels.dot(np.abs(op.diag), y * y)
+                   + 2.0 * kernels.dot(np.abs(op.offdiag), y[:-1] * y[1:]))
+
+
 def lowest_two_eigenpairs(
-    op: DiscreteOperator, near: Optional[Tuple[float, float]] = None
+    op: DiscreteOperator, near: Optional[Tuple[float, float]] = None, *, excited: bool = True
 ) -> Tuple[Eigenpair, Eigenpair]:
     """Lowest two eigenpairs of the tridiagonal operator.
 
@@ -474,6 +491,13 @@ def lowest_two_eigenpairs(
     orthogonalization reduces to rounding (norm at most N eps), on a
     residual above 1e-8 ||T|| or on a ground vector that is not positive;
     each message reports lambda1 - lambda0 and eps ||T||.
+
+    ``excited=False`` solves the ground vector only: the second pair's
+    vector is None, and its orthogonalization and residual check are
+    skipped.  On an unsplit operator it raises :class:`SolverError` instead
+    where lambda1 - lambda0 is at most the ground vector's rounding floor
+    eps |y0|^T |T| |y0|, below which the two states may mix unseen; a split
+    operator cannot mix them.
     """
     lams, sectors = _bisect_lowest_two(op, near)
     lam0, lam1 = _separated(*lams)
@@ -485,24 +509,36 @@ def lowest_two_eigenpairs(
 
     vecs = []
     for lam, (counts, _, parity), state in zip(
-            (lam0, lam1), sectors, ("ground state", "first excited state")):
-        vec, _, finite = kernels.inverse_iteration(counts.diag, counts.off, lam, counts.pivmin)
+            (lam0, lam1), sectors[:2 if excited else 1],
+            ("ground state", "first excited state")):
+        vec, _, finite = kernels.inverse_iteration(counts, lam)
         if not finite:
             raise SolverError(f"the {state} vector has a non-finite component ({split})")
         vecs.append(vec if parity is None else _unfold(vec, op.diag.size, parity))
-    vec0, vec1 = vecs
+    vec0 = vecs[0]
     if vec0.sum() < 0.0:
         vec0 = -vec0
-    # the vectors are unit: a remainder within the N eps rounding of this
-    # step is no direction at all
-    vec1 = vec1 - kernels.dot(vec1, vec0) * vec0
-    norm1 = kernels.norm(vec1)
-    if not norm1 > vec1.size * np.finfo(float).eps:
-        raise SolverError(
-            f"the first excited state vector vanishes against the ground state ({split})"
-        )
-    vec1 = vec1 / norm1
-    for lam, vec, which in ((lam0, vec0, "0"), (lam1, vec1, "1")):
+    checked = [(lam0, vec0, "0")]
+    vec1 = None
+    if excited:
+        # the vectors are unit: a remainder within the N eps rounding of this
+        # step is no direction at all
+        vec1 = vecs[1] - kernels.dot(vecs[1], vec0) * vec0
+        norm1 = kernels.norm(vec1)
+        if not norm1 > vec1.size * np.finfo(float).eps:
+            raise SolverError(
+                f"the first excited state vector vanishes against the ground state ({split})"
+            )
+        vec1 = vec1 / norm1
+        checked.append((lam1, vec1, "1"))
+    elif sectors[0][2] is None:  # unsplit: one matrix holds both states
+        floor0 = _rounding(op, vec0)
+        if lam1 - lam0 <= floor0:
+            raise SolverError(
+                "lambda1 - lambda0 is within the ground state's rounding floor "
+                f"eps |y0|^T |T| |y0| = {floor0:.3e} ({split})"
+            )
+    for lam, vec, which in checked:
         resid = kernels.norm(op.matvec(vec) - lam * vec)
         if resid > _RESIDUAL_REL * norm_t:
             raise SolverError(
@@ -555,9 +591,16 @@ def solve_extrapolated(
 
     The coarser grids are solved for eigenvalues only
     (:func:`lowest_two_eigenvalues`): the extrapolation uses nothing else of
-    them.  Only the finest grid runs :func:`lowest_two_eigenpairs`, whose
-    eigenvectors are checked for finiteness, residual and positivity, so
-    only that grid can raise a :class:`SolverError` about an eigenvector.
+    them.  Only the finest grid runs :func:`lowest_two_eigenpairs`, for the
+    ground vector only (``excited=False``), whose vector is checked for
+    finiteness, residual and positivity, and which raises a
+    :class:`SolverError` on an unsplit pair within its rounding floor.
+    lambda1's rounding floor is then eps ||T||_inf, a bound on
+    eps |y1|^T |T| |y1|, as long as that bound is at most twice lambda0's
+    own floor; on a graded grid, where it is not (a one-ulp layer's cell
+    raises ||T||_inf by many orders over what either vector sees), the
+    finest grid is solved again for both vectors, with every certificate,
+    and lambda1 takes its excited vector's floor.
 
     The grids have a face at every break of the potential and are nested
     (every cell halved per level), so the error expands in even powers of
@@ -589,20 +632,25 @@ def solve_extrapolated(
         if j < levels - 1:
             lam0_j, lam1_j = lowest_two_eigenvalues(op, near=near)
         else:
-            ground, excited = lowest_two_eigenpairs(op, near=near)
+            ground, excited = lowest_two_eigenpairs(op, near=near, excited=False)
             lam0_j, lam1_j = ground.value, excited.value
         lam0s.append(lam0_j)
         lam1s.append(lam1_j)
 
     # what no level difference can show: the bisection tolerance, and the
     # first-order shift eps |y|^T |T| |y| from rounding every entry of the
-    # finest operator by a relative eps (eps ||T|| on a uniform grid)
-    eps = np.finfo(float).eps
+    # finest operator by a relative eps (eps ||T|| on a uniform grid), at
+    # most eps ||T||_inf, which stands for lambda1's unless it is loose
+    rounding0 = _rounding(op, ground.vector)
+    rounding1 = _EPS * op.norm_inf()
+    if rounding1 > 2.0 * rounding0:
+        # a graded grid: solve both vectors again, for the same values (a
+        # guess never moves one)
+        _, excited = lowest_two_eigenpairs(op, near=(lam0s[-1], lam1s[-1]))
+        rounding1 = _rounding(op, excited.vector)
     limits, errors, orders = [], [], []
-    for which, values, pair in (("lambda0", lam0s, ground), ("lambda1", lam1s, excited)):
-        y = np.abs(pair.vector)
-        rounding = eps * (kernels.dot(np.abs(op.diag), y * y)
-                          + 2.0 * kernels.dot(np.abs(op.offdiag), y[:-1] * y[1:]))
+    for which, values, rounding in (("lambda0", lam0s, rounding0),
+                                    ("lambda1", lam1s, rounding1)):
         floor = rounding + kernels.tolerance(values[-1])
         order = _observed_order(values, floor)
         if abs(order - 2.0) > 0.5:

@@ -11,7 +11,8 @@ and returns numpy arrays where it returns arrays.  The one exception is an
 input that is the same for every sweep of one operator: ``sturm_count``
 and ``sturm_newton`` take the squared off-diagonal ``off2`` as the list
 that ``SturmCounts`` builds once per operator, since the bisections sweep
-one operator some dozens of times.  Python floats and numpy doubles are
+one operator some dozens of times, and ``inverse_iteration`` reads it from
+the store it solves on.  Python floats and numpy doubles are
 both IEEE doubles and every operation keeps its order, so the results are
 bit for bit those of the same loops over numpy arrays, at a fraction of the
 indexing cost.  Unlike a numpy scalar, a Python float raises
@@ -222,9 +223,10 @@ def bisect_eigenvalue(counts, k, lo, hi, rel_width=0.0):
     return 0.5 * (lo + hi)
 
 
-def inverse_iteration(diag, off, sigma, pivmin):
-    # One step of inverse iteration on the symmetric tridiagonal (diag, off)
-    # with the shift `sigma`, from the best unit start vector e_r, by
+def inverse_iteration(counts, sigma):
+    # One step of inverse iteration on the symmetric tridiagonal matrix of
+    # `counts` (a SturmCounts, whose off2 and pivmin it reuses) with the
+    # shift `sigma`, from the best unit start vector e_r, by
     # Fernando's twisted factorization (Parlett & Dhillon, LAA 267, 1997;
     # Dhillon & Parlett, SIMAX 25, 2004).  The forward pivots d+ of
     # T - sigma*I = L D+ L^T are those of the Sturm recurrence, with its
@@ -241,11 +243,11 @@ def inverse_iteration(diag, off, sigma, pivmin):
     # np.multiply.accumulate multiplies left to right.
     # Returns (vector, 1, finite): the l2-normalized vector, the one solve,
     # and whether every component stayed finite.
-    pivmin = float(pivmin)
+    diag, off, b2s = counts.diag, counts.off, counts.off2
+    pivmin = float(counts.pivmin)
     neg_pivmin = -pivmin
     shifted = diag - float(sigma)
     cs = shifted.tolist()
-    b2s = (off * off).tolist()
 
     def pivots(cs, b2s):
         # sturm_count's recurrence and guard, keeping every pivot

@@ -362,7 +362,7 @@ def _hand_back(monkeypatch, *vectors):
     """Patch the eigenvector kernel to return `vectors`, ground state first."""
     handed = iter(vectors)
 
-    def kernel(diag, off, sigma, pivmin):
+    def kernel(counts, sigma):
         v = next(handed)
         return v, 1, bool(np.isfinite(v).all())
 
@@ -446,6 +446,28 @@ def test_split_weak_link_matches_dense():
     for k, pair in enumerate(pairs):
         assert pair.value == pytest.approx(lams[k], abs=1e-13)
         assert abs(float(pair.vector @ vecs[:, k])) == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("bump", [3e-10, 1e-6])
+def test_near_degenerate_asymmetric_pair(bump):
+    # A barrier of 1e3 across the centre leaves two wells, and a bump in the
+    # right well splits their pair of states.  The operator is no palindrome,
+    # so it is solved whole.  With a bump of 3e-10 the finest lambda1 -
+    # lambda0 is 0.25 eps ||T||, below what double precision separates, and
+    # the excited vector's guards missed it: the solve returned a ground
+    # state mixed with the excited one (inf/sup phi0 = 5.3e-12).  It must
+    # raise, on the ground vector's rounding floor.  A bump of 1e-6 splits
+    # the pair by 982 eps ||T||, which solves.
+    p = MultiStep((Step(1e3, (-0.5, 0.5)), Step(bump, (1.0, 2.0))))
+    if bump < 1e-8:
+        with pytest.raises(SolverError, match="rounding floor") as info:
+            solve_extrapolated(p, 10.0, n0=640)
+        split, floor = (float(x) for x in re.findall(r"= ([-+.e\d]+)", str(info.value))[1:])
+        assert split == pytest.approx(0.25 * floor, rel=0.01)
+    else:
+        r = solve_extrapolated(p, 10.0, n0=640)
+        floor = np.finfo(float).eps * assemble(p, r.grid).norm_inf()
+        assert r.raw_lambda1[-1] - r.raw_lambda0[-1] > 900 * floor
 
 
 @pytest.mark.parametrize("decay, cap, ratio", [

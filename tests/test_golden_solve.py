@@ -8,7 +8,8 @@ Richardson level, the error estimates, every check's status and measured
 value and the SHA-256 of the ``phi0`` bytes; piecewise cases add the
 oracle's exact eigenvalues and the SHA-256 of its ground-state profile.
 Floats are stored as ``repr`` strings, which round-trip every double
-(nan included).
+(nan included).  The same potentials pin that the ground-only solve
+(``excited=False``) changes no value and no bit of the ground vector.
 
 Run this file as a script to print the records as JSON.
 """
@@ -23,12 +24,15 @@ import numpy as np
 from gaplab import (
     InverseSquareCapped,
     SolverError,
+    assemble,
     decompose,
     eigenvalues_exact,
     ground_state_profile,
+    lowest_two_eigenpairs,
     solve_extrapolated,
     verify,
 )
+from gaplab.fdsolver import _nested_grids
 from conftest import random_capped, random_lattice_multistep, random_multistep
 
 GOLDEN = pathlib.Path(__file__).parent / "golden" / "solve_cases.json"
@@ -81,6 +85,18 @@ def records():
 
 def test_solve_cases_match_golden():
     assert records() == json.loads(GOLDEN.read_text())
+
+
+def test_ground_only_solve_matches_both_vectors():
+    # excited=False skips the excited vector and nothing else: the same
+    # eigenvalues and the same ground-vector bits, on each case's n0 grid
+    for _, p, L, n0 in _cases():
+        op = assemble(p, _nested_grids(p, L, n0, 1)[0])
+        ground, excited = lowest_two_eigenpairs(op)
+        ground_only, skipped = lowest_two_eigenpairs(op, excited=False)
+        assert (ground_only.value, skipped.value) == (ground.value, excited.value)
+        assert ground_only.vector.tobytes() == ground.vector.tobytes()
+        assert skipped.vector is None
 
 
 if __name__ == "__main__":

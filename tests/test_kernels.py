@@ -31,6 +31,7 @@ from gaplab import (
     DiscreteOperator,
     Grid,
     InverseSquareCapped,
+    MultiStep,
     Step,
     assemble,
     decompose,
@@ -181,7 +182,7 @@ def test_inverse_iteration_one_solve_residual(seed, k):
     diag, off = random_tridiagonal(rng)
     counts, lo, hi = _bisect_inputs(diag, off)
     sigma = kernels.bisect_eigenvalue(counts, k, lo, hi)
-    vec, solves, finite = kernels.inverse_iteration(diag, off, sigma, counts.pivmin)
+    vec, solves, finite = kernels.inverse_iteration(counts, sigma)
     assert (solves, finite) == (1, True)
     assert np.linalg.norm(vec) == pytest.approx(1.0, abs=1e-14)
     op = DiscreteOperator(diag, off)
@@ -305,7 +306,7 @@ def test_inverse_iteration_matches_reference_loop(seed):
     shifts = [kernels.bisect_eigenvalue(counts, k, lo, hi) for k in (0, 1)]
     shifts.append(float(rng.uniform(lo, hi)))
     for sigma in shifts:
-        vec, solves, finite = kernels.inverse_iteration(diag, off, sigma, pivmin)
+        vec, solves, finite = kernels.inverse_iteration(counts, sigma)
         ref_vec, ref_solves, ref_finite = reference_inverse_iteration(diag, off, sigma, pivmin)
         assert (solves, finite) == (ref_solves, ref_finite)
         assert vec.tobytes() == ref_vec.tobytes()
@@ -536,8 +537,10 @@ def test_sturm_sweep_budget(monkeypatch, p, expected):
     # lowest eigenvalue: the sweeps pinned below, keyed by the half size,
     # are 100*32 + 400*(9 + 2.2*4) + 800*(8 + 2.2*4) + 1600*(7 + 2.2*3) =
     # 45520 cells; a gallop shift that a Newton count already settles is
-    # not swept.  Only the finest grid solves for eigenvectors, one
-    # twisted-factorization solve per eigenvalue on its half (2 here).  The
+    # not swept.  Only the finest grid solves for an eigenvector: one
+    # twisted-factorization solve, for the ground state, as no layer of
+    # these grids is thin enough that lambda1's rounding floor needs its
+    # own vector (see the one-ulp-layer pins below).  The
     # off-centre step is no palindrome: it pins the general path, whole
     # operators keyed by N, whose sweeps move if Maehly deflation or count
     # sharing is lost.  The counts are deterministic: a change that loses
@@ -545,7 +548,23 @@ def test_sturm_sweep_budget(monkeypatch, p, expected):
     sweeps, calls = _count_sweeps(monkeypatch)
     solve_extrapolated(p, 100.0, n0=800, levels=3)
     assert sweeps == expected
-    assert calls["inverse_sweeps"] == 2
+    assert calls["inverse_sweeps"] == 1
+
+
+@pytest.mark.parametrize("p", [
+    MultiStep((Step(1.0, (-0.5, 0.5)), Step(2.0, (0.5, math.nextafter(0.5, 1.0))))),
+    Step(1.0, (-0.5, math.nextafter(5.0, 0.0))),
+], ids=["interior", "at_the_end"])
+def test_one_ulp_layer_solves_excited_vector(monkeypatch, p):
+    # A layer one ulp wide keeps one cell, whose 1/w^2 coupling makes
+    # ||T||_inf some 1e12 times |y|^T |T| |y| of either eigenvector.  The
+    # bound eps ||T||_inf would then swamp lambda1's error estimate, so the
+    # finest grid is solved again for both vectors (three solves in all)
+    # and lambda1 takes its own vector's rounding floor, far below it.
+    sweeps, calls = _count_sweeps(monkeypatch)
+    r = solve_extrapolated(p, 10.0, n0=default_cell_count(10.0), levels=3)
+    assert calls["inverse_sweeps"] == 3
+    assert r.error_estimate[1] < 1e-6 * EPS * assemble(p, r.grid).norm_inf()
 
 
 def test_sturm_sweep_budget_finest_grid(monkeypatch):
