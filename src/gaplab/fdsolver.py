@@ -22,11 +22,11 @@ of the coarser grids, and the ground state comes from the finest grid, so
 the coarser grids are solved for eigenvalues only.  The finest grid solves
 for the ground vector and keeps its certificates (a finite vector, its
 residual, its positivity).  The excited vector would feed nothing but
-lambda1's rounding floor, which eps ||T||_inf bounds, so it is solved
-only on a graded grid where that bound is loose (see
-``solve_extrapolated``).  An unsplit operator whose lambda1 - lambda0 lies
-within the ground vector's rounding floor raises instead, since nothing
-then tells the two states apart.
+lambda1's rounding floor, which eps ||T||_inf bounds, so it is solved,
+once, only on a graded grid where that bound is loose (see
+``lowest_two_eigenpairs``).  On any unsplit operator, whichever vectors are
+solved, a lambda1 - lambda0 within the ground vector's rounding floor
+raises, since nothing then tells the two states apart.
 
 Most of a solve is Sturm sweeps.  Every potential of the capped family is
 even, and so is a centred step; a grid with symmetric breaks and counts
@@ -188,8 +188,14 @@ class DiscreteOperator:
 
 
 class Eigenpair(NamedTuple):
+    """An eigenvalue, its l2-normalized vector (None where it was not
+    solved) and its rounding floor: the first-order shift eps |y|^T |T| |y|
+    of the value from rounding every entry of T by a relative eps, for the
+    vector y returned, or its bound eps ||T||_inf where no vector was."""
+
     value: float
-    vector: Optional[np.ndarray]  # l2-normalized; None where it was not solved
+    vector: Optional[np.ndarray]
+    floor: float
 
 
 @dataclass(frozen=True)
@@ -199,11 +205,11 @@ class SpectralResult:
     ``phi0`` is L2(I)-normalized (sum phi0_i^2 w_i = 1 over the cell widths
     of ``grid``) and positive.  ``error_estimate`` holds, per eigenvalue,
     |extrapolant - finest raw value| plus the solver floor of the finest
-    grid, r + kernels.tolerance(lambda).  r is the rounding floor
-    eps |y|^T |T| |y| of the eigenvector y for lambda0 (eps ||T|| on a
-    uniform grid), and its bound eps ||T||_inf for lambda1; where that bound
-    exceeds twice lambda0's floor (a graded grid), lambda1's excited vector
-    is solved and its own floor taken.  ``observed_order`` is the measured
+    grid, r + kernels.tolerance(lambda), with r the finest eigenpair's
+    ``Eigenpair.floor``: eps |y|^T |T| |y| of the ground vector for lambda0
+    (eps ||T|| on a uniform grid), and for lambda1 its bound eps ||T||_inf,
+    or the excited vector's own floor where that bound exceeds twice
+    lambda0's (a graded grid).  ``observed_order`` is the measured
     convergence order from the last three grids (nan when a difference is
     within that floor, or levels == 2).  ``raw_lambda0`` / ``raw_lambda1``
     keep the per-level values the extrapolation consumed (coarsest first).
@@ -475,7 +481,8 @@ def _rounding(op: DiscreteOperator, vec: np.ndarray) -> float:
 def lowest_two_eigenpairs(
     op: DiscreteOperator, near: Optional[Tuple[float, float]] = None, *, excited: bool = True
 ) -> Tuple[Eigenpair, Eigenpair]:
-    """Lowest two eigenpairs of the tridiagonal operator.
+    """Lowest two eigenpairs of the tridiagonal operator, each with its
+    rounding floor.
 
     Eigenvalues from :func:`lowest_two_eigenvalues` (``near`` is passed on
     and never changes the result); each eigenvector from one
@@ -485,76 +492,78 @@ def lowest_two_eigenpairs(
     solution back to length N, even for lambda0 and odd for lambda1, so a
     split between lambda0 and lambda1 near eps ||T|| cannot mix the two
     vectors.  The certificates run on the full vectors against the full
-    operator: the second vector is orthogonalized against the first once,
-    and the ground vector is sign-fixed positive.  Raises
-    :class:`SolverError` on a non-finite vector, on a second vector that
-    orthogonalization reduces to rounding (norm at most N eps), on a
-    residual above 1e-8 ||T|| or on a ground vector that is not positive;
-    each message reports lambda1 - lambda0 and eps ||T||.
+    operator: the ground vector is sign-fixed positive, and the second
+    vector is orthogonalized against it once.  Raises :class:`SolverError`
+    on a non-finite vector, on a residual above 1e-8 ||T||, on a ground
+    vector that is not positive, on a second vector that orthogonalization
+    reduces to rounding (norm at most N eps), and, on an unsplit operator,
+    where lambda1 - lambda0 is at most the ground vector's rounding floor,
+    below which the two states may mix unseen; each message reports
+    lambda1 - lambda0 and eps ||T||.
 
-    ``excited=False`` solves the ground vector only: the second pair's
-    vector is None, and its orthogonalization and residual check are
-    skipped.  On an unsplit operator it raises :class:`SolverError` instead
-    where lambda1 - lambda0 is at most the ground vector's rounding floor
-    eps |y0|^T |T| |y0|, below which the two states may mix unseen; a split
-    operator cannot mix them.
+    ``excited=False`` solves the excited vector only where lambda1's floor
+    needs it: where eps ||T||_inf, a bound on eps |y|^T |T| |y| for every
+    unit y, exceeds twice the ground vector's floor (a graded grid, whose
+    thinnest cell raises ||T||_inf over what either vector sees).
+    Elsewhere the second pair's vector is None and its floor that bound.
     """
     lams, sectors = _bisect_lowest_two(op, near)
     lam0, lam1 = _separated(*lams)
     norm_t = op.norm_inf()
     # a split near eps*||T|| leaves the unsplit solves unable to tell the
     # two eigenvectors apart; the errors below report how close it is
-    split = (f"lambda1 - lambda0 = {lam1 - lam0:.3e}, "
-             f"eps*||T|| = {np.finfo(float).eps * norm_t:.3e}")
+    split = f"lambda1 - lambda0 = {lam1 - lam0:.3e}, eps*||T|| = {_EPS * norm_t:.3e}"
 
-    vecs = []
-    for lam, (counts, _, parity), state in zip(
-            (lam0, lam1), sectors[:2 if excited else 1],
-            ("ground state", "first excited state")):
+    def solve(lam, sector, state):
+        counts, _, parity = sector
         vec, _, finite = kernels.inverse_iteration(counts, lam)
         if not finite:
             raise SolverError(f"the {state} vector has a non-finite component ({split})")
-        vecs.append(vec if parity is None else _unfold(vec, op.diag.size, parity))
-    vec0 = vecs[0]
-    if vec0.sum() < 0.0:
-        vec0 = -vec0
-    checked = [(lam0, vec0, "0")]
-    vec1 = None
-    if excited:
-        # the vectors are unit: a remainder within the N eps rounding of this
-        # step is no direction at all
-        vec1 = vecs[1] - kernels.dot(vecs[1], vec0) * vec0
-        norm1 = kernels.norm(vec1)
-        if not norm1 > vec1.size * np.finfo(float).eps:
-            raise SolverError(
-                f"the first excited state vector vanishes against the ground state ({split})"
-            )
-        vec1 = vec1 / norm1
-        checked.append((lam1, vec1, "1"))
-    elif sectors[0][2] is None:  # unsplit: one matrix holds both states
-        floor0 = _rounding(op, vec0)
-        if lam1 - lam0 <= floor0:
-            raise SolverError(
-                "lambda1 - lambda0 is within the ground state's rounding floor "
-                f"eps |y0|^T |T| |y0| = {floor0:.3e} ({split})"
-            )
-    for lam, vec, which in checked:
+        return vec if parity is None else _unfold(vec, op.diag.size, parity)
+
+    def certify(lam, vec, which):
         resid = kernels.norm(op.matvec(vec) - lam * vec)
         if resid > _RESIDUAL_REL * norm_t:
             raise SolverError(
                 f"eigenpair {which} residual {resid:.3e} exceeds "
                 f"{_RESIDUAL_REL:.0e} * ||T|| ({split})"
             )
+
+    vec0 = solve(lam0, sectors[0], "ground state")
+    if vec0.sum() < 0.0:
+        vec0 = -vec0
+    certify(lam0, vec0, "0")
     # Positivity up to the resolution of the solve: components the true
     # ground state drives below ~1e-16 of its peak (deep tunneling) come out
     # as rounding noise of either sign; clamp them to the measurement floor.
     # Anything more negative means a genuinely wrong vector.
+    ground = vec0
     peak = float(vec0.max())
     if vec0.min() <= 0.0:
         if vec0.min() < -1e-12 * peak:
             raise SolverError(f"ground-state vector is not strictly positive ({split})")
-        vec0 = np.maximum(vec0, 1e-16 * peak)
-    return Eigenpair(float(lam0), vec0), Eigenpair(float(lam1), vec1)
+        ground = np.maximum(vec0, 1e-16 * peak)
+    floor0 = _rounding(op, ground)
+    if sectors[0][2] is None and lam1 - lam0 <= floor0:  # unsplit: one matrix holds both
+        raise SolverError(
+            "lambda1 - lambda0 is within the ground state's rounding floor "
+            f"eps |y0|^T |T| |y0| = {floor0:.3e} ({split})"
+        )
+    vec1, floor1 = None, _EPS * norm_t
+    if excited or floor1 > 2.0 * floor0:
+        vec1 = solve(lam1, sectors[1], "first excited state")
+        # the vectors are unit: a remainder within the N eps rounding of this
+        # step is no direction at all
+        vec1 = vec1 - kernels.dot(vec1, vec0) * vec0
+        norm1 = kernels.norm(vec1)
+        if not norm1 > vec1.size * _EPS:
+            raise SolverError(
+                f"the first excited state vector vanishes against the ground state ({split})"
+            )
+        vec1 = vec1 / norm1
+        certify(lam1, vec1, "1")
+        floor1 = _rounding(op, vec1)
+    return Eigenpair(float(lam0), ground, floor0), Eigenpair(float(lam1), vec1, floor1)
 
 
 def _richardson(values):
@@ -591,16 +600,11 @@ def solve_extrapolated(
 
     The coarser grids are solved for eigenvalues only
     (:func:`lowest_two_eigenvalues`): the extrapolation uses nothing else of
-    them.  Only the finest grid runs :func:`lowest_two_eigenpairs`, for the
-    ground vector only (``excited=False``), whose vector is checked for
-    finiteness, residual and positivity, and which raises a
-    :class:`SolverError` on an unsplit pair within its rounding floor.
-    lambda1's rounding floor is then eps ||T||_inf, a bound on
-    eps |y1|^T |T| |y1|, as long as that bound is at most twice lambda0's
-    own floor; on a graded grid, where it is not (a one-ulp layer's cell
-    raises ||T||_inf by many orders over what either vector sees), the
-    finest grid is solved again for both vectors, with every certificate,
-    and lambda1 takes its excited vector's floor.
+    them.  The finest grid makes one :func:`lowest_two_eigenpairs` call
+    with ``excited=False``, which certifies the ground vector, solves the
+    excited one only where lambda1's rounding floor needs it (a graded
+    grid), raises a :class:`SolverError` on an unsplit pair within the
+    ground vector's floor, and returns each value with its floor.
 
     The grids have a face at every break of the potential and are nested
     (every cell halved per level), so the error expands in even powers of
@@ -637,21 +641,11 @@ def solve_extrapolated(
         lam0s.append(lam0_j)
         lam1s.append(lam1_j)
 
-    # what no level difference can show: the bisection tolerance, and the
-    # first-order shift eps |y|^T |T| |y| from rounding every entry of the
-    # finest operator by a relative eps (eps ||T|| on a uniform grid), at
-    # most eps ||T||_inf, which stands for lambda1's unless it is loose
-    rounding0 = _rounding(op, ground.vector)
-    rounding1 = _EPS * op.norm_inf()
-    if rounding1 > 2.0 * rounding0:
-        # a graded grid: solve both vectors again, for the same values (a
-        # guess never moves one)
-        _, excited = lowest_two_eigenpairs(op, near=(lam0s[-1], lam1s[-1]))
-        rounding1 = _rounding(op, excited.vector)
     limits, errors, orders = [], [], []
-    for which, values, rounding in (("lambda0", lam0s, rounding0),
-                                    ("lambda1", lam1s, rounding1)):
-        floor = rounding + kernels.tolerance(values[-1])
+    for which, values, pair in (("lambda0", lam0s, ground), ("lambda1", lam1s, excited)):
+        # what no level difference can show: the bisection tolerance and the
+        # finest operator's rounding floor
+        floor = pair.floor + kernels.tolerance(values[-1])
         order = _observed_order(values, floor)
         if abs(order - 2.0) > 0.5:
             warnings.warn(

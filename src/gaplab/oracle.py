@@ -291,8 +291,9 @@ def _bracket_root(layers, k, lo, c_lo, hi, c_hi, scale):
     exactly the eigenvalues and are simple, so from then on the sign of D
     decides each midpoint, free of RK4 truncation error, down to a width of
     max(1e-13 relative, 1e-15 scale); one secant step on D in mpmath then
-    places the root.  A bracket that reaches 1e-9 relative without
-    isolating raises :class:`OracleError`.  The upper end returned lies
+    places the root.  A bracket that narrows to 1e-9 of its own ends
+    (1e-10 absolute near zero) without isolating raises
+    :class:`OracleError`.  The upper end returned lies
     between eigenvalues k and k + 1: its count is k + 1.
     """
     if c_lo > k or c_hi < k + 1:
@@ -301,14 +302,15 @@ def _bracket_root(layers, k, lo, c_lo, hi, c_hi, scale):
             f"count({lo})={c_lo}, count({hi})={c_hi}"
         )
     want_left = 1.0 if k % 2 == 0 else -1.0  # sign of D below the k-th zero
-    tol = max(1e-10, 1e-9 * max(abs(lo), abs(hi)))
     while not (
         c_lo == k
         and c_hi == k + 1
         and match_value(layers, lo) * want_left > 0.0
         and match_value(layers, hi) * want_left < 0.0
     ):
-        if hi - lo <= tol:
+        # relative to the bracket as it closes on eigenvalue k: the ceiling
+        # it starts from can lie orders of magnitude above
+        if hi - lo <= max(1e-10, 1e-9 * max(abs(lo), abs(hi))):
             if c_hi >= k + 2:
                 raise OracleError(
                     f"eigenvalues {k} and {k + 1} are not separable in double "

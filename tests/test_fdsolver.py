@@ -456,18 +456,27 @@ def test_near_degenerate_asymmetric_pair(bump):
     # lambda0 is 0.25 eps ||T||, below what double precision separates, and
     # the excited vector's guards missed it: the solve returned a ground
     # state mixed with the excited one (inf/sup phi0 = 5.3e-12).  It must
-    # raise, on the ground vector's rounding floor.  A bump of 1e-6 splits
-    # the pair by 982 eps ||T||, which solves.
+    # raise, on the ground vector's rounding floor, and so must the finest
+    # operator's eigenpairs whether or not the excited vector is asked for.
+    # A bump of 1e-6 splits the pair by 982 eps ||T||, which solves in both.
     p = MultiStep((Step(1e3, (-0.5, 0.5)), Step(bump, (1.0, 2.0))))
+    op = assemble(p, _nested_grids(p, 10.0, 640, 3)[-1])
     if bump < 1e-8:
         with pytest.raises(SolverError, match="rounding floor") as info:
             solve_extrapolated(p, 10.0, n0=640)
         split, floor = (float(x) for x in re.findall(r"= ([-+.e\d]+)", str(info.value))[1:])
         assert split == pytest.approx(0.25 * floor, rel=0.01)
+        for excited in (True, False):
+            with pytest.raises(SolverError, match="rounding floor"):
+                lowest_two_eigenpairs(op, excited=excited)
     else:
         r = solve_extrapolated(p, 10.0, n0=640)
-        floor = np.finfo(float).eps * assemble(p, r.grid).norm_inf()
+        floor = np.finfo(float).eps * op.norm_inf()
         assert r.raw_lambda1[-1] - r.raw_lambda0[-1] > 900 * floor
+        for excited in (True, False):
+            ground, second = lowest_two_eigenpairs(op, excited=excited)
+            assert second.value - ground.value > 900 * ground.floor
+            assert (second.vector is not None) == excited
 
 
 @pytest.mark.parametrize("decay, cap, ratio", [

@@ -8,8 +8,9 @@ Richardson level, the error estimates, every check's status and measured
 value and the SHA-256 of the ``phi0`` bytes; piecewise cases add the
 oracle's exact eigenvalues and the SHA-256 of its ground-state profile.
 Floats are stored as ``repr`` strings, which round-trip every double
-(nan included).  The same potentials pin that the ground-only solve
-(``excited=False``) changes no value and no bit of the ground vector.
+(nan included).  The same potentials, and two grids with a one-ulp layer,
+pin that the ground-only solve (``excited=False``) changes no value and no
+bit of the vectors it returns.
 
 Run this file as a script to print the records as JSON.
 """
@@ -23,9 +24,12 @@ import numpy as np
 
 from gaplab import (
     InverseSquareCapped,
+    MultiStep,
     SolverError,
+    Step,
     assemble,
     decompose,
+    default_cell_count,
     eigenvalues_exact,
     ground_state_profile,
     lowest_two_eigenpairs,
@@ -87,16 +91,32 @@ def test_solve_cases_match_golden():
     assert records() == json.loads(GOLDEN.read_text())
 
 
+ONE_ULP_LAYERS = (
+    MultiStep((Step(1.0, (-0.5, 0.5)), Step(2.0, (0.5, math.nextafter(0.5, 1.0))))),
+    Step(1.0, (-0.5, math.nextafter(5.0, 0.0))),
+)
+
+
 def test_ground_only_solve_matches_both_vectors():
-    # excited=False skips the excited vector and nothing else: the same
-    # eigenvalues and the same ground-vector bits, on each case's n0 grid
-    for _, p, L, n0 in _cases():
+    # excited=False skips the excited vector where lambda1's floor does not
+    # need it and changes nothing else: the same eigenvalues and the same
+    # ground-vector bits, on each case's n0 grid.  A one-ulp layer's cell
+    # raises ||T||_inf far above either vector's floor, so there the excited
+    # vector is solved too, with the bits of the default call.
+    cases = [(p, L, n0, False) for _, p, L, n0 in _cases()]
+    cases += [(p, 10.0, default_cell_count(10.0), True) for p in ONE_ULP_LAYERS]
+    for p, L, n0, graded in cases:
         op = assemble(p, _nested_grids(p, L, n0, 1)[0])
         ground, excited = lowest_two_eigenpairs(op)
-        ground_only, skipped = lowest_two_eigenpairs(op, excited=False)
-        assert (ground_only.value, skipped.value) == (ground.value, excited.value)
+        ground_only, second = lowest_two_eigenpairs(op, excited=False)
+        assert (ground_only.value, second.value) == (ground.value, excited.value)
         assert ground_only.vector.tobytes() == ground.vector.tobytes()
-        assert skipped.vector is None
+        assert ground_only.floor == ground.floor
+        if graded:
+            assert second.vector.tobytes() == excited.vector.tobytes()
+            assert second.floor == excited.floor
+        else:
+            assert second.vector is None
 
 
 if __name__ == "__main__":

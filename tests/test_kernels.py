@@ -559,11 +559,12 @@ def test_one_ulp_layer_solves_excited_vector(monkeypatch, p):
     # A layer one ulp wide keeps one cell, whose 1/w^2 coupling makes
     # ||T||_inf some 1e12 times |y|^T |T| |y| of either eigenvector.  The
     # bound eps ||T||_inf would then swamp lambda1's error estimate, so the
-    # finest grid is solved again for both vectors (three solves in all)
-    # and lambda1 takes its own vector's rounding floor, far below it.
+    # finest grid's one lowest_two_eigenpairs call solves the excited
+    # vector too (two solves in all, one per vector) and lambda1 takes its
+    # own vector's rounding floor, far below it.
     sweeps, calls = _count_sweeps(monkeypatch)
     r = solve_extrapolated(p, 10.0, n0=default_cell_count(10.0), levels=3)
-    assert calls["inverse_sweeps"] == 3
+    assert calls["inverse_sweeps"] == 2
     assert r.error_estimate[1] < 1e-6 * EPS * assemble(p, r.grid).norm_inf()
 
 

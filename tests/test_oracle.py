@@ -463,6 +463,21 @@ def test_inseparable_pair_is_named():
         eigenvalues_exact(decompose(p, 40.0), 2)
 
 
+def test_close_pair_isolated_relative_to_its_eigenvalues():
+    # A barrier of 1e3 across the centre and a bump of 1e-6 in the right
+    # well split the wells' pair by 5.7e-8 at lambda ~ 0.12, which double
+    # precision separates by nine orders.  The Rayleigh ceiling starts the
+    # bracket near 300; a tolerance taken from that ceiling (3e-7) once
+    # reported the pair as not separable.  The finite-difference solver
+    # agrees to its discretization error.
+    p = MultiStep((Step(1e3, (-0.5, 0.5)), Step(1e-6, (1.0, 2.0))))
+    ex0, ex1 = eigenvalues_exact(decompose(p, 10.0), 2)
+    assert 5e-8 < ex1 - ex0 < 6e-8
+    r = solve_extrapolated(p, 10.0, n0=640)
+    assert r.lambda0 == pytest.approx(ex0, rel=1e-8)
+    assert r.lambda1 == pytest.approx(ex1, rel=1e-8)
+
+
 def _mp_root(layers, guess, width):
     """Zero of D within ``width`` of ``guess`` for the propagator
     match_value applies (the same double layer lengths and heights), with
