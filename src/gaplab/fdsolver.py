@@ -317,11 +317,14 @@ def _newton(counts, guess, gap, floor, deflate=None):
     floor ``floor``, below which the steps are rounding noise however close
     the eigenvalues; or when a step is not finite or not shorter than the
     one before, or after _NEWTON_STEPS sweeps.  Each sweep's Sturm count
-    is kept in ``counts`` (a kernels.SturmCounts).  Returns the last iterate
-    and the error its last step predicts, inf when no step passed the stop
-    test."""
+    is kept in ``counts`` (a kernels.SturmCounts).  Returns the last iterate,
+    the error its last step predicts (inf when no step passed the stop
+    test) and the gap the last contraction shows, t'^2 / t (None before a
+    second step): the error t^2 / gap read backwards, which sums over every
+    other eigenvalue and so lies below the distance to the nearest."""
     sigma = guess
     last = math.inf
+    seen = None
     for _ in range(_NEWTON_STEPS):
         if not math.isfinite(sigma) or sigma == deflate:
             break
@@ -338,10 +341,11 @@ def _newton(counts, guess, gap, floor, deflate=None):
         error = size * min(1.0, size / gap) if gap is not None and gap > 0.0 else size
         if last < math.inf:
             error = min(error, size * (size / last) ** 2)
+            seen = last * last / size
         if error <= 0.25 * kernels.tolerance(sigma) or size <= floor:
-            return sigma, error
+            return sigma, error, seen
         last = size
-    return sigma, math.inf
+    return sigma, math.inf, seen
 
 
 def _mirror_halves(op: DiscreteOperator):
@@ -408,6 +412,7 @@ def _bisect_lowest_two(op: DiscreteOperator, near, rel_width=0.0):
     if near is not None:
         guesses = (float(near[0]), float(near[1]))
         gap = abs(guesses[1] - guesses[0])
+        seen = None
     lams = []
     for j, (counts, k, parity) in enumerate(sectors):
         diag, off = counts.diag, counts.off
@@ -427,10 +432,19 @@ def _bisect_lowest_two(op: DiscreteOperator, near, rel_width=0.0):
         if near is not None:
             # lambda1 of the unsplit matrix is deflated by the bisected lambda0.
             # A half's next eigenvalue is lambda2 > lambda1 (even) or lambda3
-            # (odd): lambda1 - lambda0 bounds the even half's gap from below
-            # and tells nothing of the odd half's.
-            guess, error = _newton(counts, guesses[j], None if parity == -1.0 else gap,
-                                   _EPS * hi, deflate=lams[0] if k else None)
+            # (odd): lambda1 - lambda0 bounds the even half's gap from below.
+            # The odd half's gap is at least lambda2 - lambda1 (interlacing:
+            # lambda3 >= lambda2), and lambda2 - lambda0 is at least the gap
+            # the even half's last Newton contraction showed, where it showed
+            # one.  Else lambda1 - lambda0 stands in for lambda2 - lambda1,
+            # which it does not exceed on a flat spectrum (1 : 3) or below a
+            # central barrier (a split pair).  Newton only places counts, so
+            # an estimate that is off costs sweeps, never a value.
+            next_gap = gap
+            if parity == -1.0 and seen is not None and seen > guesses[1] - lams[0]:
+                next_gap = seen - (guesses[1] - lams[0])
+            guess, error, seen = _newton(counts, guesses[j], next_gap, _EPS * hi,
+                                         deflate=lams[0] if k else None)
             _gallop(counts, k, guess, error, lo, hi)
         if k:
             lo = max(lo, lams[0] - 1e-13)

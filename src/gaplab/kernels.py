@@ -6,31 +6,35 @@ factorization) follow LAPACK's tridiagonal routines; the phase and profile
 kernels are fixed-step RK4 sweeps, so phase counts are reproducible.
 
 The loops run on Python floats, not numpy scalars: each kernel converts its
-array arguments once per call with ``tolist()`` (scalars with ``float()``)
-and returns numpy arrays where it returns arrays.  The one exception is an
-input that is the same for every sweep of one operator: ``sturm_count``
-and ``sturm_newton`` take the squared off-diagonal ``off2`` as the list
-that ``SturmCounts`` builds once per operator, since the bisections sweep
-one operator some dozens of times, and ``inverse_iteration`` reads it from
-the store it solves on.  Python floats and numpy doubles are
-both IEEE doubles and every operation keeps its order, so the results are
-bit for bit those of the same loops over numpy arrays, at a fraction of the
-indexing cost.  Unlike a numpy scalar, a Python float raises
-ZeroDivisionError on a zero divisor instead of returning inf or nan: every
-divisor in a loop below is a pivot kept away from zero by `pivmin`, a step
-count, or a maximum checked to be nonzero.
+array arguments once per call, with ``tolist()`` or by iterating a
+``memoryview``, which makes each float only as the loop reaches it
+(scalars with ``float()``), and returns numpy arrays where it returns
+arrays.  Python floats and numpy doubles are both IEEE doubles and every
+operation keeps its order, so the results are bit for bit those of the
+same loops over numpy arrays, at a fraction of the indexing cost.  Unlike
+a numpy scalar, a Python float raises ZeroDivisionError on a zero divisor
+instead of returning inf or nan: every divisor in a loop below is a pivot
+kept away from zero by `pivmin`, a step count, or a maximum checked to be
+nonzero.
 
-``sturm_count`` takes the shift off the diagonal once per call, in numpy,
-so its loop is ``d = c_i - b_i / d``; numpy's elementwise subtraction is the
-same correctly rounded IEEE operation as Python's, so every count is that
-of the loop that subtracts the shift at each step.  ``inverse_iteration``
-fills its vector by cumulative products in numpy, which change no bit of
-the per-index loop (see there).  Its norm and the eigensolver's other sums
-(``dot``, ``norm``) use numpy's pairwise summation and never BLAS, whose
-threaded sums over long vectors change their last bits with the thread
-count.  ``prufer_theta_piecewise`` ends a step on
-every break of the potential, so each step sees one constant layer value
-and the sweep keeps RK4's fourth order across the jumps.
+The Sturm sweeps (``sturm_count``, ``sturm_newton`` and the two pivot
+passes of ``inverse_iteration``) read a matrix in its run-length form,
+which ``SturmCounts`` builds once per matrix with ``run_length``, since
+the bisections sweep one matrix some dozens of times.  The eigensolver's
+grids have equal cells within each layer, so every interior row of a
+layer is the same pair (diag_i, off2_{i-1}), bit for bit.  Such a run is
+swept with one subtraction of the shift and a loop that reads no array;
+only the rows between runs, the stretches, are read row by row, their
+shift taken off in numpy once per sweep.  numpy's elementwise subtraction
+is the same correctly rounded IEEE operation as Python's, so every pivot
+is that of the loop that subtracts the shift at each row.
+``inverse_iteration`` fills its vector by cumulative products in numpy,
+which change no bit of the per-index loop (see there).  Its norm and the
+eigensolver's other sums (``dot``, ``norm``) use numpy's pairwise
+summation and never BLAS, whose threaded sums over long vectors change
+their last bits with the thread count.  ``prufer_theta_piecewise`` ends a
+step on every break of the potential, so each step sees one constant
+layer value and the sweep keeps RK4's fourth order across the jumps.
 
 ``SturmCounts`` is the one home of the counts taken on one matrix, and of
 the rule for reusing them.  ``bisect_eigenvalue`` stops at the width
@@ -50,6 +54,8 @@ for a Newton step toward an eigenvalue.
 
 import bisect
 import math
+from itertools import repeat
+from typing import NamedTuple
 
 import numpy as np
 
@@ -57,61 +63,131 @@ import numpy as np
 # this; the oracle's layer walk takes the same limit
 RENORM_LIMIT = 1e15
 
+# the fewest equal rows that run_length makes a run.  Each run adds a
+# segment to every sweep, whose entry costs about what 30 rows save over
+# being swept in a stretch: on blocks of m equal rows parted by one other
+# row, sturm_count swept the runs at 0.9-1.1 times the stretch's time for
+# m = 24 to 40, and at 0.8 times for m = 64.
+MIN_RUN = 32
 
-def sturm_count(diag, off2, shift, pivmin):
+
+class RunLength(NamedTuple):
+    """A symmetric tridiagonal matrix as the Sturm kernels sweep it; see
+    ``run_length``."""
+
+    stretch: object  # the stretch rows, a slice or an index array
+    segments: list  # (b2s, c, b2, n): a stretch's off2 list, then a run
+
+
+def run_length(diag, off2):
+    """The run-length form of the symmetric tridiagonal matrix with diagonal
+    ``diag`` and squared off-diagonal ``off2`` (numpy arrays).
+
+    Row i is the pair (diag_i, off2_{i-1}), row 0's off2 taken as 0.0.  A
+    run is a maximal block of at least MIN_RUN rows with the same pair, bit
+    for bit, so its rows are swept as d = (c - shift) - b2 / d with one
+    c - shift for all of them; every other row lies in a stretch and is
+    swept row by row.  Each segment ``(b2s, c, b2, n)`` is a stretch (the
+    list ``b2s`` of its rows' off2, possibly empty) followed by a run of n
+    rows of the pair (c, b2); the last has n = 0.  ``diag[stretch]`` is the
+    diagonal at the stretch rows in order, ``stretch`` a slice where they
+    are one block (always so without runs).  Runs are found in numpy: a
+    matrix without them, every row a boundary, costs no Python loop over
+    its rows.
+    """
+    size = diag.size
+    b2 = np.concatenate(([0.0], off2))
+    c_bits = np.ascontiguousarray(diag, dtype=float).view(np.int64)
+    b_bits = b2.view(np.int64)
+    boundary = np.ones(size, dtype=bool)  # row i's pair differs from row i - 1's
+    boundary[1:] = (c_bits[1:] != c_bits[:-1]) | (b_bits[1:] != b_bits[:-1])
+    starts = np.flatnonzero(boundary)
+    lengths = np.diff(starts, append=size)
+    long = lengths >= MIN_RUN
+    segments = []
+    in_stretch = np.ones(size, dtype=bool)
+    lo = 0
+    for start, n in zip(starts[long].tolist(), lengths[long].tolist()):
+        segments.append((b2[lo:start].tolist(), float(diag[start]), float(b2[start]), n))
+        in_stretch[start:start + n] = False
+        lo = start + n
+    segments.append((b2[lo:].tolist(), 0.0, 0.0, 0))
+    stretch = np.flatnonzero(in_stretch)
+    if stretch.size and stretch[-1] - stretch[0] == stretch.size - 1:
+        stretch = slice(int(stretch[0]), int(stretch[-1]) + 1)
+    return RunLength(stretch, segments)
+
+
+def sturm_count(diag, runs, shift, pivmin):
     # Sign count of the LDL^T pivots of (T - shift*I): the number of
-    # eigenvalues of T strictly below `shift`.  `off2` is the list of the
-    # squared off-diagonal entries; `pivmin` guards against zero pivots the
-    # same way LAPACK's bisection does (a pivot in (-pivmin, pivmin) is forced
-    # to -pivmin).  A pivot below pivmin is negative once guarded, so one
-    # comparison decides both the guard and the count.  The shift is taken
-    # off the diagonal once, in numpy, before the loop.
+    # eigenvalues of T strictly below `shift`.  `runs` is the run-length
+    # form of T (see run_length), whose diagonal is `diag`; `pivmin` guards
+    # against zero pivots the same way LAPACK's bisection does (a pivot in
+    # (-pivmin, pivmin) is forced to -pivmin).  A pivot below pivmin is
+    # negative once guarded, so one comparison decides both the guard and
+    # the count.  The shift is taken off the stretch rows once, in numpy,
+    # and off each run's diagonal entry once, before its loop.
     pivmin = float(pivmin)
     neg_pivmin = -pivmin
-    shifted = iter((diag - float(shift)).tolist())
+    shift = float(shift)
+    shifted = iter(memoryview(diag[runs.stretch] - shift))
     count = 0
-    d = next(shifted)
-    if d < pivmin:
-        if d > neg_pivmin:
-            d = neg_pivmin
-        count += 1
-    for c, b in zip(shifted, off2):
-        d = c - b / d
-        if d < pivmin:
-            if d > neg_pivmin:
-                d = neg_pivmin
-            count += 1
+    d = 1.0  # row 0's off2 is 0.0, so its pivot c_0 - 0.0 / 1.0 is c_0
+    for b2s, c, b2, n in runs.segments:
+        for b, a in zip(b2s, shifted):  # b2s first: zip stops without taking a
+            d = a - b / d
+            if d < pivmin:
+                if d > neg_pivmin:
+                    d = neg_pivmin
+                count += 1
+        c -= shift
+        for _ in repeat(None, n):
+            d = c - b2 / d
+            if d < pivmin:
+                if d > neg_pivmin:
+                    d = neg_pivmin
+                count += 1
     return count
 
 
-def sturm_newton(diag, off2, shift, pivmin):
+def sturm_newton(diag, runs, shift, pivmin):
     # sturm_count's sweep (the same pivots, guard and count) that also sums
     # the logarithmic derivative of det(T - shift*I) = prod d_i:
     #   dlogdet = sum r_i,  r_i = d_i' / d_i,  d_i' = q r_{i-1} - 1,  q = b_i / d_{i-1},
     # from d_i = c_i - q, which is -sum_j 1 / (lambda_j - shift).  A Newton
     # step on the determinant is then shift - 1 / dlogdet.  Past a guarded
     # pivot the sum may overflow to inf or nan; the count stays exact.
+    # Row 0 (q = 0.0 and r_{-1} = 0.0) gives r_0 = -1 / d_0, and the sum
+    # starts at -0.0, which adds to any r_0 without changing a bit.
     # Returns (count, dlogdet).
     pivmin = float(pivmin)
     neg_pivmin = -pivmin
-    shifted = iter((diag - float(shift)).tolist())
+    shift = float(shift)
+    shifted = iter(memoryview(diag[runs.stretch] - shift))
     count = 0
-    d = next(shifted)
-    if d < pivmin:
-        if d > neg_pivmin:
-            d = neg_pivmin
-        count += 1
-    r = -1.0 / d
-    total = r
-    for c, b in zip(shifted, off2):
-        q = b / d
-        d = c - q
-        if d < pivmin:
-            if d > neg_pivmin:
-                d = neg_pivmin
-            count += 1
-        r = (q * r - 1.0) / d
-        total += r
+    d = 1.0
+    r = 0.0
+    total = -0.0
+    for b2s, c, b2, n in runs.segments:
+        for b, a in zip(b2s, shifted):
+            q = b / d
+            d = a - q
+            if d < pivmin:
+                if d > neg_pivmin:
+                    d = neg_pivmin
+                count += 1
+            r = (q * r - 1.0) / d
+            total += r
+        c -= shift
+        for _ in repeat(None, n):
+            q = b2 / d
+            d = c - q
+            if d < pivmin:
+                if d > neg_pivmin:
+                    d = neg_pivmin
+                count += 1
+            r = (q * r - 1.0) / d
+            total += r
     return count, total
 
 
@@ -137,16 +213,17 @@ class SturmCounts:
     """One symmetric tridiagonal matrix (``diag``, ``off``) as the kernels
     take it, with the Sturm counts taken on it so far, kept sorted by shift.
 
-    ``off2``, the squared off-diagonal, is a Python list: every sweep of
-    this matrix iterates it as it is, so it is converted once per matrix
-    rather than once per sweep.  ``exceeds(shift, k)`` answers from what
-    is kept whenever that settles it, and sweeps only where nothing does:
+    ``runs`` is the matrix's run-length form (see ``run_length``), which
+    every sweep of it reads, built once per matrix rather than once per
+    sweep.  ``exceeds(shift, k)`` answers from what is kept whenever that
+    settles it, and sweeps only where nothing does:
 
     1. the count is non-decreasing in the shift, so a count > k at or
        below the shift, or one <= k at or above it, settles the answer;
-    2. ``sturm_count`` reads nothing of the shift but ``diag - shift``, so
-       where that vector equals, entry for entry, the shifted diagonal at
-       the nearest counted shift below or above, that count is reused;
+    2. ``sturm_count`` reads nothing of the shift but the entries of
+       ``diag - shift``, so where that vector equals, entry for entry, the
+       shifted diagonal at the nearest counted shift below or above, that
+       count is reused;
     3. otherwise ``sturm_count`` sweeps, and its count is kept.
 
     In rule 2 the only equal values with different bits are +0 and -0: such
@@ -166,7 +243,7 @@ class SturmCounts:
         # far below any eigenvalue tolerance but large enough that off/pivmin
         # cannot overflow the eigenvector recurrence
         self.pivmin = max(off2.max(), 1.0) * 1e-250
-        self.off2 = off2.tolist()
+        self.runs = run_length(self.diag, off2)
         self.shifts = []
         self.counts = []  # the count at each of `shifts`
 
@@ -186,7 +263,7 @@ class SturmCounts:
                     and np.array_equal(self.diag - float(shift), self.diag - float(s))):
                 break
         else:
-            count = sturm_count(self.diag, self.off2, shift, self.pivmin)
+            count = sturm_count(self.diag, self.runs, shift, self.pivmin)
         shifts.insert(i, shift)
         counts.insert(i, count)
         return count > k
@@ -194,7 +271,7 @@ class SturmCounts:
     def newton(self, sigma):
         """``sturm_newton`` at `sigma`: its count is kept and its logarithmic
         derivative of the determinant returned."""
-        count, dlogdet = sturm_newton(self.diag, self.off2, sigma, self.pivmin)
+        count, dlogdet = sturm_newton(self.diag, self.runs, sigma, self.pivmin)
         i = bisect.bisect_left(self.shifts, sigma)
         if i == len(self.shifts) or self.shifts[i] != sigma:
             self.shifts.insert(i, sigma)
@@ -223,16 +300,77 @@ def bisect_eigenvalue(counts, k, lo, hi, rel_width=0.0):
     return 0.5 * (lo + hi)
 
 
+def _forward_pivots(stretch, segments, shift, pivmin):
+    # sturm_count's recurrence and guard, keeping every pivot; `stretch` is
+    # the shifted diagonal at the stretch rows
+    neg_pivmin = -pivmin
+    out = []
+    shifted = iter(stretch)
+    d = 1.0
+    for b2s, c, b2, n in segments:
+        for b, a in zip(b2s, shifted):
+            d = a - b / d
+            if d < pivmin:
+                if d > neg_pivmin:
+                    d = neg_pivmin
+            out.append(d)
+        c -= shift
+        for _ in repeat(None, n):
+            d = c - b2 / d
+            if d < pivmin:
+                if d > neg_pivmin:
+                    d = neg_pivmin
+            out.append(d)
+    return out
+
+
+def _backward_pivots(stretch, segments, shift, pivmin):
+    # the same recurrence from the last row back.  Row i's pivot takes
+    # off2_i, which the forward form pairs with row i + 1, so each row hands
+    # its own off2 on to the next (`carry`, 0.0 before the last row): a
+    # run's first row back takes the off2 carried in, its other rows the
+    # run's own.  Pivots come out last row first.
+    neg_pivmin = -pivmin
+    out = []
+    shifted = iter(stretch[::-1])
+    d = 1.0
+    carry = 0.0
+    for b2s, c, b2, n in reversed(segments):
+        if n:
+            c -= shift
+            d = c - carry / d
+            if d < pivmin:
+                if d > neg_pivmin:
+                    d = neg_pivmin
+            out.append(d)
+            for _ in repeat(None, n - 1):
+                d = c - b2 / d
+                if d < pivmin:
+                    if d > neg_pivmin:
+                        d = neg_pivmin
+                out.append(d)
+            carry = b2
+        for b, a in zip(reversed(b2s), shifted):
+            d = a - carry / d
+            carry = b
+            if d < pivmin:
+                if d > neg_pivmin:
+                    d = neg_pivmin
+            out.append(d)
+    return out
+
+
 def inverse_iteration(counts, sigma):
     # One step of inverse iteration on the symmetric tridiagonal matrix of
-    # `counts` (a SturmCounts, whose off2 and pivmin it reuses) with the
-    # shift `sigma`, from the best unit start vector e_r, by
+    # `counts` (a SturmCounts, whose run-length form and pivmin it reuses)
+    # with the shift `sigma`, from the best unit start vector e_r, by
     # Fernando's twisted factorization (Parlett & Dhillon, LAA 267, 1997;
     # Dhillon & Parlett, SIMAX 25, 2004).  The forward pivots d+ of
     # T - sigma*I = L D+ L^T are those of the Sturm recurrence, with its
-    # pivmin guard; the backward pivots d- are those of U D- U^T.  Twisted
-    # at r, the two factors solve (T - sigma*I) z = gamma_r e_r with z_r = 1
-    # and gamma_r = d+_r + d-_r - (a_r - sigma) = 1 / [(T - sigma*I)^-1]_rr.
+    # pivmin guard; the backward pivots d- are those of U D- U^T.  Both
+    # passes read the run-length form, from either end.  Twisted at r, the
+    # two factors solve (T - sigma*I) z = gamma_r e_r with z_r = 1 and
+    # gamma_r = d+_r + d-_r - (a_r - sigma) = 1 / [(T - sigma*I)^-1]_rr.
     # r = argmin |gamma_r| picks the e_r with the largest such entry, and the
     # residual |gamma_r| / ||z||_2 is then at most sqrt(n) |lambda - sigma|
     # for the eigenvalue lambda nearest sigma.  z is filled outward from r
@@ -243,32 +381,16 @@ def inverse_iteration(counts, sigma):
     # np.multiply.accumulate multiplies left to right.
     # Returns (vector, 1, finite): the l2-normalized vector, the one solve,
     # and whether every component stayed finite.
-    diag, off, b2s = counts.diag, counts.off, counts.off2
+    diag, off, runs = counts.diag, counts.off, counts.runs
     pivmin = float(counts.pivmin)
-    neg_pivmin = -pivmin
-    shifted = diag - float(sigma)
-    cs = shifted.tolist()
-
-    def pivots(cs, b2s):
-        # sturm_count's recurrence and guard, keeping every pivot
-        cs = iter(cs)
-        d = next(cs)
-        if d < pivmin:
-            if d > neg_pivmin:
-                d = neg_pivmin
-        out = [d]
-        for c, b2 in zip(cs, b2s):
-            d = c - b2 / d
-            if d < pivmin:
-                if d > neg_pivmin:
-                    d = neg_pivmin
-            out.append(d)
-        return out
-
-    fwd = np.array(pivots(cs, b2s))
-    bwd = np.array(pivots(reversed(cs), reversed(b2s)))[::-1]
+    sigma = float(sigma)
+    shifted = diag - sigma
+    stretch = memoryview(shifted[runs.stretch])
+    n = diag.size
+    fwd = np.fromiter(_forward_pivots(stretch, runs.segments, sigma, pivmin), float, n)
+    bwd = np.fromiter(_backward_pivots(stretch, runs.segments, sigma, pivmin), float, n)[::-1]
     r = int(np.argmin(np.abs(fwd + bwd - shifted)))  # the first minimum
-    z = np.empty(diag.size)
+    z = np.empty(n)
     z[r] = 1.0
     with np.errstate(over="ignore"):
         z[:r] = np.cumprod((-off[:r] / fwd[:r])[::-1])[::-1]

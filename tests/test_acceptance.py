@@ -7,6 +7,7 @@ module-scoped warmup absorbs before the timed criteria.
 
 import json
 import math
+import pathlib
 import time
 
 import numpy as np
@@ -131,6 +132,10 @@ def test_criterion_5_gap_scaling_exponent(tmp_path):
     }
     csv_path = tmp_path / "scaling.csv"
     assert main(["sweep", "--config", json.dumps(cfg), "--output", str(csv_path)]) == 0
+    # every byte pinned: a kernel change that moves any eigenvalue, vector
+    # or check by one ulp fails here
+    golden = pathlib.Path(__file__).parent / "golden" / "criterion5_sweep.csv"
+    assert csv_path.read_bytes() == golden.read_bytes()
     lines = csv_path.read_text().splitlines()
     gaps = [float(line.split(",")[3]) for line in lines[1:]]
     assert all(b < a for a, b in zip(gaps, gaps[1:])), "gap not monotone decreasing"

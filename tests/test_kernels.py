@@ -15,9 +15,13 @@ keeps is the one a sweep returns.
 ``inverse_iteration`` fills its vector by cumulative products.  These
 properties pin down that none of them changes a single bit of the output:
 the last two against copies of the loops as they were before those
-shortcuts.  ``prufer_theta_piecewise`` ends a step on
-every break of the potential; its tests pin RK4's fourth order off the
-lattice and a count across a barrier far narrower than one step.
+shortcuts.  The Sturm sweeps read a run-length form, one subtraction of
+the shift per run of equal rows: matrices of blocks around ``MIN_RUN``
+rows pin every count, Newton sum and vector to the per-row loops, and the
+unit step's finest halves pin that the runs are there to be swept.
+``prufer_theta_piecewise`` ends a step on every break of the potential;
+its tests pin RK4's fourth order off the lattice and a count across a
+barrier far narrower than one step.
 """
 
 import math
@@ -33,6 +37,7 @@ from gaplab import (
     InverseSquareCapped,
     MultiStep,
     Step,
+    Zero,
     assemble,
     decompose,
     default_cell_count,
@@ -70,8 +75,8 @@ def random_tridiagonal(rng):
 
 
 def _bisect_inputs(diag, off):
-    # a count store with off2 and pivmin exactly as the eigensolver builds
-    # them, and the Gershgorin enclosure
+    # a count store with its run-length form and pivmin exactly as the
+    # eigensolver builds them, and the Gershgorin enclosure
     radius = 2.0 * np.abs(off).max()
     lo = float(diag.min() - radius)
     hi = float(np.abs(diag).max() + radius)
@@ -85,7 +90,7 @@ def _kept(counts):
     return dict(zip(counts.shifts, counts.counts))
 
 
-def reference_bracket(diag, off2, k, lo, hi, pivmin):
+def reference_bracket(diag, runs, k, lo, hi, pivmin):
     # plain bisection, a Sturm sweep at every midpoint: the last (lo, hi)
     while True:
         top = max(abs(lo), abs(hi))
@@ -94,15 +99,15 @@ def reference_bracket(diag, off2, k, lo, hi, pivmin):
         mid = 0.5 * (lo + hi)
         if mid <= lo or mid >= hi:
             break
-        if kernels.sturm_count(diag, off2, mid, pivmin) > k:
+        if kernels.sturm_count(diag, runs, mid, pivmin) > k:
             hi = mid
         else:
             lo = mid
     return lo, hi
 
 
-def reference_bisect(diag, off2, k, lo, hi, pivmin):
-    lo, hi = reference_bracket(diag, off2, k, lo, hi, pivmin)
+def reference_bisect(diag, runs, k, lo, hi, pivmin):
+    lo, hi = reference_bracket(diag, runs, k, lo, hi, pivmin)
     return 0.5 * (lo + hi)
 
 
@@ -113,15 +118,15 @@ def _check_counted_shifts(rng, diag, off, k, n_known):
     # eigenvalues, where the counts flip; they are kept as Newton counts,
     # as the eigensolver keeps them.
     counts, lo, hi = _bisect_inputs(diag, off)
-    off2, pivmin = counts.off2, counts.pivmin
-    lams = [reference_bisect(diag, off2, j, lo, hi, pivmin) for j in (0, 1)]
+    runs, pivmin = counts.runs, counts.pivmin
+    lams = [reference_bisect(diag, runs, j, lo, hi, pivmin) for j in (0, 1)]
     plain = lams[k]
     assert kernels.bisect_eigenvalue(counts, k, lo, hi) == plain
     ulp = EPS * DiscreteOperator(diag, off).norm_inf()
     shifts = list(rng.uniform(lo, hi, n_known))
     shifts += [float(lams[j] + ulp * rng.uniform(-4.0, 4.0))
                for j in rng.integers(0, 2, n_known)]
-    known = {s: kernels.sturm_count(diag, off2, s, pivmin) for s in shifts}
+    known = {s: kernels.sturm_count(diag, runs, s, pivmin) for s in shifts}
     guided, _, _ = _bisect_inputs(diag, off)
     for s in shifts:
         guided.newton(s)
@@ -132,7 +137,7 @@ def _check_counted_shifts(rng, diag, off, k, n_known):
     assert _kept(guided).items() >= known.items()
     for store in (counts, guided):
         for s, c in _kept(store).items():
-            assert c == kernels.sturm_count(diag, off2, s, pivmin)
+            assert c == kernels.sturm_count(diag, runs, s, pivmin)
 
 
 @settings(max_examples=200, deadline=None)
@@ -163,11 +168,11 @@ def test_sturm_count_monotone_near_eigenvalue(seed, j):
     rng = np.random.default_rng(seed)
     diag, off = random_tridiagonal(rng)
     counts, _, _ = _bisect_inputs(diag, off)
-    off2, pivmin = counts.off2, counts.pivmin
+    runs, pivmin = counts.runs, counts.pivmin
     lam = np.linalg.eigvalsh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))[j]
     ulp = EPS * DiscreteOperator(diag, off).norm_inf()
     shifts = np.sort(lam + ulp * rng.uniform(-6.0, 6.0, 64))
-    counts = [kernels.sturm_count(diag, off2, s, pivmin) for s in shifts]
+    counts = [kernels.sturm_count(diag, runs, s, pivmin) for s in shifts]
     assert all(a <= b for a, b in zip(counts, counts[1:]))
 
 
@@ -221,12 +226,12 @@ def test_sturm_newton_counts_like_sturm_count(seed):
     rng = np.random.default_rng(seed)
     diag, off = random_tridiagonal(rng)
     counts, lo, hi = _bisect_inputs(diag, off)
-    off2, pivmin = counts.off2, counts.pivmin
+    runs, pivmin = counts.runs, counts.pivmin
     randoms = [float(s) for s in rng.uniform(lo, hi, 8)]
     bisected = [kernels.bisect_eigenvalue(counts, k, lo, hi) for k in (0, 1)]
     for s in randoms + bisected + [float(diag[0])]:
-        count, _ = kernels.sturm_newton(diag, off2, s, pivmin)
-        assert count == kernels.sturm_count(diag, off2, s, pivmin)
+        count, _ = kernels.sturm_newton(diag, runs, s, pivmin)
+        assert count == kernels.sturm_count(diag, runs, s, pivmin)
     lams = np.linalg.eigvalsh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
     # eigvalsh places each lambda_j within a few eps * ||T||, so the
     # reference is good to a relative 1e-8 only at shifts at least
@@ -236,7 +241,7 @@ def test_sturm_newton_counts_like_sturm_count(seed):
     for s in randoms:
         if np.abs(lams - s).min() < 1e-6 * norm:
             continue
-        _, dlogdet = kernels.sturm_newton(diag, off2, s, pivmin)
+        _, dlogdet = kernels.sturm_newton(diag, runs, s, pivmin)
         assert dlogdet == pytest.approx(-np.sum(1.0 / (lams - s)), rel=1e-8, abs=0.0)
 
 
@@ -246,13 +251,14 @@ def test_sturm_count_matches_reference_loop(seed, j):
     rng = np.random.default_rng(seed)
     diag, off = random_tridiagonal(rng)
     counts, lo, hi = _bisect_inputs(diag, off)
-    off2, pivmin = counts.off2, counts.pivmin
+    runs, pivmin = counts.runs, counts.pivmin
+    off2 = (off * off).tolist()
     lam = np.linalg.eigvalsh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))[j]
     ulp = EPS * DiscreteOperator(diag, off).norm_inf()
     shifts = list(lam + ulp * rng.uniform(-6.0, 6.0, 32))  # numpy floats
     shifts += [float(s) for s in rng.uniform(lo, hi, 8)]
     for s in shifts:
-        assert kernels.sturm_count(diag, off2, s, pivmin) == \
+        assert kernels.sturm_count(diag, runs, s, pivmin) == \
             reference_sturm_count(diag, off2, s, pivmin)
 
 
@@ -310,6 +316,117 @@ def test_inverse_iteration_matches_reference_loop(seed):
         ref_vec, ref_solves, ref_finite = reference_inverse_iteration(diag, off, sigma, pivmin)
         assert (solves, finite) == (ref_solves, ref_finite)
         assert vec.tobytes() == ref_vec.tobytes()
+
+
+def reference_sturm_newton(diag, off2, shift, pivmin):
+    # sturm_newton's loop over every row, the shift taken off in numpy
+    pivmin = float(pivmin)
+    shifted = iter((diag - float(shift)).tolist())
+    count = 0
+    d = next(shifted)
+    if d < pivmin:
+        if d > -pivmin:
+            d = -pivmin
+        count += 1
+    r = -1.0 / d
+    total = r
+    for c, b in zip(shifted, off2):
+        q = b / d
+        d = c - q
+        if d < pivmin:
+            if d > -pivmin:
+                d = -pivmin
+            count += 1
+        r = (q * r - 1.0) / d
+        total += r
+    return count, total
+
+
+def _check_run_length(diag, off, shifts):
+    # sturm_count, sturm_newton and inverse_iteration on the run-length form
+    # give the reference loops' counts, sums and vectors bit for bit, at the
+    # given shifts and at both bisected eigenvalues
+    counts, lo, hi = _bisect_inputs(diag, off)
+    runs, pivmin = counts.runs, counts.pivmin
+    off2 = (off * off).tolist()
+    shifts = list(shifts) + [kernels.bisect_eigenvalue(counts, k, lo, hi) for k in (0, 1)]
+    with np.errstate(all="ignore"):
+        for s in shifts:
+            assert kernels.sturm_count(diag, runs, s, pivmin) == \
+                reference_sturm_count(diag, off2, s, pivmin)
+            count, dlogdet = kernels.sturm_newton(diag, runs, s, pivmin)
+            ref_count, ref_dlogdet = reference_sturm_newton(diag, off2, s, pivmin)
+            assert count == ref_count
+            assert np.float64(dlogdet).tobytes() == np.float64(ref_dlogdet).tobytes()
+            vec, solves, finite = kernels.inverse_iteration(counts, s)
+            ref_vec, ref_solves, ref_finite = reference_inverse_iteration(diag, off, s, pivmin)
+            assert (solves, finite) == (ref_solves, ref_finite)
+            assert vec.tobytes() == ref_vec.tobytes()
+
+
+M = kernels.MIN_RUN
+# (diagonal, off-diagonal) of a block's rows; off2 is the same for -1 and 1,
+# so blocks of those two pairs sweep as one run
+PAIRS = [(2.0, -1.0), (2.5, -1.0), (2.0, -0.5), (1.0, -1.0), (0.0, -1.0), (-0.0, -1.0),
+         (2.0, 1.0)]
+blocks = st.lists(st.tuples(st.sampled_from([1, 2, M - 1, M, M + 1]),
+                            st.integers(0, len(PAIRS) - 1)), min_size=1, max_size=6)
+
+
+def _block_matrix(layout):
+    """(diag, off) whose block k is layout[k][0] rows of PAIRS[layout[k][1]]:
+    off_{i-1} belongs to row i, so row 0 alone lacks its block's pair."""
+    lengths = [n for n, _ in layout]
+    diag = np.repeat([PAIRS[j][0] for _, j in layout], lengths)
+    off = np.repeat([PAIRS[j][1] for _, j in layout], lengths)[1:]
+    return diag, off
+
+
+@settings(max_examples=100, deadline=None)
+@given(blocks, st.lists(st.floats(-3.0, 6.0), max_size=3))
+# a run of MIN_RUN rows from row 1 to the last row, where the shift 0
+# meets the pivot cycle 1, 0 (guarded to -pivmin), 1 + 1/pivmin: a guarded
+# zero pivot every third row inside the run
+@example([(M + 1, 3)], [])
+# runs of MIN_RUN - 1 (a stretch), MIN_RUN and MIN_RUN + 1 rows
+@example([(M, 0), (1, 1), (M, 0), (1, 1), (M + 1, 0)], [0.5])
+# +0 and -0 on the diagonal, unshifted by 0
+@example([(M + 1, 4), (M, 5), (2, 4)], [])
+def test_run_length_sweeps_match_reference_loops(layout, randoms):
+    # Every shift taken off a run's diagonal entry once, and every pivot of
+    # the run's loop, is the operation of the per-row loop, so each kernel
+    # returns its bits; at random shifts, 0.0 and each diagonal value
+    # (whose pivots may be exactly zero, guarded).
+    diag, off = _block_matrix(layout)
+    if diag.size < 2:
+        return
+    values = sorted({float(v) for v in diag})
+    _check_run_length(diag, off, randoms + [0.0] + values)
+
+
+@pytest.mark.parametrize("p, L, runs", [
+    (Zero(), 5.0, 1),  # the interior, rows 1 to N - 2, is one run
+    (InverseSquareCapped(0.05, 8.0), 5.0, 0),  # its cap spans 10 cells
+], ids=["zero", "capped"])
+def test_run_length_of_uniform_and_capped_operators(p, L, runs):
+    op = assemble(p, Grid(L, 64 * int(L)))
+    counts = kernels.SturmCounts(op.diag, op.offdiag)
+    assert [n for _, _, _, n in counts.runs.segments[:-1]] == [op.diag.size - 2] * runs
+    lam0, lam1 = lowest_two_eigenvalues(op)
+    _check_run_length(op.diag, op.offdiag, [lam0, 0.5 * (lam0 + lam1), lam1 + 1.0, 10.0])
+
+
+def test_unit_step_finest_halves_are_runs():
+    # On the criterion-5 grids (64 cells per unit, L from 50 to 400) each
+    # finest half is a handful of runs, one per layer, and its few other
+    # rows: a change to assemble that breaks the runs fails here.
+    p = Step(1.0, (-0.5, 0.5))
+    for L in np.geomspace(50.0, 400.0, 9):
+        grid = _nested_grids(p, float(L), default_cell_count(float(L)), 3)[-1]
+        for half in fdsolver._mirror_halves(assemble(p, grid)):
+            segments = kernels.SturmCounts(half.diag, half.offdiag).runs.segments
+            assert len(segments) <= 8
+            assert sum(n for _, _, _, n in segments) >= 0.99 * half.diag.size
 
 
 guesses = st.one_of(
@@ -423,15 +540,16 @@ def test_reuse_needs_every_entry_equal(monkeypatch):
     low, high = float(diag[0] - s1), float(diag[1] - s1)
     assert (diag - s0).tolist() == (diag - s1).tolist() == [low, high, high]
     assert (diag - s3).tolist() == (diag - s2).tolist() == [low, high, low]
-    off2 = [0.0, low * high]  # the last pivot is diag[2] - s - low
+    off2 = np.array([0.0, low * high])  # the last pivot is diag[2] - s - low
+    runs = kernels.run_length(diag, off2)
     pivmin = 1e-250
-    assert [kernels.sturm_count(diag, off2, s, pivmin) for s in (s0, s1, s2, s3)] == [0, 0, 1, 1]
+    assert [kernels.sturm_count(diag, runs, s, pivmin) for s in (s0, s1, s2, s3)] == [0, 0, 1, 1]
 
     def store():
         # no off-diagonal entry squares to low * high, so the store's
         # kernel inputs are set directly
         counts = kernels.SturmCounts(diag, np.sqrt(off2))
-        counts.off2, counts.pivmin = off2, pivmin
+        counts.runs, counts.pivmin = runs, pivmin
         return counts
 
     for known, shift, expected in ((s1, s2, 1), (s2, s1, 0)):
@@ -467,12 +585,12 @@ def test_monotone_answers_never_sweep(monkeypatch):
     diag[[0, -1]] = 1.0
     off = np.full(n - 1, -1.0)
     counts, lo, hi = _bisect_inputs(diag, off)
-    plain = reference_bracket(diag, counts.off2, 1, lo, hi, counts.pivmin)
+    plain = reference_bracket(diag, counts.runs, 1, lo, hi, counts.pivmin)
     for s in plain:
         counts.newton(s)
     kept = _kept(counts)
 
-    def sweep(diag, off2, shift, pivmin):
+    def sweep(diag, runs, shift, pivmin):
         pytest.fail(f"swept at {shift!r}, which a kept count settles")
 
     monkeypatch.setattr(kernels, "sturm_count", sweep)
@@ -518,7 +636,7 @@ def _count_sweeps(monkeypatch):
 
 
 @pytest.mark.parametrize("p, expected", [
-    (Step(1.0, (-0.5, 0.5)), {100: [32, 0], 400: [9, 4], 800: [8, 4], 1600: [7, 3]}),
+    (Step(1.0, (-0.5, 0.5)), {100: [32, 0], 400: [9, 4], 800: [8, 4], 1600: [8, 2]}),
     (Step(1.0, (-0.5, 1.5)), {200: [25, 0], 800: [10, 5], 1600: [8, 4], 3200: [6, 2]}),
 ], ids=["centred", "off_centre"])
 def test_sturm_sweep_budget(monkeypatch, p, expected):
@@ -535,9 +653,12 @@ def test_sturm_sweep_budget(monkeypatch, p, expected):
     # centred step is even, so every grid, the quarter grid too, is split
     # into an even and an odd half of N/2 cells, each bisected for its
     # lowest eigenvalue: the sweeps pinned below, keyed by the half size,
-    # are 100*32 + 400*(9 + 2.2*4) + 800*(8 + 2.2*4) + 1600*(7 + 2.2*3) =
-    # 45520 cells; a gallop shift that a Newton count already settles is
-    # not swept.  Only the finest grid solves for an eigenvector: one
+    # are 100*32 + 400*(9 + 2.2*4) + 800*(8 + 2.2*4) + 1600*(8 + 2.2*2) =
+    # 43600 cells; a gallop shift that a Newton count already settles is
+    # not swept.  The odd half's Newton steps take a gap too (lambda3 >=
+    # lambda2), so on the finest halves one Newton step of the odd half
+    # passes the stop test, where the second cost 1600*(7 + 2.2*3) = 45520
+    # cells in all.  Only the finest grid solves for an eigenvector: one
     # twisted-factorization solve, for the ground state, as no layer of
     # these grids is thin enough that lambda1's rounding floor needs its
     # own vector (see the one-ulp-layer pins below).  The
