@@ -9,6 +9,7 @@ CSV output is byte-stable across runs: fixed 17-significant-digit floats,
 
 import argparse
 import csv
+import functools
 import json
 import math
 import os
@@ -353,6 +354,7 @@ def cmd_fit(args) -> int:
     return 0
 
 
+@functools.cache  # built once per process: a sweep may call main once per row
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="gaplab",

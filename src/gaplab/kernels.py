@@ -36,14 +36,25 @@ their last bits with the thread count.  ``prufer_theta_piecewise`` ends a
 step on every break of the potential, so each step sees one constant
 layer value and the sweep keeps RK4's fourth order across the jumps.
 
+Both phase kernels integrate the Prüfer angle on the doubled angle
+phi = 2 theta.  With q = lam - v, cos^2 theta + q sin^2 theta =
+(1 + q)/2 + (1 - q)/2 cos 2 theta, so phi' = (1 + q) + (1 - q) cos phi
+needs one cosine per RK4 stage where theta' needs a sine and a cosine.
+RK4 commutes with a linear change of variable: every stage of the phi
+sweep is exactly twice the theta sweep's in exact arithmetic, so step
+counts, order and counts are those of RK4 on theta, and only rounding
+differs.  The kernels return theta = phi / 2.
+
 ``SturmCounts`` is the one home of the counts taken on one matrix, and of
 the rule for reusing them.  ``bisect_eigenvalue`` stops at the width
-``tolerance(lam)``, or at a wider relative width for a guess, and asks the
-store at each midpoint.  The count that IEEE arithmetic computes is
-non-decreasing in the shift (Kahan's monotonicity result; Demmel, Dhillon
-& Ren, ETNA 3, 1995), so a kept count can settle a midpoint without a
-sweep and the bisection still takes exactly the midpoints of plain
-bisection; so can the count of the nearest counted shift below or above
+``tolerance(lam)``, or at a wider relative width for a guess.  The count
+that IEEE arithmetic computes is non-decreasing in the shift (Kahan's
+monotonicity result; Demmel, Dhillon & Ren, ETNA 3, 1995), so a kept
+count can settle a midpoint without a sweep and the bisection still takes
+exactly the midpoints of plain bisection: the bisection settles a
+midpoint outside the two kept shifts that enclose eigenvalue k itself,
+and asks the store only between them.  So can the count of the nearest
+counted shift below or above
 when ``diag - shift`` rounds to the same vector there.  On fine grids,
 where eps ||T|| lies far above the bisection tolerance, most of the last
 midpoints are settled so.  ``sturm_newton`` computes ``sturm_count``'s
@@ -283,9 +294,17 @@ def bisect_eigenvalue(counts, k, lo, hi, rel_width=0.0):
     # Bisect for the k-th (0-based) eigenvalue of the matrix of `counts` (a
     # SturmCounts) given the enclosure count(lo) <= k < count(hi).  Stops at
     # width tolerance(max(|lo|, |hi|)), or at rel_width * max(|lo|, |hi|)
-    # when that is wider (a guess).  Each midpoint goes to `counts.exceeds`,
-    # which sweeps only where no count it keeps settles the midpoint; the
-    # midpoints, and so the result, are those of plain bisection.
+    # when that is wider (a guess).  The kept counts are sorted by shift and
+    # so non-decreasing: a midpoint at or below `below`, the largest kept
+    # shift with count <= k, or at or above `above`, the smallest with
+    # count > k, is settled here, as `exceeds` would settle it without
+    # keeping anything.  Only the midpoints between go to `counts.exceeds`,
+    # which reuses or sweeps a count and keeps it, so they become the new
+    # `below` or `above`.  The midpoints, and so the result, are those of
+    # plain bisection.
+    split = bisect.bisect_right(counts.counts, k)
+    below = counts.shifts[split - 1] if split else -math.inf
+    above = counts.shifts[split] if split < len(counts.shifts) else math.inf
     while True:
         top = max(abs(lo), abs(hi))
         if hi - lo <= max(tolerance(top), rel_width * top):
@@ -293,10 +312,14 @@ def bisect_eigenvalue(counts, k, lo, hi, rel_width=0.0):
         mid = 0.5 * (lo + hi)
         if mid <= lo or mid >= hi:
             break
-        if counts.exceeds(mid, k):
-            hi = mid
-        else:
+        if mid <= below:
             lo = mid
+        elif mid >= above:
+            hi = mid
+        elif counts.exceeds(mid, k):
+            hi = above = mid
+        else:
+            lo = below = mid
     return 0.5 * (lo + hi)
 
 
@@ -406,90 +429,83 @@ def inverse_iteration(counts, sigma):
 def prufer_theta_piecewise(breaks, vals, lam, n_steps):
     # Classical RK4 sweep of the phase equation
     #   theta' = cos^2(theta) + (lam - v(x)) sin^2(theta),  theta(x0) = pi/2,
-    # for a piecewise-constant v given by `breaks` (m+1 points) / `vals` (m).
-    # Every step ends on the breaks: layer j takes max(1, ceil(n_steps l_j / L),
-    # ceil(2 l_j |lam - v_j|)) equal steps, none longer than L / n_steps, and
-    # h |lam - v_j| <= 1/2 bounds the largest rate of the equation per step.
-    # q = lam - v_j is constant within each step, so the sweep keeps RK4's
-    # fourth order across the jumps.
+    # for a piecewise-constant v given by `breaks` (m+1 points) / `vals` (m),
+    # taken on the doubled angle phi = 2 theta (see the module docstring):
+    #   phi' = (1 + q) + (1 - q) cos(phi),  phi(x0) = pi,  q = lam - v(x);
+    # returns theta = phi / 2.  Every step ends on the breaks: layer j takes
+    # max(1, ceil(n_steps l_j / L), ceil(2 l_j |lam - v_j|)) equal steps, none
+    # longer than L / n_steps, and h |lam - v_j| <= 1/2 bounds the largest
+    # rate of the equation per step.  q is constant within each step, so the
+    # sweep keeps RK4's fourth order across the jumps.
     breaks = breaks.tolist()
     lam = float(lam)
     per_length = n_steps / (breaks[-1] - breaks[0])
-    theta = 0.5 * math.pi
+    cos = math.cos
+    phi = math.pi
     for left, right, v in zip(breaks, breaks[1:], vals.tolist()):
         ell = right - left
         q = lam - v
         n = max(1, math.ceil(per_length * ell), math.ceil(2.0 * ell * abs(q)))
         h = ell / n
         half_h = 0.5 * h
+        a = 1.0 + q
+        b = 1.0 - q
         for _ in range(n):
-            st = math.sin(theta)
-            ct = math.cos(theta)
-            k1 = ct * ct + q * st * st
-            t2 = theta + half_h * k1
-            st = math.sin(t2)
-            ct = math.cos(t2)
-            k2 = ct * ct + q * st * st
-            t3 = theta + half_h * k2
-            st = math.sin(t3)
-            ct = math.cos(t3)
-            k3 = ct * ct + q * st * st
-            t4 = theta + h * k3
-            st = math.sin(t4)
-            ct = math.cos(t4)
-            k4 = ct * ct + q * st * st
-            theta += h * (k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0
-    return theta
+            k1 = a + b * cos(phi)
+            k2 = a + b * cos(phi + half_h * k1)
+            k3 = a + b * cos(phi + half_h * k2)
+            k4 = a + b * cos(phi + h * k3)
+            phi += h * (k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0
+    return 0.5 * phi
 
 
 def prufer_theta_capped(c_decay, cap, lam, half_len, n_steps):
-    # Same phase sweep for v(x) = min(cap, c_decay / x^2) on (-half_len, half_len).
+    # Same doubled-angle sweep for v(x) = min(cap, c_decay / x^2) on
+    # (-half_len, half_len), with v at each step's start, midpoint and end.
+    # A step's end is the next step's start, the same x bit for bit, so its
+    # coefficients (1 + q, 1 - q) are carried forward, not evaluated again.
     c_decay = float(c_decay)
     cap = float(cap)
     lam = float(lam)
     half_len = float(half_len)
+    cos = math.cos
     h = 2.0 * half_len / n_steps
-    theta = 0.5 * math.pi
+    half_h = 0.5 * h
+    phi = math.pi
     x = -half_len
+    x2 = x * x
+    q = lam - (cap if x2 * cap <= c_decay else c_decay / x2)
+    a1 = 1.0 + q
+    b1 = 1.0 - q
     for _ in range(n_steps):
-        xm = x + 0.5 * h
-        xe = x + h
-        x2 = x * x
-        v1 = cap if x2 * cap <= c_decay else c_decay / x2
+        xm = x + half_h
+        x = x + h
         x2 = xm * xm
-        v2 = cap if x2 * cap <= c_decay else c_decay / x2
-        x2 = xe * xe
-        v3 = cap if x2 * cap <= c_decay else c_decay / x2
-        q1 = lam - v1
-        q2 = lam - v2
-        q3 = lam - v3
-        st = math.sin(theta)
-        ct = math.cos(theta)
-        k1 = ct * ct + q1 * st * st
-        t2 = theta + 0.5 * h * k1
-        st = math.sin(t2)
-        ct = math.cos(t2)
-        k2 = ct * ct + q2 * st * st
-        t3 = theta + 0.5 * h * k2
-        st = math.sin(t3)
-        ct = math.cos(t3)
-        k3 = ct * ct + q2 * st * st
-        t4 = theta + h * k3
-        st = math.sin(t4)
-        ct = math.cos(t4)
-        k4 = ct * ct + q3 * st * st
-        theta += h * (k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0
-        x = xe
-    return theta
+        q = lam - (cap if x2 * cap <= c_decay else c_decay / x2)
+        a2 = 1.0 + q
+        b2 = 1.0 - q
+        x2 = x * x
+        q = lam - (cap if x2 * cap <= c_decay else c_decay / x2)
+        a3 = 1.0 + q
+        b3 = 1.0 - q
+        k1 = a1 + b1 * cos(phi)
+        k2 = a2 + b2 * cos(phi + half_h * k1)
+        k3 = a2 + b2 * cos(phi + half_h * k2)
+        k4 = a3 + b3 * cos(phi + h * k3)
+        phi += h * (k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0
+        a1 = a3
+        b1 = b3
+    return 0.5 * phi
 
 
 def profile_rk4_capped(c_decay, cap, lam, half_len, n_samples, n_sub):
     # Integrates u'' = (v - lam) u with v(x) = min(cap, c_decay/x^2) from
     # (u, u') = (1, 0) at -half_len, recording u at n_samples uniform points
-    # (endpoints included).  The state and all stored samples are rescaled
-    # whenever |u| or |u'| exceeds RENORM_LIMIT; the returned profile is
-    # therefore defined only up to a positive factor, which is all the
-    # inf/sup ratio needs.
+    # (endpoints included).  v at a step's end is carried forward as v at
+    # the next step's start, as in prufer_theta_capped.  The state and all
+    # stored samples are rescaled whenever |u| or |u'| exceeds RENORM_LIMIT;
+    # the returned profile is therefore defined only up to a positive
+    # factor, which is all the inf/sup ratio needs.
     c_decay = float(c_decay)
     cap = float(cap)
     lam = float(lam)
@@ -498,28 +514,29 @@ def profile_rk4_capped(c_decay, cap, lam, half_len, n_samples, n_sub):
     u = 1.0
     up = 0.0
     h = 2.0 * half_len / ((n_samples - 1) * n_sub)
+    half_h = 0.5 * h
     x = -half_len
+    x2 = x * x
+    v1 = cap if x2 * cap <= c_decay else c_decay / x2
     for j in range(1, n_samples):
         for _ in range(n_sub):
-            x2 = x * x
-            v1 = cap if x2 * cap <= c_decay else c_decay / x2
-            xm = x + 0.5 * h
+            xm = x + half_h
             x2 = xm * xm
             v2 = cap if x2 * cap <= c_decay else c_decay / x2
-            xe = x + h
-            x2 = xe * xe
+            x = x + h
+            x2 = x * x
             v3 = cap if x2 * cap <= c_decay else c_decay / x2
             ku1 = up
             kp1 = (v1 - lam) * u
-            ku2 = up + 0.5 * h * kp1
-            kp2 = (v2 - lam) * (u + 0.5 * h * ku1)
-            ku3 = up + 0.5 * h * kp2
-            kp3 = (v2 - lam) * (u + 0.5 * h * ku2)
+            ku2 = up + half_h * kp1
+            kp2 = (v2 - lam) * (u + half_h * ku1)
+            ku3 = up + half_h * kp2
+            kp3 = (v2 - lam) * (u + half_h * ku2)
             ku4 = up + h * kp3
             kp4 = (v3 - lam) * (u + h * ku3)
             u += h * (ku1 + 2.0 * ku2 + 2.0 * ku3 + ku4) / 6.0
             up += h * (kp1 + 2.0 * kp2 + 2.0 * kp3 + kp4) / 6.0
-            x = xe
+            v1 = v3
         samples.append(u)
         au = abs(u)
         aup = abs(up)

@@ -18,7 +18,11 @@ rescales the state past 1e15 (in double only).
 Eigenvalue counting for arbitrary potentials uses the phase equation
 theta' = cos^2 theta + (lam - v) sin^2 theta integrated by fixed-step RK4
 (reproducible counts; a sweep of over 1e9 steps is refused); for a
-piecewise-constant potential every step ends on a layer break.
+piecewise-constant potential every step ends on a layer break.  The
+kernels sweep the doubled angle phi = 2 theta, whose equation
+phi' = (1 + q) + (1 - q) cos phi, q = lam - v, takes one cosine per RK4
+stage.  RK4 commutes with that linear change of variable, so the steps,
+the order and the counts are those of RK4 on theta; only rounding differs.
 ``ground_state_profile`` measures inf/sup of the ground state without the
 finite-difference machinery; the capped one takes twice the RK4 steps of a
 phase count, by the same step rule.

@@ -475,19 +475,57 @@ def test_usage_errors_exit_2(capsys):
     capsys.readouterr()
 
 
-def test_module_entry_point_subprocess():
-    # the child imports the gaplab this process imported, whether it came
-    # from PYTHONPATH or from pytest's `pythonpath` setting
+def run_module(*argv, cwd=None):
+    """`python -m gaplab` with these arguments in a fresh process.  The child
+    imports the gaplab this process imported, whether it came from
+    PYTHONPATH or from pytest's `pythonpath` setting."""
     src = str(pathlib.Path(gaplab.__file__).resolve().parent.parent)
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p)}
-    proc = subprocess.run(
-        [sys.executable, "-m", "gaplab", "solve", "--potential", '{"type":"zero"}',
-         "--length", "2"],
-        capture_output=True, text=True, timeout=600, env=env,
-    )
+    return subprocess.run([sys.executable, "-m", "gaplab", *argv],
+                          capture_output=True, text=True, timeout=600, env=env, cwd=cwd)
+
+
+def test_module_entry_point_subprocess():
+    proc = run_module("solve", "--potential", '{"type":"zero"}', "--length", "2")
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["gap"] == pytest.approx(math.pi**2 / 4, rel=1e-8)
+
+
+def test_repeated_main_matches_separate_runs(capsys, monkeypatch, tmp_path):
+    # main builds its parser once per process.  Calls in one process that
+    # switch subcommands and drop an option the call before gave must print,
+    # write and exit as each call does in a process of its own: no option
+    # or default carries over from one parse to the next.
+    step = '{"type": "step", "height": 1.0, "support": [-0.5, 0.5]}'
+    verify = ["verify", "--potential", step, "--length", "10", "--cells", "640"]
+    sweep = ["sweep", "--config", json.dumps(ZERO_SWEEP)]
+    calls = [
+        verify + ["--oracle"],
+        verify,
+        sweep + ["--output", "plotted.csv", "--plot", "plotted.gp"],
+        sweep + ["--output", "bare.csv"],
+        ["solve", "--potential", step],  # no --length: a usage error
+        ["fit", "bare.csv", "--column", "gap", "--lmin", "2"],
+    ]
+    together, apart = tmp_path / "together", tmp_path / "apart"
+    together.mkdir()
+    apart.mkdir()
+    monkeypatch.chdir(together)
+    in_process = [run_cli(capsys, *argv)[:2] for argv in calls]
+    separate = []
+    for argv in calls:
+        proc = run_module(*argv, cwd=apart)
+        separate.append((proc.returncode, proc.stdout))
+    assert [code for code, _ in in_process] == [0, 0, 0, 0, 2, 0]
+    assert "oracle" in json.loads(in_process[0][1])
+    assert "oracle" not in json.loads(in_process[1][1])
+    assert in_process == separate
+    files = sorted(path.name for path in together.iterdir())
+    assert files == ["bare.csv", "plotted.csv", "plotted.gp"]
+    assert sorted(path.name for path in apart.iterdir()) == files
+    for name in files:
+        assert (together / name).read_bytes() == (apart / name).read_bytes()
 
 
 @pytest.mark.parametrize("command", ["solve", "verify"])

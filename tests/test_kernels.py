@@ -21,7 +21,11 @@ rows pin every count, Newton sum and vector to the per-row loops, and the
 unit step's finest halves pin that the runs are there to be swept.
 ``prufer_theta_piecewise`` ends a step on every break of the potential;
 its tests pin RK4's fourth order off the lattice and a count across a
-barrier far narrower than one step.
+barrier far narrower than one step.  Both phase kernels sweep the doubled
+angle 2 theta, one cosine per stage: against copies of the theta loops
+they replace, they pin the same counts and theta to within rounding, and
+the capped profile, which carries v from a step's end to the next step's
+start, pins the bytes of the loop that evaluated it twice.
 """
 
 import math
@@ -46,7 +50,7 @@ from gaplab import (
     prufer_count,
     solve_extrapolated,
 )
-from gaplab import fdsolver, kernels
+from gaplab import fdsolver, kernels, oracle
 from gaplab.fdsolver import _nested_grids
 from conftest import random_capped, random_multistep
 
@@ -507,6 +511,192 @@ def test_prufer_theta_piecewise_fourth_order_off_lattice():
         orders.append(math.log2(abs((t1 - t2) / (t2 - t4))))
     assert len(orders) >= 15
     assert all(abs(order - 4.0) <= 0.5 for order in orders), orders
+
+
+def reference_prufer_theta_piecewise(breaks, vals, lam, n_steps):
+    # the phase sweep on theta itself, a sine and a cosine per stage
+    breaks = breaks.tolist()
+    lam = float(lam)
+    per_length = n_steps / (breaks[-1] - breaks[0])
+    theta = 0.5 * math.pi
+    for left, right, v in zip(breaks, breaks[1:], vals.tolist()):
+        ell = right - left
+        q = lam - v
+        n = max(1, math.ceil(per_length * ell), math.ceil(2.0 * ell * abs(q)))
+        h = ell / n
+        half_h = 0.5 * h
+        for _ in range(n):
+            st = math.sin(theta)
+            ct = math.cos(theta)
+            k1 = ct * ct + q * st * st
+            t2 = theta + half_h * k1
+            st = math.sin(t2)
+            ct = math.cos(t2)
+            k2 = ct * ct + q * st * st
+            t3 = theta + half_h * k2
+            st = math.sin(t3)
+            ct = math.cos(t3)
+            k3 = ct * ct + q * st * st
+            t4 = theta + h * k3
+            st = math.sin(t4)
+            ct = math.cos(t4)
+            k4 = ct * ct + q * st * st
+            theta += h * (k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0
+    return theta
+
+
+def reference_prufer_theta_capped(c_decay, cap, lam, half_len, n_steps):
+    # the capped phase sweep on theta, v evaluated at three points per step
+    c_decay = float(c_decay)
+    cap = float(cap)
+    lam = float(lam)
+    half_len = float(half_len)
+    h = 2.0 * half_len / n_steps
+    theta = 0.5 * math.pi
+    x = -half_len
+    for _ in range(n_steps):
+        xm = x + 0.5 * h
+        xe = x + h
+        x2 = x * x
+        v1 = cap if x2 * cap <= c_decay else c_decay / x2
+        x2 = xm * xm
+        v2 = cap if x2 * cap <= c_decay else c_decay / x2
+        x2 = xe * xe
+        v3 = cap if x2 * cap <= c_decay else c_decay / x2
+        q1 = lam - v1
+        q2 = lam - v2
+        q3 = lam - v3
+        st = math.sin(theta)
+        ct = math.cos(theta)
+        k1 = ct * ct + q1 * st * st
+        t2 = theta + 0.5 * h * k1
+        st = math.sin(t2)
+        ct = math.cos(t2)
+        k2 = ct * ct + q2 * st * st
+        t3 = theta + 0.5 * h * k2
+        st = math.sin(t3)
+        ct = math.cos(t3)
+        k3 = ct * ct + q2 * st * st
+        t4 = theta + h * k3
+        st = math.sin(t4)
+        ct = math.cos(t4)
+        k4 = ct * ct + q3 * st * st
+        theta += h * (k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0
+        x = xe
+    return theta
+
+
+def reference_profile_rk4_capped(c_decay, cap, lam, half_len, n_samples, n_sub):
+    # the capped profile with v evaluated at three points per step
+    c_decay = float(c_decay)
+    cap = float(cap)
+    lam = float(lam)
+    half_len = float(half_len)
+    samples = [1.0]
+    u = 1.0
+    up = 0.0
+    h = 2.0 * half_len / ((n_samples - 1) * n_sub)
+    x = -half_len
+    for j in range(1, n_samples):
+        for _ in range(n_sub):
+            x2 = x * x
+            v1 = cap if x2 * cap <= c_decay else c_decay / x2
+            xm = x + 0.5 * h
+            x2 = xm * xm
+            v2 = cap if x2 * cap <= c_decay else c_decay / x2
+            xe = x + h
+            x2 = xe * xe
+            v3 = cap if x2 * cap <= c_decay else c_decay / x2
+            ku1 = up
+            kp1 = (v1 - lam) * u
+            ku2 = up + 0.5 * h * kp1
+            kp2 = (v2 - lam) * (u + 0.5 * h * ku1)
+            ku3 = up + 0.5 * h * kp2
+            kp3 = (v2 - lam) * (u + 0.5 * h * ku2)
+            ku4 = up + h * kp3
+            kp4 = (v3 - lam) * (u + h * ku3)
+            u += h * (ku1 + 2.0 * ku2 + 2.0 * ku3 + ku4) / 6.0
+            up += h * (kp1 + 2.0 * kp2 + 2.0 * kp3 + kp4) / 6.0
+            x = xe
+        samples.append(u)
+        au = abs(u)
+        aup = abs(up)
+        big = au if au > aup else aup
+        if big > kernels.RENORM_LIMIT:
+            inv = 1.0 / big
+            u *= inv
+            up *= inv
+            samples = [a * inv for a in samples]
+    return np.array(samples)
+
+
+def _check_phase(theta, ref, steps):
+    # the doubled-angle sweep is the theta sweep in exact arithmetic: the
+    # same count, and theta within the rounding bound 4 n eps max(1, |theta|)
+    assert oracle._count_from_theta(theta) == oracle._count_from_theta(ref)
+    assert abs(theta - ref) <= 4 * steps * EPS * max(1.0, abs(ref))
+
+
+def _check_piecewise_phase(layers, lam):
+    # at the step count prufer_count takes
+    widths, vals = np.diff(layers.breaks), layers.values
+    n = oracle._steps_for(layers.length, lam, rate_steps=2.0 * float(np.abs(lam - vals) @ widths))
+    per_length = n / layers.length
+    steps = sum(max(1, math.ceil(per_length * ell), math.ceil(2.0 * ell * abs(lam - v)))
+                for ell, v in zip(widths.tolist(), vals.tolist()))
+    args = (layers.breaks, layers.values, lam, n)
+    _check_phase(kernels.prufer_theta_piecewise(*args),
+                 reference_prufer_theta_piecewise(*args), steps)
+
+
+def _check_capped_phase(p, L, lam):
+    n = oracle._capped_steps(p, L, lam)
+    args = (p.decay, p.cap, lam, 0.5 * L, n)
+    _check_phase(kernels.prufer_theta_capped(*args), reference_prufer_theta_capped(*args), n)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_phase_kernels_match_reference_loops(seed):
+    rng = np.random.default_rng(seed)
+    L = float(rng.uniform(0.5, 40.0))
+    _check_piecewise_phase(decompose(random_multistep(rng, L), L), float(rng.uniform(-1.0, 6.0)))
+    p = random_capped(rng)
+    _check_capped_phase(p, L, float(rng.uniform(-1.0, 2.0 * p.cap)))
+
+
+@pytest.mark.parametrize("lam", [0.05, 0.2])
+def test_piecewise_phase_across_tall_barrier_matches_reference_loop(lam):
+    # an 8-wide barrier of height 1e4 takes 1.6e5 steps at lam well below it
+    _check_piecewise_phase(decompose(Step(1e4, (2.0, 10.0)), 20.0), lam)
+
+
+@pytest.mark.parametrize("lam", [2.0, 6.0])
+def test_capped_phase_below_and_above_cap_matches_reference_loop(lam):
+    _check_capped_phase(InverseSquareCapped(1.0, 4.0), 10.0, lam)
+
+
+def _check_profile(p, L, lam, n_samples, n_sub):
+    args = (p.decay, p.cap, lam, 0.5 * L, n_samples, n_sub)
+    assert kernels.profile_rk4_capped(*args).tobytes() == \
+        reference_profile_rk4_capped(*args).tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_profile_rk4_capped_matches_reference_loop(seed):
+    rng = np.random.default_rng(seed)
+    p = random_capped(rng)
+    L = float(rng.uniform(0.5, 40.0))
+    lam = float(rng.uniform(-1.0, 2.0 * p.cap))
+    _check_profile(p, L, lam, int(rng.integers(16, 200)), int(rng.integers(2, 12)))
+
+
+def test_renormalized_profile_matches_reference_loop():
+    # lam far below the cap, v - lam >= 10: the state passes RENORM_LIMIT
+    # more than once, each time rescaling every sample kept so far (the
+    # first ends near 7e-31)
+    _check_profile(InverseSquareCapped(5.0, 8.0), 30.0, -10.0, 257, 4)
 
 
 @pytest.mark.parametrize("height", [1e6, 1e7])
