@@ -51,16 +51,16 @@ the rule for reusing them.  ``bisect_eigenvalue`` stops at the width
 that IEEE arithmetic computes is non-decreasing in the shift (Kahan's
 monotonicity result; Demmel, Dhillon & Ren, ETNA 3, 1995), so a kept
 count can settle a midpoint without a sweep and the bisection still takes
-exactly the midpoints of plain bisection: the bisection settles a
-midpoint outside the two kept shifts that enclose eigenvalue k itself,
-and asks the store only between them.  So can the count of the nearest
-counted shift below or above
-when ``diag - shift`` rounds to the same vector there.  On fine grids,
-where eps ||T|| lies far above the bisection tolerance, most of the last
-midpoints are settled so.  ``sturm_newton`` computes ``sturm_count``'s
-pivots and count operation for operation, so its counts are as good as
-any other, and also returns the logarithmic derivative of the determinant
-for a Newton step toward an eigenvalue.
+exactly the midpoints of plain bisection; so can the count of the nearest
+counted shift below or above when ``diag - shift`` rounds to the same
+vector there.  The bisection settles each midpoint outside the two kept
+shifts that enclose eigenvalue k itself, and asks the store only for
+those between them.  On fine grids, where eps ||T|| lies far above the
+bisection tolerance, most of the last midpoints are settled so.
+``sturm_newton`` computes ``sturm_count``'s pivots and count operation
+for operation, so its counts are as good as any other, and also returns
+the logarithmic derivative of the determinant for a Newton step toward an
+eigenvalue.
 """
 
 import bisect
@@ -294,14 +294,14 @@ def bisect_eigenvalue(counts, k, lo, hi, rel_width=0.0):
     # Bisect for the k-th (0-based) eigenvalue of the matrix of `counts` (a
     # SturmCounts) given the enclosure count(lo) <= k < count(hi).  Stops at
     # width tolerance(max(|lo|, |hi|)), or at rel_width * max(|lo|, |hi|)
-    # when that is wider (a guess).  The kept counts are sorted by shift and
-    # so non-decreasing: a midpoint at or below `below`, the largest kept
-    # shift with count <= k, or at or above `above`, the smallest with
-    # count > k, is settled here, as `exceeds` would settle it without
-    # keeping anything.  Only the midpoints between go to `counts.exceeds`,
-    # which reuses or sweeps a count and keeps it, so they become the new
-    # `below` or `above`.  The midpoints, and so the result, are those of
-    # plain bisection.
+    # when that is wider (a guess).  The kept counts, sorted by shift, are
+    # non-decreasing (see the module docstring): a midpoint at or below
+    # `below`, the largest kept shift with count <= k, or at or above
+    # `above`, the smallest with count > k, is settled here, as `exceeds`
+    # would settle it without keeping anything.  Only the midpoints between
+    # go to `counts.exceeds`, which reuses or sweeps a count and keeps it,
+    # so each becomes the new `below` or `above`.  The midpoints, and so the
+    # result, are those of plain bisection.
     split = bisect.bisect_right(counts.counts, k)
     below = counts.shifts[split - 1] if split else -math.inf
     above = counts.shifts[split] if split < len(counts.shifts) else math.inf
