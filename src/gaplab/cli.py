@@ -286,12 +286,14 @@ def cmd_sweep(args) -> int:
     if not output:
         raise InputError("sweep needs an output CSV path ('output' field or --output)")
     plot_path = args.plot or cfg.plot_script
-    # a missing directory is known before the rows are solved; any other
-    # write error surfaces when the file is written
+    # a missing directory, or a path that is one, is known before the rows
+    # are solved; any other write error surfaces when the file is written
     for path in filter(None, (output, plot_path)):
         folder = os.path.dirname(path)
         if folder and not os.path.isdir(folder):
             raise InputError(f"cannot write '{path}': no such directory '{folder}'")
+        if os.path.isdir(path):
+            raise InputError(f"cannot write '{path}': it is a directory")
     rows = [_sweep_row(cfg, L) for L in cfg.l_values]
     _write_text(output, "".join(f"{line}\n" for line in [SWEEP_CSV_HEADER, *rows]))
     if plot_path:

@@ -20,14 +20,17 @@ nonzero.
 The Sturm sweeps (``sturm_count``, ``sturm_newton`` and the two pivot
 passes of ``inverse_iteration``) read a matrix in its run-length form,
 which ``SturmCounts`` builds once per matrix with ``run_length``, since
-the bisections sweep one matrix some dozens of times.  The eigensolver's
-grids have equal cells within each layer, so every interior row of a
-layer is the same pair (diag_i, off2_{i-1}), bit for bit.  Such a run is
-swept with one subtraction of the shift and a loop that reads no array;
-only the rows between runs, the stretches, are read row by row, their
-shift taken off in numpy once per sweep.  numpy's elementwise subtraction
-is the same correctly rounded IEEE operation as Python's, so every pivot
-is that of the loop that subtracts the shift at each row.
+the bisections sweep one matrix some dozens of times.  The backward pivot
+pass of ``inverse_iteration`` is its forward pass on the mirrored matrix,
+the rows in reverse order, whose run-length form it builds once per call.
+The eigensolver's grids have equal cells within each layer, so every
+interior row of a layer is the same pair (diag_i, off2_{i-1}), bit for
+bit.  Such a run is swept with one subtraction of the shift and a loop
+that reads no array; only the rows between runs, the stretches, are read
+row by row, their shift taken off in numpy once per sweep.  numpy's
+elementwise subtraction is the same correctly rounded IEEE operation as
+Python's, so every pivot is that of the loop that subtracts the shift at
+each row.
 ``inverse_iteration`` fills its vector by cumulative products in numpy,
 which change no bit of the per-index loop (see there).  Its norm and the
 eigensolver's other sums (``dot``, ``norm``) use numpy's pairwise
@@ -323,15 +326,15 @@ def bisect_eigenvalue(counts, k, lo, hi, rel_width=0.0):
     return 0.5 * (lo + hi)
 
 
-def _forward_pivots(stretch, segments, shift, pivmin):
-    # sturm_count's recurrence and guard, keeping every pivot; `stretch` is
-    # the shifted diagonal at the stretch rows
+def _pivots(shifted, runs, shift, pivmin):
+    # sturm_count's recurrence and guard on the run-length form `runs`,
+    # keeping every pivot; `shifted` is the matrix's diagonal less `shift`
     neg_pivmin = -pivmin
     out = []
-    shifted = iter(stretch)
+    stretch = iter(memoryview(shifted[runs.stretch]))
     d = 1.0
-    for b2s, c, b2, n in segments:
-        for b, a in zip(b2s, shifted):
+    for b2s, c, b2, n in runs.segments:
+        for b, a in zip(b2s, stretch):
             d = a - b / d
             if d < pivmin:
                 if d > neg_pivmin:
@@ -344,43 +347,7 @@ def _forward_pivots(stretch, segments, shift, pivmin):
                 if d > neg_pivmin:
                     d = neg_pivmin
             out.append(d)
-    return out
-
-
-def _backward_pivots(stretch, segments, shift, pivmin):
-    # the same recurrence from the last row back.  Row i's pivot takes
-    # off2_i, which the forward form pairs with row i + 1, so each row hands
-    # its own off2 on to the next (`carry`, 0.0 before the last row): a
-    # run's first row back takes the off2 carried in, its other rows the
-    # run's own.  Pivots come out last row first.
-    neg_pivmin = -pivmin
-    out = []
-    shifted = iter(stretch[::-1])
-    d = 1.0
-    carry = 0.0
-    for b2s, c, b2, n in reversed(segments):
-        if n:
-            c -= shift
-            d = c - carry / d
-            if d < pivmin:
-                if d > neg_pivmin:
-                    d = neg_pivmin
-            out.append(d)
-            for _ in repeat(None, n - 1):
-                d = c - b2 / d
-                if d < pivmin:
-                    if d > neg_pivmin:
-                        d = neg_pivmin
-                out.append(d)
-            carry = b2
-        for b, a in zip(reversed(b2s), shifted):
-            d = a - carry / d
-            carry = b
-            if d < pivmin:
-                if d > neg_pivmin:
-                    d = neg_pivmin
-            out.append(d)
-    return out
+    return np.fromiter(out, float, len(out))
 
 
 def inverse_iteration(counts, sigma):
@@ -390,9 +357,12 @@ def inverse_iteration(counts, sigma):
     # Fernando's twisted factorization (Parlett & Dhillon, LAA 267, 1997;
     # Dhillon & Parlett, SIMAX 25, 2004).  The forward pivots d+ of
     # T - sigma*I = L D+ L^T are those of the Sturm recurrence, with its
-    # pivmin guard; the backward pivots d- are those of U D- U^T.  Both
-    # passes read the run-length form, from either end.  Twisted at r, the
-    # two factors solve (T - sigma*I) z = gamma_r e_r with z_r = 1 and
+    # pivmin guard; the backward pivots d- of U D- U^T are the forward
+    # pivots of the mirrored matrix, read back to front: the mirror's row
+    # n - 1 - i is the pair (diag_i, off2_i), which is what d-_i reads,
+    #   d-_i = (diag_i - sigma) - off2_i / d-_{i+1},  d-_{n-1} = diag_{n-1} - sigma,
+    # with the same operations and guard.  Twisted at r, the two factors
+    # solve (T - sigma*I) z = gamma_r e_r with z_r = 1 and
     # gamma_r = d+_r + d-_r - (a_r - sigma) = 1 / [(T - sigma*I)^-1]_rr.
     # r = argmin |gamma_r| picks the e_r with the largest such entry, and the
     # residual |gamma_r| / ||z||_2 is then at most sqrt(n) |lambda - sigma|
@@ -404,16 +374,15 @@ def inverse_iteration(counts, sigma):
     # np.multiply.accumulate multiplies left to right.
     # Returns (vector, 1, finite): the l2-normalized vector, the one solve,
     # and whether every component stayed finite.
-    diag, off, runs = counts.diag, counts.off, counts.runs
+    diag, off = counts.diag, counts.off
     pivmin = float(counts.pivmin)
     sigma = float(sigma)
     shifted = diag - sigma
-    stretch = memoryview(shifted[runs.stretch])
-    n = diag.size
-    fwd = np.fromiter(_forward_pivots(stretch, runs.segments, sigma, pivmin), float, n)
-    bwd = np.fromiter(_backward_pivots(stretch, runs.segments, sigma, pivmin), float, n)[::-1]
+    mirror = run_length(diag[::-1], (off * off)[::-1])
+    fwd = _pivots(shifted, counts.runs, sigma, pivmin)
+    bwd = _pivots(shifted[::-1], mirror, sigma, pivmin)[::-1]
     r = int(np.argmin(np.abs(fwd + bwd - shifted)))  # the first minimum
-    z = np.empty(n)
+    z = np.empty(diag.size)
     z[r] = 1.0
     with np.errstate(over="ignore"):
         z[:r] = np.cumprod((-off[:r] / fwd[:r])[::-1])[::-1]

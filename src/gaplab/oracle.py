@@ -199,8 +199,10 @@ def _steps_for(L: float, lam: float, rate: float = 0.0, rate_steps: float = 0.0)
 
 
 def _count_from_theta(theta: float) -> int:
-    k = math.floor((theta - 0.5 * math.pi) / math.pi) + 1
-    return max(0, int(k))
+    # one eigenvalue for each pi/2 + k pi (k >= 0) that theta passes
+    # strictly: theta ends exactly on one when an eigenvalue equals lam
+    # (theta stays at pi/2 where lam - v is 0), which is not below lam
+    return max(0, math.ceil((theta - 0.5 * math.pi) / math.pi))
 
 
 def _count_from_layers(layers: LayerDecomposition, lam: float) -> int:

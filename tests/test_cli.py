@@ -351,6 +351,32 @@ def test_sweep_unwritable_path_exits_2(capsys, monkeypatch, tmp_path, bad):
     assert "failure" not in err
 
 
+@pytest.mark.parametrize("bad", ["output", "plot"])
+def test_sweep_directory_path_exits_2_before_solving(capsys, monkeypatch, tmp_path, bad):
+    # a path that is a directory is refused before any row is solved, and
+    # no file is written
+    solve = gaplab.cli.solve_extrapolated
+    solves = []
+
+    def counted_solve(*args, **kwargs):
+        solves.append(args)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(gaplab.cli, "solve_extrapolated", counted_solve)
+    folder = tmp_path / "folder"
+    folder.mkdir()
+    output = str(folder) if bad == "output" else str(tmp_path / "zero.csv")
+    plot = str(folder) if bad == "plot" else str(tmp_path / "zero.gp")
+    code, out, err = run_cli(
+        capsys, "sweep", "--config", json.dumps(ZERO_SWEEP), "--output", output, "--plot", plot,
+    )
+    assert code == 2
+    assert out == ""
+    assert f"cannot write '{folder}'" in err
+    assert solves == []
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["folder"]
+
+
 def test_sweep_error_row(capsys, monkeypatch, tmp_path):
     # a SolverError on one L makes that row an error row; the others are solved
     solve = gaplab.cli.solve_extrapolated

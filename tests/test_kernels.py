@@ -396,6 +396,12 @@ def _block_matrix(layout):
 @example([(M, 0), (1, 1), (M, 0), (1, 1), (M + 1, 0)], [0.5])
 # +0 and -0 on the diagonal, unshifted by 0
 @example([(M + 1, 4), (M, 5), (2, 4)], [])
+# a forward run of MIN_RUN rows that the mirror, which pairs row i with
+# off2_i, sweeps as a stretch of MIN_RUN - 1 rows: the next row's off2 differs
+@example([(1, 3), (M, 0), (1, 2)], [])
+# the converse: MIN_RUN - 1 equal forward rows before a jump in the diagonal
+# across an equal off2, which the mirror sweeps as one run of MIN_RUN rows
+@example([(M, 0), (1, 1)], [])
 def test_run_length_sweeps_match_reference_loops(layout, randoms):
     # Every shift taken off a run's diagonal entry once, and every pivot of
     # the run's loop, is the operation of the per-row loop, so each kernel

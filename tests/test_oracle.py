@@ -117,6 +117,14 @@ def test_prufer_counts_free_interval():
     assert prufer_count(Zero(), 1.0, -1.0) == 0
 
 
+def test_prufer_count_excludes_eigenvalue_at_lambda():
+    # the phase stays at pi/2 where lam - v is 0 (or below eps / L), and an
+    # eigenvalue equal to lam is not strictly below it
+    assert prufer_count(Zero(), 1.0, -1e-300) == 0
+    assert prufer_count(Zero(), 1.0, 0.0) == 0
+    assert prufer_count(Constant(2.0), 1.0, 2.0) == 0
+
+
 def test_prufer_monotone_and_unit_jumps():
     p = Step(1.0, (-0.5, 0.5))
     L = 10.0
