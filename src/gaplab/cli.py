@@ -280,20 +280,31 @@ def _write_text(path: str, text: str) -> None:
         raise InputError(f"cannot write '{path}': {exc}") from exc
 
 
+def _same_file(a, b):
+    """Whether the paths a and b name one file: the same path once links and
+    '.' are resolved, or two links to one existing file."""
+    if os.path.realpath(a) == os.path.realpath(b):
+        return True
+    return os.path.exists(a) and os.path.exists(b) and os.path.samefile(a, b)
+
+
 def cmd_sweep(args) -> int:
     cfg = SweepConfig.from_dict(_load_json_arg(args.config, "sweep config"))
     output = args.output or cfg.output
     if not output:
         raise InputError("sweep needs an output CSV path ('output' field or --output)")
     plot_path = args.plot or cfg.plot_script
-    # a missing directory, or a path that is one, is known before the rows
-    # are solved; any other write error surfaces when the file is written
+    # a missing directory, a path that is one, or a plot script that would
+    # overwrite the CSV is known before the rows are solved; any other write
+    # error surfaces when the file is written
     for path in filter(None, (output, plot_path)):
         folder = os.path.dirname(path)
         if folder and not os.path.isdir(folder):
             raise InputError(f"cannot write '{path}': no such directory '{folder}'")
         if os.path.isdir(path):
             raise InputError(f"cannot write '{path}': it is a directory")
+    if plot_path and _same_file(output, plot_path):
+        raise InputError(f"the plot script '{plot_path}' is the output CSV '{output}'")
     rows = [_sweep_row(cfg, L) for L in cfg.l_values]
     _write_text(output, "".join(f"{line}\n" for line in [SWEEP_CSV_HEADER, *rows]))
     if plot_path:

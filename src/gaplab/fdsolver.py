@@ -28,7 +28,11 @@ once, only on a graded grid where that bound is loose (see
 solved, a lambda1 - lambda0 within the ground vector's rounding floor
 raises, since nothing then tells the two states apart.
 
-Most of a solve is Sturm sweeps.  Every potential of the capped family is
+Most of a solve is Sturm sweeps.  The rows of one layer's equal cells
+are equal, and a Sturm sweep takes each such run in O(1) by the discrete
+Pruefer angle (``kernels._run_phase``), so a sweep costs about as much
+as its few other rows, whatever N; the eigenvector's twisted solve still
+reads every row.  Every potential of the capped family is
 even, and so is a centred step; a grid with symmetric breaks and counts
 places its nodes mirror-symmetrically, so such a potential assembles a
 mirror-symmetric operator, whose diagonal and off-diagonal are bitwise

@@ -15,7 +15,8 @@ same loops over numpy arrays, at a fraction of the indexing cost.  Unlike
 a numpy scalar, a Python float raises ZeroDivisionError on a zero divisor
 instead of returning inf or nan: every divisor in a loop below is a pivot
 kept away from zero by `pivmin`, a step count, or a maximum checked to be
-nonzero.
+nonzero, and a closed form below divides by no libm result that can be
+zero without a guard.
 
 The Sturm sweeps (``sturm_count``, ``sturm_newton`` and the two pivot
 passes of ``inverse_iteration``) read a matrix in its run-length form,
@@ -25,12 +26,24 @@ pass of ``inverse_iteration`` is its forward pass on the mirrored matrix,
 the rows in reverse order, whose run-length form it builds once per call.
 The eigensolver's grids have equal cells within each layer, so every
 interior row of a layer is the same pair (diag_i, off2_{i-1}), bit for
-bit.  Such a run is swept with one subtraction of the shift and a loop
-that reads no array; only the rows between runs, the stretches, are read
-row by row, their shift taken off in numpy once per sweep.  numpy's
-elementwise subtraction is the same correctly rounded IEEE operation as
-Python's, so every pivot is that of the loop that subtracts the shift at
-each row.
+bit.  ``sturm_count`` and ``sturm_newton`` take such a run in O(1), by
+the discrete Pruefer angle (``_run_phase``): from the run's excess
+x = fl(c - shift) - 2b, its length and its incoming pivot, closed forms
+give its negative pivots, its last pivot and its share of the Newton sum.
+Only the rows between runs, the stretches, are read row by row, their
+shift taken off in numpy once per sweep; the twisted solve's pivot passes
+keep that loop on runs too, one subtraction of the shift per run and a
+loop that reads no array.  numpy's elementwise subtraction is the same
+correctly rounded IEEE operation as Python's, so every pivot of a
+stretch and of the twisted solve is that of the loop that subtracts the
+shift at each row.  The closed forms call libm's asin, asinh, atan2, sin,
+sinh, tan, tanh, atanh, exp and expm1, which err by about 1e-16, while
+one quantum of c - shift moves the phase of a long run near the bottom of
+its band by some 1e-7 (the finest grids of criterion 5): a libm that
+differs in its last bit moves no count that rounding does not already
+decide.  The closed form's count is the per-row loop's wherever rounding
+does not decide it, farther than 2 eps ||T|| from an eigenvalue, and its
+Newton sum the loop's to 1e-8 away from eigenvalues (see the tests).
 ``inverse_iteration`` fills its vector by cumulative products in numpy,
 which change no bit of the per-index loop (see there).  Its norm and the
 eigensolver's other sums (``dot``, ``norm``) use numpy's pairwise
@@ -51,13 +64,18 @@ differs.  The kernels return theta = phi / 2.
 ``SturmCounts`` is the one home of the counts taken on one matrix, and of
 the rule for reusing them.  ``bisect_eigenvalue`` stops at the width
 ``tolerance(lam)``, or at a wider relative width for a guess.  The count
-that IEEE arithmetic computes is non-decreasing in the shift (Kahan's
-monotonicity result; Demmel, Dhillon & Ren, ETNA 3, 1995), so a kept
-count can settle a midpoint without a sweep and the bisection still takes
-exactly the midpoints of plain bisection; so can the count of the nearest
-counted shift below or above when ``diag - shift`` rounds to the same
-vector there.  The bisection settles each midpoint outside the two kept
-shifts that enclose eigenvalue k itself, and asks the store only for
+that the per-row loop computes in IEEE arithmetic is non-decreasing in the
+shift (Kahan's monotonicity result; Demmel, Dhillon & Ren, ETNA 3,
+1995).  A run's closed form keeps that at a fixed excess x, where each of
+its formulas is a chain of operations monotone in the incoming pivot; from
+one x to the next the phase moves by (n - 1) times a step of theta, which
+its rounding has not been seen to outweigh (the tests sweep shifts dense
+in the rounding band of eigenvalues; this is measured, not proven).  So a
+kept count can settle a midpoint without a sweep and the bisection still
+takes exactly the midpoints of plain bisection; so can the count of the
+nearest counted shift below or above when ``diag - shift`` rounds to the
+same vector there.  The bisection settles each midpoint outside the two
+kept shifts that enclose eigenvalue k itself, and asks the store only for
 those between them.  On fine grids, where eps ||T|| lies far above the
 bisection tolerance, most of the last midpoints are settled so.
 ``sturm_newton`` computes ``sturm_count``'s pivots and count operation
@@ -77,11 +95,14 @@ import numpy as np
 # this; the oracle's layer walk takes the same limit
 RENORM_LIMIT = 1e15
 
-# the fewest equal rows that run_length makes a run.  Each run adds a
-# segment to every sweep, whose entry costs about what 30 rows save over
-# being swept in a stretch: on blocks of m equal rows parted by one other
-# row, sturm_count swept the runs at 0.9-1.1 times the stretch's time for
-# m = 24 to 40, and at 0.8 times for m = 64.
+# the fewest equal rows that run_length makes a run.  A run costs a sweep
+# a closed form (_run_phase) of about what 24 stretch rows cost in
+# sturm_count and 56 in sturm_newton: on blocks of m equal rows parted by
+# one other row (2 cores, Python 3.11, medians of 25 alternating pairs),
+# sturm_count took 1.17, 0.99, 0.92 and 0.76 times the stretch's time for
+# m = 20, 24, 28 and 32, and sturm_newton 1.14, 0.99 and 0.88 for m = 48,
+# 56 and 64.  A solve takes some six counts per Newton sweep, and a Newton
+# row costs about 1.9 count rows, so the two break even near m = 32.
 MIN_RUN = 32
 
 
@@ -98,16 +119,18 @@ def run_length(diag, off2):
     ``diag`` and squared off-diagonal ``off2`` (numpy arrays).
 
     Row i is the pair (diag_i, off2_{i-1}), row 0's off2 taken as 0.0.  A
-    run is a maximal block of at least MIN_RUN rows with the same pair, bit
-    for bit, so its rows are swept as d = (c - shift) - b2 / d with one
-    c - shift for all of them; every other row lies in a stretch and is
-    swept row by row.  Each segment ``(b2s, c, b2, n)`` is a stretch (the
-    list ``b2s`` of its rows' off2, possibly empty) followed by a run of n
-    rows of the pair (c, b2); the last has n = 0.  ``diag[stretch]`` is the
-    diagonal at the stretch rows in order, ``stretch`` a slice where they
-    are one block (always so without runs).  Runs are found in numpy: a
-    matrix without them, every row a boundary, costs no Python loop over
-    its rows.
+    run is a maximal block of at least MIN_RUN rows with the same pair,
+    bit for bit, and a nonzero off2, so its rows read the shift through
+    one c - shift: the Sturm counts sweep it in closed form
+    (``_run_phase``), and the twisted solve's pivots as
+    d = (c - shift) - b2 / d.  Every other row lies in a stretch and is
+    swept row by row.  Each
+    segment ``(b2s, c, b2, n)`` is a stretch (the list ``b2s`` of its
+    rows' off2, possibly empty) followed by a run of n rows of the pair
+    (c, b2); the last has n = 0.  ``diag[stretch]`` is the diagonal at the
+    stretch rows in order, ``stretch`` a slice where they are one block
+    (always so without runs).  Runs are found in numpy: a matrix without
+    them, every row a boundary, costs no Python loop over its rows.
     """
     size = diag.size
     b2 = np.concatenate(([0.0], off2))
@@ -117,7 +140,7 @@ def run_length(diag, off2):
     boundary[1:] = (c_bits[1:] != c_bits[:-1]) | (b_bits[1:] != b_bits[:-1])
     starts = np.flatnonzero(boundary)
     lengths = np.diff(starts, append=size)
-    long = lengths >= MIN_RUN
+    long = (lengths >= MIN_RUN) & (b2[starts] != 0.0)
     segments = []
     in_stretch = np.ones(size, dtype=bool)
     lo = 0
@@ -132,6 +155,192 @@ def run_length(diag, off2):
     return RunLength(stretch, segments)
 
 
+def _run_phase(c, b2, n, d):
+    # A run of n rows d_j = c - b2 / d_{j-1} (c the shifted diagonal entry)
+    # from the incoming pivot d, by the discrete Pruefer angle (Atkinson,
+    # Discrete and Continuous Boundary Problems, 1964): O(1) however long.
+    # With b = sqrt(b2) and y_j = d_j / b the rows are y_j = 2t - 1 / y_{j-1},
+    # t = 1 + x / 2b, and every formula reads c through the run's excess
+    # x = c - 2b alone, exact (Sterbenz) for c in [b, 4b]: the run sweeps
+    # the diagonal 2b + x.  A run with c < 0 is taken mirrored, c and d
+    # negated: its pivots are the mirror's negated, so t >= 0.  The product
+    # F(k) = y_1 ... y_k obeys F(k + 1) = 2t F(k) - F(k - 1), F(0) = 1, so
+    # y_j = F(j) / F(j - 1), and row j is negative where F changes sign.
+    # With A = (b + x / 2) - b2 / d, the first pivot less b t:
+    # - t < 1: cos theta = t, theta = 2 asin(sqrt(-x / 4b)) in (0, pi/2],
+    #   B = b sin theta, and F(k) = sin(psi + k theta) / sin(psi) with
+    #   psi = atan2(B, A) in (0, pi).  Rows 1 to n - 1 hold the
+    #   floor(psi_n / pi) multiples of pi in (psi, psi_n],
+    #   psi_n = psi + (n - 1) theta, and the last pivot is
+    #   d_n = b t + B cot(rho), rho = psi_n mod pi, so the count and d_n
+    #   agree however psi_n rounds;
+    # - t > 1: cosh theta = t, theta = 2 asinh(sqrt(x / 4b)), B = b sinh
+    #   theta, and F(k) = cosh(psi + k theta) / cosh(psi) (|A| < B,
+    #   psi = atanh(A / B)), which never changes sign, or sinh(psi + k theta)
+    #   / sinh(psi) (|A| > B, psi = atanh(B / A)), which does once, where
+    #   psi < 0 <= psi_n; d_n = b t + B tanh(psi_n), or + B coth(psi_n).
+    #   A = B and A = -B are the fixed points y = exp(+-theta), which the
+    #   rows keep;
+    # - t = 1 (x = 0): F(k) = 1 + k A / b, linear, so d_n = b + 1 / w with
+    #   w = F(n - 1) / A = 1 / A + (n - 1) / b, and F changes sign among
+    #   rows 1 to n - 1 where A < 0 <= w.
+    # A pivot inside the run within pivmin of zero is a phase within some
+    # 1e-250 of a multiple of pi, which the phase, rounded to about 1e-16
+    # psi, cannot tell from either side: no guard is needed there.
+    # At a fixed x each of these is a chain of operations monotone in d, as
+    # the loop's rows are.  Returns (sign, x, b, B, A, theta, psi, count,
+    # last): sign -1.0 for a mirrored run, the negative pivots of the
+    # mirror's rows 1 to n - 1, and last = rho (t < 1), psi_n (t > 1) or w
+    # (t = 1; inf for A = 0, where the rows stay at b).
+    if c < 0.0:
+        c = -c
+        d = -d
+        sign = -1.0
+    else:
+        sign = 1.0
+    b = math.sqrt(b2)
+    x = c - 2.0 * b
+    A = (b + 0.5 * x) - b2 / d
+    count = 0
+    if x < 0.0:
+        theta = 2.0 * math.asin(math.sqrt(-0.25 * x / b))
+        B = b * math.sin(theta)
+        psi = math.atan2(B, A)
+        turns, last = divmod(psi + (n - 1) * theta, math.pi)
+        count = int(turns)
+    elif x > 0.0:
+        theta = 2.0 * math.asinh(math.sqrt(0.25 * x / b))
+        B = b * math.sinh(theta)
+        if abs(A) < B:
+            psi = math.atanh(A / B)
+        elif A == B or A == -B:
+            psi = math.copysign(math.inf, A)
+        else:
+            psi = math.atanh(B / A)
+        last = psi + (n - 1) * theta
+        if psi < 0.0 <= last and abs(A) > B:  # a sinh that changes sign
+            count = 1
+    else:
+        theta = psi = B = 0.0
+        last = 1.0 / A + (n - 1) / b if A else math.inf
+        if A < 0.0 <= last:
+            count = 1
+    return sign, x, b, B, A, theta, psi, count, last
+
+
+def _run_count(c, b2, n, d, pivmin):
+    # The negative pivots of a run's n rows and its last pivot d_n (see
+    # _run_phase).  Row n counts by the sign of d_n, which the next rows
+    # read, and takes the guard.  A zero remainder (t < 1), psi_n (t > 1) or
+    # w (t = 1) is the pivot before d_n at zero, which the loop's guard
+    # makes -pivmin: d_n is then large and positive, as it makes it.
+    # A mirrored run's rows 1 to n - 1 are negative where the mirror's are
+    # not.
+    sign, x, b, B, A, theta, psi, count, last = _run_phase(c, b2, n, d)
+    if x < 0.0:
+        d = (b + 0.5 * x) + B / (math.tan(last) or pivmin)
+    elif x > 0.0 and abs(A) < B:
+        d = (b + 0.5 * x) + B * math.tanh(last)
+    elif x > 0.0:
+        d = (b + 0.5 * x) + B / (math.tanh(last) or pivmin)
+    else:
+        d = b + 1.0 / (last or pivmin)
+    if sign < 0.0:
+        count = n - 1 - count
+        d = -d
+    if d < pivmin:
+        if d > -pivmin:
+            d = -pivmin
+        count += 1
+    return count, d
+
+
+def _cubic(a, hyperbolic):
+    # sin a - a cos a, or a cosh a - sinh a, for a >= 0: a^3 / 3 -+ a^5 / 30
+    # + ..., summed as a series below 1/4, where the difference would lose
+    # 3 eps / a^2 of itself
+    if a >= 0.25:
+        if hyperbolic:
+            return a * math.cosh(a) - math.sinh(a)
+        return math.sin(a) - a * math.cos(a)
+    a2 = a * a if hyperbolic else -a * a
+    term = total = a * a * a / 3.0
+    for m in range(2, 8):  # 2m a^(2m+1) / (2m+1)!
+        term *= a2 / ((2 * m - 2) * (2 * m + 1))
+        total += term
+    return total
+
+
+def _continuant_slope(k, x, b, B, A, dA, theta, dc):
+    # F'(k), the derivative in the shift of F(k) = T_k(t) + A U_{k-1}(t) / b
+    # (see _run_phase), in the Chebyshev polynomials of t, which are smooth
+    # at t = 1: with a = k theta, T_k = cos a and U_{k-1} / b = sin a / B
+    # (cosh and sinh for t > 1, scaled by exp(-a); 1 and k / b at t = 1).
+    # dT_k / dt = k U_{k-1}, and dU_{k-1} / dt is
+    # (cubic(a) t - k T_k cubic(theta)) / sin^3 theta (sinh^3), both cubics
+    # from _cubic, so no term cancels as theta -> 0.  dt = dc / 2b per unit
+    # shift and A' = dA.
+    t = 1.0 + 0.5 * x / b
+    a = k * theta
+    if x < 0.0:
+        st = math.sin(a) / B
+        dst = dc * b * (_cubic(a, False) * t
+                        - k * math.cos(a) * _cubic(theta, False)) / (2.0 * B ** 3)
+    elif x > 0.0:
+        ct = 0.5 + 0.5 * math.exp(-2.0 * a)  # cosh(a) exp(-a)
+        sh = -0.5 * math.expm1(-2.0 * a)  # sinh(a) exp(-a)
+        st = sh / B
+        cube = _cubic(a, True) * math.exp(-a) if a < 0.25 else a * ct - sh
+        dst = dc * b * (cube * t - k * ct * _cubic(theta, True)) / (2.0 * B ** 3)
+    else:
+        st = k / b
+        dst = dc * (k * k - 1.0) * k / (6.0 * b * b)
+    return (0.5 * k * dc + dA) * st + A * dst
+
+
+def _run_newton(c, b2, n, d, r):
+    # The run's share of sturm_newton's sum, r_1 + ... + r_n = F'(n) / F(n),
+    # and its last r_n = F'(n) / F(n) - F'(n - 1) / F(n - 1), for the
+    # incoming pivot d and r = d' / d (see _run_phase): the run's first
+    # pivot d_1 = c - b2 / d moves by d_1' = -1 + (b2 / d) r, which enters
+    # as A'.  F' is _continuant_slope's; F(n - 1) and F(n) come from the
+    # phase that gives d_n, normalized to F(0) = 1 (for t > 1 scaled by
+    # exp(-k theta) as F'(k) is): near a pole, where F(n - 1) is small, the
+    # next row reads r_n / d_n, in which it cancels, as in the loop.  Past
+    # a guarded pivot the sum may overflow to inf or nan, as the loop's
+    # does; a division by an exact zero (a run that starts on its fixed
+    # point exp(-theta) and leaves it only below the smallest double, say)
+    # gives nan.
+    sign, x, b, B, A, theta, psi, count, last = _run_phase(c, b2, n, d)
+    dc = -sign  # d(2b + x) / d shift, mirrored: +1
+    dA = 0.5 * dc + sign * b2 / d * r
+    try:
+        if x < 0.0:  # sin(psi_k) / sin(psi), (-1)^count sin(rho) at k = n - 1
+            scale = -1.0 if count % 2 else 1.0
+            scale *= math.hypot(A, B) / B
+            f_m = scale * math.sin(last)
+            f_n = scale * math.sin(last + theta)
+        elif x == 0.0:  # 1 + k A / b, w = F(n - 1) / A
+            f_m = A * last if A else 1.0
+            f_n = f_m + A / b
+        elif abs(A) < B:  # cosh(psi_k) exp(-k theta) / cosh(psi)
+            scale = 1.0 + math.exp(-2.0 * psi)
+            f_m = (1.0 + math.exp(-2.0 * last)) / scale
+            f_n = (1.0 + math.exp(-2.0 * (last + theta))) / scale
+        elif A == -B:  # exp(-2k theta): the fixed point exp(-theta)
+            f_m = math.exp(-2.0 * (n - 1) * theta)
+            f_n = math.exp(-2.0 * n * theta)
+        else:  # sinh(psi_k) exp(-k theta) / sinh(psi)
+            scale = math.expm1(-2.0 * psi)
+            f_m = math.expm1(-2.0 * last) / scale
+            f_n = math.expm1(-2.0 * (last + theta)) / scale
+        total = _continuant_slope(n, x, b, B, A, dA, theta, dc) / f_n
+        last = total - _continuant_slope(n - 1, x, b, B, A, dA, theta, dc) / f_m
+    except ArithmeticError:
+        return math.nan, math.nan
+    return total, last
+
+
 def sturm_count(diag, runs, shift, pivmin):
     # Sign count of the LDL^T pivots of (T - shift*I): the number of
     # eigenvalues of T strictly below `shift`.  `runs` is the run-length
@@ -140,7 +349,8 @@ def sturm_count(diag, runs, shift, pivmin):
     # (-pivmin, pivmin) is forced to -pivmin).  A pivot below pivmin is
     # negative once guarded, so one comparison decides both the guard and
     # the count.  The shift is taken off the stretch rows once, in numpy,
-    # and off each run's diagonal entry once, before its loop.
+    # and each run, which reads it only through its shifted diagonal entry,
+    # is counted in closed form (_run_count).
     pivmin = float(pivmin)
     neg_pivmin = -pivmin
     shift = float(shift)
@@ -154,13 +364,9 @@ def sturm_count(diag, runs, shift, pivmin):
                 if d > neg_pivmin:
                     d = neg_pivmin
                 count += 1
-        c -= shift
-        for _ in repeat(None, n):
-            d = c - b2 / d
-            if d < pivmin:
-                if d > neg_pivmin:
-                    d = neg_pivmin
-                count += 1
+        if n:
+            k, d = _run_count(c - shift, b2, n, d, pivmin)
+            count += k
     return count
 
 
@@ -172,7 +378,8 @@ def sturm_newton(diag, runs, shift, pivmin):
     # step on the determinant is then shift - 1 / dlogdet.  Past a guarded
     # pivot the sum may overflow to inf or nan; the count stays exact.
     # Row 0 (q = 0.0 and r_{-1} = 0.0) gives r_0 = -1 / d_0, and the sum
-    # starts at -0.0, which adds to any r_0 without changing a bit.
+    # starts at -0.0, which adds to any r_0 without changing a bit.  A run
+    # adds its share in closed form (_run_newton).
     # Returns (count, dlogdet).
     pivmin = float(pivmin)
     neg_pivmin = -pivmin
@@ -192,16 +399,13 @@ def sturm_newton(diag, runs, shift, pivmin):
                 count += 1
             r = (q * r - 1.0) / d
             total += r
-        c -= shift
-        for _ in repeat(None, n):
-            q = b2 / d
-            d = c - q
-            if d < pivmin:
-                if d > neg_pivmin:
-                    d = neg_pivmin
-                count += 1
-            r = (q * r - 1.0) / d
-            total += r
+        if n:
+            c -= shift
+            share, last = _run_newton(c, b2, n, d, r)
+            k, d = _run_count(c, b2, n, d, pivmin)
+            count += k
+            total += share
+            r = last
     return count, total
 
 
@@ -241,9 +445,10 @@ class SturmCounts:
     3. otherwise ``sturm_count`` sweeps, and its count is kept.
 
     In rule 2 the only equal values with different bits are +0 and -0: such
-    an entry enters a pivot only as ``c - b / d``, and a zero pivot of
-    either sign is guarded to -pivmin, so the count is the one a sweep
-    would return.  Rounding is monotone, so ``diag - s`` for s between two
+    an entry enters a stretch's pivot only as ``c - b / d``, where a zero
+    pivot of either sign is guarded to -pivmin, and a run only through its
+    excess ``c - 2b``, the same for either zero, so the count is the one a
+    sweep would return.  Rounding is monotone, so ``diag - s`` for s between two
     shifts with equal vectors is that vector too: the nearest counted
     shifts below and above find every match.  The first entries are
     compared first, as Python floats: where they differ, so do the vectors.

@@ -377,6 +377,29 @@ def test_sweep_directory_path_exits_2_before_solving(capsys, monkeypatch, tmp_pa
     assert sorted(p.name for p in tmp_path.iterdir()) == ["folder"]
 
 
+@pytest.mark.parametrize("plot", ["zero.csv", "./zero.csv", "link.csv", "hard.csv"])
+def test_sweep_same_output_and_plot_exits_2_before_solving(capsys, monkeypatch, tmp_path, plot):
+    # a plot script that would overwrite the CSV (the same path, the same
+    # path through '.', a symbolic link to it or a hard link) is refused
+    # before any row is solved, and nothing is written
+    def no_solve(*args, **kwargs):
+        pytest.fail("a row was solved before the output paths were checked")
+
+    monkeypatch.setattr(gaplab.cli, "solve_extrapolated", no_solve)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "zero.csv").write_text("kept\n")
+    os.symlink("zero.csv", tmp_path / "link.csv")
+    os.link(tmp_path / "zero.csv", tmp_path / "hard.csv")
+    code, out, err = run_cli(
+        capsys, "sweep", "--config", json.dumps(ZERO_SWEEP), "--output", "zero.csv",
+        "--plot", plot,
+    )
+    assert code == 2
+    assert out == ""
+    assert f"the plot script '{plot}' is the output CSV 'zero.csv'" in err
+    assert (tmp_path / "zero.csv").read_text() == "kept\n"
+
+
 def test_sweep_error_row(capsys, monkeypatch, tmp_path):
     # a SolverError on one L makes that row an error row; the others are solved
     solve = gaplab.cli.solve_extrapolated

@@ -13,12 +13,18 @@ midpoints round so, pin that no midpoint moves and that every count it
 keeps is the one a sweep returns.
 ``sturm_count`` takes the shift off the diagonal before its loop, and
 ``inverse_iteration`` fills its vector by cumulative products.  These
-properties pin down that none of them changes a single bit of the output:
-the last two against copies of the loops as they were before those
-shortcuts.  The Sturm sweeps read a run-length form, one subtraction of
-the shift per run of equal rows: matrices of blocks around ``MIN_RUN``
-rows pin every count, Newton sum and vector to the per-row loops, and the
-unit step's finest halves pin that the runs are there to be swept.
+properties pin down that neither changes a single bit of the output,
+against copies of the loops as they were before those shortcuts.  The
+Sturm sweeps read a run-length form, and ``sturm_count`` and
+``sturm_newton`` sweep each run of equal rows in closed form, by the
+discrete Pruefer angle.  Against the per-row loop, on runs whose rows
+rotate (|t| < 1), grow (|t| > 1) or are linear (t = +-1 exactly), and
+where the loop guards a pivot inside a run to -pivmin, the closed form
+gives the loop's count at every shift farther than 2 eps ||T|| from an
+eigenvalue, a count non-decreasing in the shift within that band too, and
+the loop's Newton sum to 1e-8 away from eigenvalues; the twisted solve
+keeps the per-row loop on runs, and its vectors their bits.  The unit
+step's finest halves pin that the runs are there to be swept.
 ``prufer_theta_piecewise`` ends a step on every break of the potential;
 its tests pin RK4's fourth order off the lattice and a count across a
 barrier far narrower than one step.  Both phase kernels sweep the doubled
@@ -52,6 +58,7 @@ from gaplab import (
 )
 from gaplab import fdsolver, kernels, oracle
 from gaplab.fdsolver import _nested_grids
+from scipy.linalg import eigvalsh_tridiagonal
 from conftest import random_capped, random_multistep
 
 EPS = np.finfo(float).eps
@@ -323,7 +330,8 @@ def test_inverse_iteration_matches_reference_loop(seed):
 
 
 def reference_sturm_newton(diag, off2, shift, pivmin):
-    # sturm_newton's loop over every row, the shift taken off in numpy
+    # sturm_newton's loop over every row, the shift taken off in numpy; its
+    # count, its sum and its pivot nearest zero
     pivmin = float(pivmin)
     shifted = iter((diag - float(shift)).tolist())
     count = 0
@@ -332,6 +340,7 @@ def reference_sturm_newton(diag, off2, shift, pivmin):
         if d > -pivmin:
             d = -pivmin
         count += 1
+    least = abs(d)
     r = -1.0 / d
     total = r
     for c, b in zip(shifted, off2):
@@ -341,27 +350,52 @@ def reference_sturm_newton(diag, off2, shift, pivmin):
             if d > -pivmin:
                 d = -pivmin
             count += 1
+        least = min(least, abs(d))
         r = (q * r - 1.0) / d
         total += r
-    return count, total
+    return count, total, least
 
 
 def _check_run_length(diag, off, shifts):
-    # sturm_count, sturm_newton and inverse_iteration on the run-length form
-    # give the reference loops' counts, sums and vectors bit for bit, at the
-    # given shifts and at both bisected eigenvalues
+    # At the given shifts and at both bisected eigenvalues:
+    # - sturm_newton counts as sturm_count, and both give the per-row
+    #   loop's count at every shift farther than 2 eps ||T|| from an
+    #   eigenvalue, where rounding no longer decides it.  A run's phase
+    #   carries theta's rounding n times: mid-spectrum, theta near pi/2, the
+    #   two counts differed up to 1.25 eps ||T|| from one, near t = 1 up to
+    #   0.5 eps ||T||;
+    # - sturm_newton's sum, -sum_j 1 / (lambda_j - shift), is the loop's to
+    #   1e-8 of sum_j 1 / |lambda_j - shift| (its own size where its terms
+    #   do not cancel) at shifts 1e-6 ||T|| from every eigenvalue, where
+    #   every pivot of the loop is 1e-6 ||T|| from zero too: a pivot near
+    #   zero is a shift near an eigenvalue of a leading block, where the
+    #   pivots' terms cancel, and past a guarded one the loop's sum holds
+    #   terms of 1 / pivmin, or is inf or nan;
+    # - the twisted solve, which keeps the per-row loop on runs, gives the
+    #   reference loop's vector bit for bit.
+    # No eigenvalue lies within w of a shift where the loop counts alike w
+    # below and w above it.
     counts, lo, hi = _bisect_inputs(diag, off)
     runs, pivmin = counts.runs, counts.pivmin
     off2 = (off * off).tolist()
     shifts = list(shifts) + [kernels.bisect_eigenvalue(counts, k, lo, hi) for k in (0, 1)]
+    norm = DiscreteOperator(diag, off).norm_inf()
+    lams = eigvalsh_tridiagonal(diag, off)
+
+    def isolated(s, w):
+        return reference_sturm_count(diag, off2, s - w, pivmin) == \
+            reference_sturm_count(diag, off2, s + w, pivmin)
+
     with np.errstate(all="ignore"):
         for s in shifts:
-            assert kernels.sturm_count(diag, runs, s, pivmin) == \
-                reference_sturm_count(diag, off2, s, pivmin)
-            count, dlogdet = kernels.sturm_newton(diag, runs, s, pivmin)
-            ref_count, ref_dlogdet = reference_sturm_newton(diag, off2, s, pivmin)
-            assert count == ref_count
-            assert np.float64(dlogdet).tobytes() == np.float64(ref_dlogdet).tobytes()
+            count = kernels.sturm_count(diag, runs, s, pivmin)
+            newton_count, dlogdet = kernels.sturm_newton(diag, runs, s, pivmin)
+            assert newton_count == count
+            ref_count, ref_dlogdet, least = reference_sturm_newton(diag, off2, s, pivmin)
+            if isolated(s, 2.0 * EPS * norm):
+                assert count == ref_count
+            if least > 1e-6 * norm and isolated(s, 1e-6 * norm):
+                assert abs(dlogdet - ref_dlogdet) <= 1e-8 * np.sum(1.0 / np.abs(lams - s))
             vec, solves, finite = kernels.inverse_iteration(counts, s)
             ref_vec, ref_solves, ref_finite = reference_inverse_iteration(diag, off, s, pivmin)
             assert (solves, finite) == (ref_solves, ref_finite)
@@ -389,8 +423,9 @@ def _block_matrix(layout):
 @settings(max_examples=100, deadline=None)
 @given(blocks, st.lists(st.floats(-3.0, 6.0), max_size=3))
 # a run of MIN_RUN rows from row 1 to the last row, where the shift 0
-# meets the pivot cycle 1, 0 (guarded to -pivmin), 1 + 1/pivmin: a guarded
-# zero pivot every third row inside the run
+# meets the pivot cycle 1, 0 (guarded to -pivmin), 1 + 1/pivmin: the loop
+# guards a zero pivot every third row inside the run, which the closed form
+# counts by its phase, t = 1/2
 @example([(M + 1, 3)], [])
 # runs of MIN_RUN - 1 (a stretch), MIN_RUN and MIN_RUN + 1 rows
 @example([(M, 0), (1, 1), (M, 0), (1, 1), (M + 1, 0)], [0.5])
@@ -403,15 +438,60 @@ def _block_matrix(layout):
 # across an equal off2, which the mirror sweeps as one run of MIN_RUN rows
 @example([(M, 0), (1, 1)], [])
 def test_run_length_sweeps_match_reference_loops(layout, randoms):
-    # Every shift taken off a run's diagonal entry once, and every pivot of
-    # the run's loop, is the operation of the per-row loop, so each kernel
-    # returns its bits; at random shifts, 0.0 and each diagonal value
-    # (whose pivots may be exactly zero, guarded).
+    # at random shifts, 0.0 and each diagonal value (whose pivots may be
+    # exactly zero, guarded, and whose runs have t = 0 or t = +-1 exactly
+    # where the block's off-diagonal is -1 and its neighbours' diagonal
+    # differs by 2)
     diag, off = _block_matrix(layout)
     if diag.size < 2:
         return
     values = sorted({float(v) for v in diag})
     _check_run_length(diag, off, randoms + [0.0] + values)
+
+
+def _run_matrix(rng, b, c, n):
+    """(diag, off): one run of n rows of the pair (c, -b), rows 1 to n, with
+    a head row 0 and a tail row of random diagonal entries."""
+    diag = np.full(n + 2, c)
+    diag[[0, -1]] = c + b * rng.uniform(-2.0, 2.0, 2)
+    return diag, np.full(n + 1, -b)
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from(["rotating", "growing", "t=1", "t=-1"]),
+       st.sampled_from([M, M + 1, 3 * M, 1000]))
+def test_run_closed_form_matches_reference_loop(seed, regime, n):
+    # One run between two other rows, at a shift that puts it in the regime:
+    # t = (c - shift) / 2b in (-1, 1) (the closed form's sines), beyond +-1
+    # (sinh or cosh), or +-1 exactly (c - shift = +-2b, linear in the row),
+    # and at random shifts; the diagonal is a multiple of 1/64 a few units
+    # off 2b, so c - shift is exact there.  Each count is the per-row
+    # loop's away from the eigenvalues (_check_run_length).
+    # Shifts dense in the rounding band of two eigenvalues, and the 64
+    # doubles above each, give counts non-decreasing in the shift.
+    rng = np.random.default_rng(seed)
+    b = float(rng.choice([0.375, 1.0, 4096.0]))
+    c = 2.0 * b + float(rng.integers(-256, 256)) / 64.0
+    diag, off = _run_matrix(rng, b, c, n)
+    if regime == "rotating":
+        special = c - 2.0 * b * rng.uniform(-1.0, 1.0, 4)
+    elif regime == "growing":
+        special = c - 2.0 * b * rng.choice([-1.0, 1.0], 4) * rng.uniform(1.0, 3.0, 4)
+    else:
+        special = [c - 2.0 * b * (1.0 if regime == "t=1" else -1.0)]
+        assert (c - special[0]) / (2.0 * b) == float(regime[2:])
+    counts, lo, hi = _bisect_inputs(diag, off)
+    _check_run_length(diag, off, [float(s) for s in special] + list(rng.uniform(lo, hi, 4)))
+    runs, pivmin = counts.runs, counts.pivmin
+    norm = DiscreteOperator(diag, off).norm_inf()
+    lams = eigvalsh_tridiagonal(diag, off)
+    for lam in rng.choice(lams, 2):
+        shifts = list(lam + EPS * norm * rng.uniform(-4.0, 4.0, 64))
+        shifts.append(float(lam))
+        for _ in range(64):
+            shifts.append(math.nextafter(shifts[-1], math.inf))
+        found = [kernels.sturm_count(diag, runs, s, pivmin) for s in sorted(shifts)]
+        assert all(below <= above for below, above in zip(found, found[1:]))
 
 
 @pytest.mark.parametrize("p, L, runs", [
@@ -890,12 +970,12 @@ def test_sturm_sweep_budget_finest_grid(monkeypatch):
     # ||T|| ~ 2.6e5, so eps ||T|| ~ 6e-11 lies far above the bisection
     # tolerance of 1e-13, and most of the last midpoints shift the diagonal
     # to a vector already counted.  Reusing those counts cuts the Sturm
-    # sweeps on the three grids from [10, 17, 20] to the [5, 6, 2] pinned
+    # sweeps on the three grids from [10, 17, 20] to the [5, 5, 2] pinned
     # below; the finest operator of 10240 cells is swept 2 times after its
     # Newton steps instead of 20.
     sweeps, _ = _count_sweeps(monkeypatch)
     solve_extrapolated(Step(1.0, (-0.5, 1.5)), 40.0, n0=2560, levels=3)
-    assert sweeps == {640: [24, 0], 2560: [5, 4], 5120: [6, 4], 10240: [2, 2]}
+    assert sweeps == {640: [24, 0], 2560: [5, 4], 5120: [5, 4], 10240: [2, 2]}
 
 
 def test_newton_stops_at_rounding_floor(monkeypatch):
