@@ -36,14 +36,17 @@ keep that loop on runs too, one subtraction of the shift per run and a
 loop that reads no array.  numpy's elementwise subtraction is the same
 correctly rounded IEEE operation as Python's, so every pivot of a
 stretch and of the twisted solve is that of the loop that subtracts the
-shift at each row.  The closed forms call libm's asin, asinh, atan2, sin,
-sinh, tan, tanh, atanh, exp and expm1, which err by about 1e-16, while
-one quantum of c - shift moves the phase of a long run near the bottom of
-its band by some 1e-7 (the finest grids of criterion 5): a libm that
-differs in its last bit moves no count that rounding does not already
-decide.  The closed form's count is the per-row loop's wherever rounding
-does not decide it, farther than 2 eps ||T|| from an eigenvalue, and its
-Newton sum the loop's to 1e-8 away from eigenvalues (see the tests).
+shift at each row.  A run's phase adds up n steps of the angle, so the
+closed form keeps n times the angle and the phase's remainder modulo pi
+exact, as pairs of doubles.  The closed forms call libm's asin, asinh, atan2,
+sin, sinh, tan, tanh, atanh, exp and expm1, which err by about 1e-16,
+while one quantum of c - shift moves the phase of a long run near the
+bottom of its band by some 1e-7 (the finest grids of criterion 5): a libm
+that differs in its last bit moves no count that rounding does not
+already decide.  The closed form's count is the per-row loop's wherever
+rounding does not decide it, farther than eps ||T|| from an eigenvalue,
+and its Newton sum the loop's to 1e-8 away from eigenvalues, wherever the
+loop's sum holds that many digits (see the tests).
 ``inverse_iteration`` fills its vector by cumulative products in numpy,
 which change no bit of the per-index loop (see there).  Its norm and the
 eigensolver's other sums (``dot``, ``norm``) use numpy's pairwise
@@ -67,10 +70,11 @@ the rule for reusing them.  ``bisect_eigenvalue`` stops at the width
 that the per-row loop computes in IEEE arithmetic is non-decreasing in the
 shift (Kahan's monotonicity result; Demmel, Dhillon & Ren, ETNA 3,
 1995).  A run's closed form keeps that at a fixed excess x, where each of
-its formulas is a chain of operations monotone in the incoming pivot; from
-one x to the next the phase moves by (n - 1) times a step of theta, which
-its rounding has not been seen to outweigh (the tests sweep shifts dense
-in the rounding band of eigenvalues; this is measured, not proven).  So a
+its formulas is a chain of operations monotone in the incoming pivot; as
+x falls, theta does not (monotone roundings, except where two forms meet)
+and (n - 1) theta is exact, while the rounding of the first phase psi has
+not been seen to outweigh that step (the tests sweep shifts dense in the
+rounding band of eigenvalues; this is measured, not proven).  So a
 kept count can settle a midpoint without a sweep and the bisection still
 takes exactly the midpoints of plain bisection; so can the count of the
 nearest counted shift below or above when ``diag - shift`` rounds to the
@@ -96,13 +100,14 @@ import numpy as np
 RENORM_LIMIT = 1e15
 
 # the fewest equal rows that run_length makes a run.  A run costs a sweep
-# a closed form (_run_phase) of about what 24 stretch rows cost in
-# sturm_count and 56 in sturm_newton: on blocks of m equal rows parted by
+# a closed form (_run_phase) of about what 32 stretch rows cost in
+# sturm_count and 53 in sturm_newton: on blocks of m equal rows parted by
 # one other row (2 cores, Python 3.11, medians of 25 alternating pairs),
-# sturm_count took 1.17, 0.99, 0.92 and 0.76 times the stretch's time for
-# m = 20, 24, 28 and 32, and sturm_newton 1.14, 0.99 and 0.88 for m = 48,
+# sturm_count took 1.26, 1.11, 0.98 and 0.79 times the stretch's time for
+# m = 24, 28, 32 and 40, and sturm_newton 1.14, 0.93 and 0.84 for m = 48,
 # 56 and 64.  A solve takes some six counts per Newton sweep, and a Newton
-# row costs about 1.9 count rows, so the two break even near m = 32.
+# row costs about 1.9 count rows, so the two break even near m = 37; runs
+# of 32 to 40 rows are rare in the solver's operators, and 32 is kept.
 MIN_RUN = 32
 
 
@@ -155,43 +160,75 @@ def run_length(diag, off2):
     return RunLength(stretch, segments)
 
 
+def _split(a):
+    # a = head + tail, each of at most 26 significant bits (Veltkamp): the
+    # product of either with an integer below 2^26 is exact
+    t = 134217729.0 * a
+    head = t - (t - a)
+    return head, a - head
+
+
+PI_HEAD, PI_TAIL = _split(math.pi)
+PI_LO = 1.2246467991473532e-16  # pi - math.pi
+
+
+def _gap(turns, p, p_lo):
+    # (gap, gap_lo) with gap + gap_lo = turns pi - (p + p_lo) to some
+    # 1e-30 turns, gap = fl(turns math.pi - p); turns below 2^26
+    g = turns * PI_HEAD
+    gap = g - p
+    v = gap - g
+    e = (g - (gap - v)) + (-p - v)  # the rounding of g - p (Knuth's two-sum)
+    return gap, e + ((turns * PI_TAIL - p_lo) + turns * PI_LO)
+
+
 def _run_phase(c, b2, n, d):
     # A run of n rows d_j = c - b2 / d_{j-1} (c the shifted diagonal entry)
     # from the incoming pivot d, by the discrete Pruefer angle (Atkinson,
     # Discrete and Continuous Boundary Problems, 1964): O(1) however long.
     # With b = sqrt(b2) and y_j = d_j / b the rows are y_j = 2t - 1 / y_{j-1},
-    # t = 1 + x / 2b, and every formula reads c through the run's excess
-    # x = c - 2b alone, exact (Sterbenz) for c in [b, 4b]: the run sweeps
-    # the diagonal 2b + x.  A run with c < 0 is taken mirrored, c and d
-    # negated: its pivots are the mirror's negated, so t >= 0.  The product
-    # F(k) = y_1 ... y_k obeys F(k + 1) = 2t F(k) - F(k - 1), F(0) = 1, so
-    # y_j = F(j) / F(j - 1), and row j is negative where F changes sign.
-    # With A = (b + x / 2) - b2 / d, the first pivot less b t:
-    # - t < 1: cos theta = t, theta = 2 asin(sqrt(-x / 4b)) in (0, pi/2],
-    #   B = b sin theta, and F(k) = sin(psi + k theta) / sin(psi) with
-    #   psi = atan2(B, A) in (0, pi).  Rows 1 to n - 1 hold the
-    #   floor(psi_n / pi) multiples of pi in (psi, psi_n],
-    #   psi_n = psi + (n - 1) theta, and the last pivot is
-    #   d_n = b t + B cot(rho), rho = psi_n mod pi, so the count and d_n
+    # t = c / 2b = 1 + x / 2b, x = c - 2b the run's excess, exact (Sterbenz)
+    # for c in [b, 4b]: the run sweeps the diagonal 2b + x.  A run with
+    # c < 0 is taken mirrored, c and d negated: its pivots are the mirror's
+    # negated, so t >= 0.  The product F(k) = y_1 ... y_k obeys
+    # F(k + 1) = 2t F(k) - F(k - 1), F(0) = 1, so y_j = F(j) / F(j - 1),
+    # and row j is negative where F changes sign.  With A = c / 2 - b2 / d,
+    # the first pivot less b t:
+    # - t < 1: cos theta = t, B = b sin theta, and F(k) = sin(psi + k theta)
+    #   / sin(psi) with psi = atan2(B, A) in (0, pi).  Rows 1 to n - 1 hold
+    #   the floor(psi_n / pi) multiples of pi in (psi, psi_n],
+    #   psi_n = psi + (n - 1) theta = turns pi + last, last in (-pi, pi),
+    #   and the last pivot is d_n = b t + B cot(last), so the count and d_n
     #   agree however psi_n rounds;
-    # - t > 1: cosh theta = t, theta = 2 asinh(sqrt(x / 4b)), B = b sinh
-    #   theta, and F(k) = cosh(psi + k theta) / cosh(psi) (|A| < B,
-    #   psi = atanh(A / B)), which never changes sign, or sinh(psi + k theta)
-    #   / sinh(psi) (|A| > B, psi = atanh(B / A)), which does once, where
-    #   psi < 0 <= psi_n; d_n = b t + B tanh(psi_n), or + B coth(psi_n).
-    #   A = B and A = -B are the fixed points y = exp(+-theta), which the
-    #   rows keep;
+    # - t > 1: cosh theta = t, B = b sinh theta, and F(k) = cosh(psi + k
+    #   theta) / cosh(psi) (|A| < B, psi = atanh(A / B)), which never
+    #   changes sign, or sinh(psi + k theta) / sinh(psi) (|A| > B,
+    #   psi = atanh(B / A)), which does once, where psi < 0 <= psi_n = last;
+    #   d_n = b t + B tanh(last), or + B coth(last).  A = B and A = -B are
+    #   the fixed points y = exp(+-theta), which the rows keep;
     # - t = 1 (x = 0): F(k) = 1 + k A / b, linear, so d_n = b + 1 / w with
-    #   w = F(n - 1) / A = 1 / A + (n - 1) / b, and F changes sign among
-    #   rows 1 to n - 1 where A < 0 <= w.
+    #   w = last = F(n - 1) / A = 1 / A + (n - 1) / b, and F changes sign
+    #   among rows 1 to n - 1 where A < 0 <= w.
+    # The phase adds up n - 1 steps of theta, where each row of the loop
+    # rounds on its own: in the middle of the band (t near 0), where a row's
+    # rounding hardly moves an eigenvalue, theta's rounding carried n times
+    # would.  So theta is taken where it is well conditioned, from
+    # sin^2(theta / 2) = -x / 4b for t >= 3/4 (x is exact there), as
+    # pi/2 - asin(t) with pi/2 in two doubles below, and from
+    # sinh^2(theta / 2) = x / 4b for t > 1, each a chain of monotone
+    # roundings; (n - 1) theta is formed exactly as two doubles and reduced
+    # modulo pi in two doubles, so only theta's own ulp or so is carried n
+    # times, about eps b in shift.  At a fixed x the count compares psi
+    # with a fixed gap, turns pi - (n - 1) theta in (0, pi].
     # A pivot inside the run within pivmin of zero is a phase within some
-    # 1e-250 of a multiple of pi, which the phase, rounded to about 1e-16
-    # psi, cannot tell from either side: no guard is needed there.
+    # 1e-250 of a multiple of pi, which the phase cannot tell from either
+    # side: no guard is needed there.
     # At a fixed x each of these is a chain of operations monotone in d, as
-    # the loop's rows are.  Returns (sign, x, b, B, A, theta, psi, count,
-    # last): sign -1.0 for a mirrored run, the negative pivots of the
-    # mirror's rows 1 to n - 1, and last = rho (t < 1), psi_n (t > 1) or w
-    # (t = 1; inf for A = 0, where the rows stay at b).
+    # the loop's rows are; theta grows as x falls, but the two forms that
+    # meet at t = 3/4 round differently there.  Returns (sign, c, x, b, B,
+    # A, theta, psi, count, last): sign -1.0 for a mirrored run, c and A the
+    # mirror's, and the negative pivots of the mirror's rows 1 to n - 1
+    # (last is inf at t = 1 for A = 0, where the rows stay at b).
     if c < 0.0:
         c = -c
         d = -d
@@ -200,14 +237,32 @@ def _run_phase(c, b2, n, d):
         sign = 1.0
     b = math.sqrt(b2)
     x = c - 2.0 * b
-    A = (b + 0.5 * x) - b2 / d
+    A = 0.5 * c - b2 / d
     count = 0
     if x < 0.0:
-        theta = 2.0 * math.asin(math.sqrt(-0.25 * x / b))
+        if c >= 1.5 * b:  # t >= 3/4
+            theta = 2.0 * math.asin(math.sqrt(-0.25 * x / b))
+            theta_lo = 0.0
+        else:  # pi/2 - asin(t), pi/2 to 2 doubles (Dekker's fast two-sum)
+            a = math.asin(0.5 * c / b)
+            theta = 0.5 * math.pi - a
+            theta_lo = ((0.5 * math.pi - theta) - a) + 0.5 * PI_LO
         B = b * math.sin(theta)
         psi = math.atan2(B, A)
-        turns, last = divmod(psi + (n - 1) * theta, math.pi)
-        count = int(turns)
+        # p + p_lo = (n - 1) theta, exact but for (n - 1) theta_lo (theta
+        # split as in _split; n below 2^26)
+        m = n - 1
+        head = 134217729.0 * theta
+        head -= head - theta
+        p = m * theta
+        p_lo = (m * head - p) + m * (theta - head) + m * theta_lo
+        turns = math.floor(p / math.pi) + 1.0
+        gap, gap_lo = _gap(turns, p, p_lo)
+        if not 0.0 < gap + gap_lo <= math.pi:  # p / pi rounded across an integer
+            turns += 1.0 if gap + gap_lo <= 0.0 else -1.0
+            gap, gap_lo = _gap(turns, p, p_lo)
+        last = (psi - gap) - gap_lo  # psi - gap is exact near zero (Sterbenz)
+        count = int(turns) - (last < 0.0)
     elif x > 0.0:
         theta = 2.0 * math.asinh(math.sqrt(0.25 * x / b))
         B = b * math.sinh(theta)
@@ -217,7 +272,11 @@ def _run_phase(c, b2, n, d):
             psi = math.copysign(math.inf, A)
         else:
             psi = math.atanh(B / A)
-        last = psi + (n - 1) * theta
+        m = n - 1
+        head = 134217729.0 * theta
+        head -= head - theta
+        p = m * theta
+        last = (psi + p) + ((m * head - p) + m * (theta - head))
         if psi < 0.0 <= last and abs(A) > B:  # a sinh that changes sign
             count = 1
     else:
@@ -225,24 +284,23 @@ def _run_phase(c, b2, n, d):
         last = 1.0 / A + (n - 1) / b if A else math.inf
         if A < 0.0 <= last:
             count = 1
-    return sign, x, b, B, A, theta, psi, count, last
+    return sign, c, x, b, B, A, theta, psi, count, last
 
 
-def _run_count(c, b2, n, d, pivmin):
-    # The negative pivots of a run's n rows and its last pivot d_n (see
-    # _run_phase).  Row n counts by the sign of d_n, which the next rows
-    # read, and takes the guard.  A zero remainder (t < 1), psi_n (t > 1) or
-    # w (t = 1) is the pivot before d_n at zero, which the loop's guard
-    # makes -pivmin: d_n is then large and positive, as it makes it.
-    # A mirrored run's rows 1 to n - 1 are negative where the mirror's are
-    # not.
-    sign, x, b, B, A, theta, psi, count, last = _run_phase(c, b2, n, d)
+def _run_end(phase, n, pivmin):
+    # The negative pivots of a run's n rows and its last pivot d_n, from its
+    # _run_phase.  Row n counts by the sign of d_n, which the next rows read,
+    # and takes the guard.  A zero last (t < 1 and t > 1) or w (t = 1) is the
+    # pivot before d_n at zero, which the loop's guard makes -pivmin: d_n is
+    # then large and positive, as it makes it.  A mirrored run's rows 1 to
+    # n - 1 are negative where the mirror's are not.
+    sign, c, x, b, B, A, theta, psi, count, last = phase
     if x < 0.0:
-        d = (b + 0.5 * x) + B / (math.tan(last) or pivmin)
+        d = 0.5 * c + B / (math.tan(last) or pivmin)
     elif x > 0.0 and abs(A) < B:
-        d = (b + 0.5 * x) + B * math.tanh(last)
+        d = 0.5 * c + B * math.tanh(last)
     elif x > 0.0:
-        d = (b + 0.5 * x) + B / (math.tanh(last) or pivmin)
+        d = 0.5 * c + B / (math.tanh(last) or pivmin)
     else:
         d = b + 1.0 / (last or pivmin)
     if sign < 0.0:
@@ -298,10 +356,10 @@ def _continuant_slope(k, x, b, B, A, dA, theta, dc):
     return (0.5 * k * dc + dA) * st + A * dst
 
 
-def _run_newton(c, b2, n, d, r):
+def _run_newton(phase, n, b2, d, r):
     # The run's share of sturm_newton's sum, r_1 + ... + r_n = F'(n) / F(n),
     # and its last r_n = F'(n) / F(n) - F'(n - 1) / F(n - 1), for the
-    # incoming pivot d and r = d' / d (see _run_phase): the run's first
+    # incoming pivot d and r = d' / d, from the run's _run_phase: its first
     # pivot d_1 = c - b2 / d moves by d_1' = -1 + (b2 / d) r, which enters
     # as A'.  F' is _continuant_slope's; F(n - 1) and F(n) come from the
     # phase that gives d_n, normalized to F(0) = 1 (for t > 1 scaled by
@@ -311,12 +369,12 @@ def _run_newton(c, b2, n, d, r):
     # does; a division by an exact zero (a run that starts on its fixed
     # point exp(-theta) and leaves it only below the smallest double, say)
     # gives nan.
-    sign, x, b, B, A, theta, psi, count, last = _run_phase(c, b2, n, d)
+    sign, c, x, b, B, A, theta, psi, count, last = phase
     dc = -sign  # d(2b + x) / d shift, mirrored: +1
     dA = 0.5 * dc + sign * b2 / d * r
     try:
-        if x < 0.0:  # sin(psi_k) / sin(psi), (-1)^count sin(rho) at k = n - 1
-            scale = -1.0 if count % 2 else 1.0
+        if x < 0.0:  # sin(psi_k) / sin(psi), (-1)^turns sin(last) at k = n - 1
+            scale = -1.0 if (count + (last < 0.0)) % 2 else 1.0
             scale *= math.hypot(A, B) / B
             f_m = scale * math.sin(last)
             f_n = scale * math.sin(last + theta)
@@ -350,7 +408,7 @@ def sturm_count(diag, runs, shift, pivmin):
     # negative once guarded, so one comparison decides both the guard and
     # the count.  The shift is taken off the stretch rows once, in numpy,
     # and each run, which reads it only through its shifted diagonal entry,
-    # is counted in closed form (_run_count).
+    # is counted in closed form (_run_phase, _run_end).
     pivmin = float(pivmin)
     neg_pivmin = -pivmin
     shift = float(shift)
@@ -365,7 +423,7 @@ def sturm_count(diag, runs, shift, pivmin):
                     d = neg_pivmin
                 count += 1
         if n:
-            k, d = _run_count(c - shift, b2, n, d, pivmin)
+            k, d = _run_end(_run_phase(c - shift, b2, n, d), n, pivmin)
             count += k
     return count
 
@@ -400,9 +458,9 @@ def sturm_newton(diag, runs, shift, pivmin):
             r = (q * r - 1.0) / d
             total += r
         if n:
-            c -= shift
-            share, last = _run_newton(c, b2, n, d, r)
-            k, d = _run_count(c, b2, n, d, pivmin)
+            phase = _run_phase(c - shift, b2, n, d)
+            share, last = _run_newton(phase, n, b2, d, r)
+            k, d = _run_end(phase, n, pivmin)
             count += k
             total += share
             r = last

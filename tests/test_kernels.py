@@ -20,11 +20,12 @@ Sturm sweeps read a run-length form, and ``sturm_count`` and
 discrete Pruefer angle.  Against the per-row loop, on runs whose rows
 rotate (|t| < 1), grow (|t| > 1) or are linear (t = +-1 exactly), and
 where the loop guards a pivot inside a run to -pivmin, the closed form
-gives the loop's count at every shift farther than 2 eps ||T|| from an
+gives the loop's count at every shift farther than eps ||T|| from an
 eigenvalue, a count non-decreasing in the shift within that band too, and
-the loop's Newton sum to 1e-8 away from eigenvalues; the twisted solve
-keeps the per-row loop on runs, and its vectors their bits.  The unit
-step's finest halves pin that the runs are there to be swept.
+the loop's Newton sum to 1e-8 away from eigenvalues, wherever the loop's
+sum is the derivative to 1e-8; the twisted solve keeps the per-row loop
+on runs, and its vectors their bits.  The unit step's finest halves pin
+that the runs are there to be swept.
 ``prufer_theta_piecewise`` ends a step on every break of the potential;
 its tests pin RK4's fourth order off the lattice and a count across a
 barrier far narrower than one step.  Both phase kernels sweep the doubled
@@ -176,15 +177,23 @@ def test_bisection_with_counted_shifts_matches_plain_fine_grid(seed, k, n_known,
 @settings(max_examples=200, deadline=None)
 @given(st.integers(0, 2**32 - 1), st.integers(0, 1))
 def test_sturm_count_monotone_near_eigenvalue(seed, j):
+    # Counts at sorted shifts dense in the rounding band of eigenvalue j and
+    # of one other, and at the 64 doubles above each, never decrease: on a
+    # general matrix, and on one run of equal rows between two others,
+    # which the sweep takes in closed form.
     rng = np.random.default_rng(seed)
-    diag, off = random_tridiagonal(rng)
-    counts, _, _ = _bisect_inputs(diag, off)
-    runs, pivmin = counts.runs, counts.pivmin
-    lam = np.linalg.eigvalsh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))[j]
-    ulp = EPS * DiscreteOperator(diag, off).norm_inf()
-    shifts = np.sort(lam + ulp * rng.uniform(-6.0, 6.0, 64))
-    counts = [kernels.sturm_count(diag, runs, s, pivmin) for s in shifts]
-    assert all(a <= b for a, b in zip(counts, counts[1:]))
+    for make in (random_tridiagonal, _run_matrix):
+        diag, off = make(rng)
+        counts, _, _ = _bisect_inputs(diag, off)
+        runs, pivmin = counts.runs, counts.pivmin
+        lams = eigvalsh_tridiagonal(diag, off)
+        ulp = EPS * DiscreteOperator(diag, off).norm_inf()
+        for lam in (lams[j], rng.choice(lams)):
+            shifts = list(lam + ulp * rng.uniform(-6.0, 6.0, 64)) + [float(lam)]
+            for _ in range(64):
+                shifts.append(math.nextafter(shifts[-1], math.inf))
+            found = [kernels.sturm_count(diag, runs, s, pivmin) for s in sorted(shifts)]
+            assert all(a <= b for a, b in zip(found, found[1:]))
 
 
 @settings(max_examples=200, deadline=None)
@@ -330,8 +339,7 @@ def test_inverse_iteration_matches_reference_loop(seed):
 
 
 def reference_sturm_newton(diag, off2, shift, pivmin):
-    # sturm_newton's loop over every row, the shift taken off in numpy; its
-    # count, its sum and its pivot nearest zero
+    # sturm_newton's loop over every row, the shift taken off in numpy
     pivmin = float(pivmin)
     shifted = iter((diag - float(shift)).tolist())
     count = 0
@@ -340,7 +348,6 @@ def reference_sturm_newton(diag, off2, shift, pivmin):
         if d > -pivmin:
             d = -pivmin
         count += 1
-    least = abs(d)
     r = -1.0 / d
     total = r
     for c, b in zip(shifted, off2):
@@ -350,27 +357,22 @@ def reference_sturm_newton(diag, off2, shift, pivmin):
             if d > -pivmin:
                 d = -pivmin
             count += 1
-        least = min(least, abs(d))
         r = (q * r - 1.0) / d
         total += r
-    return count, total, least
+    return count, total
 
 
 def _check_run_length(diag, off, shifts):
     # At the given shifts and at both bisected eigenvalues:
     # - sturm_newton counts as sturm_count, and both give the per-row
-    #   loop's count at every shift farther than 2 eps ||T|| from an
-    #   eigenvalue, where rounding no longer decides it.  A run's phase
-    #   carries theta's rounding n times: mid-spectrum, theta near pi/2, the
-    #   two counts differed up to 1.25 eps ||T|| from one, near t = 1 up to
-    #   0.5 eps ||T||;
+    #   loop's count at every shift farther than eps ||T|| from an
+    #   eigenvalue, where rounding no longer decides it;
     # - sturm_newton's sum, -sum_j 1 / (lambda_j - shift), is the loop's to
-    #   1e-8 of sum_j 1 / |lambda_j - shift| (its own size where its terms
-    #   do not cancel) at shifts 1e-6 ||T|| from every eigenvalue, where
-    #   every pivot of the loop is 1e-6 ||T|| from zero too: a pivot near
-    #   zero is a shift near an eigenvalue of a leading block, where the
-    #   pivots' terms cancel, and past a guarded one the loop's sum holds
-    #   terms of 1 / pivmin, or is inf or nan;
+    #   1e-8 of itself at shifts 1e-6 ||T|| from every eigenvalue, wherever
+    #   the loop's sum is that derivative to 1e-8.  A sum of pivots' terms
+    #   loses digits at a shift near an eigenvalue of a leading block, where
+    #   a pivot nears zero (or is guarded), and where its terms cancel to
+    #   nearly zero: there the loop's sum holds no digits to compare;
     # - the twisted solve, which keeps the per-row loop on runs, gives the
     #   reference loop's vector bit for bit.
     # No eigenvalue lies within w of a shift where the loop counts alike w
@@ -391,11 +393,13 @@ def _check_run_length(diag, off, shifts):
             count = kernels.sturm_count(diag, runs, s, pivmin)
             newton_count, dlogdet = kernels.sturm_newton(diag, runs, s, pivmin)
             assert newton_count == count
-            ref_count, ref_dlogdet, least = reference_sturm_newton(diag, off2, s, pivmin)
-            if isolated(s, 2.0 * EPS * norm):
+            ref_count, ref_dlogdet = reference_sturm_newton(diag, off2, s, pivmin)
+            if isolated(s, EPS * norm):
                 assert count == ref_count
-            if least > 1e-6 * norm and isolated(s, 1e-6 * norm):
-                assert abs(dlogdet - ref_dlogdet) <= 1e-8 * np.sum(1.0 / np.abs(lams - s))
+            if isolated(s, 1e-6 * norm):
+                exact = -np.sum(1.0 / (lams - s))
+                if abs(ref_dlogdet - exact) <= 1e-8 * abs(exact):
+                    assert abs(dlogdet - ref_dlogdet) <= 1e-8 * abs(ref_dlogdet)
             vec, solves, finite = kernels.inverse_iteration(counts, s)
             ref_vec, ref_solves, ref_finite = reference_inverse_iteration(diag, off, s, pivmin)
             assert (solves, finite) == (ref_solves, ref_finite)
@@ -449,9 +453,15 @@ def test_run_length_sweeps_match_reference_loops(layout, randoms):
     _check_run_length(diag, off, randoms + [0.0] + values)
 
 
-def _run_matrix(rng, b, c, n):
+def _run_matrix(rng, n=None):
     """(diag, off): one run of n rows of the pair (c, -b), rows 1 to n, with
-    a head row 0 and a tail row of random diagonal entries."""
+    a head row 0 and a tail row of random diagonal entries; b is 0.375, 1
+    or 4096, c a multiple of 1/64 a few units off 2b, and n, unless given,
+    M, M + 1, 3 M or 1000."""
+    if n is None:
+        n = int(rng.choice([M, M + 1, 3 * M, 1000]))
+    b = float(rng.choice([0.375, 1.0, 4096.0]))
+    c = 2.0 * b + float(rng.integers(-256, 256)) / 64.0
     diag = np.full(n + 2, c)
     diag[[0, -1]] = c + b * rng.uniform(-2.0, 2.0, 2)
     return diag, np.full(n + 1, -b)
@@ -461,37 +471,28 @@ def _run_matrix(rng, b, c, n):
 @given(st.integers(0, 2**32 - 1), st.sampled_from(["rotating", "growing", "t=1", "t=-1"]),
        st.sampled_from([M, M + 1, 3 * M, 1000]))
 def test_run_closed_form_matches_reference_loop(seed, regime, n):
-    # One run between two other rows, at a shift that puts it in the regime:
+    # One run between two other rows, at shifts that put it in the regime:
     # t = (c - shift) / 2b in (-1, 1) (the closed form's sines), beyond +-1
-    # (sinh or cosh), or +-1 exactly (c - shift = +-2b, linear in the row),
-    # and at random shifts; the diagonal is a multiple of 1/64 a few units
-    # off 2b, so c - shift is exact there.  Each count is the per-row
-    # loop's away from the eigenvalues (_check_run_length).
-    # Shifts dense in the rounding band of two eigenvalues, and the 64
-    # doubles above each, give counts non-decreasing in the shift.
+    # (sinh or cosh), or +-1 exactly (c - shift = +-2b, linear in the row,
+    # and exact); at random shifts; and at shifts within 3 eps ||T|| of two
+    # eigenvalues.  Each count is the per-row loop's away from the
+    # eigenvalues, and each Newton sum the loop's (_check_run_length).
     rng = np.random.default_rng(seed)
-    b = float(rng.choice([0.375, 1.0, 4096.0]))
-    c = 2.0 * b + float(rng.integers(-256, 256)) / 64.0
-    diag, off = _run_matrix(rng, b, c, n)
+    diag, off = _run_matrix(rng, n)
+    c, b = float(diag[1]), float(-off[0])
     if regime == "rotating":
         special = c - 2.0 * b * rng.uniform(-1.0, 1.0, 4)
     elif regime == "growing":
         special = c - 2.0 * b * rng.choice([-1.0, 1.0], 4) * rng.uniform(1.0, 3.0, 4)
     else:
-        special = [c - 2.0 * b * (1.0 if regime == "t=1" else -1.0)]
+        special = np.array([c - 2.0 * b * (1.0 if regime == "t=1" else -1.0)])
         assert (c - special[0]) / (2.0 * b) == float(regime[2:])
-    counts, lo, hi = _bisect_inputs(diag, off)
-    _check_run_length(diag, off, [float(s) for s in special] + list(rng.uniform(lo, hi, 4)))
-    runs, pivmin = counts.runs, counts.pivmin
-    norm = DiscreteOperator(diag, off).norm_inf()
-    lams = eigvalsh_tridiagonal(diag, off)
-    for lam in rng.choice(lams, 2):
-        shifts = list(lam + EPS * norm * rng.uniform(-4.0, 4.0, 64))
-        shifts.append(float(lam))
-        for _ in range(64):
-            shifts.append(math.nextafter(shifts[-1], math.inf))
-        found = [kernels.sturm_count(diag, runs, s, pivmin) for s in sorted(shifts)]
-        assert all(below <= above for below, above in zip(found, found[1:]))
+    _, lo, hi = _bisect_inputs(diag, off)
+    w = EPS * DiscreteOperator(diag, off).norm_inf()
+    near = [lam + w * rng.uniform(-3.0, 3.0, 8)
+            for lam in rng.choice(eigvalsh_tridiagonal(diag, off), 2)]
+    shifts = np.concatenate([special, rng.uniform(lo, hi, 4)] + near)
+    _check_run_length(diag, off, shifts.tolist())
 
 
 @pytest.mark.parametrize("p, L, runs", [
