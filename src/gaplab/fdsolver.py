@@ -42,9 +42,8 @@ lambda0 is the lowest eigenvalue of the even half, lambda1 that of the odd
 half, and each eigenvector is one solve on its half mirrored back to length
 N.  Each value then costs half the cells per sweep, and a split between
 lambda0 and lambda1 near eps ||T|| can no longer mix the two vectors.  Any
-other operator runs the general path on the whole matrix: its two
-bisections share their Sturm counts, and the Newton steps toward lambda1
-are deflated by lambda0 (Maehly).
+other operator runs the general path on the whole matrix, whose two
+bisections share their Sturm counts.
 
 On either path every grid starts from a guess: level 0 from a grid a
 quarter its size (for n0 >= 256), bisected only to a relative width of
@@ -309,18 +308,17 @@ def _gallop(counts, k, guess, error, lo, hi):
             w *= 4.0
 
 
-def _newton(counts, guess, gap, floor, deflate=None):
+def _newton(counts, guess, gap, floor):
     """Newton iterates sigma <- sigma - 1/s on det(T - sigma I) from guess,
-    s = d log|det| / d sigma, deflated by the eigenvalue ``deflate`` when it
-    is given (s + 1/(deflate - sigma), Maehly).  A step of size t leaves an
-    error of about t^2 / gap for the next eigenvalue ``gap`` away (None
-    where no guess tells), and at most t; from the second step on, the
-    contraction the last two steps t', t show, t^3 / t'^2, is an estimate
-    too, and the smaller one is taken.  Stops once that error is within a
-    quarter of the bisection tolerance, or once t is within the rounding
-    floor ``floor``, below which the steps are rounding noise however close
-    the eigenvalues; or when a step is not finite or not shorter than the
-    one before, or after _NEWTON_STEPS sweeps.  Each sweep's Sturm count
+    s = d log|det| / d sigma.  A step of size t leaves an error of about
+    t^2 / gap for the next eigenvalue ``gap`` away (None where no guess
+    tells), and at most t; from the second step on, the contraction the last
+    two steps t', t show, t^3 / t'^2, is an estimate too, and the smaller
+    one is taken.  Stops once that error is within a quarter of the
+    bisection tolerance, or once t is within the rounding floor ``floor``,
+    below which the steps are rounding noise however close the eigenvalues;
+    or when a step is not finite or not shorter than the one before, or
+    after _NEWTON_STEPS sweeps.  Each sweep's Sturm count
     is kept in ``counts`` (a kernels.SturmCounts).  Returns the last iterate,
     the error its last step predicts (inf when no step passed the stop
     test) and the gap the last contraction shows, t'^2 / t (None before a
@@ -330,11 +328,9 @@ def _newton(counts, guess, gap, floor, deflate=None):
     last = math.inf
     seen = None
     for _ in range(_NEWTON_STEPS):
-        if not math.isfinite(sigma) or sigma == deflate:
+        if not math.isfinite(sigma):
             break
         dlogdet = counts.newton(sigma)
-        if deflate is not None:
-            dlogdet += 1.0 / (deflate - sigma)
         if dlogdet == 0.0:
             break
         step = 1.0 / dlogdet
@@ -434,21 +430,21 @@ def _bisect_lowest_two(op: DiscreteOperator, near, rel_width=0.0):
             for shift in (float(rows.min()), float(rows.mean())):
                 counts.exceeds(shift, 0)
         if near is not None:
-            # lambda1 of the unsplit matrix is deflated by the bisected lambda0.
-            # A half's next eigenvalue is lambda2 > lambda1 (even) or lambda3
-            # (odd): lambda1 - lambda0 bounds the even half's gap from below.
-            # The odd half's gap is at least lambda2 - lambda1 (interlacing:
-            # lambda3 >= lambda2), and lambda2 - lambda0 is at least the gap
-            # the even half's last Newton contraction showed, where it showed
-            # one.  Else lambda1 - lambda0 stands in for lambda2 - lambda1,
-            # which it does not exceed on a flat spectrum (1 : 3) or below a
-            # central barrier (a split pair).  Newton only places counts, so
-            # an estimate that is off costs sweeps, never a value.
+            # On the unsplit matrix lambda0 and lambda1 each have the other
+            # lambda1 - lambda0 away.  A half's next eigenvalue is
+            # lambda2 > lambda1 (even) or lambda3 (odd): lambda1 - lambda0
+            # bounds the even half's gap from below.  The odd half's gap is
+            # at least lambda2 - lambda1 (interlacing: lambda3 >= lambda2),
+            # and lambda2 - lambda0 is at least the gap the even half's last
+            # Newton contraction showed, where it showed one.  Else
+            # lambda1 - lambda0 stands in for lambda2 - lambda1, which it
+            # does not exceed on a flat spectrum (1 : 3) or below a central
+            # barrier (a split pair).  Newton only places counts, so an
+            # estimate that is off costs sweeps, never a value.
             next_gap = gap
             if parity == -1.0 and seen is not None and seen > guesses[1] - lams[0]:
                 next_gap = seen - (guesses[1] - lams[0])
-            guess, error, seen = _newton(counts, guesses[j], next_gap, _EPS * hi,
-                                         deflate=lams[0] if k else None)
+            guess, error, seen = _newton(counts, guesses[j], next_gap, _EPS * hi)
             _gallop(counts, k, guess, error, lo, hi)
         if k:
             lo = max(lo, lams[0] - 1e-13)
@@ -477,8 +473,7 @@ def lowest_two_eigenvalues(
     two bisections sharing their Sturm counts.
 
     ``near`` is a guess (lambda0, lambda1), e.g. from a coarser grid.  Newton
-    steps on the determinant move each guess toward its eigenvalue (lambda1
-    of an unsplit operator deflated by the bisected lambda0, Maehly), and
+    steps on the determinant move each guess toward its eigenvalue, and
     the bisections start from Sturm counts taken at those steps and around
     where they end.  It changes only how many Sturm sweeps the bisections
     take, never the values returned.  Raises :class:`SolverError` if the two

@@ -249,13 +249,12 @@ def _run_phase(c, b2, n, d):
             theta_lo = ((0.5 * math.pi - theta) - a) + 0.5 * PI_LO
         B = b * math.sin(theta)
         psi = math.atan2(B, A)
-        # p + p_lo = (n - 1) theta, exact but for (n - 1) theta_lo (theta
-        # split as in _split; n below 2^26)
+        # p + p_lo = (n - 1) theta, exact but for (n - 1) theta_lo (n below
+        # 2^26)
         m = n - 1
-        head = 134217729.0 * theta
-        head -= head - theta
+        head, tail = _split(theta)
         p = m * theta
-        p_lo = (m * head - p) + m * (theta - head) + m * theta_lo
+        p_lo = (m * head - p) + m * tail + m * theta_lo
         turns = math.floor(p / math.pi) + 1.0
         gap, gap_lo = _gap(turns, p, p_lo)
         if not 0.0 < gap + gap_lo <= math.pi:  # p / pi rounded across an integer
@@ -273,10 +272,9 @@ def _run_phase(c, b2, n, d):
         else:
             psi = math.atanh(B / A)
         m = n - 1
-        head = 134217729.0 * theta
-        head -= head - theta
+        head, tail = _split(theta)
         p = m * theta
-        last = (psi + p) + ((m * head - p) + m * (theta - head))
+        last = (psi + p) + ((m * head - p) + m * tail)
         if psi < 0.0 <= last and abs(A) > B:  # a sinh that changes sign
             count = 1
     else:

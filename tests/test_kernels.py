@@ -530,12 +530,15 @@ guesses = st.one_of(
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 10_000), st.floats(0.5, 40.0), guesses, guesses)
 # equal guesses (gap 0, where the gallop cannot size its window by
-# step^2 / gap), a nan guess, and lambda0 of seed 1 (unsplit) moved up by
-# 1e6 tolerances; seed 2 is capped, so its operator is split
+# step^2 / gap), a nan guess, lambda0 of seed 1 (unsplit) moved up by 1e6
+# tolerances, and both guesses on that lambda0, onto which lambda1's Newton
+# steps converge: the gallop must still enclose lambda1; seed 2 is capped,
+# so its operator is split
 @example(1, 10.0, 0.4, 0.4)
 @example(2, 10.0, 0.24, 0.24)
 @example(2, 10.0, math.nan, 0.2429)
 @example(1, 10.0, 0.18783781829724194, 0.628450065372437)
+@example(1, 10.0, 0.1878376304596115, 0.1878376304596115)
 def test_wrong_guess_changes_no_bit(seed, L, guess0, guess1):
     rng = np.random.default_rng(seed)
     p = random_multistep(rng, L) if seed % 2 else random_capped(rng)
@@ -914,7 +917,7 @@ def _count_sweeps(monkeypatch):
 
 @pytest.mark.parametrize("p, expected", [
     (Step(1.0, (-0.5, 0.5)), {100: [32, 0], 400: [9, 4], 800: [8, 4], 1600: [8, 2]}),
-    (Step(1.0, (-0.5, 1.5)), {200: [25, 0], 800: [10, 5], 1600: [8, 4], 3200: [6, 2]}),
+    (Step(1.0, (-0.5, 1.5)), {200: [25, 0], 800: [10, 6], 1600: [8, 4], 3200: [6, 2]}),
 ], ids=["centred", "off_centre"])
 def test_sturm_sweep_budget(monkeypatch, p, expected):
     # Plain bisection of both eigenvalues from the Gershgorin range takes 324
@@ -923,10 +926,10 @@ def test_sturm_sweep_budget(monkeypatch, p, expected):
     # guess of the level before cut that to 155 sweeps (229600 cells).
     # Level 0 guessed from a grid of 200 cells bisected to a relative width
     # of 1e-3, Newton sweeps from every guess and a gallop window sized by
-    # the last Newton step cut it to 91560 cells, a Newton sweep weighted
+    # the last Newton step cut it to 93320 cells, a Newton sweep weighted
     # 2.2.  Reusing the count of a shift whose shifted diagonal rounds to a
-    # vector already counted cuts the off-centre pins below to 81960 cells:
-    # 200*25 + 800*(10 + 2.2*5) + 1600*(8 + 2.2*4) + 3200*(6 + 2.2*2).  The
+    # vector already counted cuts the off-centre pins below to 83720 cells:
+    # 200*25 + 800*(10 + 2.2*6) + 1600*(8 + 2.2*4) + 3200*(6 + 2.2*2).  The
     # centred step is even, so every grid, the quarter grid too, is split
     # into an even and an odd half of N/2 cells, each bisected for its
     # lowest eigenvalue: the sweeps pinned below, keyed by the half size,
@@ -938,11 +941,10 @@ def test_sturm_sweep_budget(monkeypatch, p, expected):
     # cells in all.  Only the finest grid solves for an eigenvector: one
     # twisted-factorization solve, for the ground state, as no layer of
     # these grids is thin enough that lambda1's rounding floor needs its
-    # own vector (see the one-ulp-layer pins below).  The
-    # off-centre step is no palindrome: it pins the general path, whole
-    # operators keyed by N, whose sweeps move if Maehly deflation or count
-    # sharing is lost.  The counts are deterministic: a change that loses
-    # the reuse or the split fails here.
+    # own vector (see the one-ulp-layer pins below).  The off-centre step
+    # is no palindrome: it pins the general path, whole operators keyed by
+    # N, whose sweeps move if count sharing is lost.  The counts are
+    # deterministic: a change that loses the reuse or the split fails here.
     sweeps, calls = _count_sweeps(monkeypatch)
     solve_extrapolated(p, 100.0, n0=800, levels=3)
     assert sweeps == expected
@@ -971,12 +973,12 @@ def test_sturm_sweep_budget_finest_grid(monkeypatch):
     # ||T|| ~ 2.6e5, so eps ||T|| ~ 6e-11 lies far above the bisection
     # tolerance of 1e-13, and most of the last midpoints shift the diagonal
     # to a vector already counted.  Reusing those counts cuts the Sturm
-    # sweeps on the three grids from [10, 17, 20] to the [5, 5, 2] pinned
+    # sweeps on the three grids from [11, 16, 19] to the [7, 5, 2] pinned
     # below; the finest operator of 10240 cells is swept 2 times after its
-    # Newton steps instead of 20.
+    # Newton steps instead of 19.
     sweeps, _ = _count_sweeps(monkeypatch)
     solve_extrapolated(Step(1.0, (-0.5, 1.5)), 40.0, n0=2560, levels=3)
-    assert sweeps == {640: [24, 0], 2560: [5, 4], 5120: [5, 4], 10240: [2, 2]}
+    assert sweeps == {640: [24, 0], 2560: [7, 4], 5120: [5, 4], 10240: [2, 2]}
 
 
 def test_newton_stops_at_rounding_floor(monkeypatch):
