@@ -31,8 +31,9 @@ raises, since nothing then tells the two states apart.
 Most of a solve is Sturm sweeps.  The rows of one layer's equal cells
 are equal, and a Sturm sweep takes each such run in O(1) by the discrete
 Pruefer angle (``kernels._run_phase``), so a sweep costs about as much
-as its few other rows, whatever N; the eigenvector's twisted solve still
-reads every row.  Every potential of the capped family is
+as its few other rows, whatever N; the eigenvector's twisted solve fills
+a run's pivots from the same phase in numpy, with no Python work per
+row.  Every potential of the capped family is
 even, and so is a centred step; a grid with symmetric breaks and counts
 places its nodes mirror-symmetrically, so such a potential assembles a
 mirror-symmetric operator, whose diagonal and off-diagonal are bitwise
@@ -41,7 +42,9 @@ about N/2 cells (Cantoni & Butler, Linear Algebra Appl. 13, 1976):
 lambda0 is the lowest eigenvalue of the even half, lambda1 that of the odd
 half, and each eigenvector is one solve on its half mirrored back to length
 N.  Each value then costs half the cells per sweep, and a split between
-lambda0 and lambda1 near eps ||T|| can no longer mix the two vectors.  Any
+lambda0 and lambda1 near eps ||T|| can no longer mix the two vectors.  For
+even N the two halves differ only in their first row, which enters no
+run, and share one run-length form.  Any
 other operator runs the general path on the whole matrix, whose two
 bisections share their Sturm counts.
 
@@ -407,8 +410,15 @@ def _bisect_lowest_two(op: DiscreteOperator, near, rel_width=0.0):
         counts = kernels.SturmCounts(op.diag, op.offdiag)
         sectors = ((counts, 0, None), (counts, 1, None))
     else:
-        sectors = tuple((kernels.SturmCounts(half.diag, half.offdiag), 0, parity)
-                        for half, parity in zip(halves, (1.0, -1.0)))
+        even, odd = halves
+        counts = kernels.SturmCounts(even.diag, even.offdiag)
+        if op.diag.size % 2:
+            other = kernels.SturmCounts(odd.diag, odd.offdiag)
+        else:
+            # for even N the halves differ only in row 0, which enters no
+            # run: they share one run-length form
+            other = counts.with_first_diagonal(float(odd.diag[0]))
+        sectors = ((counts, 0, 1.0), (other, 0, -1.0))
     if near is not None:
         guesses = (float(near[0]), float(near[1]))
         gap = abs(guesses[1] - guesses[0])

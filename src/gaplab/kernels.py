@@ -16,37 +16,43 @@ a numpy scalar, a Python float raises ZeroDivisionError on a zero divisor
 instead of returning inf or nan: every divisor in a loop below is a pivot
 kept away from zero by `pivmin`, a step count, or a maximum checked to be
 nonzero, and a closed form below divides by no libm result that can be
-zero without a guard.
+zero without a guard (``_run_pivots`` divides in numpy, where a zero
+divisor gives an inf that it replaces).
 
 The Sturm sweeps (``sturm_count``, ``sturm_newton`` and the two pivot
 passes of ``inverse_iteration``) read a matrix in its run-length form,
 which ``SturmCounts`` builds once per matrix with ``run_length``, since
 the bisections sweep one matrix some dozens of times.  The backward pivot
-pass of ``inverse_iteration`` is its forward pass on the mirrored matrix,
-the rows in reverse order, whose run-length form it builds once per call.
+pass of ``inverse_iteration`` reads the same form: all rows of a forward
+run but its last are a run of the backward pass too (``_backward``).
 The eigensolver's grids have equal cells within each layer, so every
 interior row of a layer is the same pair (diag_i, off2_{i-1}), bit for
-bit.  ``sturm_count`` and ``sturm_newton`` take such a run in O(1), by
-the discrete Pruefer angle (``_run_phase``): from the run's excess
+bit.  Every kernel takes such a run in O(1) Python work, by the discrete
+Pruefer angle (``_run_phase``): from the run's excess
 x = fl(c - shift) - 2b, its length and its incoming pivot, closed forms
-give its negative pivots, its last pivot and its share of the Newton sum.
+give its negative pivots, its last pivot and its share of the Newton sum,
+and for the twisted solve every pivot, filled in numpy (``_run_pivots``).
 Only the rows between runs, the stretches, are read row by row, their
-shift taken off in numpy once per sweep; the twisted solve's pivot passes
-keep that loop on runs too, one subtraction of the shift per run and a
-loop that reads no array.  numpy's elementwise subtraction is the same
-correctly rounded IEEE operation as Python's, so every pivot of a
-stretch and of the twisted solve is that of the loop that subtracts the
-shift at each row.  A run's phase adds up n steps of the angle, so the
-closed form keeps n times the angle and the phase's remainder modulo pi
-exact, as pairs of doubles.  The closed forms call libm's asin, asinh, atan2,
-sin, sinh, tan, tanh, atanh, exp and expm1, which err by about 1e-16,
-while one quantum of c - shift moves the phase of a long run near the
-bottom of its band by some 1e-7 (the finest grids of criterion 5): a libm
-that differs in its last bit moves no count that rounding does not
-already decide.  The closed form's count is the per-row loop's wherever
-rounding does not decide it, farther than eps ||T|| from an eigenvalue,
-and its Newton sum the loop's to 1e-8 away from eigenvalues, wherever the
-loop's sum holds that many digits (see the tests).
+shift taken off in numpy once per sweep.  numpy's elementwise subtraction
+is the same correctly rounded IEEE operation as Python's, so every pivot
+of a stretch is that of the loop that subtracts the shift at each row.
+A run's phase adds up n steps of the angle, so the closed form keeps n
+times the angle and the phase's remainder modulo pi exact, as pairs of
+doubles.  The closed forms call libm's asin, asinh, atan2, cos, sin, sinh,
+tan, tanh, atanh, exp and expm1, which err by about 1e-16, while one
+quantum of c - shift moves the phase of a long run near the bottom of its
+band by some 1e-7 (the finest grids of criterion 5): a libm that differs
+in its last bit moves no count that rounding does not already decide.
+They call libm only through Python's ``math``, one scalar at a time, and
+numpy only for + - * /, which are correctly rounded: numpy's
+transcendental ufuncs run vector code that numpy picks by the CPU, whose
+last bits differ from one instruction set to another, and would make the
+eigenvector, and every byte written from it, depend on the machine.  The
+closed form's count is the per-row loop's wherever rounding does not
+decide it, farther than eps ||T|| from an eigenvalue, its Newton sum the
+loop's to 1e-8 away from eigenvalues, wherever the loop's sum holds that
+many digits, and its eigenvector the loop's to first order in eps ||T||
+over the distance to the next eigenvalue (see the tests).
 ``inverse_iteration`` fills its vector by cumulative products in numpy,
 which change no bit of the per-index loop (see there).  Its norm and the
 eigensolver's other sums (``dot``, ``norm``) use numpy's pairwise
@@ -89,8 +95,8 @@ eigenvalue.
 """
 
 import bisect
+import copy
 import math
-from itertools import repeat
 from typing import NamedTuple
 
 import numpy as np
@@ -123,13 +129,14 @@ def run_length(diag, off2):
     """The run-length form of the symmetric tridiagonal matrix with diagonal
     ``diag`` and squared off-diagonal ``off2`` (numpy arrays).
 
-    Row i is the pair (diag_i, off2_{i-1}), row 0's off2 taken as 0.0.  A
-    run is a maximal block of at least MIN_RUN rows with the same pair,
-    bit for bit, and a nonzero off2, so its rows read the shift through
-    one c - shift: the Sturm counts sweep it in closed form
-    (``_run_phase``), and the twisted solve's pivots as
-    d = (c - shift) - b2 / d.  Every other row lies in a stretch and is
-    swept row by row.  Each
+    Row i is the pair (diag_i, off2_{i-1}), row 0's off2 taken as 0.0, so
+    row 0 enters no run.  A run is a maximal block of at least MIN_RUN rows
+    with the same pair, bit for bit, and a nonzero off2, so its rows read
+    the shift through one c - shift: every sweep takes it in closed form
+    (``_run_phase``), the twisted solve's pivots too (``_run_pivots``),
+    and the twisted solve's backward pass reads the runs off this form
+    (``_backward``).  Every other row lies in a stretch and is swept row
+    by row.  Each
     segment ``(b2s, c, b2, n)`` is a stretch (the list ``b2s`` of its
     rows' off2, possibly empty) followed by a run of n rows of the pair
     (c, b2); the last has n = 0.  ``diag[stretch]`` is the diagonal at the
@@ -166,6 +173,14 @@ def _split(a):
     t = 134217729.0 * a
     head = t - (t - a)
     return head, a - head
+
+
+def _multiples(theta, theta_lo, m):
+    # m (theta + theta_lo) as two doubles for an integer m below 2^26, or a
+    # numpy array of them: exact but for m theta_lo (see _split)
+    head, tail = _split(theta)
+    p = m * theta
+    return p, (m * head - p) + m * tail + m * theta_lo
 
 
 PI_HEAD, PI_TAIL = _split(math.pi)
@@ -226,9 +241,10 @@ def _run_phase(c, b2, n, d):
     # At a fixed x each of these is a chain of operations monotone in d, as
     # the loop's rows are; theta grows as x falls, but the two forms that
     # meet at t = 3/4 round differently there.  Returns (sign, c, x, b, B,
-    # A, theta, psi, count, last): sign -1.0 for a mirrored run, c and A the
-    # mirror's, and the negative pivots of the mirror's rows 1 to n - 1
-    # (last is inf at t = 1 for A = 0, where the rows stay at b).
+    # A, theta, theta_lo, psi, count, last): sign -1.0 for a mirrored run, c
+    # and A the mirror's, theta + theta_lo the angle to two doubles, and the
+    # negative pivots of the mirror's rows 1 to n - 1 (last is inf at t = 1
+    # for A = 0, where the rows stay at b).
     if c < 0.0:
         c = -c
         d = -d
@@ -249,12 +265,7 @@ def _run_phase(c, b2, n, d):
             theta_lo = ((0.5 * math.pi - theta) - a) + 0.5 * PI_LO
         B = b * math.sin(theta)
         psi = math.atan2(B, A)
-        # p + p_lo = (n - 1) theta, exact but for (n - 1) theta_lo (n below
-        # 2^26)
-        m = n - 1
-        head, tail = _split(theta)
-        p = m * theta
-        p_lo = (m * head - p) + m * tail + m * theta_lo
+        p, p_lo = _multiples(theta, theta_lo, n - 1)  # n below 2^26
         turns = math.floor(p / math.pi) + 1.0
         gap, gap_lo = _gap(turns, p, p_lo)
         if not 0.0 < gap + gap_lo <= math.pi:  # p / pi rounded across an integer
@@ -264,6 +275,7 @@ def _run_phase(c, b2, n, d):
         count = int(turns) - (last < 0.0)
     elif x > 0.0:
         theta = 2.0 * math.asinh(math.sqrt(0.25 * x / b))
+        theta_lo = 0.0
         B = b * math.sinh(theta)
         if abs(A) < B:
             psi = math.atanh(A / B)
@@ -271,18 +283,16 @@ def _run_phase(c, b2, n, d):
             psi = math.copysign(math.inf, A)
         else:
             psi = math.atanh(B / A)
-        m = n - 1
-        head, tail = _split(theta)
-        p = m * theta
-        last = (psi + p) + ((m * head - p) + m * tail)
+        p, p_lo = _multiples(theta, 0.0, n - 1)
+        last = (psi + p) + p_lo
         if psi < 0.0 <= last and abs(A) > B:  # a sinh that changes sign
             count = 1
     else:
-        theta = psi = B = 0.0
+        theta = theta_lo = psi = B = 0.0
         last = 1.0 / A + (n - 1) / b if A else math.inf
         if A < 0.0 <= last:
             count = 1
-    return sign, c, x, b, B, A, theta, psi, count, last
+    return sign, c, x, b, B, A, theta, theta_lo, psi, count, last
 
 
 def _run_end(phase, n, pivmin):
@@ -292,7 +302,7 @@ def _run_end(phase, n, pivmin):
     # pivot before d_n at zero, which the loop's guard makes -pivmin: d_n is
     # then large and positive, as it makes it.  A mirrored run's rows 1 to
     # n - 1 are negative where the mirror's are not.
-    sign, c, x, b, B, A, theta, psi, count, last = phase
+    sign, c, x, b, B, A, theta, _, psi, count, last = phase
     if x < 0.0:
         d = 0.5 * c + B / (math.tan(last) or pivmin)
     elif x > 0.0 and abs(A) < B:
@@ -367,7 +377,7 @@ def _run_newton(phase, n, b2, d, r):
     # does; a division by an exact zero (a run that starts on its fixed
     # point exp(-theta) and leaves it only below the smallest double, say)
     # gives nan.
-    sign, c, x, b, B, A, theta, psi, count, last = phase
+    sign, c, x, b, B, A, theta, _, psi, count, last = phase
     dc = -sign  # d(2b + x) / d shift, mirrored: +1
     dA = 0.5 * dc + sign * b2 / d * r
     try:
@@ -522,6 +532,18 @@ class SturmCounts:
         self.shifts = []
         self.counts = []  # the count at each of `shifts`
 
+    def with_first_diagonal(self, first):
+        """The store of the matrix that differs from this one only in its
+        first diagonal entry, ``first``, with no count kept.  Row 0's off2 is
+        0.0, so row 0 enters no run: the two matrices share their run-length
+        form, and their pivmin, which are not built again."""
+        twin = copy.copy(self)
+        twin.diag = self.diag.copy()
+        twin.diag[0] = first
+        twin.shifts = []
+        twin.counts = []
+        return twin
+
     def exceeds(self, shift, k):
         """Whether more than k eigenvalues lie below `shift` (count > k)."""
         shifts, counts = self.shifts, self.counts
@@ -587,28 +609,148 @@ def bisect_eigenvalue(counts, k, lo, hi, rel_width=0.0):
     return 0.5 * (lo + hi)
 
 
-def _pivots(shifted, runs, shift, pivmin):
-    # sturm_count's recurrence and guard on the run-length form `runs`,
-    # keeping every pivot; `shifted` is the matrix's diagonal less `shift`
+def _angles(psi, theta, theta_lo, n):
+    # phi_k = psi + k (theta + theta_lo), k = 0 ... n - 1, as a block
+    # q K theta plus an offset psi + r theta, r < K = ceil(sqrt(n)): the
+    # blocks, up to (n - 1) theta, as two doubles (_multiples, as _run_phase
+    # forms (n - 1) theta), and the offsets, below pi + sqrt(n) theta,
+    # rounded once.  Their outer combination, raveled, lists k in order.
+    k = math.isqrt(n - 1) + 1
+    blocks = _multiples(theta, theta_lo, np.arange(0, n, k, dtype=float))
+    return blocks, psi + theta * np.arange(k, dtype=float)
+
+
+def _libm(f, a):
+    # libm's f at each entry of the numpy array a
+    return np.fromiter(map(f, a.tolist()), float, a.size)
+
+
+def _sines(psi, theta, theta_lo, n):
+    # sin(phi_k), k = 0 ... n - 1 (_angles), from libm's cos and sin of some
+    # 2 sqrt(n) angles, a block's to first order in its low part, by the
+    # angle addition formula: a few ulps each, nothing carried from k to k + 1
+    (blocks, lows), offsets = _angles(psi, theta, theta_lo, n)
+    cos, sin = _libm(math.cos, blocks), _libm(math.sin, blocks)
+    f = np.multiply.outer(sin + lows * cos, _libm(math.cos, offsets))
+    f += np.multiply.outer(cos - lows * sin, _libm(math.sin, offsets))
+    return f.ravel()[:n]
+
+
+def _decays(psi, theta, n):
+    # expm1(-2 phi_k), k = 0 ... n - 1 (_angles, theta_lo = 0), from libm's
+    # expm1 of some 2 sqrt(n) angles, a block's to first order in its low
+    # part (exp(-2a) = 1 + expm1(-2a)), by expm1(u + v) = expm1(u) +
+    # expm1(v) + expm1(u) expm1(v)
+    (blocks, lows), offsets = _angles(psi, theta, 0.0, n)
+    u = _libm(math.expm1, -2.0 * blocks)
+    u -= (2.0 * lows) * (1.0 + u)
+    v = _libm(math.expm1, -2.0 * offsets)
+    f = np.multiply.outer(u, v)
+    f += v
+    f += u[:, None]
+    return f.ravel()[:n]
+
+
+def _run_pivots(c, b2, n, d, pivmin):
+    # The pivots d_1 ... d_n of a run of n rows d_j = c - b2 / d_{j-1} (c the
+    # shifted diagonal entry) from the incoming pivot d, in numpy, from the
+    # run's _run_phase: d_j = b F(j) / F(j - 1) with, for phi_k = psi + k theta,
+    # - t < 1: F(k) = sin(phi_k) / sin(psi) (_sines);
+    # - t > 1: F(k) = cosh(phi_k) / cosh(psi) or sinh(phi_k) / sinh(psi),
+    #   that is exp(k theta) f_k / f_0 with f_k = 2 + h_k or h_k,
+    #   h_k = expm1(-2 phi_k) (_decays), so d_j = (b t + B) f_j / f_{j-1}: a
+    #   ratio of terms of one sign where b t + B tanh(phi) would cancel to
+    #   b exp(-theta).  A = +-B (psi infinite) keeps every row at b t + A;
+    # - t = 1: F(k) = 1 + k A / b.
+    # For A < 0 and t < 1 the phase is taken as psi - pi, which negates
+    # every F(k) and keeps the digits of a psi near pi.  Each F(k) is
+    # computed once and read by both pivots it enters, as the loop reads
+    # d_{j-1} for d_j: the twisted solve's vector, filled from the pivots'
+    # ratios, is F to a few ulps a row, so (T - sigma) z stays small next to
+    # a pivot near zero too, whose relative error is large.  A pivot at a
+    # pole, F(j - 1) = 0, follows one that the loop finds zero and guards to
+    # -pivmin: it is the loop's next pivot, c + b2 / pivmin.
+    # Each pivot takes the loop's guard.  Only libm's scalar functions and
+    # numpy's correctly rounded + - * / enter, no numpy transcendental,
+    # whose last bits depend on the CPU's vector units.
+    sign, c_run, x, b, B, A, theta, theta_lo, psi = _run_phase(c, b2, n, d)[:9]
+    if x > 0.0 and abs(A) == B:
+        piv = np.full(n, sign * (0.5 * c_run + A))
+    else:
+        scale = b
+        if x < 0.0:
+            if A < 0.0:
+                psi = -math.atan2(B, -A)
+            f = _sines(psi, theta, theta_lo, n + 1)
+        elif x > 0.0:
+            f = _decays(psi, theta, n + 1)
+            if abs(A) < B:
+                f = 2.0 + f
+            scale = 0.5 * c_run + B
+        else:
+            f = 1.0 + (A / b) * np.arange(n + 1.0)
+        den = f[:-1]
+        if den.all():
+            piv = f[1:] / den
+            piv *= sign * scale
+        else:
+            with np.errstate(divide="ignore"):
+                piv = f[1:] / den
+            piv *= sign * scale
+            piv[den == 0.0] = c + b2 / pivmin
+    piv[np.abs(piv) < pivmin] = -pivmin
+    return piv
+
+
+def _pivots(stretch, segments, shift, pivmin):
+    # sturm_count's recurrence and guard on a run-length form, keeping every
+    # pivot in the order of the sweep: each stretch row by the loop, each
+    # run in closed form (_run_pivots).  `stretch` holds the stretch rows'
+    # diagonal entries less `shift`, `segments` as RunLength holds them
     neg_pivmin = -pivmin
-    out = []
-    stretch = iter(memoryview(shifted[runs.stretch]))
+    stretch = iter(memoryview(stretch))
+    parts = []
     d = 1.0
-    for b2s, c, b2, n in runs.segments:
+    for b2s, c, b2, n in segments:
+        out = []
         for b, a in zip(b2s, stretch):
             d = a - b / d
             if d < pivmin:
                 if d > neg_pivmin:
                     d = neg_pivmin
             out.append(d)
-        c -= shift
-        for _ in repeat(None, n):
-            d = c - b2 / d
-            if d < pivmin:
-                if d > neg_pivmin:
-                    d = neg_pivmin
-            out.append(d)
-    return np.fromiter(out, float, len(out))
+        parts.append(out)
+        if n:
+            run = _run_pivots(c - shift, b2, n, d, pivmin)
+            parts.append(run)
+            d = float(run[-1])
+    return np.concatenate(parts)
+
+
+def _backward(runs, shifted, off2):
+    # The backward pivot pass in run-length form, from the forward one: its
+    # row i reads (diag_i, off2_i), off2_{N-1} taken as 0.0, and it sweeps
+    # the rows from N - 1 down.  A forward run of the rows [s, s + n) of the
+    # pair (c, b2) reads off2_{s-1} ... off2_{s+n-2} = b2, so its first n - 1
+    # rows are a backward run of the same pair, and its last row, which
+    # reads the off2 past the run, joins the backward stretch.  Returns the
+    # backward stretch rows' entries of `shifted` and the segments, both in
+    # the order of the backward sweep.
+    b2 = np.append(off2, 0.0)  # off2_i at backward row i
+    bounds = []  # backward stretch rows before each forward run, and after the last
+    pairs = []
+    lo = end = 0
+    for b2s, c, b2_run, n in runs.segments:
+        end += len(b2s)
+        bounds.append((lo, end))
+        pairs.append((c, b2_run, n - 1))
+        end += n
+        lo = end - 1  # the run's last row
+    stretch = np.concatenate([shifted[lo:hi][::-1] for lo, hi in reversed(bounds)])
+    pairs = pairs[-2::-1] + [(0.0, 0.0, 0)]  # the runs in sweep order, then the end
+    segments = [(b2[lo:hi][::-1].tolist(), *pair)
+                for (lo, hi), pair in zip(reversed(bounds), pairs)]
+    return stretch, segments
 
 
 def inverse_iteration(counts, sigma):
@@ -618,11 +760,12 @@ def inverse_iteration(counts, sigma):
     # Fernando's twisted factorization (Parlett & Dhillon, LAA 267, 1997;
     # Dhillon & Parlett, SIMAX 25, 2004).  The forward pivots d+ of
     # T - sigma*I = L D+ L^T are those of the Sturm recurrence, with its
-    # pivmin guard; the backward pivots d- of U D- U^T are the forward
-    # pivots of the mirrored matrix, read back to front: the mirror's row
-    # n - 1 - i is the pair (diag_i, off2_i), which is what d-_i reads,
+    # pivmin guard; the backward pivots d- of U D- U^T run the same
+    # recurrence and guard from the last row up,
     #   d-_i = (diag_i - sigma) - off2_i / d-_{i+1},  d-_{n-1} = diag_{n-1} - sigma,
-    # with the same operations and guard.  Twisted at r, the two factors
+    # on the run-length form that _backward reads off the forward one.
+    # Stretch rows take the per-row loop and runs their closed form
+    # (_run_pivots).  Twisted at r, the two factors
     # solve (T - sigma*I) z = gamma_r e_r with z_r = 1 and
     # gamma_r = d+_r + d-_r - (a_r - sigma) = 1 / [(T - sigma*I)^-1]_rr.
     # r = argmin |gamma_r| picks the e_r with the largest such entry, and the
@@ -639,9 +782,9 @@ def inverse_iteration(counts, sigma):
     pivmin = float(counts.pivmin)
     sigma = float(sigma)
     shifted = diag - sigma
-    mirror = run_length(diag[::-1], (off * off)[::-1])
-    fwd = _pivots(shifted, counts.runs, sigma, pivmin)
-    bwd = _pivots(shifted[::-1], mirror, sigma, pivmin)[::-1]
+    runs = counts.runs
+    fwd = _pivots(shifted[runs.stretch], runs.segments, sigma, pivmin)
+    bwd = _pivots(*_backward(runs, shifted, off * off), sigma, pivmin)[::-1]
     r = int(np.argmin(np.abs(fwd + bwd - shifted)))  # the first minimum
     z = np.empty(diag.size)
     z[r] = 1.0

@@ -14,18 +14,23 @@ keeps is the one a sweep returns.
 ``sturm_count`` takes the shift off the diagonal before its loop, and
 ``inverse_iteration`` fills its vector by cumulative products.  These
 properties pin down that neither changes a single bit of the output,
-against copies of the loops as they were before those shortcuts.  The
-Sturm sweeps read a run-length form, and ``sturm_count`` and
-``sturm_newton`` sweep each run of equal rows in closed form, by the
-discrete Pruefer angle.  Against the per-row loop, on runs whose rows
-rotate (|t| < 1), grow (|t| > 1) or are linear (t = +-1 exactly), and
-where the loop guards a pivot inside a run to -pivmin, the closed form
-gives the loop's count at every shift farther than eps ||T|| from an
-eigenvalue, a count non-decreasing in the shift within that band too, and
-the loop's Newton sum to 1e-8 away from eigenvalues, wherever the loop's
-sum is the derivative to 1e-8; the twisted solve keeps the per-row loop
-on runs, and its vectors their bits.  The unit step's finest halves pin
-that the runs are there to be swept.
+against copies of the loops as they were before those shortcuts, on
+matrices without runs.  The Sturm sweeps and both pivot passes of the
+twisted solve read a run-length form and take each run of equal rows in
+closed form, by the discrete Pruefer angle.  Against the per-row loop, on
+runs whose rows rotate (|t| < 1), grow (|t| > 1) or are linear (t = +-1
+exactly), and where the loop guards a pivot inside a run to -pivmin, the
+closed form gives the loop's count at every shift farther than eps ||T||
+from an eigenvalue, a count non-decreasing in the shift within that band
+too, the loop's Newton sum to 1e-8 away from eigenvalues, wherever the
+loop's sum is the derivative to 1e-8, and a twisted-solve vector within
+a first-order bound of the loop's, eps ||T|| over the distance to the
+next eigenvalue (or, past a guarded zero pivot, a residual no larger).
+On criterion 5's finest halves its vectors lie as close to a long-double
+solve as the loop's, and no numpy transcendental, whose bits depend on
+the CPU, enters them.  The unit step's finest halves pin that the runs
+are there to be swept, and one run-length form serves both halves of an
+even operator and both pivot passes.
 ``prufer_theta_piecewise`` ends a step on every break of the potential;
 its tests pin RK4's fourth order off the lattice and a count across a
 barrier far narrower than one step.  Both phase kernels sweep the doubled
@@ -282,13 +287,13 @@ def test_sturm_count_matches_reference_loop(seed, j):
             reference_sturm_count(diag, off2, s, pivmin)
 
 
-def reference_inverse_iteration(diag, off, sigma, pivmin):
-    # the twisted solve with z filled and r picked index by index
+def reference_pivots(diag, off, sigma, pivmin):
+    # the twisted solve's forward and backward pivots, row by row, each
+    # guarded to -pivmin within pivmin of zero
     pivmin = float(pivmin)
     neg_pivmin = -pivmin
     shifted = (diag - float(sigma)).tolist()
     off = off.tolist()
-    n = len(shifted)
 
     def pivots(cs, bs):
         d = cs[0]
@@ -302,8 +307,15 @@ def reference_inverse_iteration(diag, off, sigma, pivmin):
             out.append(d)
         return out
 
-    fwd = pivots(shifted, off)
-    bwd = pivots(shifted[::-1], off[::-1])[::-1]
+    return pivots(shifted, off), pivots(shifted[::-1], off[::-1])[::-1]
+
+
+def reference_inverse_iteration(diag, off, sigma, pivmin):
+    # the twisted solve with z filled and r picked index by index
+    fwd, bwd = reference_pivots(diag, off, sigma, pivmin)
+    shifted = (diag - float(sigma)).tolist()
+    off = off.tolist()
+    n = len(shifted)
     r = min(range(n), key=lambda i: abs(fwd[i] + bwd[i] - shifted[i]))
     z = [0.0] * n
     z[r] = zi = 1.0
@@ -324,10 +336,12 @@ def reference_inverse_iteration(diag, off, sigma, pivmin):
 @given(st.integers(0, 2**32 - 1))
 def test_inverse_iteration_matches_reference_loop(seed):
     # at both bisected eigenvalues and at a shift that is none, the weakly
-    # linked pairs included: the same bits as the per-index loop
+    # linked pairs included: the same bits as the per-index loop.  These
+    # matrices have no run, so both pivot passes take every row by the loop
     rng = np.random.default_rng(seed)
     diag, off = random_tridiagonal(rng)
     counts, lo, hi = _bisect_inputs(diag, off)
+    assert len(counts.runs.segments) == 1
     pivmin = counts.pivmin
     shifts = [kernels.bisect_eigenvalue(counts, k, lo, hi) for k in (0, 1)]
     shifts.append(float(rng.uniform(lo, hi)))
@@ -362,6 +376,19 @@ def reference_sturm_newton(diag, off2, shift, pivmin):
     return count, total
 
 
+def _run_rows(runs):
+    """The rows that the twisted solve takes in closed form: each forward
+    run's, and the backward pass's, which are a forward run's but its last."""
+    forward, backward = set(), set()
+    start = 0
+    for b2s, _, _, n in runs.segments:
+        start += len(b2s)
+        forward.update(range(start, start + n))
+        backward.update(range(start, start + n - 1))
+        start += n
+    return forward, backward
+
+
 def _check_run_length(diag, off, shifts):
     # At the given shifts and at both bisected eigenvalues:
     # - sturm_newton counts as sturm_count, and both give the per-row
@@ -373,16 +400,45 @@ def _check_run_length(diag, off, shifts):
     #   loses digits at a shift near an eigenvalue of a leading block, where
     #   a pivot nears zero (or is guarded), and where its terms cancel to
     #   nearly zero: there the loop's sum holds no digits to compare;
-    # - the twisted solve, which keeps the per-row loop on runs, gives the
-    #   reference loop's vector bit for bit.
+    # - the twisted solve, which takes runs in closed form, stays finite
+    #   where the reference loop does, and its vector lies within a first-
+    #   order bound of the loop's.  Each is one twisted solve of T + E with
+    #   ||E|| <= w = 8 eps ||T||: the loop rounds a_i - sigma, b_i^2 / d and
+    #   their difference at each row (|sigma| <= ||T||), and the closed form
+    #   takes theta and each phase to a few ulps, which moves the run's
+    #   diagonal entry and the pivot it starts from by some eps ||T||; w
+    #   also covers eigvalsh_tridiagonal's own error in lambda, the
+    #   eigenvalue nearest sigma.  From its best r the solve leaves a
+    #   residual of at most sqrt(n) times the distance from sigma to an
+    #   eigenvalue of T + E (Parlett & Dhillon, LAA 267, 1997), so against T
+    #   rho <= sqrt(n) (|lambda - sigma| + w) + w, and the cumulative
+    #   products that fill z round each component by at most 2 n eps.  A
+    #   unit vector with residual rho lies within sqrt(2) rho / delta of +-u,
+    #   u the eigenvector of lambda and delta the distance from sigma to the
+    #   next eigenvalue (the sin theta theorem; Davis & Kahan, SINUM 7, 1970),
+    #   so up to sign the two vectors lie within
+    #   2 sqrt(2) rho / delta + 4 n eps of each other: eps ||T|| / delta to
+    #   first order at shifts within eps ||T|| of an eigenvalue.  Far from
+    #   every eigenvalue the bound exceeds 1: the vector there depends on
+    #   which of some nearly tied r rounding picks, and is not compared.
+    #   Where the loop guards a zero pivot inside a run (sigma an eigenvalue
+    #   of a leading block), it picks r from guarded pivots, and its residual
+    #   can exceed rho (by up to 5.3 times on block layouts); the closed form
+    #   finds no exact zero there and fills another vector.  Where the bound
+    #   is below 1, its residual is held to the larger of the loop's and
+    #   rho, plus the fill's rounding, 2 ||T|| 2 n eps: no worse a solve.
     # No eigenvalue lies within w of a shift where the loop counts alike w
     # below and w above it.
     counts, lo, hi = _bisect_inputs(diag, off)
     runs, pivmin = counts.runs, counts.pivmin
     off2 = (off * off).tolist()
     shifts = list(shifts) + [kernels.bisect_eigenvalue(counts, k, lo, hi) for k in (0, 1)]
-    norm = DiscreteOperator(diag, off).norm_inf()
+    op = DiscreteOperator(diag, off)
+    norm = op.norm_inf()
     lams = eigvalsh_tridiagonal(diag, off)
+    n = diag.size
+    w = 8.0 * EPS * norm
+    forward_runs, backward_runs = _run_rows(runs)
 
     def isolated(s, w):
         return reference_sturm_count(diag, off2, s - w, pivmin) == \
@@ -403,7 +459,20 @@ def _check_run_length(diag, off, shifts):
             vec, solves, finite = kernels.inverse_iteration(counts, s)
             ref_vec, ref_solves, ref_finite = reference_inverse_iteration(diag, off, s, pivmin)
             assert (solves, finite) == (ref_solves, ref_finite)
-            assert vec.tobytes() == ref_vec.tobytes()
+            if not finite:
+                continue
+            near, delta = np.sort(np.abs(lams - s))[:2]
+            rho = math.sqrt(n) * (near + w) + w
+            bound = 2.0 * math.sqrt(2.0) * rho / delta + 4.0 * n * EPS
+            fwd, bwd = reference_pivots(diag, off, s, pivmin)
+            if not (any(fwd[i] == -pivmin for i in forward_runs)
+                    or any(bwd[i] == -pivmin for i in backward_runs)):
+                apart = min(np.linalg.norm(vec - ref_vec), np.linalg.norm(vec + ref_vec))
+                assert apart <= bound
+            elif bound < 1.0:
+                residual, ref_residual = (np.linalg.norm(op.matvec(v) - s * v)
+                                          for v in (vec, ref_vec))
+                assert residual <= max(ref_residual, rho) + 4.0 * n * EPS * norm
 
 
 M = kernels.MIN_RUN
@@ -429,7 +498,8 @@ def _block_matrix(layout):
 # a run of MIN_RUN rows from row 1 to the last row, where the shift 0
 # meets the pivot cycle 1, 0 (guarded to -pivmin), 1 + 1/pivmin: the loop
 # guards a zero pivot every third row inside the run, which the closed form
-# counts by its phase, t = 1/2
+# counts by its phase, t = 1/2; at the shift 1 (t = 0) the loop guards every
+# other pivot, and the twisted solves' residuals are compared
 @example([(M + 1, 3)], [])
 # runs of MIN_RUN - 1 (a stretch), MIN_RUN and MIN_RUN + 1 rows
 @example([(M, 0), (1, 1), (M, 0), (1, 1), (M + 1, 0)], [0.5])
@@ -518,6 +588,125 @@ def test_unit_step_finest_halves_are_runs():
             segments = kernels.SturmCounts(half.diag, half.offdiag).runs.segments
             assert len(segments) <= 8
             assert sum(n for _, _, _, n in segments) >= 0.99 * half.diag.size
+
+
+def _longdouble_twisted_solve(diag, off, sigma):
+    """The twisted solve of reference_inverse_iteration, row by row in
+    numpy's long double, unit in the l2 norm."""
+    ld = np.longdouble
+    shifted = [ld(a) - ld(sigma) for a in diag.tolist()]
+    off = np.array(off, dtype=ld)
+    off2 = (off * off).tolist()
+
+    def pivots(cs, bs):
+        d = cs[0]
+        out = [d]
+        for c, b in zip(cs[1:], bs):
+            d = c - b / d
+            out.append(d)
+        return np.array(out, dtype=ld)
+
+    fwd = pivots(shifted, off2)
+    bwd = pivots(shifted[::-1], off2[::-1])[::-1]
+    r = int(np.argmin(np.abs(fwd + bwd - np.array(shifted, dtype=ld))))
+    z = np.ones(len(shifted), dtype=ld)
+    z[:r] = np.cumprod((-off[:r] / fwd[:r])[::-1])[::-1]
+    z[r + 1:] = np.cumprod(-off[r:] / bwd[r + 1:])
+    return z / np.sqrt(np.sum(z * z))
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps >= EPS, reason="long double is double here")
+@pytest.mark.parametrize("L", np.geomspace(50.0, 400.0, 9)[[0, 4, 8]].tolist())
+def test_closed_form_vectors_on_criterion5_finest_halves(L):
+    # Criterion 5's finest halves (256 cells per unit, up to 51200 rows) are
+    # a run per layer and a few other rows.  At each half's lowest
+    # eigenvalue the twisted solve's vector, whose runs the closed form
+    # takes, lies within 4 times the per-row loop's own distance from the
+    # same twisted solve in long double, on the same matrix and shift: the
+    # closed form carries no more rounding along a run than the loop does
+    # (the two distances measured 0.73 to 1.04 times each other).
+    p = Step(1.0, (-0.5, 0.5))
+    grid = _nested_grids(p, L, default_cell_count(L), 3)[-1]
+    for half in fdsolver._mirror_halves(assemble(p, grid)):
+        counts, lo, hi = _bisect_inputs(half.diag, half.offdiag)
+        assert len(counts.runs.segments) >= 2  # a run to take in closed form
+        sigma = kernels.bisect_eigenvalue(counts, 0, lo, hi)
+        vec, _, finite = kernels.inverse_iteration(counts, sigma)
+        ref_vec, _, ref_finite = reference_inverse_iteration(
+            half.diag, half.offdiag, sigma, counts.pivmin)
+        assert finite and ref_finite
+        exact = _longdouble_twisted_solve(half.diag, half.offdiag, sigma)
+        apart, ref_apart = (float(min(np.linalg.norm(v - exact), np.linalg.norm(v + exact)))
+                            for v in (vec, ref_vec))
+        assert apart <= 4.0 * ref_apart
+
+
+def test_twisted_solve_calls_no_numpy_transcendental(monkeypatch):
+    # numpy's transcendental ufuncs run vector code chosen by the CPU, whose
+    # last bits differ from one instruction set to another (disabling
+    # AVX512's dispatch moves np.tan at 1012 of 200001 points, np.exp at
+    # 9287).  The closed form that fills a run's pivots takes libm's scalar
+    # functions and numpy's + - * / only, so phi0, and the bytes written
+    # from it, are the same on every machine with the same libm: here
+    # every such ufunc raises, on runs that rotate (t < 1), grow (t > 1,
+    # where the incoming pivot selects the cosh or the sinh form) and are
+    # linear (t = +-1 exactly).
+    def refuse(*args, **kwargs):
+        raise AssertionError("a numpy transcendental was called")
+
+    for name in ("tan", "sin", "cos", "tanh", "exp", "expm1", "arctan2"):
+        monkeypatch.setattr(np, name, refuse)
+    rng = np.random.default_rng(2024)
+    for _ in range(4):
+        diag, off = _run_matrix(rng, 3 * M)
+        counts = kernels.SturmCounts(diag, off)
+        c, b = float(diag[1]), float(-off[0])
+        for t in (-0.9, -0.3, 0.3, 0.9, -3.0, -1.1, 1.1, 3.0, -1.0, 1.0):
+            vec, solves, finite = kernels.inverse_iteration(counts, c - 2.0 * b * t)
+            assert finite and abs(kernels.norm(vec) - 1.0) < 1e-14
+
+
+def test_run_length_once_per_grid(monkeypatch):
+    # One criterion-5 row (64 cells per unit, 3 levels) solves four grids:
+    # the quarter grid that guesses level 0, and the three levels.  Each has
+    # an even N and splits into two halves that differ only in row 0, which
+    # enters no run, so the odd half takes the even half's run-length form,
+    # and the twisted solve reads its backward pass off the forward form:
+    # one run_length call per grid, where each half and the mirrored
+    # matrix of the finest grid took one, 9 in all.
+    calls = []
+    run_length = kernels.run_length
+
+    def counted(*args):
+        calls.append(args)
+        return run_length(*args)
+
+    monkeypatch.setattr(kernels, "run_length", counted)
+    L = float(np.geomspace(50.0, 400.0, 9)[4])
+    solve_extrapolated(Step(1.0, (-0.5, 0.5)), L, n0=default_cell_count(L), levels=3)
+    assert len(calls) == 4
+
+
+@pytest.mark.parametrize("p", [Step(1.0, (-0.5, 0.5)), InverseSquareCapped(0.3, 4.0)],
+                         ids=["step", "capped"])
+def test_even_halves_share_run_length(p):
+    # The two halves of an even operator differ only in their first
+    # diagonal entry, which no run reads: their run-length forms are the
+    # same, so the odd half's store built from the even half's holds what
+    # its own would.  An odd operator's halves differ in size.
+    grids = [_nested_grids(p, L, n0, 1)[0]
+             for L in (5.0, 50.0, 137.5) for n0 in (256, 320, 400, 512, 8800)]
+    grids = [grid for grid in grids if grid.N % 2 == 0]
+    assert len(grids) >= 5
+    for grid in grids:
+        even, odd = fdsolver._mirror_halves(assemble(p, grid))
+        own = kernels.run_length(odd.diag, odd.offdiag ** 2)
+        shared = kernels.SturmCounts(even.diag, even.offdiag).with_first_diagonal(odd.diag[0])
+        assert shared.runs.segments == own.segments
+        assert np.array_equal(np.arange(odd.diag.size)[shared.runs.stretch],
+                              np.arange(odd.diag.size)[own.stretch])
+        assert shared.diag.tobytes() == odd.diag.tobytes()
+        assert shared.pivmin == kernels.SturmCounts(odd.diag, odd.offdiag).pivmin
 
 
 guesses = st.one_of(
