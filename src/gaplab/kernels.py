@@ -2,8 +2,10 @@
 
 Plain interpreted Python, one definition per kernel.  The eigensolver
 kernels (Sturm count, bisection, one inverse-iteration step by twisted
-factorization) follow LAPACK's tridiagonal routines; the phase and profile
-kernels are fixed-step RK4 sweeps, so phase counts are reproducible.
+factorization) follow LAPACK's tridiagonal routines.  The phase count of a
+piecewise-constant potential takes the Pruefer angle exactly, one closed-
+form step per layer; the capped family's phase and profile kernels are
+fixed-step RK4 sweeps, so their phase counts are reproducible.
 
 The loops run on Python floats, not numpy scalars: each kernel converts its
 array arguments once per call, with ``tolist()`` or by iterating a
@@ -28,7 +30,9 @@ run but its last are a run of the backward pass too (``_backward``).
 The eigensolver's grids have equal cells within each layer, so every
 interior row of a layer is the same pair (diag_i, off2_{i-1}), bit for
 bit.  Every kernel takes such a run in O(1) Python work, by the discrete
-Pruefer angle (``_run_phase``): from the run's excess
+Pruefer angle (``_run_phase``), unless its Newton share is ill conditioned
+(``_ill_conditioned``: both Sturm sweeps then read its rows one by one, so
+that their counts stay equal): from the run's excess
 x = fl(c - shift) - 2b, its length and its incoming pivot, closed forms
 give its negative pivots, its last pivot and its share of the Newton sum,
 and for the twisted solve every pivot, filled in numpy (``_run_pivots``).
@@ -57,18 +61,18 @@ over the distance to the next eigenvalue (see the tests).
 which change no bit of the per-index loop (see there).  Its norm and the
 eigensolver's other sums (``dot``, ``norm``) use numpy's pairwise
 summation and never BLAS, whose threaded sums over long vectors change
-their last bits with the thread count.  ``prufer_theta_piecewise`` ends a
-step on every break of the potential, so each step sees one constant
-layer value and the sweep keeps RK4's fourth order across the jumps.
+their last bits with the thread count.  ``prufer_theta_piecewise`` takes
+each constant layer in closed form, so its angle has no truncation error
+and its cost no step rule: O(1) ``math`` scalars a layer, at any lam.
 
-Both phase kernels integrate the Prüfer angle on the doubled angle
+The capped phase kernel integrates the Prüfer angle on the doubled angle
 phi = 2 theta.  With q = lam - v, cos^2 theta + q sin^2 theta =
 (1 + q)/2 + (1 - q)/2 cos 2 theta, so phi' = (1 + q) + (1 - q) cos phi
 needs one cosine per RK4 stage where theta' needs a sine and a cosine.
 RK4 commutes with a linear change of variable: every stage of the phi
 sweep is exactly twice the theta sweep's in exact arithmetic, so step
 counts, order and counts are those of RK4 on theta, and only rounding
-differs.  The kernels return theta = phi / 2.
+differs.  The kernel returns theta = phi / 2.
 
 ``SturmCounts`` is the one home of the counts taken on one matrix, and of
 the rule for reusing them.  ``bisect_eigenvalue`` stops at the width
@@ -80,7 +84,10 @@ its formulas is a chain of operations monotone in the incoming pivot; as
 x falls, theta does not (monotone roundings, except where two forms meet)
 and (n - 1) theta is exact, while the rounding of the first phase psi has
 not been seen to outweigh that step (the tests sweep shifts dense in the
-rounding band of eigenvalues; this is measured, not proven).  So a
+rounding band of eigenvalues; this is measured, not proven).  A run
+taken row by row (``_ill_conditioned``) is the loop itself; it is so taken
+only near an eigenvalue of a leading block, where either way counts the
+pivot near zero and the next one as one negative.  So a
 kept count can settle a midpoint without a sweep and the bisection still
 takes exactly the midpoints of plain bisection; so can the count of the
 nearest counted shift below or above when ``diag - shift`` rounds to the
@@ -364,6 +371,40 @@ def _continuant_slope(k, x, b, B, A, dA, theta, dc):
     return (0.5 * k * dc + dA) * st + A * dst
 
 
+# the scale below which _ill_conditioned takes a run's closed form for ill
+# conditioned: an incoming pivot below b / ILL, or F(n - 1) or F(n) within
+# 1 / ILL of its scale from zero.  A run taken row by row costs a sweep some
+# 60 ns a row; one batch of the benchmark's sweep workload meets one such
+# run in some 600 run sweeps (398 rows), the oracle's four in 2100 (53 to
+# 231 rows), and no Newton sweep of the three workloads meets one.
+ILL = 1024.0
+
+
+def _ill_conditioned(phase, n, d):
+    # Whether the run of _run_phase `phase`, with the incoming pivot d,
+    # has a closed-form Newton share (_run_newton) that rounding can ruin,
+    # in which case every sweep takes its rows one by one, as the per-row
+    # loop does, so that sturm_newton's count stays sturm_count's:
+    # - |d| < b / ILL: the run's share cancels a huge r of the row before;
+    # - F(n - 1) or F(n) within 1 / ILL of zero against its scale (the sine
+    #   or sinh of the phase, or 1 + k A / b, near a root): the next row
+    #   cancels r_n against the run's last pivot, which _run_end takes
+    #   from another formula than F, and the cancellation magnifies their
+    #   roundings by about 1 / F.  The cosh form never nears zero.
+    sign, c, x, b, B, A, theta, _, psi, count, last = phase
+    if abs(d) * ILL < b:
+        return True
+    if x < 0.0:
+        return min(abs(math.sin(last)), abs(math.sin(last + theta))) * ILL < 1.0
+    if x == 0.0:
+        f_m = A * last if A else 1.0
+        return (abs(f_m) * ILL < max(1.0, (n - 1) * abs(A) / b)
+                or abs(f_m + A / b) * ILL < max(1.0, n * abs(A) / b))
+    if abs(A) <= B:
+        return False
+    return min(abs(last), abs(last + theta)) * ILL < 1.0
+
+
 def _run_newton(phase, n, b2, d, r):
     # The run's share of sturm_newton's sum, r_1 + ... + r_n = F'(n) / F(n),
     # and its last r_n = F'(n) / F(n) - F'(n - 1) / F(n - 1), for the
@@ -371,12 +412,12 @@ def _run_newton(phase, n, b2, d, r):
     # pivot d_1 = c - b2 / d moves by d_1' = -1 + (b2 / d) r, which enters
     # as A'.  F' is _continuant_slope's; F(n - 1) and F(n) come from the
     # phase that gives d_n, normalized to F(0) = 1 (for t > 1 scaled by
-    # exp(-k theta) as F'(k) is): near a pole, where F(n - 1) is small, the
-    # next row reads r_n / d_n, in which it cancels, as in the loop.  Past
-    # a guarded pivot the sum may overflow to inf or nan, as the loop's
-    # does; a division by an exact zero (a run that starts on its fixed
-    # point exp(-theta) and leaves it only below the smallest double, say)
-    # gives nan.
+    # exp(-k theta) as F'(k) is): the next row reads r_n / d_n, in which
+    # they cancel, as in the loop, to the accuracy that _ill_conditioned
+    # asks of them.  Past a guarded pivot the sum may overflow to inf or
+    # nan, as the loop's does; a division by an exact zero (a run that
+    # starts on its fixed point exp(-theta) and leaves it only below the
+    # smallest double, say) gives nan.
     sign, c, x, b, B, A, theta, _, psi, count, last = phase
     dc = -sign  # d(2b + x) / d shift, mirrored: +1
     dA = 0.5 * dc + sign * b2 / d * r
@@ -430,9 +471,20 @@ def sturm_count(diag, runs, shift, pivmin):
                 if d > neg_pivmin:
                     d = neg_pivmin
                 count += 1
-        if n:
-            k, d = _run_end(_run_phase(c - shift, b2, n, d), n, pivmin)
+        if not n:
+            continue
+        phase = _run_phase(c - shift, b2, n, d)
+        if not _ill_conditioned(phase, n, d):
+            k, d = _run_end(phase, n, pivmin)
             count += k
+            continue
+        a = c - shift
+        for _ in range(n):
+            d = a - b2 / d
+            if d < pivmin:
+                if d > neg_pivmin:
+                    d = neg_pivmin
+                count += 1
     return count
 
 
@@ -465,13 +517,26 @@ def sturm_newton(diag, runs, shift, pivmin):
                 count += 1
             r = (q * r - 1.0) / d
             total += r
-        if n:
-            phase = _run_phase(c - shift, b2, n, d)
+        if not n:
+            continue
+        phase = _run_phase(c - shift, b2, n, d)
+        if not _ill_conditioned(phase, n, d):
             share, last = _run_newton(phase, n, b2, d, r)
             k, d = _run_end(phase, n, pivmin)
             count += k
             total += share
             r = last
+            continue
+        a = c - shift
+        for _ in range(n):
+            q = b2 / d
+            d = a - q
+            if d < pivmin:
+                if d > neg_pivmin:
+                    d = neg_pivmin
+                count += 1
+            r = (q * r - 1.0) / d
+            total += r
     return count, total
 
 
@@ -504,20 +569,22 @@ class SturmCounts:
 
     1. the count is non-decreasing in the shift, so a count > k at or
        below the shift, or one <= k at or above it, settles the answer;
-    2. ``sturm_count`` reads nothing of the shift but the entries of
-       ``diag - shift``, so where that vector equals, entry for entry, the
-       shifted diagonal at the nearest counted shift below or above, that
-       count is reused;
+    2. ``sturm_count`` reads nothing of the shift but the shifted stretch
+       entries ``diag[stretch] - shift`` and each run's ``c - shift``, so
+       where these equal, entry for entry, their values at the nearest
+       counted shift below or above, that count is reused;
     3. otherwise ``sturm_count`` sweeps, and its count is kept.
 
     In rule 2 the only equal values with different bits are +0 and -0: such
     an entry enters a stretch's pivot only as ``c - b / d``, where a zero
     pivot of either sign is guarded to -pivmin, and a run only through its
     excess ``c - 2b``, the same for either zero, so the count is the one a
-    sweep would return.  Rounding is monotone, so ``diag - s`` for s between two
-    shifts with equal vectors is that vector too: the nearest counted
-    shifts below and above find every match.  The first entries are
-    compared first, as Python floats: where they differ, so do the vectors.
+    sweep would return.  Every row is a stretch row or a run row, so these
+    are the entries of ``diag - shift``, each distinct value once.  Rounding
+    is monotone, so ``diag - s`` for s between two shifts with equal vectors
+    is that vector too: the nearest counted shifts below and above find
+    every match.  Row 0's entry, which is a stretch's, and the runs' are
+    compared first, as Python floats: where one differs, so do the vectors.
     """
 
     def __init__(self, diag, off):
@@ -529,8 +596,16 @@ class SturmCounts:
         # cannot overflow the eigenvector recurrence
         self.pivmin = max(off2.max(), 1.0) * 1e-250
         self.runs = run_length(self.diag, off2)
+        self._reuse_inputs()
         self.shifts = []
         self.counts = []  # the count at each of `shifts`
+
+    def _reuse_inputs(self):
+        # what rule 2 compares: the stretch rows' diagonal entries, and as
+        # Python floats row 0's and each distinct run value c
+        self.stretch_diag = self.diag[self.runs.stretch]
+        runs = {c for _, c, _, n in self.runs.segments if n}
+        self.firsts = [float(self.diag[0]), *sorted(runs)]
 
     def with_first_diagonal(self, first):
         """The store of the matrix that differs from this one only in its
@@ -540,6 +615,7 @@ class SturmCounts:
         twin = copy.copy(self)
         twin.diag = self.diag.copy()
         twin.diag[0] = first
+        twin._reuse_inputs()
         twin.shifts = []
         twin.counts = []
         return twin
@@ -553,11 +629,11 @@ class SturmCounts:
             return False
         if above and shifts[i] == shift or i and counts[i - 1] > k:
             return True
-        first = float(self.diag[0])
+        shift = float(shift)
         near = slice(max(i - 1, 0), i + 1)  # the nearest counted shifts below and above
         for s, count in zip(shifts[near], counts[near]):
-            if (first - s == first - shift
-                    and np.array_equal(self.diag - float(shift), self.diag - float(s))):
+            if (all(c - s == c - shift for c in self.firsts)
+                    and np.array_equal(self.stretch_diag - shift, self.stretch_diag - s)):
                 break
         else:
             count = sturm_count(self.diag, self.runs, shift, self.pivmin)
@@ -580,7 +656,11 @@ def bisect_eigenvalue(counts, k, lo, hi, rel_width=0.0):
     # Bisect for the k-th (0-based) eigenvalue of the matrix of `counts` (a
     # SturmCounts) given the enclosure count(lo) <= k < count(hi).  Stops at
     # width tolerance(max(|lo|, |hi|)), or at rel_width * max(|lo|, |hi|)
-    # when that is wider (a guess).  The kept counts, sorted by shift, are
+    # when that is wider (a guess).  That width, `limit`, is taken again only
+    # once the bracket is no wider than the last one: each bracket lies in
+    # the one before, so max(|lo|, |hi|) never grows, nor does the width it
+    # gives, and the test stops where the width taken at each step would.
+    # The kept counts, sorted by shift, are
     # non-decreasing (see the module docstring): a midpoint at or below
     # `below`, the largest kept shift with count <= k, or at or above
     # `above`, the smallest with count > k, is settled here, as `exceeds`
@@ -591,10 +671,13 @@ def bisect_eigenvalue(counts, k, lo, hi, rel_width=0.0):
     split = bisect.bisect_right(counts.counts, k)
     below = counts.shifts[split - 1] if split else -math.inf
     above = counts.shifts[split] if split < len(counts.shifts) else math.inf
+    limit = math.inf
     while True:
-        top = max(abs(lo), abs(hi))
-        if hi - lo <= max(tolerance(top), rel_width * top):
-            break
+        if hi - lo <= limit:
+            top = max(abs(lo), abs(hi))
+            limit = max(tolerance(top), rel_width * top)
+            if hi - lo <= limit:
+                break
         mid = 0.5 * (lo + hi)
         if mid <= lo or mid >= hi:
             break
@@ -799,42 +882,90 @@ def inverse_iteration(counts, sigma):
     return z / norm(z), 1, True
 
 
-def prufer_theta_piecewise(breaks, vals, lam, n_steps):
-    # Classical RK4 sweep of the phase equation
-    #   theta' = cos^2(theta) + (lam - v(x)) sin^2(theta),  theta(x0) = pi/2,
-    # for a piecewise-constant v given by `breaks` (m+1 points) / `vals` (m),
-    # taken on the doubled angle phi = 2 theta (see the module docstring):
-    #   phi' = (1 + q) + (1 - q) cos(phi),  phi(x0) = pi,  q = lam - v(x);
-    # returns theta = phi / 2.  Every step ends on the breaks: layer j takes
-    # max(1, ceil(n_steps l_j / L), ceil(2 l_j |lam - v_j|)) equal steps, none
-    # longer than L / n_steps, and h |lam - v_j| <= 1/2 bounds the largest
-    # rate of the equation per step.  q is constant within each step, so the
-    # sweep keeps RK4's fourth order across the jumps.
+def prufer_theta_piecewise(breaks, vals, lam, n_layers):
+    # The Pruefer angle theta, tan theta = u / u', of -u'' + v u = lam u
+    # from (u, u') = (1, 0), theta = pi/2, at the left end, for the
+    # piecewise-constant v given by `breaks` (m + 1 points) and `vals` (its
+    # m layer heights), exactly, one layer at a time (Pruess, SIAM J. Numer.
+    # Anal. 10, 1973; Pryce, Numerical Solution of Sturm-Liouville Problems,
+    # 1993): O(1) work a layer and no step rule.  `n_layers` is m, the
+    # closed-form steps taken.  theta is carried as turns pi + phi, phi in
+    # [0, pi], with the state (u, u') = rho (sin phi, cos phi), rho > 0, so
+    # u >= 0 (u = -0.0 only with u' > 0).  Each layer of length l and
+    # xi = lam - v:
+    # - xi > 0: with r = sqrt(xi), the scaled angle psi, tan psi =
+    #   r tan theta, advances by exactly r l: psi = atan2(r u, u') + r l,
+    #   reduced modulo pi into turns, and the state becomes
+    #   (sin psi, r cos psi);
+    # - xi < 0: with kappa = sqrt(-xi) and w = u' / kappa, the propagator
+    #   divided by cosh(kappa l), (u, w) -> (u + tanh(kappa l) w,
+    #   w + tanh(kappa l) u), which cannot overflow.  From kappa l = 0.35
+    #   on it is taken in the growing and decaying modes s = u + w and
+    #   u - w, with E = exp(-2 kappa l): (u, w) -> (s + E (u - w),
+    #   s - E (u - w)), times 1 + E.  Both ends of the state then share s's
+    #   one rounding, so a state that enters a barrier near its decaying
+    #   mode leaves it on the growing mode, as the angle equation's does:
+    #   two separately rounded cancellations turned its direction by some
+    #   1e-7 and made the counts flip back and forth over 1e-9 around the
+    #   pair of Step(1.7, (-18, 18)) at L = 40.  Below 0.35 the tanh form
+    #   keeps s and u - w from cancelling against a large w.  The state is
+    #   scaled to max(|u|, |u'|) = 1; u has at most one zero in the layer,
+    #   so a negative u at its end has passed a multiple of pi: turns grows
+    #   by one and the state changes sign.  So does a zero u with a
+    #   negative u', which ends exactly on the multiple;
+    # - xi = 0: (u, u') -> (u + l u', u'), likewise.
+    # Returns (turns, phi): theta = turns pi + phi, phi = atan2(u, u').
     breaks = breaks.tolist()
     lam = float(lam)
-    per_length = n_steps / (breaks[-1] - breaks[0])
-    cos = math.cos
-    phi = math.pi
+    atan2 = math.atan2
+    pi = math.pi
+    turns = 0.0
+    u = 1.0
+    up = 0.0
     for left, right, v in zip(breaks, breaks[1:], vals.tolist()):
         ell = right - left
-        q = lam - v
-        n = max(1, math.ceil(per_length * ell), math.ceil(2.0 * ell * abs(q)))
-        h = ell / n
-        half_h = 0.5 * h
-        a = 1.0 + q
-        b = 1.0 - q
-        for _ in range(n):
-            k1 = a + b * cos(phi)
-            k2 = a + b * cos(phi + half_h * k1)
-            k3 = a + b * cos(phi + half_h * k2)
-            k4 = a + b * cos(phi + h * k3)
-            phi += h * (k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0
-    return 0.5 * phi
+        xi = lam - v
+        if xi > 0.0:
+            r = math.sqrt(xi)
+            m, psi = divmod(atan2(r * u, up) + r * ell, pi)
+            turns += m
+            u = math.sin(psi)
+            up = r * math.cos(psi)
+            continue
+        if xi < 0.0:
+            kappa = math.sqrt(-xi)
+            x = kappa * ell
+            w = up / kappa
+            if x < 0.35:
+                th = math.tanh(x)
+                w, u = w + th * u, u + th * w
+            else:
+                e = math.exp(-2.0 * x)
+                s = u + w
+                d = e * (u - w)
+                w, u = s - d, s + d
+            up = kappa * w
+        else:
+            u += ell * up
+        if u < 0.0 or u == 0.0 and up < 0.0:
+            turns += 1.0
+            u = -u
+            up = -up
+        big = max(u, abs(up))
+        if big:
+            u /= big
+            up /= big
+    return int(turns), atan2(u, up)
 
 
 def prufer_theta_capped(c_decay, cap, lam, half_len, n_steps):
-    # Same doubled-angle sweep for v(x) = min(cap, c_decay / x^2) on
-    # (-half_len, half_len), with v at each step's start, midpoint and end.
+    # Classical RK4 sweep of the phase equation
+    #   theta' = cos^2(theta) + (lam - v(x)) sin^2(theta),  theta = pi/2 at -half_len,
+    # for v(x) = min(cap, c_decay / x^2) on (-half_len, half_len), in n_steps
+    # equal steps, taken on the doubled angle phi = 2 theta (see the module
+    # docstring): phi' = (1 + q) + (1 - q) cos(phi), phi = pi at the start,
+    # q = lam - v; returns theta = phi / 2.  v is taken at each step's
+    # start, midpoint and end.
     # A step's end is the next step's start, the same x bit for bit, so its
     # coefficients (1 + q, 1 - q) are carried forward, not evaluated again.
     c_decay = float(c_decay)

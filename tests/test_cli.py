@@ -141,7 +141,7 @@ def test_verify_with_oracle_counts_for_capped(capsys):
 def test_verify_oracle_through_opaque_barrier(capsys):
     # the barrier is 80 wide at height 100: cosh(sqrt(100 - lam) * 80) is
     # past the double range, which once made the oracle raise OverflowError
-    # (so did Step(1e4, (2, 10)) at L = 20, whose phase counts take seconds)
+    # (so did Step(1e4, (2, 10)) at L = 20: see the golden test below)
     code, out, _ = run_cli(
         capsys, "verify", "--potential",
         '{"type": "step", "height": 100, "support": [-35, 45]}',
@@ -226,6 +226,20 @@ def test_cli_json_matches_golden_bytes(capsys, name, command):
     )
     assert code == 0
     golden = pathlib.Path(__file__).parent / "golden" / f"{command[0]}_{name}_L10.json"
+    assert out.encode() == golden.read_bytes()
+
+
+def test_verify_barrier_matches_golden_bytes(capsys):
+    # an 8-wide barrier of height 1e4 at L = 20, pinned in
+    # tests/golden/verify_barrier_L20.json: its RK4 phase counts once took
+    # 1.6e5 rate steps each, 2.5 s a run; the exact angle takes 3 steps
+    code, out, _ = run_cli(
+        capsys, "verify", "--potential",
+        '{"type": "step", "height": 10000.0, "support": [2.0, 10.0]}',
+        "--length", "20", "--oracle",
+    )
+    assert code == 0
+    golden = pathlib.Path(__file__).parent / "golden" / "verify_barrier_L20.json"
     assert out.encode() == golden.read_bytes()
 
 

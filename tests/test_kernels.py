@@ -31,13 +31,15 @@ solve as the loop's, and no numpy transcendental, whose bits depend on
 the CPU, enters them.  The unit step's finest halves pin that the runs
 are there to be swept, and one run-length form serves both halves of an
 even operator and both pivot passes.
-``prufer_theta_piecewise`` ends a step on every break of the potential;
-its tests pin RK4's fourth order off the lattice and a count across a
-barrier far narrower than one step.  Both phase kernels sweep the doubled
-angle 2 theta, one cosine per stage: against copies of the theta loops
-they replace, they pin the same counts and theta to within rounding, and
-the capped profile, which carries v from a step's end to the next step's
-start, pins the bytes of the loop that evaluated it twice.
+``prufer_theta_piecewise`` takes the Pruefer angle exactly, one layer at
+a time: an RK4 theta sweep whose steps end on every break converges to it
+at order 4 off the lattice and counts alike away from eigenvalues, across
+a tall barrier and a barrier far narrower than one step too.  The capped
+phase kernel sweeps the doubled angle 2 theta, one cosine per stage:
+against a copy of the theta loop it replaces, it pins the same counts and
+theta to within rounding, and the capped profile, which carries v from a
+step's end to the next step's start, pins the bytes of the loop that
+evaluated it twice.
 """
 
 import math
@@ -511,6 +513,17 @@ def _block_matrix(layout):
 # the converse: MIN_RUN - 1 equal forward rows before a jump in the diagonal
 # across an equal off2, which the mirror sweeps as one run of MIN_RUN rows
 @example([(M, 0), (1, 1)], [])
+# runs whose closed-form Newton share is ill conditioned, which every sweep
+# takes row by row: an incoming pivot of -shift, far below b / 1024 (the
+# share read -169.46344 against the loop's -169.468751170 at 1e-10, and off
+# by 2.1e6 at 1e-15)
+@example([(1, 4), (M, 0)], [1e-10])
+@example([(1, 4), (M - 1, 0), (1, 0)], [1e-15])
+# t = 0 exactly, where F(k) nears zero at every other row: 1.1e31 against -9
+@example([(1, 4), (1, 4), (M, 4), (1, 0)], [8.433783254931965e-47])
+# a run that ends the matrix, so that F(n) nears zero at both eigenvalues:
+# sturm_newton must count there as sturm_count does
+@example([(1, 0), (1, 0), (1, 0), (M + 1, 3)], [])
 def test_run_length_sweeps_match_reference_loops(layout, randoms):
     # at random shifts, 0.0 and each diagonal value (whose pivots may be
     # exactly zero, guarded, and whose runs have t = 0 or t = +-1 exactly
@@ -764,15 +777,20 @@ def test_guided_levels_match_unguided(seed, L):
         assert lowest_two_eigenvalues(assemble(p, grid)) == (lam0, lam1)
 
 
+def _exact_theta(layers, lam):
+    turns, phi = kernels.prufer_theta_piecewise(
+        layers.breaks, layers.values, lam, layers.values.size)
+    return turns * math.pi + phi
+
+
 def test_prufer_theta_piecewise_fourth_order_off_lattice():
-    # Steps end on every break, so q = lam - v is constant within each step
-    # and the sweep converges at RK4's order 4 however the breaks fall.
-    # Steps that straddled a jump showed orders from -9 to 4.5 on these
-    # draws.  The coarsest sweep gives every layer at least 32 steps, so the
-    # per-layer counts max(1, ceil(n l_j / L)) nearly double with n; a draw
-    # whose finest difference lies within the rounding bound 4 n eps max(1, |theta|)
-    # carries no order and is left out, as is one with a layer narrower
-    # than L / 200, which would need over 6400 steps.
+    # The closed-form angle is exact, so the RK4 theta sweep below, whose
+    # steps end on every break, converges to it at order 4 however the
+    # breaks fall.  The coarser sweep gives every layer at least 32 steps,
+    # so the per-layer counts max(1, ceil(n l_j / L)) nearly double with n;
+    # a draw whose finer error lies within that sweep's rounding bound,
+    # 4 (2 n) eps max(1, |theta|), carries no order and is left out, as is one
+    # with a layer narrower than L / 200, which would need over 6400 steps.
     orders = []
     for seed in range(40):
         rng = np.random.default_rng(seed)
@@ -783,17 +801,20 @@ def test_prufer_theta_piecewise_fourth_order_off_lattice():
         if thinnest < L / 200.0:
             continue
         n = math.ceil(32.0 * L / thinnest)
-        t1, t2, t4 = (kernels.prufer_theta_piecewise(layers.breaks, layers.values, lam, m)
-                      for m in (n, 2 * n, 4 * n))
-        if abs(t2 - t4) <= 4 * n * EPS * max(1.0, abs(t4)):
+        exact = _exact_theta(layers, lam)
+        e1, e2 = (abs(reference_prufer_theta_piecewise(layers.breaks, layers.values, lam, m)
+                      - exact) for m in (n, 2 * n))
+        if e2 <= 8 * n * EPS * max(1.0, abs(exact)):
             continue
-        orders.append(math.log2(abs((t1 - t2) / (t2 - t4))))
+        orders.append(math.log2(e1 / e2))
     assert len(orders) >= 15
     assert all(abs(order - 4.0) <= 0.5 for order in orders), orders
 
 
 def reference_prufer_theta_piecewise(breaks, vals, lam, n_steps):
-    # the phase sweep on theta itself, a sine and a cosine per stage
+    # RK4 on theta itself, a sine and a cosine per stage, in equal steps
+    # that end on every break: layer j takes max(1, ceil(n_steps l_j / L),
+    # ceil(2 l_j |lam - v_j|)) of them
     breaks = breaks.tolist()
     lam = float(lam)
     per_length = n_steps / (breaks[-1] - breaks[0])
@@ -917,15 +938,18 @@ def _check_phase(theta, ref, steps):
 
 
 def _check_piecewise_phase(layers, lam):
-    # at the step count prufer_count takes
-    widths, vals = np.diff(layers.breaks), layers.values
-    n = oracle._steps_for(layers.length, lam, rate_steps=2.0 * float(np.abs(lam - vals) @ widths))
-    per_length = n / layers.length
-    steps = sum(max(1, math.ceil(per_length * ell), math.ceil(2.0 * ell * abs(lam - v)))
-                for ell, v in zip(widths.tolist(), vals.tolist()))
-    args = (layers.breaks, layers.values, lam, n)
-    _check_phase(kernels.prufer_theta_piecewise(*args),
-                 reference_prufer_theta_piecewise(*args), steps)
+    # The RK4 theta sweep at four times the steps a count once took, h <=
+    # min(1e-3 L, 0.1 / sqrt(1 + |lam|)) / 4, and h |lam - v_j| <= 1/2 in
+    # every layer, lies within 1e-6 max(1, |theta|) of the exact angle (1.7e-8
+    # at most on 300 draws, 4.2e-6 at the old step), and counts alike
+    # wherever theta lies farther than that from pi/2 + k pi.
+    n = 4 * math.ceil(layers.length / min(1e-3 * layers.length, 0.1 / math.sqrt(1.0 + abs(lam))))
+    ref = reference_prufer_theta_piecewise(layers.breaks, layers.values, lam, n)
+    theta = _exact_theta(layers, lam)
+    tol = 1e-6 * max(1.0, abs(theta))
+    assert abs(theta - ref) <= tol
+    if abs(math.remainder(theta - 0.5 * math.pi, math.pi)) > tol:
+        assert oracle._count_from_layers(layers, lam) == oracle._count_from_theta(ref)
 
 
 def _check_capped_phase(p, L, lam):
@@ -946,7 +970,8 @@ def test_phase_kernels_match_reference_loops(seed):
 
 @pytest.mark.parametrize("lam", [0.05, 0.2])
 def test_piecewise_phase_across_tall_barrier_matches_reference_loop(lam):
-    # an 8-wide barrier of height 1e4 takes 1.6e5 steps at lam well below it
+    # an 8-wide barrier of height 1e4: the reference sweep takes 1.6e5 steps
+    # at lam well below it, the exact angle three
     _check_piecewise_phase(decompose(Step(1e4, (2.0, 10.0)), 20.0), lam)
 
 

@@ -165,22 +165,35 @@ def test_prufer_counts_capped_high_lambda(lam, count):
     assert prufer_count(InverseSquareCapped(1.0, 4.0), 10.0, lam) == count
 
 
+def _free_count(lam):
+    # the Neumann eigenvalues (k pi)^2 of Zero() at L = 1 below lam
+    return math.floor(math.sqrt(lam) / math.pi) + 1
+
+
 def test_prufer_rejects_huge_lambda():
+    # the capped family's RK4 sweep refuses |lam| > 1e12; the exact angle of
+    # a piecewise-constant potential takes one step per layer at any lam
     with pytest.raises(ValueError, match="underflow"):
-        prufer_count(Zero(), 1.0, 2e12)
+        prufer_count(InverseSquareCapped(1.0, 4.0), 1.0, 2e12)
+    start = time.perf_counter()
+    assert prufer_count(Zero(), 1.0, 2e12) == _free_count(2e12)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_prufer_step_guard_counts_layer_steps():
-    # at lam = 1e12 the length-based steps are ~1e7, but every layer adds
-    # ceil(2 l |lam - v|) rate steps: 2e12 in all, weeks of RK4.  At lam =
-    # 1e11, or a cap of 1e11 (h <= 0.5 / 1e11), a sweep takes 2e11 steps,
-    # about a day at 0.5 us a step, over the limit of 1e9
-    for p, lam in [(Zero(), 1e12), (Zero(), 1e11), (InverseSquareCapped(1.0, 1e11), 1.0)]:
+    # At a cap of 1e11 (h <= 0.5 / 1e11) the capped sweep would take 2e11
+    # steps, about a day at 0.5 us a step, over the limit of 1e9.  At lam =
+    # 1e11 and 1e12 RK4 took ceil(2 l |lam - v|) rate steps per layer, weeks
+    # at 1e12; the exact angle counts in one step
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="underflow"):
+        prufer_count(InverseSquareCapped(1.0, 1e11), 1.0, 1.0)
+    assert time.perf_counter() - start < 1.0
+    for lam in (1e11, 1e12):
         start = time.perf_counter()
-        with pytest.raises(ValueError, match="underflow"):
-            prufer_count(p, 1.0, lam)
+        assert prufer_count(Zero(), 1.0, lam) == _free_count(lam)
         assert time.perf_counter() - start < 1.0
-    # a thin tall barrier adds only 2 l v = 2 rate steps: still counted
+    # a thin tall barrier: 2 l v = 2 rate steps under RK4, one layer here
     assert prufer_count(Step(1e7, (0.0, 1e-7)), 10.0, 200.0) == 46
 
 
@@ -469,6 +482,36 @@ def test_inseparable_pair_is_named():
         OracleError, match="eigenvalues 0 and 1 are not separable in double precision"
     ):
         eigenvalues_exact(decompose(p, 40.0), 2)
+
+
+def test_tall_barrier_eigenvalues_in_a_fraction_of_a_second():
+    # An 8-wide barrier of height 1e4 at L = 20: each RK4 phase count took
+    # ceil(2 l |lam - v|) = 1.6e5 rate steps in the barrier, 2.5 s a call;
+    # the exact angle takes one step per layer.  The values are the ones
+    # the RK4 counts isolated, bit for bit.
+    start = time.perf_counter()
+    lams = eigenvalues_exact(decompose(Step(1e4, (2.0, 10.0)), 20.0), 2)
+    assert time.perf_counter() - start < 0.5
+    assert lams == (0.01710620762950715, 0.15395586808080244)
+
+
+def test_pair_that_counts_alone_split_is_named(monkeypatch):
+    # The inseparable pair above: the exact count jumps from 0 to 2 between
+    # `jump` and the next double (the pair's 60-digit root is
+    # 0.31630069429751237...).  A count that read 1 within 1e-10 above the
+    # jump would split the pair where D, rounding noise across it, cannot:
+    # the bracket closes on the pair with count 1 at its upper end, and the
+    # count one width above that takes eigenvalue 1 too, which names it.
+    layers = decompose(Step(1.7, (-18.0, 18.0)), 40.0)
+    jump = 0.31630069429751234
+    count = oracle._count_from_layers
+    assert (count(layers, jump), count(layers, math.nextafter(jump, 1.0))) == (0, 2)
+    monkeypatch.setattr(oracle, "_count_from_layers",
+                        lambda lay, lam: count(lay, lam) - (jump < lam <= jump + 1e-10))
+    with pytest.raises(
+        OracleError, match="eigenvalues 0 and 1 are not separable in double precision"
+    ):
+        eigenvalues_exact(layers, 2)
 
 
 def test_close_pair_isolated_relative_to_its_eigenvalues():
