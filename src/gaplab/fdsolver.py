@@ -48,20 +48,33 @@ run, and share one run-length form.  Any
 other operator runs the general path on the whole matrix, whose two
 bisections share their Sturm counts.
 
-On either path every grid starts from a guess: level 0 from a grid a
-quarter its size (for n0 >= 256), bisected only to a relative width of
-_GUESS_WIDTH, level 1 from level 0, finer levels from the value the coarser
-ones predict.  Newton steps on det(T - sigma I) move each guess toward its
-eigenvalue, each step one Sturm sweep that also sums d log|det| / d sigma
-(``kernels.sturm_newton``), and the bisection starts from counts taken at
-those steps and in a window around where they end, as wide as the error
-the last step predicts (``_gallop``).  Each matrix, the whole operator or
-one half, keeps its counts in one ``kernels.SturmCounts``, which the
-Weyl seeds, the Newton steps, the window and the bisection all ask.  It
-settles a question from a kept count wherever the count's monotonicity in
-the shift, or a shifted diagonal that rounds to one already counted,
-decides it as a sweep would, so this reuse changes the number of sweeps,
-never an eigenvalue.
+Every search starts from bounds that hold for every assembled operator,
+which is positive semidefinite (v >= 0 in every family), or from a guess
+nearer than they are; a guess or a bound only places Sturm counts, so it
+moves no value.  Level 0 of a split operator guesses for itself: its
+halves take Newton steps on det(T - sigma I) from below, the even half's
+from max(0, its smallest Gershgorin row sum) less a rounding margin, the
+odd half's from where the even half's ended, below lambda0 <= lambda1.
+From below the iterates rise monotonically to the lowest eigenvalue,
+quadratically once close, and the guess is the iterate whose step falls
+within a relative _GUESS_WIDTH.  Level 0 of an unsplit operator takes its
+guess from a grid a quarter its size (for n0 >= 256), whose two
+bisections, sharing their counts, stop at a relative width of
+_GUESS_WIDTH; they take seeds at that lower bound, at the constant
+vector's Rayleigh quotient (above lambda0) and at the larger Ritz value
+of T on the span of the constant vector and the free first mode (above
+lambda1).  Level 1 starts from level 0, finer levels from the value the
+coarser ones predict.  From a guess, Newton steps move it toward its
+eigenvalue, each step one Sturm sweep that also sums d log|det| / d
+sigma (``kernels.sturm_newton``), and the bisection starts from counts
+taken at those steps and in a window around where they end, as wide as
+the error the last step predicts (``_gallop``).  Each matrix, the whole
+operator or one half, keeps its counts in one ``kernels.SturmCounts``,
+which the seeds, the Newton steps, the window and the bisection all ask.
+It settles a question from a kept count wherever the count's
+monotonicity in the shift, or a shifted diagonal that rounds to one
+already counted, decides it as a sweep would, so this reuse changes the
+number of sweeps, never an eigenvalue.
 """
 
 import math
@@ -89,7 +102,7 @@ __all__ = [
 
 _RESIDUAL_REL = 1e-8
 _NEWTON_STEPS = 8  # most Newton sweeps per guessed eigenvalue
-_GUESS_WIDTH = 1e-3  # relative width to which the quarter grid is bisected
+_GUESS_WIDTH = 1e-3  # relative step, or bisection width, at which a guess stops
 _GALLOP_WIDE = 16.0  # first half-width, in tolerances, where Newton says nothing
 _EPS = np.finfo(float).eps
 _THIN_LAYER = math.sqrt(_EPS)  # in units of L, see _nested_grids
@@ -351,6 +364,15 @@ def _newton(counts, guess, gap, floor):
     return sigma, math.inf, seen
 
 
+def _mirror_symmetric(op: DiscreteOperator) -> bool:
+    """Whether _mirror_halves splits the operator: at least 4 cells, a
+    negative off-diagonal, and a diagonal and off-diagonal that are bitwise
+    palindromes."""
+    diag, off = op.diag, op.offdiag
+    return bool(diag.size >= 4 and np.all(off < 0.0) and np.array_equal(diag, diag[::-1])
+                and np.array_equal(off, off[::-1]))
+
+
 def _mirror_halves(op: DiscreteOperator):
     """The even and odd halves of a mirror-symmetric operator, or None.
 
@@ -364,11 +386,10 @@ def _mirror_halves(op: DiscreteOperator):
     entry.  For N = 2m + 1 the even half adds the centre node, coupled by
     sqrt(2) c, and the odd half is the block alone.  Operators below 4
     cells, or with an off-diagonal entry >= 0, are not split."""
+    if not _mirror_symmetric(op):
+        return None
     diag, off = op.diag, op.offdiag
     n = diag.size
-    if not (n >= 4 and np.all(off < 0.0) and np.array_equal(diag, diag[::-1])
-            and np.array_equal(off, off[::-1])):
-        return None
     m = n // 2
     if n % 2 == 0:
         even, odd = diag[m:].copy(), diag[m:].copy()
@@ -395,6 +416,60 @@ def _unfold(y, n, parity):
     return vec * math.sqrt(0.5)
 
 
+def _lower_bound(op: DiscreteOperator) -> Tuple[float, float]:
+    """A lower bound on every eigenvalue of an assembled operator or of one
+    of its halves, and the bound hi >= ||T||_inf it takes its margin from:
+    max(0, the smallest Gershgorin row sum) less 4 eps hi, hi = max |diag|
+    + 2 max |off|.  Such a matrix is positive semidefinite, T = W^-1/2 K
+    W^-1/2 + diag(v) with v >= 0 for every family, and so is each half,
+    which acts on an invariant subspace of T; on a graded grid the smallest
+    row sum lies below 0.  The margin covers the rounding of T's entries."""
+    edges = np.abs(op.offdiag)
+    rows = op.diag.copy()
+    rows[:-1] -= edges
+    rows[1:] -= edges
+    hi = float(np.abs(op.diag).max()) + 2.0 * float(edges.max())
+    return max(0.0, float(rows.min())) - 4.0 * _EPS * hi, hi
+
+
+def _upper_bounds(op: DiscreteOperator) -> Tuple[float, float]:
+    """Upper bounds on lambda0 and lambda1: the Rayleigh quotient of the
+    constant vector, which is T's mean row sum, and the larger
+    Rayleigh-Ritz value of T on span{1, c}, c_i = cos(pi (i + 1/2) / N)
+    (Courant-Fischer: any two independent vectors bound lambda1; these two
+    are T's lowest eigenvectors where v is constant)."""
+    n = op.diag.size
+    q0 = np.full(n, 1.0 / math.sqrt(n))
+    q1 = np.cos(math.pi * (np.arange(n) + 0.5) / n)
+    q1 -= kernels.dot(q1, q0) * q0
+    q1 /= kernels.norm(q1)
+    t0 = op.matvec(q0)
+    a, b, c = kernels.dot(q0, t0), kernels.dot(q1, t0), kernels.dot(q1, op.matvec(q1))
+    return a, 0.5 * (a + c) + math.hypot(0.5 * (a - c), b)
+
+
+def _newton_from_below(counts, sigma, floor):
+    """Newton iterates sigma <- sigma - 1/s on det(T - sigma I) from sigma
+    below T's lowest eigenvalue, s = d log|det| / d sigma = -sum_j 1 /
+    (lambda_j - sigma).  Each step, 1 / sum_j 1 / (lambda_j - sigma), is at
+    most lambda0 - sigma, so the iterates rise toward lambda0 and never pass
+    it, quadratically once lambda0 - sigma is small against the next
+    eigenvalue's distance.  Stops once a step is within _GUESS_WIDTH of the
+    iterate or within the rounding floor ``floor``, when s is not negative
+    (sigma at or past lambda0 in rounding), or after _NEWTON_STEPS sweeps;
+    it never bisects.  Each sweep's count is kept in ``counts``.  Returns
+    the last iterate: a guess, which places counts and moves no value."""
+    for _ in range(_NEWTON_STEPS):
+        dlogdet = counts.newton(sigma)
+        if not dlogdet < 0.0:
+            break
+        step = -1.0 / dlogdet
+        sigma += step
+        if step <= max(_GUESS_WIDTH * abs(sigma), floor):
+            break
+    return sigma
+
+
 def _bisect_lowest_two(op: DiscreteOperator, near, rel_width=0.0):
     """Bisected (lambda0, lambda1) of the operator, not yet checked for
     separation, and per eigenvalue the kernels.SturmCounts of the matrix it
@@ -409,6 +484,14 @@ def _bisect_lowest_two(op: DiscreteOperator, near, rel_width=0.0):
         # bisections share its counts
         counts = kernels.SturmCounts(op.diag, op.offdiag)
         sectors = ((counts, 0, None), (counts, 1, None))
+        if near is None:
+            # Counts only decide midpoints without a sweep, never move one,
+            # so these seeds change the cost of the bisections and not their
+            # results: a lower bound on lambda0 and upper bounds on lambda0
+            # and lambda1
+            counts.exceeds(_lower_bound(op)[0], 0)
+            for k, bound in enumerate(_upper_bounds(op)):
+                counts.exceeds(bound, k)
     else:
         even, odd = halves
         counts = kernels.SturmCounts(even.diag, even.offdiag)
@@ -419,6 +502,13 @@ def _bisect_lowest_two(op: DiscreteOperator, near, rel_width=0.0):
             # run: they share one run-length form
             other = counts.with_first_diagonal(float(odd.diag[0]))
         sectors = ((counts, 0, 1.0), (other, 0, -1.0))
+        if near is None:
+            # each half's lowest eigenvalue guessed by Newton from below: the
+            # even half's from the lower bound, the odd half's from the even
+            # half's iterate, which lies below lambda0 <= lambda1
+            start, hi = _lower_bound(even)
+            start = _newton_from_below(counts, start, _EPS * hi)
+            near = (start, _newton_from_below(other, start, _EPS * hi))
     if near is not None:
         guesses = (float(near[0]), float(near[1]))
         gap = abs(guesses[1] - guesses[0])
@@ -429,16 +519,6 @@ def _bisect_lowest_two(op: DiscreteOperator, near, rel_width=0.0):
         radius = 2.0 * np.abs(off).max()
         lo = float(diag.min() - radius)
         hi = float(np.abs(diag).max() + radius)  # Gershgorin: bounds every eigenvalue
-        # Counts only decide midpoints without a sweep, never move one, so
-        # the seeds below change the cost of the bisection and not its result.
-        if near is None and k == 0:
-            # T's row sums are v at the nodes, and min v <= lambda0 <= mean v
-            # (Weyl; the Rayleigh quotient of the constant vector)
-            rows = diag.copy()
-            rows[:-1] += off
-            rows[1:] += off
-            for shift in (float(rows.min()), float(rows.mean())):
-                counts.exceeds(shift, 0)
         if near is not None:
             # On the unsplit matrix lambda0 and lambda1 each have the other
             # lambda1 - lambda0 away.  A half's next eigenvalue is
@@ -485,9 +565,12 @@ def lowest_two_eigenvalues(
     ``near`` is a guess (lambda0, lambda1), e.g. from a coarser grid.  Newton
     steps on the determinant move each guess toward its eigenvalue, and
     the bisections start from Sturm counts taken at those steps and around
-    where they end.  It changes only how many Sturm sweeps the bisections
-    take, never the values returned.  Raises :class:`SolverError` if the two
-    values are not separated.
+    where they end.  Without one, a split operator guesses each value by
+    Newton steps from a lower bound (see the module docstring), and an
+    unsplit one seeds its counts at bounds on lambda0 and lambda1.  Guesses
+    and seeds change only how many Sturm sweeps the bisections take, never
+    the values returned.  Raises :class:`SolverError` if the two values are
+    not separated.
     """
     return _separated(*_bisect_lowest_two(op, near)[0])
 
@@ -643,10 +726,16 @@ def solve_extrapolated(
 
     lam0s, lam1s = [], []
     for j, grid in enumerate(_nested_grids(p, L, n0, levels)):
+        op = assemble(p, grid)
         near = None
-        if j == 0 and n0 >= 256:
-            # guessed from a grid a quarter the size, not checked for
-            # separation: a guess never changes a value
+        if j == 0 and n0 >= 256 and not _mirror_symmetric(op):
+            # An unsplit operator's bisections start from a grid a quarter
+            # the size, bisected to a relative _GUESS_WIDTH and not checked
+            # for separation: a guess never changes a value.  A split one's
+            # halves guess for themselves, by Newton steps from a lower bound
+            # (_bisect_lowest_two), where a quarter grid would only add its
+            # assembly: a sweep takes each run of equal rows in O(1), so its
+            # sweeps cost what level 0's do.
             quarter = _nested_grids(p, L, n0 // 4, 1)[0]
             near = _bisect_lowest_two(assemble(p, quarter), None, _GUESS_WIDTH)[0]
         elif j == 1:
@@ -655,7 +744,6 @@ def solve_extrapolated(
             # the O(h^2) error quarters per halving of h
             near = (lam0s[-1] + (lam0s[-1] - lam0s[-2]) / 4.0,
                     lam1s[-1] + (lam1s[-1] - lam1s[-2]) / 4.0)
-        op = assemble(p, grid)
         if j < levels - 1:
             lam0_j, lam1_j = lowest_two_eigenvalues(op, near=near)
         else:

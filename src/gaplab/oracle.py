@@ -35,12 +35,12 @@ RK4 steps of a phase count, by the same step rule.
 ``eigenvalues_exact`` finds each eigenvalue with one bracket routine that
 uses the phase counts only to isolate it: once a bracket holds eigenvalue
 k alone (counts k and k + 1 at its ends, and D of the signs one simple
-zero implies), the sign of D decides every further bisection midpoint,
-since its zeros are exactly the eigenvalues.  In double precision D is
-rounding noise within some ulp of a root, so the last step is one secant
-step on D evaluated in mpmath (imported on first use).  Eigenvalue 1's
-bracket starts where eigenvalue 0's ended; no count is taken below zero
-(it is 0).
+zero implies, each beyond D's rounding bound), D alone narrows it, by
+bracketed secant steps (Anderson-Bjorck), since its zeros are exactly the
+eigenvalues.  In double precision D is rounding noise within some ulp of
+a root, so the last step is one secant step on D evaluated in mpmath
+(imported on first use).  Eigenvalue 1's bracket starts where eigenvalue
+0's bracket was isolated; no count is taken below zero (it is 0).
 """
 
 import math
@@ -66,6 +66,7 @@ __all__ = [
 _RENORM_LIMIT = kernels.RENORM_LIMIT  # 1e15, the capped profile's too
 _PIECE_EXPONENT = 350.0  # largest sqrt(v - lam) l of one piece: cosh(350) ~ 5e151
 _MAX_PIECES = 10**6
+_EPS = 2.0 ** -52  # machine epsilon of a double
 
 
 class OracleError(RuntimeError):
@@ -165,26 +166,58 @@ def match_value(layers: LayerDecomposition, lam: float) -> float:
 
 def _match(layers: LayerDecomposition, lam, lib=math):
     """D(lam) in the arithmetic ``lib``: u' where the walk ends."""
-    for _, _, _, up, _ in _walk(layers, lam, lib):
+    for _, _, _, up, _, _ in _walk(layers, lam, lib):
         pass
     return up
 
 
-def _walk(layers: LayerDecomposition, lam, lib=math):
+def _match_noise(layers: LayerDecomposition, lam):
+    """D(lam) in double and a bound on its rounding error (see _walk)."""
+    for _, _, _, up, _, noise in _walk(layers, lam, bound=True):
+        pass
+    return up, noise
+
+
+def _walk(layers: LayerDecomposition, lam, lib=math, bound=False):
     """Carry (u, u') from (1, 0) at -L/2 through the pieces in the arithmetic
-    ``lib``, yielding (left, xi, u, u', inv) for each piece: its left end and
-    xi, the state at its right end, and the factor the state was just scaled
-    by, 1/max(|u|, |u'|) past 1e15 in double (math), else 1.0.  mpmath never
-    rescales: a rescale at one end of a secant but not the other would skew it."""
+    ``lib``, yielding (left, xi, u, u', inv, noise) for each piece: its left
+    end and xi, the state at its right end, the factor the state was just
+    scaled by, 1/max(|u|, |u'|) past 1e15 in double (math), else 1.0, and,
+    with ``bound`` (in double), a bound on the rounding error of that u',
+    else 0.0.  mpmath never rescales: a rescale at one end of a secant but
+    not the other would skew it.
+
+    The bound carries the errors e_u, e_u' so far through the propagator's
+    magnitudes, (|c| e_u + |s| e_u', |xi s| e_u + |c| e_u'), and adds each
+    piece's own rounding: a few eps of each product, c u, s u', xi s u and
+    c u' (c, s and xi s to an ulp or two), and the rounding of the argument
+    sqrt|xi| l, which acts as a change of about 2 eps l in the piece's
+    length and so moves the new state by 2 eps l (|u'|, |xi u|).  Taken at
+    the new state, that term shrinks with the state where a barrier's
+    growing and decaying modes cancel.  It bounds D as a function of the
+    doubles xi = lam - v, whose own rounding shifts D's zeros by about an
+    ulp of the largest |xi| (see eigenvalues_exact).  Against a 50-digit
+    walk on the same xi, at and near the eigenvalues of the golden cases
+    and of 60 random multisteps, D's error stayed below a third of it."""
     u, up = 1.0, 0.0
+    err_u = err_up = 0.0
     for left, ell, xi in _pieces(layers, lam):
         c, s = _cs(xi, ell, lib)
-        u, up = c * u + s * up, -xi * s * u + c * up
+        u_end, up_end = c * u + s * up, -xi * s * u + c * up
+        if bound:
+            err_u, err_up = (
+                abs(c) * err_u + abs(s) * err_up
+                + _EPS * (2.0 * abs(c * u) + 3.0 * abs(s * up) + 2.0 * ell * abs(up_end)),
+                abs(xi * s) * err_u + abs(c) * err_up
+                + _EPS * (4.0 * abs(xi * s * u) + 2.0 * abs(c * up) + 2.0 * ell * abs(xi * u_end)),
+            )
+        u, up = u_end, up_end
         inv = 1.0
         if lib is math and max(abs(u), abs(up)) > _RENORM_LIMIT:
             inv = 1.0 / max(abs(u), abs(up))
             u, up = u * inv, up * inv
-        yield left, xi, u, up, inv
+            err_u, err_up = err_u * inv, err_up * inv
+        yield left, xi, u, up, inv, err_up
 
 
 def _capped_steps(p: InverseSquareCapped, L: float, lam: float) -> int:
@@ -259,14 +292,15 @@ def _secant_step(layers, a, b):
 def eigenvalues_exact(layers: LayerDecomposition, count: int = 2) -> Tuple[float, ...]:
     """First ``count`` (1 or 2) Neumann eigenvalues as zeros of the matching
     function D.  Exact phase counts, one closed-form step per layer,
-    bisect until a bracket isolates each eigenvalue; the sign of D decides
-    the bisection from there down to relative ~1e-13, and one secant step
-    on D evaluated in mpmath places the root to within about an ulp of the
+    bisect until a bracket isolates each eigenvalue; bracketed secant steps
+    on D narrow it from there to relative ~1e-13, and one secant step on D
+    evaluated in mpmath places the root to within about an ulp of the
     largest |lam - v|.  No count is taken below zero, where it is 0, and
-    eigenvalue 1's bracket starts where eigenvalue 0's ended, at count 1.
-    Raises :class:`OracleError` when eigenvalues k and k + 1 lie closer than
-    double precision can separate.  A barrier of height 1e4 and width 8 at
-    L = 20 takes some 0.03 s (2.5 s with RK4 counts)."""
+    eigenvalue 1's bracket starts at the upper end that isolated
+    eigenvalue 0, at count 1.  Raises :class:`OracleError` when eigenvalues
+    k and k + 1 lie closer than double precision can separate.  A barrier
+    of height 1e4 and width 8 at L = 20 takes some 0.03 s (2.5 s with RK4
+    counts)."""
     if count not in (1, 2):
         raise ValueError("only the lowest two eigenvalues are supported")
     L = layers.length
@@ -295,20 +329,27 @@ def eigenvalues_exact(layers: LayerDecomposition, count: int = 2) -> Tuple[float
 
 
 def _bracket_root(layers, k, lo, c_lo, hi, c_hi, scale):
-    """Eigenvalue k by bisection of [lo, hi] (phase counts c_lo, c_hi), and
-    the bracket's final upper end.
+    """Eigenvalue k by bracketing [lo, hi] (phase counts c_lo, c_hi), and
+    the upper end of the bracket that isolated it.
 
-    Phase counts decide the midpoints only until the bracket isolates
-    eigenvalue k: count(lo) == k, count(hi) == k + 1, and D(lo), D(hi)
-    carry the signs one simple zero of D implies.  The zeros of D are
-    exactly the eigenvalues and are simple, so from then on the sign of D
-    decides each midpoint down to a width of max(1e-13 relative, 1e-15
-    scale); one secant step on D in mpmath then places the root.  A
-    bracket that narrows to 1e-9 of its own ends (1e-10 absolute near zero)
-    without isolating raises :class:`OracleError`, which names the pair as
-    not separable where the count at hi, or one bracket width above it,
-    exceeds k + 1.  The upper end returned lies
-    between eigenvalues k and k + 1: its count is k + 1.
+    Phase counts bisect the bracket only until it isolates eigenvalue k:
+    count(lo) == k, count(hi) == k + 1, and D(lo), D(hi) carry the signs
+    one simple zero of D implies, each by more than its rounding bound (see
+    _walk), so that no sign is rounding noise.  The zeros of D are exactly
+    the eigenvalues and are simple, so from then on D alone narrows the
+    bracket to a width of tol = max(1e-13 relative, 1e-15 scale):
+    Anderson-Bjorck steps (regula falsi that scales down the value at an
+    end which a step left in place twice in a row, by 1 - f/f_old, or by
+    1/2 where that is not positive; BIT 13, 1973), each clamped at least
+    tol/2 inside the bracket, and a bisection step wherever three steps did
+    not halve it.  One secant step on D in mpmath then places the root.
+    A bracket that narrows to 1e-9 of its own ends (1e-10 absolute near
+    zero) without isolating raises :class:`OracleError`, which names the
+    pair as not separable where the counts isolate but D at an end lies
+    within its rounding bound, or where the count at hi, or one bracket
+    width above it, exceeds k + 1.  The upper end returned lies between
+    eigenvalues k and k + 1: its count is k + 1, and D there is of its
+    sign beyond rounding.
     """
     if c_lo > k or c_hi < k + 1:
         raise OracleError(
@@ -316,17 +357,28 @@ def _bracket_root(layers, k, lo, c_lo, hi, c_hi, scale):
             f"count({lo})={c_lo}, count({hi})={c_hi}"
         )
     want_left = 1.0 if k % 2 == 0 else -1.0  # sign of D below the k-th zero
-    while not (
-        c_lo == k
-        and c_hi == k + 1
-        and match_value(layers, lo) * want_left > 0.0
-        and match_value(layers, hi) * want_left < 0.0
-    ):
+    d_lo = d_hi = None  # (D, its rounding bound) at lo and hi, once taken
+    while True:
+        isolating = c_lo == k and c_hi == k + 1
+        if isolating:
+            if d_lo is None:
+                d_lo = _match_noise(layers, lo)
+            if d_hi is None:
+                d_hi = _match_noise(layers, hi)
+            if d_lo[0] * want_left > d_lo[1] and -d_hi[0] * want_left > d_hi[1]:
+                break
         # relative to the bracket as it closes on eigenvalue k: the ceiling
         # it starts from can lie orders of magnitude above
         if hi - lo <= max(1e-10, 1e-9 * max(abs(lo), abs(hi))):
             # exact counts can isolate a pair that D's rounding cannot split:
-            # the count one width above hi then takes eigenvalue k + 1 too
+            # D is then rounding noise at an end, or the count one width
+            # above hi takes eigenvalue k + 1 too
+            if isolating and min(abs(d_lo[0]) - d_lo[1], abs(d_hi[0]) - d_hi[1]) <= 0.0:
+                raise OracleError(
+                    f"eigenvalues {k} and {k + 1} are not separable in double "
+                    f"precision: D lies within its rounding error at an end of "
+                    f"[{lo:.17g}, {hi:.17g}], whose phase counts are {c_lo} and {c_hi}"
+                )
             if c_hi == k + 1:
                 hi, c_hi = hi + (hi - lo), _count_from_layers(layers, hi + (hi - lo))
             if c_hi >= k + 2:
@@ -342,17 +394,33 @@ def _bracket_root(layers, k, lo, c_lo, hi, c_hi, scale):
         mid = 0.5 * (lo + hi)
         c_mid = _count_from_layers(layers, mid)
         if c_mid > k:
-            hi, c_hi = mid, c_mid
+            hi, c_hi, d_hi = mid, c_mid, None
         else:
-            lo, c_lo = mid, c_mid
+            lo, c_lo, d_lo = mid, c_mid, None
     tol = max(1e-13 * max(abs(lo), abs(hi)), 1e-15 * scale)
+    isolated = hi
+    f_lo, f_hi = d_lo[0], d_hi[0]
+    kept = 0  # 1 after a step that kept lo in place, -1 after one that kept hi
+    widths = [math.inf] * 3  # the bracket's width before each step
     while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if match_value(layers, mid) * want_left < 0.0:
-            hi = mid
+        if hi - lo > 0.5 * widths[-3]:
+            x = 0.5 * (lo + hi)  # three steps did not halve the bracket
         else:
-            lo = mid
-    return _secant_step(layers, lo, hi), hi
+            x = hi - f_hi * ((hi - lo) / (f_hi - f_lo))
+            x = min(max(x, lo + 0.5 * tol), hi - 0.5 * tol)
+        widths.append(hi - lo)
+        f = match_value(layers, x)
+        if f * want_left < 0.0:
+            if kept == 1:  # lo kept twice: scale its value down
+                m = 1.0 - f / f_hi
+                f_lo *= m if m > 0.0 else 0.5
+            hi, f_hi, kept = x, f, 1
+        else:
+            if kept == -1:
+                m = 1.0 - f / f_lo if f_lo else 0.5  # f_lo is 0 only at a zero of D
+                f_hi *= m if m > 0.0 else 0.5
+            lo, f_lo, kept = x, f, -1
+    return _secant_step(layers, lo, hi), isolated
 
 
 @dataclass(frozen=True)
@@ -401,7 +469,7 @@ def ground_state_profile(
         ends = np.searchsorted(xs, [left for left, *_ in walk[1:]] + [math.inf], side="right")
         u = np.empty(samples)
         u_left, up_left, pos = 1.0, 0.0, 0
-        for (left, xi, u_right, up_right, inv), end in zip(walk, ends):
+        for (left, xi, u_right, up_right, inv, _), end in zip(walk, ends):
             if end > pos:
                 c, s = _cs(xi, xs[pos:end] - left, np)
                 u[pos:end] = c * u_left + s * up_left

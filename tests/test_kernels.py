@@ -50,6 +50,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gaplab import (
+    Constant,
     DiscreteOperator,
     Grid,
     InverseSquareCapped,
@@ -680,13 +681,15 @@ def test_twisted_solve_calls_no_numpy_transcendental(monkeypatch):
 
 
 def test_run_length_once_per_grid(monkeypatch):
-    # One criterion-5 row (64 cells per unit, 3 levels) solves four grids:
-    # the quarter grid that guesses level 0, and the three levels.  Each has
-    # an even N and splits into two halves that differ only in row 0, which
-    # enters no run, so the odd half takes the even half's run-length form,
-    # and the twisted solve reads its backward pass off the forward form:
-    # one run_length call per grid, where each half and the mirrored
-    # matrix of the finest grid took one, 9 in all.
+    # One criterion-5 row (64 cells per unit, 3 levels) solves three grids,
+    # the three levels: its operators split, and level 0 guesses on its own
+    # halves, so no quarter grid is built (it was, a fourth grid, before).
+    # Each has an even N and splits into two halves that differ only in row
+    # 0, which enters no run, so the odd half takes the even half's
+    # run-length form, and the twisted solve reads its backward pass off
+    # the forward form: one run_length call per grid, where each half and
+    # the mirrored matrix of the finest grid took one, 9 in all with the
+    # quarter grid.
     calls = []
     run_length = kernels.run_length
 
@@ -697,7 +700,7 @@ def test_run_length_once_per_grid(monkeypatch):
     monkeypatch.setattr(kernels, "run_length", counted)
     L = float(np.geomspace(50.0, 400.0, 9)[4])
     solve_extrapolated(Step(1.0, (-0.5, 0.5)), L, n0=default_cell_count(L), levels=3)
-    assert len(calls) == 4
+    assert len(calls) == 3
 
 
 @pytest.mark.parametrize("p", [Step(1.0, (-0.5, 0.5)), InverseSquareCapped(0.3, 4.0)],
@@ -764,17 +767,66 @@ def test_eigenvalues_match_eigenpairs(seed, L, guess0, guess1):
         assert lowest_two_eigenvalues(op, near=near) == (pair0.value, pair1.value)
 
 
-@settings(max_examples=20, deadline=None)
-@given(st.integers(0, 10_000), st.floats(0.5, 40.0))
-def test_guided_levels_match_unguided(seed, L):
-    # Every level of solve_extrapolated starts from a guess (level 0 from a
-    # grid a quarter its size); each raw value is the unguided bisection's.
-    rng = np.random.default_rng(seed)
-    p = random_multistep(rng, L) if seed % 2 else random_capped(rng)
+def _plain_lowest_two(op):
+    """lambda0 and lambda1 by plain bisection from the Gershgorin range, a
+    Sturm sweep at every midpoint and no count kept or guessed: on the even
+    and odd halves of a mirror-symmetric operator, else both on the whole
+    matrix, as lowest_two_eigenvalues bisects them."""
+    halves = fdsolver._mirror_halves(op)
+    if halves is None:
+        sectors = [(op, 0), (op, 1)]
+    else:
+        sectors = [(half, 0) for half in halves]
+    lams = []
+    for half, k in sectors:
+        counts, lo, hi = _bisect_inputs(half.diag, half.offdiag)
+        if k:
+            lo = max(lo, lams[0] - 1e-13)
+        lams.append(reference_bisect(half.diag, counts.runs, k, lo, hi, counts.pivmin))
+    return tuple(lams)
+
+
+def _check_guided_levels(p, L):
+    # Every level of solve_extrapolated starts from a guess: level 0 of a
+    # split operator from Newton steps from a lower bound on its halves, of
+    # an unsplit one from a grid a quarter its size.  Each raw value is plain
+    # bisection's, and the unguided solver's, which guesses or seeds from
+    # bounds of its own.
     n0 = default_cell_count(L, floor=512)  # as in acceptance criterion 3
     r = solve_extrapolated(p, L, n0=n0, levels=3)
     for grid, lam0, lam1 in zip(_nested_grids(p, L, n0, 3), r.raw_lambda0, r.raw_lambda1):
-        assert lowest_two_eigenvalues(assemble(p, grid)) == (lam0, lam1)
+        op = assemble(p, grid)
+        assert _plain_lowest_two(op) == (lam0, lam1)
+        assert lowest_two_eigenvalues(op) == (lam0, lam1)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(0, 10_000), st.floats(0.5, 40.0))
+def test_guided_levels_match_unguided(seed, L):
+    # capped, multistep, and centred steps like criterion 5's unit step:
+    # split operators, which guess level 0 by Newton steps from below (a
+    # barrier opaque enough to leave lambda1 - lambda0 below rounding would
+    # raise, and is not drawn)
+    rng = np.random.default_rng(seed)
+    if seed % 3 == 0:
+        p = random_capped(rng)
+    elif seed % 3 == 1:
+        p = random_multistep(rng, L)
+    else:
+        half = float(rng.uniform(0.01, 2.0))
+        p = Step(float(rng.uniform(0.0, 3.0)), (-half, half))
+    _check_guided_levels(p, L)
+
+
+@pytest.mark.parametrize("p, L", [
+    (Zero(), 10.0),
+    (Constant(3.0), 10.0),
+    (MultiStep((Step(8.0, (-7.0, -5.0)), Step(8.0, (5.0, 7.0)))), 36.0),
+], ids=["zero", "constant", "triple_well"])
+def test_guided_levels_match_unguided_fixed(p, L):
+    # lambda0 = 0 (a Newton start 4 eps ||T|| below it), a lower bound of
+    # 3 in every row, and three wells whose lowest two states lie close
+    _check_guided_levels(p, L)
 
 
 def _exact_theta(layers, lam):
@@ -1130,7 +1182,7 @@ def _count_sweeps(monkeypatch):
 
 
 @pytest.mark.parametrize("p, expected", [
-    (Step(1.0, (-0.5, 0.5)), {100: [32, 0], 400: [9, 4], 800: [8, 4], 1600: [8, 2]}),
+    (Step(1.0, (-0.5, 0.5)), {400: [6, 9], 800: [8, 4], 1600: [8, 2]}),
     (Step(1.0, (-0.5, 1.5)), {200: [25, 0], 800: [10, 6], 1600: [8, 4], 3200: [6, 2]}),
 ], ids=["centred", "off_centre"])
 def test_sturm_sweep_budget(monkeypatch, p, expected):
@@ -1144,12 +1196,18 @@ def test_sturm_sweep_budget(monkeypatch, p, expected):
     # 2.2.  Reusing the count of a shift whose shifted diagonal rounds to a
     # vector already counted cuts the off-centre pins below to 83720 cells:
     # 200*25 + 800*(10 + 2.2*6) + 1600*(8 + 2.2*4) + 3200*(6 + 2.2*2).  The
-    # centred step is even, so every grid, the quarter grid too, is split
-    # into an even and an odd half of N/2 cells, each bisected for its
-    # lowest eigenvalue: the sweeps pinned below, keyed by the half size,
-    # are 100*32 + 400*(9 + 2.2*4) + 800*(8 + 2.2*4) + 1600*(8 + 2.2*2) =
+    # centred step is even, so every grid is split into an even and an odd
+    # half of N/2 cells, each bisected for its lowest eigenvalue: the
+    # sweeps, keyed by the half size, were (with a quarter grid) 100*32 + 400*(9 + 2.2*4) + 800*(8 + 2.2*4) + 1600*(8 + 2.2*2) =
     # 43600 cells; a gallop shift that a Newton count already settles is
-    # not swept.  The odd half's Newton steps take a gap too (lambda3 >=
+    # not swept.  A split operator now builds no quarter grid: level 0's
+    # halves guess for themselves by Newton steps from a lower bound,
+    # max(0, the smallest row sum) less 4 eps ||T||, the odd half from the
+    # even half's last iterate, to a step within a relative 1e-3.  The pins
+    # went from {100: [32, 0], 400: [9, 4]} to {400: [6, 9]}: 3200 + 7120
+    # cells to 10320, 43600 in all as before, while the sweeps fall from 57
+    # counts and 10 Newton sweeps to 22 and 15, and the quarter grid's
+    # assembly goes.  The odd half's Newton steps take a gap too (lambda3 >=
     # lambda2), so on the finest halves one Newton step of the odd half
     # passes the stop test, where the second cost 1600*(7 + 2.2*3) = 45520
     # cells in all.  Only the finest grid solves for an eigenvector: one
@@ -1207,7 +1265,12 @@ def test_newton_stops_at_rounding_floor(monkeypatch):
     # the finest halves take [5, 2] sweeps, not [3, 4] (three of those
     # Newton sweeps on the even half).  The middle level's halves take
     # [3, 4], not [4, 4]: a gallop shift that a Newton count already
-    # settles is not swept.
+    # settles is not swept.  The quarter grid's halves were bisected to a
+    # relative 1e-3 from the Gershgorin range in [34, 0] sweeps.  No quarter
+    # grid is built for a split operator now: level 0's halves take Newton
+    # steps from a lower bound, the odd half's from the even half's last
+    # iterate, 1.05e-9 under lambda1, and then [4, 8], not [6, 4]: 216920
+    # weighted cells to 212548.
     results = []
     newton = fdsolver._newton
 
@@ -1222,5 +1285,5 @@ def test_newton_stops_at_rounding_floor(monkeypatch):
     L = 80.19065303497489
     r = solve_extrapolated(p, L, n0=default_cell_count(L, floor=512), levels=3)
     assert r.gap > 0.0
-    assert sweeps == {642: [34, 0], 2567: [6, 4], 5134: [3, 4], 10268: [5, 2]}
+    assert sweeps == {2567: [4, 8], 5134: [3, 4], 10268: [5, 2]}
     assert len(results) == 6 and all(e < math.inf for e in results)

@@ -514,6 +514,28 @@ def test_pair_that_counts_alone_split_is_named(monkeypatch):
         eigenvalues_exact(layers, 2)
 
 
+def test_pair_isolated_by_counts_alone_in_d_noise_is_named(monkeypatch):
+    # The inseparable pair again, with counts that read 1 across a band of
+    # 1e-9 around it, the band's middle, its lower or upper end on the
+    # pair.  D is rounding noise all across the band (it reads some +-50
+    # against a rounding bound of 1e4), and its signs once happened to pass
+    # for isolation: the oracle returned two values some 1e-9 apart for a
+    # pair split by about 1e-19.  An end's sign now counts only beyond D's
+    # rounding bound, so the bracket narrows onto the band's lower end and
+    # the pair is named.
+    layers = decompose(Step(1.7, (-18.0, 18.0)), 40.0)
+    jump = 0.31630069429751234
+    count = oracle._count_from_layers
+    for below in (5e-10, 1e-9, 0.0):
+        band = (jump - below, jump + 1e-9 - below)
+        with monkeypatch.context() as m:
+            m.setattr(oracle, "_count_from_layers",
+                      lambda lay, lam: 1 if band[0] < lam <= band[1] else count(lay, lam))
+            with pytest.raises(OracleError, match="eigenvalues 0 and 1 are not separable "
+                               "in double precision: D lies within its rounding error"):
+                eigenvalues_exact(layers, 2)
+
+
 def test_close_pair_isolated_relative_to_its_eigenvalues():
     # A barrier of 1e3 across the centre and a bump of 1e-6 in the right
     # well split the wells' pair by 5.7e-8 at lambda ~ 0.12, which double
@@ -633,6 +655,28 @@ def test_eigenvalues_exact_phase_budget(monkeypatch):
         calls[0] = 0
         eigenvalues_exact(decompose(p, L), 2)
         assert calls[0] <= 14, (p, L)
+
+
+def test_eigenvalues_exact_d_budget(monkeypatch):
+    # Bisection on the sign of D from isolation down to 1e-13 relative took
+    # 89-92 double evaluations of D per call on the golden cases.  Bracketed
+    # secant steps (Anderson-Bjorck, clamped inside the bracket, bisecting
+    # where three steps did not halve it) take 17-30, the two isolation
+    # checks per eigenvalue included, and eigenvalue 1 starts from the end
+    # that isolated eigenvalue 0, where D is known beyond rounding.  The
+    # mpmath secant's two evaluations are not counted.
+    calls = [0]
+    walk = oracle._walk
+
+    def counted(layers, lam, lib=math, **kwargs):
+        calls[0] += lib is math
+        return walk(layers, lam, lib, **kwargs)
+
+    monkeypatch.setattr(oracle, "_walk", counted)
+    for p, L in GOLDEN_PIECEWISE:
+        calls[0] = 0
+        eigenvalues_exact(decompose(p, L), 2)
+        assert calls[0] <= 30, (p, L)
 
 
 def test_eigenvalues_exact_counts_each_shift_once(monkeypatch):
