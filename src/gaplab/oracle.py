@@ -11,9 +11,10 @@ with c = cos(sqrt(xi) l), s = sin(sqrt(xi) l)/sqrt(xi), continued by cosh
 and sinh for xi < 0 and by (1, l) at xi = 0.  ``_cs`` writes them once for
 math, numpy and mpmath.  Neither branch cancels as xi -> 0, so D is
 continuous through lam = v_layer; layers where sqrt(v - lam) l > 350 are
-walked in pieces, so cosh never overflows.  D, its mpmath secant and the
-piecewise ground-state profile take their states from one walk, which
-rescales the state past 1e15 (in double only).
+walked in pieces, so cosh never overflows.  D, its last secant step and
+the piecewise ground-state profile take their states from one walk, which
+rescales the state past 1e15 (in double only) and, on request, bounds the
+rounding error of D in double or long double.
 
 Eigenvalue counting uses the Pruefer angle theta, tan theta = u / u',
 of the phase equation theta' = cos^2 theta + (lam - v) sin^2 theta from
@@ -38,9 +39,13 @@ k alone (counts k and k + 1 at its ends, and D of the signs one simple
 zero implies, each beyond D's rounding bound), D alone narrows it, by
 bracketed secant steps (Anderson-Bjorck), since its zeros are exactly the
 eigenvalues.  In double precision D is rounding noise within some ulp of
-a root, so the last step is one secant step on D evaluated in mpmath
-(imported on first use).  Eigenvalue 1's bracket starts where eigenvalue
-0's bracket was isolated; no count is taken below zero (it is 0).
+a root, so the last step is one secant step on D evaluated more
+precisely: in long double with a bound on its error, where long double
+has 64 or 113 bits and that bound rounds to a single double, else in
+mpmath at 30 digits (imported on first use).  Both give the same double
+(Ziv's rounding test: ACM TOMS 17, 1991).  Eigenvalue 1's bracket starts
+where eigenvalue 0's bracket was isolated; no count is taken below zero
+(it is 0).
 """
 
 import math
@@ -67,6 +72,10 @@ _RENORM_LIMIT = kernels.RENORM_LIMIT  # 1e15, the capped profile's too
 _PIECE_EXPONENT = 350.0  # largest sqrt(v - lam) l of one piece: cosh(350) ~ 5e151
 _MAX_PIECES = 10**6
 _EPS = 2.0 ** -52  # machine epsilon of a double
+_LONG_EPS = np.finfo(np.longdouble).eps
+# The last secant step runs in long double only where it has 64 (x87) or 113
+# (IEEE quad) bits; where it is plain double or IBM double-double, mpmath.
+_LONG_STEP = np.finfo(np.longdouble).nmant in (63, 112)
 
 
 class OracleError(RuntimeError):
@@ -171,9 +180,10 @@ def _match(layers: LayerDecomposition, lam, lib=math):
     return up
 
 
-def _match_noise(layers: LayerDecomposition, lam):
-    """D(lam) in double and a bound on its rounding error (see _walk)."""
-    for _, _, _, up, _, noise in _walk(layers, lam, bound=True):
+def _match_noise(layers: LayerDecomposition, lam, lib=math):
+    """D(lam) in double (math) or long double (numpy, for a long-double
+    lam) and a bound on its rounding error (see _walk)."""
+    for _, _, _, up, _, noise in _walk(layers, lam, lib, bound=True):
         pass
     return up, noise
 
@@ -183,9 +193,12 @@ def _walk(layers: LayerDecomposition, lam, lib=math, bound=False):
     ``lib``, yielding (left, xi, u, u', inv, noise) for each piece: its left
     end and xi, the state at its right end, the factor the state was just
     scaled by, 1/max(|u|, |u'|) past 1e15 in double (math), else 1.0, and,
-    with ``bound`` (in double), a bound on the rounding error of that u',
-    else 0.0.  mpmath never rescales: a rescale at one end of a secant but
-    not the other would skew it.
+    with ``bound``, a bound on the rounding error of that u', else 0.0.
+    The bound takes eps from the arithmetic: 2^-52 in double, long double's
+    own (2^-63 on x87) for numpy on a long-double lam.  Neither long double
+    (up to 1e4932) nor mpmath rescales: a rescale at one end of a secant
+    but not the other would skew it.  A long-double state that overflows
+    is not finite, and neither is its bound.
 
     The bound carries the errors e_u, e_u' so far through the propagator's
     magnitudes, (|c| e_u + |s| e_u', |xi s| e_u + |c| e_u'), and adds each
@@ -197,8 +210,11 @@ def _walk(layers: LayerDecomposition, lam, lib=math, bound=False):
     growing and decaying modes cancel.  It bounds D as a function of the
     doubles xi = lam - v, whose own rounding shifts D's zeros by about an
     ulp of the largest |xi| (see eigenvalues_exact).  Against a 50-digit
-    walk on the same xi, at and near the eigenvalues of the golden cases
-    and of 60 random multisteps, D's error stayed below a third of it."""
+    walk on the same xi, at both ends and the middle of each eigenvalue's
+    last bracket on the golden cases, the hard test draws and 30 random
+    multisteps, D's error stayed below 0.20 of the bound in double and 0.26
+    in long double."""
+    eps = _EPS if lib is math else _LONG_EPS
     u, up = 1.0, 0.0
     err_u = err_up = 0.0
     for left, ell, xi in _pieces(layers, lam):
@@ -207,9 +223,9 @@ def _walk(layers: LayerDecomposition, lam, lib=math, bound=False):
         if bound:
             err_u, err_up = (
                 abs(c) * err_u + abs(s) * err_up
-                + _EPS * (2.0 * abs(c * u) + 3.0 * abs(s * up) + 2.0 * ell * abs(up_end)),
+                + eps * (2.0 * abs(c * u) + 3.0 * abs(s * up) + 2.0 * ell * abs(up_end)),
                 abs(xi * s) * err_u + abs(c) * err_up
-                + _EPS * (4.0 * abs(xi * s * u) + 2.0 * abs(c * up) + 2.0 * ell * abs(xi * u_end)),
+                + eps * (4.0 * abs(xi * s * u) + 2.0 * abs(c * up) + 2.0 * ell * abs(xi * u_end)),
             )
         u, up = u_end, up_end
         inv = 1.0
@@ -278,7 +294,8 @@ def _secant_step(layers, a, b):
     some ulp around a root (the layer coefficients cancel), so its sign
     cannot place the root closer; the secant through two exact values of
     the smooth D at ends ~1e-13 apart lands within a fraction of an ulp.
-    For a == b (a zero of D in double) it returns a."""
+    Where D is equal at both ends it returns their midpoint.  This is the
+    reference that _long_secant_step must reproduce, and its fallback."""
     import mpmath
 
     with mpmath.workdps(30):
@@ -289,18 +306,72 @@ def _secant_step(layers, a, b):
         return float(a - da * (b - a) / (db - da))
 
 
+def _xi_rounding(layers, ends):
+    """Largest rounding of xi = lam - v in long double over the heights v
+    and the shifts lam in ``ends``, exact by TwoSum (Knuth, TAOCP vol. 2,
+    4.2.2)."""
+    lam = np.array(ends, dtype=np.longdouble)[:, None]
+    v = layers.values.astype(np.longdouble)
+    xi = lam - v
+    v_part = xi - lam
+    return np.max(np.abs((lam - (xi - v_part)) - (v + v_part)))
+
+
+def _long_secant_step(layers, a, b):
+    """_secant_step's double from D and its rounding bound in long double,
+    or None where that bound does not decide it (or long double is not
+    wider than double, or D is not finite).
+
+    The secant point x = a - D(a) (b - a)/(D(b) - D(a)) of values off by at
+    most e_a, e_b lies within (b - a)(|D(b)| e_a + |D(a)| e_b) /
+    (|D(b) - D(a)| (|D(b) - D(a)| - e_a - e_b)) of that of the exact D.
+    Rounding each xi = lam - v to long double moves D's zero by at most the
+    largest such rounding, since the weights dlam/dv_j are >= 0 and sum to
+    1, and moves the secant point of two nearby ends no further.  To these
+    the bound adds the secant's own rounding, a few eps of |x| and of the
+    step, and the 30-digit step's error: 1e-9 of the D term, since its D
+    carries some 1e-11 of long double's rounding error, and 1e-28 (|x| +
+    max |v|) for its xi (rounded to 103 bits) and its own rounding.  Where
+    both ends of x -+ bound round to one double, the mpmath step rounds to
+    it too."""
+    if not _LONG_STEP:
+        return None
+    a, b = np.longdouble(a), np.longdouble(b)
+    da, ea = _match_noise(layers, a, np)
+    db, eb = _match_noise(layers, b, np)
+    span = abs(db - da)
+    margin = span - ea - eb
+    if not (np.isfinite(margin) and margin > 0.0):
+        return None
+    step = da * ((b - a) / (db - da))
+    x = a - step
+    # |D|/span <= 1 comes first, so no product overflows where D nears 1e4932
+    dx = (
+        (b - a) * (abs(db) / span * ea + abs(da) / span * eb) / margin * (1.0 + 1e-9)
+        + _xi_rounding(layers, (a, b))
+        + _LONG_EPS * (2.0 * abs(x) + 4.0 * abs(step))
+        + 1e-28 * (abs(x) + np.abs(layers.values).max())
+    )
+    lo, hi = float(x - dx), float(x + dx)
+    return lo if lo == hi else None
+
+
 def eigenvalues_exact(layers: LayerDecomposition, count: int = 2) -> Tuple[float, ...]:
     """First ``count`` (1 or 2) Neumann eigenvalues as zeros of the matching
     function D.  Exact phase counts, one closed-form step per layer,
     bisect until a bracket isolates each eigenvalue; bracketed secant steps
-    on D narrow it from there to relative ~1e-13, and one secant step on D
-    evaluated in mpmath places the root to within about an ulp of the
-    largest |lam - v|.  No count is taken below zero, where it is 0, and
+    on D narrow it from there to relative ~1e-13, and one secant step on D,
+    evaluated in long double where its error bound decides the double and
+    in mpmath where it does not, places the root to within about an ulp of
+    the largest |lam - v|.  No count is taken below zero, where it is 0, and
     eigenvalue 1's bracket starts at the upper end that isolated
     eigenvalue 0, at count 1.  Raises :class:`OracleError` when eigenvalues
     k and k + 1 lie closer than double precision can separate.  A barrier
-    of height 1e4 and width 8 at L = 20 takes some 0.03 s (2.5 s with RK4
-    counts)."""
+    of height 1e4 and width 8 at L = 20 takes some 0.03 s on first use,
+    most of it importing mpmath, whose step both its roots take (the
+    barrier's xi round by far more than an ulp of lam in long double), and
+    1.7 ms after that (2.5 s with RK4 counts); the golden cases take 0.6
+    ms each, against 1.3-1.8 ms with every last step in mpmath."""
     if count not in (1, 2):
         raise ValueError("only the lowest two eigenvalues are supported")
     L = layers.length
@@ -342,7 +413,8 @@ def _bracket_root(layers, k, lo, c_lo, hi, c_hi, scale):
     end which a step left in place twice in a row, by 1 - f/f_old, or by
     1/2 where that is not positive; BIT 13, 1973), each clamped at least
     tol/2 inside the bracket, and a bisection step wherever three steps did
-    not halve it.  One secant step on D in mpmath then places the root.
+    not halve it.  One secant step on D in long double, or in mpmath where
+    long double does not decide its double, then places the root.
     A bracket that narrows to 1e-9 of its own ends (1e-10 absolute near
     zero) without isolating raises :class:`OracleError`, which names the
     pair as not separable where the counts isolate but D at an end lies
@@ -420,7 +492,8 @@ def _bracket_root(layers, k, lo, c_lo, hi, c_hi, scale):
                 m = 1.0 - f / f_lo if f_lo else 0.5  # f_lo is 0 only at a zero of D
                 f_hi *= m if m > 0.0 else 0.5
             lo, f_lo, kept = x, f, -1
-    return _secant_step(layers, lo, hi), isolated
+    x = _long_secant_step(layers, lo, hi)
+    return (_secant_step(layers, lo, hi) if x is None else x), isolated
 
 
 @dataclass(frozen=True)

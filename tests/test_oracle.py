@@ -390,6 +390,19 @@ _XI_T2 = [0.0] + [sign * z for sign in (1.0, -1.0) for z in (
 )]
 
 
+def _transfer(xi, t):
+    """(c, s) of the propagator and the condition 1 + sqrt(|xi|) t at the
+    working mpmath precision."""
+    x = mpmath.sqrt(abs(mpmath.mpf(xi))) * t
+    if xi > 0:
+        c, s = mpmath.cos(x), mpmath.sin(x) / x * t
+    elif xi < 0:
+        c, s = mpmath.cosh(x), mpmath.sinh(x) / x * t
+    else:
+        c, s = mpmath.mpf(1), mpmath.mpf(t)
+    return c, s, 1.0 + float(x)
+
+
 @pytest.mark.parametrize("t", [1e-3, 0.7, 3.0, 50.0])
 def test_layer_transfer_matches_40_digits(t):
     # One _cs serves doubles (math), sample arrays (numpy) and the secant's
@@ -398,14 +411,7 @@ def test_layer_transfer_matches_40_digits(t):
     for z in _XI_T2:
         xi = z / (t * t)
         with mpmath.workdps(40):
-            x = mpmath.sqrt(abs(mpmath.mpf(xi))) * t
-            if xi > 0:
-                c, s = mpmath.cos(x), mpmath.sin(x) / x * t
-            elif xi < 0:
-                c, s = mpmath.cosh(x), mpmath.sinh(x) / x * t
-            else:
-                c, s = mpmath.mpf(1), mpmath.mpf(t)
-            cond = 1.0 + float(x)
+            c, s, cond = _transfer(xi, t)
             got = [oracle._cs(xi, t)]
             got += [tuple(float(a[1]) for a in np.broadcast_arrays(
                 *oracle._cs(xi, np.array([0.0, t]), np)))]
@@ -416,6 +422,33 @@ def test_layer_transfer_matches_40_digits(t):
                 gc, gs = oracle._cs(mpmath.mpf(xi), t, mpmath)
             assert abs(gc - c) <= 1e-28 * cond * abs(c), (z, t)
             assert abs(gs - s) <= 1e-28 * cond * abs(s), (z, t)
+
+
+def _mpf(x):
+    """A double or long double as an mpf, exactly."""
+    num, den = x.as_integer_ratio()
+    return mpmath.mpf(num) / den
+
+
+_LONG_EPS = float(np.finfo(np.longdouble).eps)
+_needs_long_double = pytest.mark.skipif(
+    not oracle._LONG_STEP, reason="long double is no wider than double here"
+)
+
+
+@_needs_long_double
+@pytest.mark.parametrize("t", [1e-3, 0.7, 3.0, 50.0])
+def test_layer_transfer_long_double_matches_40_digits(t):
+    # _cs on a long-double xi, as the last secant step walks D, stays within
+    # 2 long-double eps, times 1 + sqrt(|xi|) t, of the 40-digit value, as
+    # a double does within 2 eps (1.07 long-double eps at worst on x87)
+    for z in _XI_T2:
+        xi = z / (t * t)
+        with mpmath.workdps(40):
+            c, s, cond = _transfer(xi, t)
+            gc, gs = (_mpf(np.longdouble(a)) for a in oracle._cs(np.longdouble(xi), t, np))
+            assert abs(gc - c) <= 2 * _LONG_EPS * cond * abs(c), (z, t)
+            assert abs(gs - s) <= 2 * _LONG_EPS * cond * abs(s), (z, t)
 
 
 def test_match_value_constant_changes_sign_continuously():
@@ -636,6 +669,108 @@ for _case in GOLDEN_PIECEWISE + _HARD_DRAWS:
     )
 
 
+def _final_brackets(layers):
+    """The brackets [a, b] whose last secant step places each eigenvalue."""
+    brackets = []
+    step = oracle._secant_step
+
+    def recorded(lay, a, b):
+        brackets.append((a, b))
+        return step(lay, a, b)
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(oracle, "_secant_step", recorded)
+        m.setattr(oracle, "_long_secant_step", lambda lay, a, b: None)
+        eigenvalues_exact(layers, 2)
+    return brackets
+
+
+@settings(max_examples=25, deadline=None)
+@given(_OFF_LATTICE)
+def test_long_double_step_returns_the_mpmath_bits(case):
+    # The secant step on D in long double returns a double only where its
+    # error bound rounds to that double alone, and then it is the 30-digit
+    # step's double, bit for bit.  Golden case 0's lambda0, both roots of
+    # hard draws 2-4 and lambda0 of draw 5 fall back to mpmath, so the
+    # examples cover both paths.
+    p, L = case
+    layers = decompose(p, L)
+    for a, b in _final_brackets(layers):
+        fast = oracle._long_secant_step(layers, a, b)
+        assert fast is None or fast == oracle._secant_step(layers, a, b), (a, b)
+
+
+for _case in GOLDEN_PIECEWISE + _HARD_DRAWS:
+    test_long_double_step_returns_the_mpmath_bits = example(_case)(
+        test_long_double_step_returns_the_mpmath_bits
+    )
+
+
+def _d_error_over_bound(layers, lam, lib):
+    """|D - D_50| / bound for the walk in ``lib`` at lam, D_50 from a
+    50-digit walk on the same pieces, xi and rescaling factors."""
+    pieces = list(oracle._pieces(layers, lam))
+    walk = list(oracle._walk(layers, lam, lib, bound=True))
+    with mpmath.workdps(50):
+        u, up = mpmath.mpf(1), mpmath.mpf(0)
+        for (_, ell, _), (_, xi, _, _, inv, _) in zip(pieces, walk):
+            xi = _mpf(xi)
+            c, s = oracle._cs(xi, ell, mpmath)
+            u, up = (c * u + s * up) * inv, (-xi * s * u + c * up) * inv
+        _, _, _, d, _, bound = walk[-1]
+        return float(abs(_mpf(d) - up) / _mpf(bound))
+
+
+@pytest.mark.parametrize("lib", [math, pytest.param(np, marks=_needs_long_double)],
+                         ids=["double", "long_double"])
+def test_d_rounding_bound_holds(lib):
+    # D's rounding bound, in double and in long double, exceeds D's error
+    # against a 50-digit walk on the same xi at both ends and the midpoint
+    # of every final bracket, where D is smallest against its terms.  The
+    # largest error read 0.20 of the double bound and 0.26 of the
+    # long-double one over the golden cases, the hard draws and 30 random
+    # multisteps.
+    rng = np.random.default_rng(2024)
+    cases = GOLDEN_PIECEWISE + _HARD_DRAWS
+    for _ in range(30):
+        L = float(np.exp(rng.uniform(math.log(0.5), math.log(100.0))))
+        cases.append((random_multistep(rng, L), L))
+    arith = float if lib is math else np.longdouble
+    for p, L in cases:
+        layers = decompose(p, L)
+        for a, b in _final_brackets(layers):
+            for lam in (a, 0.5 * (a + b), b):
+                assert _d_error_over_bound(layers, arith(lam), lib) <= 0.5, (p, L, lam)
+
+
+def test_mpmath_fallback_returns_the_same_bits(monkeypatch):
+    # With every long-double step refused, each root takes the 30-digit
+    # step, and no bit moves
+    cases = GOLDEN_PIECEWISE + _HARD_DRAWS
+    fast = [eigenvalues_exact(decompose(p, L), 2) for p, L in cases]
+    monkeypatch.setattr(oracle, "_long_secant_step", lambda layers, a, b: None)
+    assert [eigenvalues_exact(decompose(p, L), 2) for p, L in cases] == fast
+
+
+@_needs_long_double
+def test_eigenvalues_exact_mpmath_step_budget(monkeypatch):
+    # The long-double step decides 17 of the golden cases' 18 roots.  Only
+    # case 0's lambda0 takes the 30-digit step: its secant point lies 0.007
+    # ulp from a rounding boundary, inside its bound of 0.06 ulp.  A bound
+    # that grows, or a long-double step that no longer runs, fails here.
+    calls = [0]
+    step = oracle._secant_step
+
+    def counted(layers, a, b):
+        calls[0] += 1
+        return step(layers, a, b)
+
+    monkeypatch.setattr(oracle, "_secant_step", counted)
+    for p, L in GOLDEN_PIECEWISE:
+        eigenvalues_exact(decompose(p, L), 2)
+    assert calls[0] <= 1
+
+
 def test_eigenvalues_exact_phase_budget(monkeypatch):
     # Bisecting on RK4 phase counts down to the 1e-9 stopping width takes 64
     # phase sweeps per call.  Counts now only isolate each eigenvalue and
@@ -664,7 +799,8 @@ def test_eigenvalues_exact_d_budget(monkeypatch):
     # where three steps did not halve it) take 17-30, the two isolation
     # checks per eigenvalue included, and eigenvalue 1 starts from the end
     # that isolated eigenvalue 0, where D is known beyond rounding.  The
-    # mpmath secant's two evaluations are not counted.
+    # last step's walks, two in long double and two more in mpmath where
+    # it falls back, are not double walks and are not counted.
     calls = [0]
     walk = oracle._walk
 
