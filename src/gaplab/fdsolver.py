@@ -33,18 +33,26 @@ are equal, and a Sturm sweep takes each such run in O(1) by the discrete
 Pruefer angle (``kernels._run_phase``), so a sweep costs about as much
 as its few other rows, whatever N; the eigenvector's twisted solve fills
 a run's pivots from the same phase in numpy, with no Python work per
-row.  Every potential of the capped family is
-even, and so is a centred step; a grid with symmetric breaks and counts
-places its nodes mirror-symmetrically, so such a potential assembles a
-mirror-symmetric operator, whose diagonal and off-diagonal are bitwise
-palindromes.  Such an operator splits into an even and an odd half of
+row.  So ``assemble`` builds a step potential's operator from the grid's
+layers: each layer gives its two face rows and one group of equal
+interior rows, with the bits the formula over arrays gives them, and the
+operator answers every question of the eigensolver (its run-length form,
+its split, its bounds) from those few groups.  Only the finest level reads
+N-vectors: its eigenvector, the certificates and phi0.  The capped
+family's rows differ along its tails, which every sweep reads row by row,
+so its operator is held as arrays.  Every potential of the capped family
+is even, and so is a centred step; a grid with symmetric breaks and
+counts places its nodes mirror-symmetrically, so such a potential
+assembles a mirror-symmetric operator, whose diagonal and off-diagonal
+are palindromes.  Such an operator splits into an even and an odd half of
 about N/2 cells (Cantoni & Butler, Linear Algebra Appl. 13, 1976):
 lambda0 is the lowest eigenvalue of the even half, lambda1 that of the odd
 half, and each eigenvector is one solve on its half mirrored back to length
 N.  Each value then costs half the cells per sweep, and a split between
-lambda0 and lambda1 near eps ||T|| can no longer mix the two vectors.  For
+lambda0 and lambda1 near eps ||T|| can no longer mix the two vectors.  An
+assembled operator is tested for the split, and split, on its groups.  For
 even N the two halves differ only in their first row, which enters no
-run, and share one run-length form.  Any
+run: their run-length forms differ only in that row's diagonal entry.  Any
 other operator runs the general path on the whole matrix, whose two
 bisections share their Sturm counts.
 
@@ -77,15 +85,19 @@ already counted, decides it as a sweep would, so this reuse changes the
 number of sweeps, never an eigenvalue.
 """
 
+import bisect
+import itertools
 import math
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple, Optional, Tuple
 
 import numpy as np
 
 from . import kernels
-from .potentials import PotentialSpec, _check_length, break_points, evaluate
+from .potentials import (InverseSquareCapped, PotentialSpec, _check_length, break_points,
+                         evaluate)
 
 __all__ = [
     "Grid",
@@ -133,7 +145,7 @@ class Grid:
         counts = self.counts
         if len(counts) != len(self.breaks) + 1 or sum(counts) != self.N or min(counts) < 1:
             raise ValueError("a grid needs one cell count >= 1 per layer, summing to N")
-        if not all(w > 0.0 for _, _, w in self._layers()):
+        if not all(w > 0.0 for _, _, w in self._layers):
             raise ValueError("grid breaks must be increasing and inside (-L/2, L/2)")
         if self.N < 16:
             raise ValueError(f"grid needs at least 16 cells, got {self.N}")
@@ -145,13 +157,14 @@ class Grid:
             )
         # every entry of the operator is at most 1/h^2 in the smallest width h,
         # and the eigensolver squares the off-diagonal entries
-        h = min(w for _, _, w in self._layers())
+        h = min(w for _, _, w in self._layers)
         h2 = h * h
         if not (h2 > 0.0 and math.isfinite(1.0 / h2)):
             raise ValueError(f"grid spacing h = {h:.3e} is too small: 1/h^2 overflows")
         if not math.isfinite((1.0 / h2) * (1.0 / h2)):
             raise ValueError(f"grid spacing h = {h:.3e} is too small: 1/h^4 overflows")
 
+    @cached_property
     def _layers(self):
         """(left edge, cell count, cell width) of each layer."""
         edges = (-0.5 * self.L, *self.breaks, 0.5 * self.L)
@@ -160,38 +173,73 @@ class Grid:
     @property
     def h(self) -> float:
         """The largest cell width (L/N on a uniform grid)."""
-        return max(w for _, _, w in self._layers())
+        return max(w for _, _, w in self._layers)
 
     def widths(self) -> np.ndarray:
-        return np.repeat([w for _, _, w in self._layers()], self.counts)
+        return np.repeat([w for _, _, w in self._layers], self.counts)
+
+    @cached_property
+    def _mirrored(self) -> bool:
+        """Whether the breaks and counts are symmetric about 0."""
+        return (self.counts == self.counts[::-1]
+                and self.breaks == tuple(-b for b in reversed(self.breaks)))
 
     def nodes(self) -> np.ndarray:
         """Cell centres.  On a mirror-symmetric grid (symmetric breaks and
         counts) the right half is the left half mirrored, x_{N-1-i} = -x_i
         bitwise, so that an even potential assembles a palindrome."""
-        x = np.concatenate([a + (np.arange(c) + 0.5) * w for a, c, w in self._layers()])
-        mirrored = tuple(-b for b in reversed(self.breaks))
-        if self.counts == self.counts[::-1] and self.breaks == mirrored:
+        x = np.concatenate([a + (np.arange(c) + 0.5) * w for a, c, w in self._layers])
+        if self._mirrored:
             half = self.N // 2
             x[self.N - half:] = -x[half - 1::-1]
             if self.N % 2:
                 x[half] = 0.0
         return x
 
+    def _node(self, i: int) -> float:
+        """x_i, the same double as ``nodes()[i]``."""
+        n, half = self.N, self.N // 2
+        if self._mirrored:
+            if i >= n - half:
+                return -self._node(n - 1 - i)
+            if n % 2 and i == half:
+                return 0.0
+        for a, c, w in self._layers:
+            if i < c:
+                return a + (i + 0.5) * w
+            i -= c
 
-@dataclass(frozen=True)
+
 class DiscreteOperator:
     """Symmetric tridiagonal matrix: main diagonal and off-diagonal (which
-    varies where the cell width changes, at layer faces)."""
+    varies where the cell width changes, at layer faces).
 
-    diag: np.ndarray
-    offdiag: np.ndarray
+    Besides its arrays, an operator gives what the eigensolver asks of it:
+    its size, its run-length form ``runs`` and ``pivmin`` (see
+    ``kernels.SturmCounts``), its mirror ``halves``, its Gershgorin range
+    and a lower bound on its spectrum.  Built from its arrays, it finds
+    them by scanning and comparing them; ``assemble`` gives a piecewise-
+    constant potential's operator as groups of equal rows, which answer the
+    same questions, bit for bit, without an array of N entries."""
 
-    def __post_init__(self):
-        if self.diag.ndim != 1 or self.offdiag.shape != (self.diag.size - 1,):
+    def __init__(self, diag: np.ndarray, offdiag: np.ndarray):
+        if diag.ndim != 1 or offdiag.shape != (diag.size - 1,):
             raise ValueError("diag must be 1-d with offdiag one entry shorter")
-        self.diag.flags.writeable = False
-        self.offdiag.flags.writeable = False
+        self.diag = _read_only(diag)
+        self.offdiag = _read_only(offdiag)
+        self.size = diag.size
+
+    @cached_property
+    def runs(self) -> kernels.RunLength:
+        """The run-length form that the Sturm kernels sweep."""
+        return kernels.run_length(self.diag, self.offdiag * self.offdiag)
+
+    @cached_property
+    def pivmin(self) -> float:
+        # zero-pivot guard for the Sturm and twisted-factorization recurrences;
+        # far below any eigenvalue tolerance but large enough that off/pivmin
+        # cannot overflow the eigenvector recurrence
+        return max((self.offdiag * self.offdiag).max(), 1.0) * 1e-250
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
         y = self.diag * x
@@ -204,6 +252,174 @@ class DiscreteOperator:
         row[:-1] += np.abs(self.offdiag)
         row[1:] += np.abs(self.offdiag)
         return float(row.max())
+
+    def gershgorin(self) -> Tuple[float, float]:
+        """An interval that holds every eigenvalue."""
+        radius = 2.0 * np.abs(self.offdiag).max()
+        return float(self.diag.min() - radius), float(np.abs(self.diag).max() + radius)
+
+    def lower_bound(self) -> Tuple[float, float]:
+        """A lower bound on every eigenvalue of an assembled operator or of one
+        of its halves, and the bound hi >= ||T||_inf it takes its margin from:
+        max(0, the smallest Gershgorin row sum) less 4 eps hi, hi = max |diag|
+        + 2 max |off|.  Such a matrix is positive semidefinite, T = W^-1/2 K
+        W^-1/2 + diag(v) with v >= 0 for every family, and so is each half,
+        which acts on an invariant subspace of T; on a graded grid the
+        smallest row sum lies below 0.  The margin covers the rounding of T's
+        entries."""
+        edges = np.abs(self.offdiag)
+        rows = self.diag.copy()
+        rows[:-1] -= edges
+        rows[1:] -= edges
+        hi = float(np.abs(self.diag).max()) + 2.0 * float(edges.max())
+        return max(0.0, float(rows.min())) - 4.0 * _EPS * hi, hi
+
+    @cached_property
+    def halves(self):
+        """The even and odd halves of a mirror-symmetric operator, or None.
+
+        T is mirror-symmetric when its diagonal and off-diagonal are
+        palindromes; with a negative off-diagonal, lambda0 is then the lowest
+        eigenvalue of the even half and lambda1 that of the odd half (a
+        Jacobi matrix's k-th eigenvector changes sign k times; Cantoni &
+        Butler, Linear Algebra Appl. 13, 1976).  Each half acts on the right
+        half of the vector.  For N = 2m both are the lower-right m x m block,
+        with the centre coupling c added to (even) or taken off (odd) its
+        first diagonal entry.  For N = 2m + 1 the even half adds the centre
+        node, coupled by sqrt(2) c, and the odd half is the block alone.
+        Operators below 4 cells, or with an off-diagonal entry >= 0, are not
+        split."""
+        diag, off = self.diag, self.offdiag
+        if not (self.size >= 4 and np.all(off < 0.0) and np.array_equal(diag, diag[::-1])
+                and np.array_equal(off, off[::-1])):
+            return None
+        m = self.size // 2
+        if self.size % 2 == 0:
+            even, odd = diag[m:].copy(), diag[m:].copy()
+            even[0] += off[m - 1]
+            odd[0] -= off[m - 1]
+            even, odd = DiscreteOperator(even, off[m:]), DiscreteOperator(odd, off[m:])
+            # they differ only in row 0, which enters no run: the odd half's
+            # form is the even half's with its own first stretch entry
+            stretch = even.runs.stretch.copy()
+            stretch[0] = odd.diag[0]
+            odd.runs, odd.pivmin = even.runs._replace(stretch=stretch), even.pivmin
+            return even, odd
+        coupled = off[m:].copy()
+        coupled[0] *= math.sqrt(2.0)
+        return DiscreteOperator(diag[m:], coupled), DiscreteOperator(diag[m + 1:], off[m + 1:])
+
+
+class _Layered(DiscreteOperator):
+    """An operator held as groups of equal rows, ``assemble``'s form of a
+    piecewise-constant potential's operator: each group (diag, off, n) is n
+    rows of the diagonal entry diag, each coupled to the row before it by
+    off (0.0 for row 0, a group of its own).  A layer gives its face rows a
+    group each and its other rows one group, so the questions of the
+    eigensolver are answered from a handful of groups, with the same
+    floating-point operations as the arrays' answers, bit for bit; the
+    arrays are built when first read."""
+
+    def __init__(self, groups):
+        self.groups = groups
+        self.size = sum(n for _, _, n in groups)
+
+    @cached_property
+    def diag(self) -> np.ndarray:
+        return self._rows(0)
+
+    @cached_property
+    def offdiag(self) -> np.ndarray:
+        return self._rows(1)[1:]
+
+    def _rows(self, column):
+        values, counts = zip(*((group[column], group[2]) for group in self.groups))
+        return _read_only(np.repeat(values, counts))
+
+    @cached_property
+    def runs(self) -> kernels.RunLength:
+        """What kernels.run_length finds on the arrays: consecutive groups of
+        one pair (diag, off^2) join, and each block of at least MIN_RUN rows
+        and a nonzero off^2 is a run.  The entries are positive, or an off^2
+        of +0.0, so == compares their bits."""
+        blocks = []
+        for c, off, n in self.groups:
+            if blocks and blocks[-1][:2] == [c, off * off]:
+                blocks[-1][2] += n
+            else:
+                blocks.append([c, off * off, n])
+        stretch, b2s, segments = [], [], []
+        for c, b2, n in blocks:
+            if n >= kernels.MIN_RUN and b2 != 0.0:
+                segments.append((b2s, c, b2, n))
+                b2s = []
+            else:
+                stretch += [c] * n
+                b2s += [b2] * n
+        segments.append((b2s, 0.0, 0.0, 0))
+        return kernels.RunLength(np.array(stretch), segments)
+
+    @cached_property
+    def pivmin(self) -> float:
+        return max(max(off * off for _, off, _ in self.groups), 1.0) * 1e-250
+
+    def gershgorin(self) -> Tuple[float, float]:
+        diag = [d for d, _, _ in self.groups]
+        radius = 2.0 * max(abs(off) for _, off, _ in self.groups[1:])
+        return min(diag) - radius, max(map(abs, diag)) + radius
+
+    def lower_bound(self) -> Tuple[float, float]:
+        # a group's last row has the next group's coupling on its right, its
+        # other rows their own on both sides; x - 0.0 is x
+        right = [abs(off) for _, off, _ in self.groups[1:]] + [0.0]
+        rows = []
+        for (d, off, n), r in zip(self.groups, right):
+            rows.append((d - r) - abs(off))
+            if n > 1:
+                rows.append((d - abs(off)) - abs(off))
+        hi = max(abs(d) for d, _, _ in self.groups) + 2.0 * max(right)
+        return max(0.0, min(rows)) - 4.0 * _EPS * hi, hi
+
+    @cached_property
+    def halves(self):
+        groups = self.groups
+        if not (self.size >= 4 and all(off < 0.0 for _, off, _ in groups[1:])
+                and _palindrome((d, n) for d, _, n in groups)
+                and _palindrome((off, n) for _, off, n in groups[1:])):
+            return None
+        m = self.size // 2
+        (d, c, _), *rest = self._tail(m)
+        if self.size % 2 == 0:
+            return _Layered([(d + c, 0.0, 1), *rest]), _Layered([(d - c, 0.0, 1), *rest])
+        (d1, c1, _), *rest = self._tail(m + 1)
+        return (_Layered([(d, 0.0, 1), (d1, c1 * math.sqrt(2.0), 1), *rest]),
+                _Layered([(d1, 0.0, 1), *rest]))
+
+    def _tail(self, start):
+        """The groups of rows start, ..., N - 1, row `start` a group of its
+        own coupled to the row before it."""
+        for j, (d, off, n) in enumerate(self.groups):
+            if start < n:
+                rest = [(d, off, n - start - 1)] if n - start > 1 else []
+                return [(d, off, 1), *rest, *self.groups[j + 1:]]
+            start -= n
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+def _palindrome(values) -> bool:
+    """Whether the rows of the (value, count) groups read the same both
+    ways, by ==: whether their runs of equal values do."""
+    runs = []
+    for value, n in values:
+        if runs and runs[-1][0] == value:
+            runs[-1][1] += n
+        else:
+            runs.append([value, n])
+    return runs == runs[::-1]
 
 
 class Eigenpair(NamedTuple):
@@ -268,15 +484,56 @@ def assemble(p: PotentialSpec, grid: Grid) -> DiscreteOperator:
     cell centres; with a face at every break that is the cell average of a
     step and second-order accurate for the capped family.  On a uniform grid
     this is the 3-point stencil, 2/h^2 + v (1/h^2 at the ends) and -1/h^2.
+
+    The entries are built from the grid's layers.  Within a layer the
+    widths are equal, so a row's entries less v are one of three (the
+    layer's first row, its last, any other), each formed by the same
+    floating-point operations, in the same order, as the formula above
+    over arrays, bit for bit.  A layer of one cell, or one whose nodes lie
+    strictly inside it with no break of a piecewise-constant v inside it,
+    holds one value of v, which ``evaluate`` takes at its first node (a
+    one-ulp layer's node may round onto a break, where the first step's
+    height holds, as it does in the arrays).  Where every layer does
+    (a step potential on a grid with a face at each of its breaks), the
+    operator is held as groups of equal rows, a few per layer, and no array
+    of N entries is built until one is read.  Otherwise (the capped family,
+    or a grid that a break of v crosses) v is sampled at every node and the
+    operator held as its arrays.
     """
-    w = grid.widths()
-    d = 0.5 * (w[:-1] + w[1:])
-    diag = np.zeros(grid.N)
-    diag[:-1] += 1.0 / (w[:-1] * d)
-    diag[1:] += 1.0 / (w[1:] * d)
-    diag = diag + evaluate(p, grid.nodes())
-    off = -1.0 / (d * np.sqrt(w[:-1] * w[1:]))
-    return DiscreteOperator(diag, off)
+    layers = grid._layers
+    edges = (-0.5 * grid.L, *grid.breaks, 0.5 * grid.L)
+    starts = [0, *itertools.accumulate(grid.counts)]
+    firsts = [grid._node(i) for i in starts[:-1]]  # each layer's first node
+    jumps = None if isinstance(p, InverseSquareCapped) else break_points(p, grid.L)
+    flat = jumps is not None and all(
+        j - i == 1 or a < x and grid._node(j - 1) < b
+        and bisect.bisect_right(jumps, a) == bisect.bisect_left(jumps, b)
+        for a, b, i, j, x in zip(edges, edges[1:], starts, starts[1:], firsts))
+    widths = [None, *(w for _, _, w in layers), None]
+    groups = []  # (layer, diag less v, coupling to the row before, rows)
+    for k, (_, n, w) in enumerate(layers):
+        left, right = widths[k], widths[k + 2]
+        kinds = [(left, right, 1)] if n == 1 else [(left, w, 1), (w, w, n - 2), (w, right, 1)]
+        groups += [(k, *_row(a, w, b), times) for a, b, times in kinds if times]
+    if flat:
+        v = evaluate(p, np.array(firsts)).tolist()
+        return _Layered([(base + v[k], off, n) for k, base, off, n in groups])
+    _, base, off, n = (np.array(column) for column in zip(*groups))
+    return DiscreteOperator(np.repeat(base, n) + evaluate(p, grid.nodes()), np.repeat(off, n)[1:])
+
+
+def _row(left, w, right):
+    """A row of cell width w between widths left and right (None beyond an
+    end): its diagonal entry less v, 0.0 + 1/(w d_right) + 1/(w d_left), and
+    its off-diagonal entry to the row before it, -1/(d_left sqrt(left w)),
+    d the mean of the two widths (0.0 at row 0)."""
+    diag = 0.0
+    if right is not None:
+        diag += 1.0 / (w * (0.5 * (w + right)))
+    if left is None:
+        return diag, 0.0
+    d = 0.5 * (left + w)
+    return diag + 1.0 / (w * d), -1.0 / (d * math.sqrt(left * w))
 
 
 def _nested_grids(p: PotentialSpec, L: float, n0: int, levels: int):
@@ -364,46 +621,9 @@ def _newton(counts, guess, gap, floor):
     return sigma, math.inf, seen
 
 
-def _mirror_symmetric(op: DiscreteOperator) -> bool:
-    """Whether _mirror_halves splits the operator: at least 4 cells, a
-    negative off-diagonal, and a diagonal and off-diagonal that are bitwise
-    palindromes."""
-    diag, off = op.diag, op.offdiag
-    return bool(diag.size >= 4 and np.all(off < 0.0) and np.array_equal(diag, diag[::-1])
-                and np.array_equal(off, off[::-1]))
-
-
-def _mirror_halves(op: DiscreteOperator):
-    """The even and odd halves of a mirror-symmetric operator, or None.
-
-    T is mirror-symmetric when its diagonal and off-diagonal are bitwise
-    palindromes; with a negative off-diagonal, lambda0 is then the lowest
-    eigenvalue of the even half and lambda1 that of the odd half (a Jacobi
-    matrix's k-th eigenvector changes sign k times; Cantoni & Butler,
-    Linear Algebra Appl. 13, 1976).  Each half acts on the right half of
-    the vector.  For N = 2m both are the lower-right m x m block, with the
-    centre coupling c added to (even) or taken off (odd) its first diagonal
-    entry.  For N = 2m + 1 the even half adds the centre node, coupled by
-    sqrt(2) c, and the odd half is the block alone.  Operators below 4
-    cells, or with an off-diagonal entry >= 0, are not split."""
-    if not _mirror_symmetric(op):
-        return None
-    diag, off = op.diag, op.offdiag
-    n = diag.size
-    m = n // 2
-    if n % 2 == 0:
-        even, odd = diag[m:].copy(), diag[m:].copy()
-        even[0] += off[m - 1]
-        odd[0] -= off[m - 1]
-        return DiscreteOperator(even, off[m:]), DiscreteOperator(odd, off[m:])
-    coupled = off[m:].copy()
-    coupled[0] *= math.sqrt(2.0)
-    return DiscreteOperator(diag[m:], coupled), DiscreteOperator(diag[m + 1:], off[m + 1:])
-
-
 def _unfold(y, n, parity):
     """The unit length-n vector, even (parity 1.0) or odd (-1.0), whose
-    right half solves that half of the operator (see _mirror_halves); for
+    right half solves that half of the operator (see DiscreteOperator.halves); for
     odd n the even half's first entry is the centre, scaled back by
     sqrt(2)."""
     m = n // 2
@@ -416,29 +636,13 @@ def _unfold(y, n, parity):
     return vec * math.sqrt(0.5)
 
 
-def _lower_bound(op: DiscreteOperator) -> Tuple[float, float]:
-    """A lower bound on every eigenvalue of an assembled operator or of one
-    of its halves, and the bound hi >= ||T||_inf it takes its margin from:
-    max(0, the smallest Gershgorin row sum) less 4 eps hi, hi = max |diag|
-    + 2 max |off|.  Such a matrix is positive semidefinite, T = W^-1/2 K
-    W^-1/2 + diag(v) with v >= 0 for every family, and so is each half,
-    which acts on an invariant subspace of T; on a graded grid the smallest
-    row sum lies below 0.  The margin covers the rounding of T's entries."""
-    edges = np.abs(op.offdiag)
-    rows = op.diag.copy()
-    rows[:-1] -= edges
-    rows[1:] -= edges
-    hi = float(np.abs(op.diag).max()) + 2.0 * float(edges.max())
-    return max(0.0, float(rows.min())) - 4.0 * _EPS * hi, hi
-
-
 def _upper_bounds(op: DiscreteOperator) -> Tuple[float, float]:
     """Upper bounds on lambda0 and lambda1: the Rayleigh quotient of the
     constant vector, which is T's mean row sum, and the larger
     Rayleigh-Ritz value of T on span{1, c}, c_i = cos(pi (i + 1/2) / N)
     (Courant-Fischer: any two independent vectors bound lambda1; these two
     are T's lowest eigenvectors where v is constant)."""
-    n = op.diag.size
+    n = op.size
     q0 = np.full(n, 1.0 / math.sqrt(n))
     q1 = np.cos(math.pi * (np.arange(n) + 0.5) / n)
     q1 -= kernels.dot(q1, q0) * q0
@@ -476,37 +680,32 @@ def _bisect_lowest_two(op: DiscreteOperator, near, rel_width=0.0):
     was bisected on and its parity (1.0 even, -1.0 odd; None unsplit); see
     lowest_two_eigenvalues.  ``rel_width`` > 0 stops each bisection at that
     relative width instead of the tolerance: a guess, not a result."""
-    if op.diag.size < 2:
+    if op.size < 2:
         raise SolverError("need at least a 2x2 operator")
-    halves = _mirror_halves(op)
+    halves = op.halves
     if halves is None:
         # one matrix holds both eigenvalues (k = 0 and 1), and both
         # bisections share its counts
-        counts = kernels.SturmCounts(op.diag, op.offdiag)
+        counts = kernels.SturmCounts(op)
         sectors = ((counts, 0, None), (counts, 1, None))
         if near is None:
             # Counts only decide midpoints without a sweep, never move one,
             # so these seeds change the cost of the bisections and not their
             # results: a lower bound on lambda0 and upper bounds on lambda0
             # and lambda1
-            counts.exceeds(_lower_bound(op)[0], 0)
+            counts.exceeds(op.lower_bound()[0], 0)
             for k, bound in enumerate(_upper_bounds(op)):
                 counts.exceeds(bound, k)
     else:
         even, odd = halves
-        counts = kernels.SturmCounts(even.diag, even.offdiag)
-        if op.diag.size % 2:
-            other = kernels.SturmCounts(odd.diag, odd.offdiag)
-        else:
-            # for even N the halves differ only in row 0, which enters no
-            # run: they share one run-length form
-            other = counts.with_first_diagonal(float(odd.diag[0]))
+        counts = kernels.SturmCounts(even)
+        other = kernels.SturmCounts(odd)
         sectors = ((counts, 0, 1.0), (other, 0, -1.0))
         if near is None:
             # each half's lowest eigenvalue guessed by Newton from below: the
             # even half's from the lower bound, the odd half's from the even
             # half's iterate, which lies below lambda0 <= lambda1
-            start, hi = _lower_bound(even)
+            start, hi = even.lower_bound()
             start = _newton_from_below(counts, start, _EPS * hi)
             near = (start, _newton_from_below(other, start, _EPS * hi))
     if near is not None:
@@ -515,10 +714,7 @@ def _bisect_lowest_two(op: DiscreteOperator, near, rel_width=0.0):
         seen = None
     lams = []
     for j, (counts, k, parity) in enumerate(sectors):
-        diag, off = counts.diag, counts.off
-        radius = 2.0 * np.abs(off).max()
-        lo = float(diag.min() - radius)
-        hi = float(np.abs(diag).max() + radius)  # Gershgorin: bounds every eigenvalue
+        lo, hi = counts.matrix.gershgorin()
         if near is not None:
             # On the unsplit matrix lambda0 and lambda1 each have the other
             # lambda1 - lambda0 away.  A half's next eigenvalue is
@@ -556,7 +752,7 @@ def lowest_two_eigenvalues(
     """Lowest two eigenvalues of the tridiagonal operator, by bisection on
     the Sturm sign count (absolute tolerance kernels.tolerance(lambda)).
 
-    A mirror-symmetric operator (bitwise palindromes, negative off-diagonal)
+    A mirror-symmetric operator (palindromes, negative off-diagonal)
     is split into its even and odd halves, and each value is the lowest
     eigenvalue of one half: half the cells per sweep, and no count of one
     value depends on the other.  Any other operator is bisected whole, the
@@ -625,7 +821,7 @@ def lowest_two_eigenpairs(
         vec, _, finite = kernels.inverse_iteration(counts, lam)
         if not finite:
             raise SolverError(f"the {state} vector has a non-finite component ({split})")
-        return vec if parity is None else _unfold(vec, op.diag.size, parity)
+        return vec if parity is None else _unfold(vec, op.size, parity)
 
     def certify(lam, vec, which):
         resid = kernels.norm(op.matvec(vec) - lam * vec)
@@ -728,7 +924,7 @@ def solve_extrapolated(
     for j, grid in enumerate(_nested_grids(p, L, n0, levels)):
         op = assemble(p, grid)
         near = None
-        if j == 0 and n0 >= 256 and not _mirror_symmetric(op):
+        if j == 0 and n0 >= 256 and op.halves is None:
             # An unsplit operator's bisections start from a grid a quarter
             # the size, bisected to a relative _GUESS_WIDTH and not checked
             # for separation: a guess never changes a value.  A split one's

@@ -22,9 +22,13 @@ zero without a guard (``_run_pivots`` divides in numpy, where a zero
 divisor gives an inf that it replaces).
 
 The Sturm sweeps (``sturm_count``, ``sturm_newton`` and the two pivot
-passes of ``inverse_iteration``) read a matrix in its run-length form,
-which ``SturmCounts`` builds once per matrix with ``run_length``, since
-the bisections sweep one matrix some dozens of times.  The backward pivot
+passes of ``inverse_iteration``) read a matrix in its run-length form
+(``RunLength``), which each matrix holds once, since the bisections sweep
+it some dozens of times: ``fdsolver.assemble`` builds it from a grid's
+layers, and ``run_length`` finds it by a scan of a matrix's arrays.  The
+sweeps read nothing of a matrix but that form, so no sweep touches an
+array of N entries; only the twisted solve, which fills one, reads the
+matrix's arrays.  The backward pivot
 pass of ``inverse_iteration`` reads the same form: all rows of a forward
 run but its last are a run of the backward pass too (``_backward``).
 The eigensolver's grids have equal cells within each layer, so every
@@ -102,7 +106,6 @@ eigenvalue.
 """
 
 import bisect
-import copy
 import math
 from typing import NamedTuple
 
@@ -112,7 +115,7 @@ import numpy as np
 # this; the oracle's layer walk takes the same limit
 RENORM_LIMIT = 1e15
 
-# the fewest equal rows that run_length makes a run.  A run costs a sweep
+# the fewest equal rows that make a run.  A run costs a sweep
 # a closed form (_run_phase) of about what 32 stretch rows cost in
 # sturm_count and 53 in sturm_newton: on blocks of m equal rows parted by
 # one other row (2 cores, Python 3.11, medians of 25 alternating pairs),
@@ -128,13 +131,16 @@ class RunLength(NamedTuple):
     """A symmetric tridiagonal matrix as the Sturm kernels sweep it; see
     ``run_length``."""
 
-    stretch: object  # the stretch rows, a slice or an index array
+    stretch: np.ndarray  # the diagonal entries of the stretch rows, in order
     segments: list  # (b2s, c, b2, n): a stretch's off2 list, then a run
 
 
 def run_length(diag, off2):
     """The run-length form of the symmetric tridiagonal matrix with diagonal
-    ``diag`` and squared off-diagonal ``off2`` (numpy arrays).
+    ``diag`` and squared off-diagonal ``off2`` (numpy arrays), found by a
+    scan of its rows: the form of a matrix given by its arrays, and the
+    tests' reference for the one that ``fdsolver.assemble`` builds from a
+    grid's layers without a scan.
 
     Row i is the pair (diag_i, off2_{i-1}), row 0's off2 taken as 0.0, so
     row 0 enters no run.  A run is a maximal block of at least MIN_RUN rows
@@ -143,13 +149,12 @@ def run_length(diag, off2):
     (``_run_phase``), the twisted solve's pivots too (``_run_pivots``),
     and the twisted solve's backward pass reads the runs off this form
     (``_backward``).  Every other row lies in a stretch and is swept row
-    by row.  Each
-    segment ``(b2s, c, b2, n)`` is a stretch (the list ``b2s`` of its
-    rows' off2, possibly empty) followed by a run of n rows of the pair
-    (c, b2); the last has n = 0.  ``diag[stretch]`` is the diagonal at the
-    stretch rows in order, ``stretch`` a slice where they are one block
-    (always so without runs).  Runs are found in numpy: a matrix without
-    them, every row a boundary, costs no Python loop over its rows.
+    by row.  Each segment ``(b2s, c, b2, n)`` is a stretch (the list
+    ``b2s`` of its rows' off2, possibly empty) followed by a run of n rows
+    of the pair (c, b2); the last has n = 0.  ``stretch`` holds the
+    diagonal at the stretch rows in order.  Runs are found in numpy: a
+    matrix without them, every row a boundary, costs no Python loop over
+    its rows.
     """
     size = diag.size
     b2 = np.concatenate(([0.0], off2))
@@ -168,10 +173,7 @@ def run_length(diag, off2):
         in_stretch[start:start + n] = False
         lo = start + n
     segments.append((b2[lo:].tolist(), 0.0, 0.0, 0))
-    stretch = np.flatnonzero(in_stretch)
-    if stretch.size and stretch[-1] - stretch[0] == stretch.size - 1:
-        stretch = slice(int(stretch[0]), int(stretch[-1]) + 1)
-    return RunLength(stretch, segments)
+    return RunLength(np.asarray(diag, dtype=float)[in_stretch], segments)
 
 
 def _split(a):
@@ -448,11 +450,11 @@ def _run_newton(phase, n, b2, d, r):
     return total, last
 
 
-def sturm_count(diag, runs, shift, pivmin):
+def sturm_count(stretch, segments, shift, pivmin):
     # Sign count of the LDL^T pivots of (T - shift*I): the number of
-    # eigenvalues of T strictly below `shift`.  `runs` is the run-length
-    # form of T (see run_length), whose diagonal is `diag`; `pivmin` guards
-    # against zero pivots the same way LAPACK's bisection does (a pivot in
+    # eigenvalues of T strictly below `shift`.  `stretch` and `segments` are
+    # the run-length form of T (see run_length); `pivmin` guards against
+    # zero pivots the same way LAPACK's bisection does (a pivot in
     # (-pivmin, pivmin) is forced to -pivmin).  A pivot below pivmin is
     # negative once guarded, so one comparison decides both the guard and
     # the count.  The shift is taken off the stretch rows once, in numpy,
@@ -461,10 +463,10 @@ def sturm_count(diag, runs, shift, pivmin):
     pivmin = float(pivmin)
     neg_pivmin = -pivmin
     shift = float(shift)
-    shifted = iter(memoryview(diag[runs.stretch] - shift))
+    shifted = iter(memoryview(stretch - shift))
     count = 0
     d = 1.0  # row 0's off2 is 0.0, so its pivot c_0 - 0.0 / 1.0 is c_0
-    for b2s, c, b2, n in runs.segments:
+    for b2s, c, b2, n in segments:
         for b, a in zip(b2s, shifted):  # b2s first: zip stops without taking a
             d = a - b / d
             if d < pivmin:
@@ -488,7 +490,7 @@ def sturm_count(diag, runs, shift, pivmin):
     return count
 
 
-def sturm_newton(diag, runs, shift, pivmin):
+def sturm_newton(stretch, segments, shift, pivmin):
     # sturm_count's sweep (the same pivots, guard and count) that also sums
     # the logarithmic derivative of det(T - shift*I) = prod d_i:
     #   dlogdet = sum r_i,  r_i = d_i' / d_i,  d_i' = q r_{i-1} - 1,  q = b_i / d_{i-1},
@@ -502,12 +504,12 @@ def sturm_newton(diag, runs, shift, pivmin):
     pivmin = float(pivmin)
     neg_pivmin = -pivmin
     shift = float(shift)
-    shifted = iter(memoryview(diag[runs.stretch] - shift))
+    shifted = iter(memoryview(stretch - shift))
     count = 0
     d = 1.0
     r = 0.0
     total = -0.0
-    for b2s, c, b2, n in runs.segments:
+    for b2s, c, b2, n in segments:
         for b, a in zip(b2s, shifted):
             q = b / d
             d = a - q
@@ -559,20 +561,21 @@ def tolerance(x):
 
 
 class SturmCounts:
-    """One symmetric tridiagonal matrix (``diag``, ``off``) as the kernels
-    take it, with the Sturm counts taken on it so far, kept sorted by shift.
+    """The Sturm counts taken so far on one symmetric tridiagonal matrix,
+    kept sorted by shift.
 
-    ``runs`` is the matrix's run-length form (see ``run_length``), which
-    every sweep of it reads, built once per matrix rather than once per
-    sweep.  ``exceeds(shift, k)`` answers from what is kept whenever that
-    settles it, and sweeps only where nothing does:
+    ``matrix`` is a ``fdsolver.DiscreteOperator``, or anything with its
+    ``runs`` (the run-length form, see ``run_length``), which every sweep
+    reads, ``pivmin`` and, for ``inverse_iteration``, its ``diag`` and
+    ``offdiag`` arrays.  ``exceeds(shift, k)`` answers from what is kept
+    whenever that settles it, and sweeps only where nothing does:
 
     1. the count is non-decreasing in the shift, so a count > k at or
        below the shift, or one <= k at or above it, settles the answer;
     2. ``sturm_count`` reads nothing of the shift but the shifted stretch
-       entries ``diag[stretch] - shift`` and each run's ``c - shift``, so
-       where these equal, entry for entry, their values at the nearest
-       counted shift below or above, that count is reused;
+       entries ``stretch - shift`` and each run's ``c - shift``, so where
+       these equal, entry for entry, their values at the nearest counted
+       shift below or above, that count is reused;
     3. otherwise ``sturm_count`` sweeps, and its count is kept.
 
     In rule 2 the only equal values with different bits are +0 and -0: such
@@ -583,42 +586,18 @@ class SturmCounts:
     are the entries of ``diag - shift``, each distinct value once.  Rounding
     is monotone, so ``diag - s`` for s between two shifts with equal vectors
     is that vector too: the nearest counted shifts below and above find
-    every match.  Row 0's entry, which is a stretch's, and the runs' are
+    every match.  Row 0's entry, the first stretch entry, and the runs' are
     compared first, as Python floats: where one differs, so do the vectors.
     """
 
-    def __init__(self, diag, off):
-        self.diag = np.ascontiguousarray(diag, dtype=float)
-        self.off = np.ascontiguousarray(off, dtype=float)
-        off2 = self.off * self.off
-        # zero-pivot guard for the Sturm and twisted-factorization recurrences;
-        # far below any eigenvalue tolerance but large enough that off/pivmin
-        # cannot overflow the eigenvector recurrence
-        self.pivmin = max(off2.max(), 1.0) * 1e-250
-        self.runs = run_length(self.diag, off2)
-        self._reuse_inputs()
+    def __init__(self, matrix):
+        self.matrix = matrix
+        self.runs = matrix.runs
+        self.pivmin = matrix.pivmin
+        runs = {c for _, c, _, n in self.runs.segments if n}
+        self.firsts = [float(self.runs.stretch[0]), *sorted(runs)]
         self.shifts = []
         self.counts = []  # the count at each of `shifts`
-
-    def _reuse_inputs(self):
-        # what rule 2 compares: the stretch rows' diagonal entries, and as
-        # Python floats row 0's and each distinct run value c
-        self.stretch_diag = self.diag[self.runs.stretch]
-        runs = {c for _, c, _, n in self.runs.segments if n}
-        self.firsts = [float(self.diag[0]), *sorted(runs)]
-
-    def with_first_diagonal(self, first):
-        """The store of the matrix that differs from this one only in its
-        first diagonal entry, ``first``, with no count kept.  Row 0's off2 is
-        0.0, so row 0 enters no run: the two matrices share their run-length
-        form, and their pivmin, which are not built again."""
-        twin = copy.copy(self)
-        twin.diag = self.diag.copy()
-        twin.diag[0] = first
-        twin._reuse_inputs()
-        twin.shifts = []
-        twin.counts = []
-        return twin
 
     def exceeds(self, shift, k):
         """Whether more than k eigenvalues lie below `shift` (count > k)."""
@@ -630,13 +609,14 @@ class SturmCounts:
         if above and shifts[i] == shift or i and counts[i - 1] > k:
             return True
         shift = float(shift)
+        stretch = self.runs.stretch
         near = slice(max(i - 1, 0), i + 1)  # the nearest counted shifts below and above
         for s, count in zip(shifts[near], counts[near]):
             if (all(c - s == c - shift for c in self.firsts)
-                    and np.array_equal(self.stretch_diag - shift, self.stretch_diag - s)):
+                    and np.array_equal(stretch - shift, stretch - s)):
                 break
         else:
-            count = sturm_count(self.diag, self.runs, shift, self.pivmin)
+            count = sturm_count(*self.runs, shift, self.pivmin)
         shifts.insert(i, shift)
         counts.insert(i, count)
         return count > k
@@ -644,7 +624,7 @@ class SturmCounts:
     def newton(self, sigma):
         """``sturm_newton`` at `sigma`: its count is kept and its logarithmic
         derivative of the determinant returned."""
-        count, dlogdet = sturm_newton(self.diag, self.runs, sigma, self.pivmin)
+        count, dlogdet = sturm_newton(*self.runs, sigma, self.pivmin)
         i = bisect.bisect_left(self.shifts, sigma)
         if i == len(self.shifts) or self.shifts[i] != sigma:
             self.shifts.insert(i, sigma)
@@ -861,12 +841,12 @@ def inverse_iteration(counts, sigma):
     # np.multiply.accumulate multiplies left to right.
     # Returns (vector, 1, finite): the l2-normalized vector, the one solve,
     # and whether every component stayed finite.
-    diag, off = counts.diag, counts.off
+    diag, off = counts.matrix.diag, counts.matrix.offdiag
     pivmin = float(counts.pivmin)
     sigma = float(sigma)
     shifted = diag - sigma
     runs = counts.runs
-    fwd = _pivots(shifted[runs.stretch], runs.segments, sigma, pivmin)
+    fwd = _pivots(runs.stretch - sigma, runs.segments, sigma, pivmin)
     bwd = _pivots(*_backward(runs, shifted, off * off), sigma, pivmin)[::-1]
     r = int(np.argmin(np.abs(fwd + bwd - shifted)))  # the first minimum
     z = np.empty(diag.size)

@@ -4,11 +4,12 @@ import pathlib
 import re
 import subprocess
 import sys
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import eigh_tridiagonal
 
@@ -27,11 +28,12 @@ from gaplab import (
     eigenvalues_exact,
     evaluate,
     lowest_two_eigenpairs,
+    lowest_two_eigenvalues,
     solve_extrapolated,
 )
 import gaplab
-from gaplab import kernels
-from gaplab.fdsolver import _mirror_halves, _nested_grids
+from gaplab import fdsolver, kernels
+from gaplab.fdsolver import _nested_grids
 from conftest import random_capped, random_multistep
 
 PI_SQ = math.pi * math.pi
@@ -331,9 +333,7 @@ def test_solver_input_validation():
     with pytest.raises(ValueError):
         solve_extrapolated(Zero(), 1.0, n0=64, levels=5)
     with pytest.raises(SolverError):
-        lowest_two_eigenpairs(
-            type("T", (), {"diag": np.array([1.0]), "offdiag": np.array([]), })()
-        )
+        lowest_two_eigenpairs(DiscreteOperator(np.array([1.0]), np.array([])))
 
 
 def test_default_cell_count():
@@ -423,8 +423,8 @@ def test_split_path_keeps_certificates(monkeypatch, bad, needle):
     # still run on the mirrored vectors against the full operator.  phi2,
     # the even state above the pair, passes every check but the residual.
     op, lams, vecs = _weak_link(8)
-    even, odd = _mirror_halves(op)
-    assert even.diag.size == odd.diag.size == 8
+    even, odd = op.halves
+    assert even.size == odd.size == 8
     ground, excited = (vecs[8:, k] * math.sqrt(2.0) for k in (0, 1))
     if bad == "non-finite":
         ground = np.full(8, np.nan)
@@ -525,7 +525,7 @@ def test_even_potentials_split_like_lapack(kind, seed, L, n0):
         op = assemble(p, grid)
         assert np.array_equal(op.diag[::-1], op.diag)
         assert np.array_equal(op.offdiag[::-1], op.offdiag)
-        assert _mirror_halves(op) is not None
+        assert op.halves is not None
         ref, vecs = eigh_tridiagonal(op.diag, op.offdiag, select="i", select_range=(0, 2))
         rounding = np.finfo(float).eps * op.norm_inf()
         assume(ref[1] - ref[0] > 2.0 * (kernels.tolerance(ref[1]) + rounding))
@@ -563,3 +563,118 @@ def test_output_bits_independent_of_blas_threads():
         outs.append(proc.stdout)
     assert outs[0].split()[0] == "20480"
     assert outs[0] == outs[1]
+
+
+def _array_operator(p, grid):
+    """The operator by the formula over arrays, as assemble formed it before
+    it built operators from a grid's layers: the reference for every bit."""
+    w = grid.widths()
+    d = 0.5 * (w[:-1] + w[1:])
+    diag = np.zeros(grid.N)
+    diag[:-1] += 1.0 / (w[:-1] * d)
+    diag[1:] += 1.0 / (w[1:] * d)
+    diag = diag + evaluate(p, grid.nodes())
+    return DiscreteOperator(diag, -1.0 / (d * np.sqrt(w[:-1] * w[1:])))
+
+
+def _bits(*values):
+    return np.array(values, dtype=float).tobytes()
+
+
+def _check_same_operator(op, ref):
+    # What the eigensolver asks of an operator, answered before any array of
+    # it is built, then its arrays: the run-length form (segments, and the
+    # diagonal at the stretch rows, which are the rows outside the runs),
+    # pivmin, the lower bound, the Gershgorin range and the inf-norm.
+    runs, ref_runs = op.runs, ref.runs
+    assert runs.segments == ref_runs.segments
+    assert runs.stretch.tobytes() == ref_runs.stretch.tobytes()
+    assert _bits(op.pivmin, *op.lower_bound(), *op.gershgorin()) == \
+        _bits(ref.pivmin, *ref.lower_bound(), *ref.gershgorin())
+    assert op.size == ref.size
+    assert op.diag.tobytes() == ref.diag.tobytes()
+    assert op.offdiag.tobytes() == ref.offdiag.tobytes()
+    stretch = np.ones(ref.size, dtype=bool)
+    row = 0
+    for b2s, _, _, n in runs.segments:
+        row += len(b2s)
+        stretch[row:row + n] = False
+        row += n
+    assert runs.stretch.tobytes() == ref.diag[stretch].tobytes()
+    assert _bits(op.norm_inf()) == _bits(ref.norm_inf())
+
+
+@st.composite
+def _layer_draws(draw):
+    """(p, L): a step, centred half the time, a multistep or a capped
+    inverse square."""
+    L = draw(st.floats(0.5, 60.0))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["step", "multistep", "capped"]))
+    if kind == "capped":
+        return random_capped(rng), L
+    if kind == "multistep":
+        return random_multistep(rng, L), L
+    half = float(rng.uniform(0.01, 0.5)) * L
+    centre = 0.0 if rng.integers(2) else float(rng.uniform(-0.5, 0.5)) * (L - 2.0 * half)
+    return Step(float(rng.uniform(0.0, 3.0)), (centre - half, centre + half)), L
+
+
+@settings(max_examples=60, deadline=None)
+@given(_layer_draws(), st.integers(64, 700), st.integers(0, 2))
+# a one-ulp layer, interior and at the end, whose node rounds onto a break
+@example((MultiStep((Step(1.0, (-0.5, 0.5)), Step(2.0, (0.5, math.nextafter(0.5, 1.0))))),
+          10.0), 640, 0)
+@example((Step(1.0, (-0.5, math.nextafter(5.0, 0.0))), 10.0), 640, 2)
+# a step layer of 5 cells (at odd N = 249) and of 20, fewer than MIN_RUN
+@example((Step(1.0, (-0.5, 0.5)), 10.0), 250, 0)
+@example((Step(1.0, (-0.1, 0.1)), 10.0), 256, 2)
+# neighbours of equal width, 2.5 / 128 = 5 / 256: the face rows join the run
+@example((Step(1.0, (-2.5, 2.5)), 10.0), 256, 1)
+# symmetric breaks and counts, asymmetric heights: no split
+@example((MultiStep((Step(1.0, (-2.0, -1.0)), Step(2.0, (1.0, 2.0)))), 10.0), 300, 0)
+# criterion 3's capped case at L = 80.19
+@example((InverseSquareCapped(4.470809127731707, 2.602031914971997), 80.19065303497489),
+         5133, 0)
+def test_layer_form_is_array_form(draw, n0, level):
+    # assemble builds a step potential's operator from its grid's layers,
+    # groups of equal rows, and answers the eigensolver from them: its run-
+    # length form, pivmin, bounds, split and halves are those of the
+    # formula over arrays followed by run_length and the palindrome test,
+    # bit for bit, at each level, odd N and even, and so are the arrays it
+    # builds when read.  The capped family, and a grid that a break of v
+    # crosses (the uniform one), are held as arrays, entry for entry those
+    # of the formula.
+    p, L = draw
+    grid = _nested_grids(p, L, n0, level + 1)[level]
+    for grid, layered in ((grid, not isinstance(p, InverseSquareCapped)), (Grid(L, n0), None)):
+        op, ref = assemble(p, grid), _array_operator(p, grid)
+        if layered is not None:
+            assert isinstance(op, fdsolver._Layered) == layered
+        _check_same_operator(op, ref)
+        halves, ref_halves = op.halves, ref.halves
+        assert (halves is None) == (ref_halves is None)
+        for half, ref_half in zip(halves or (), ref_halves or ()):
+            assert type(half) is type(op)
+            _check_same_operator(half, ref_half)
+
+
+def test_coarse_levels_allocate_no_n_array():
+    # The unit step at L = 1e4 and 64 cells per unit: 6.4e5 cells, whose
+    # array of doubles takes 5.1 MB.  Assembled from its three layers,
+    # split on its groups and bisected on its halves' run-length forms, the
+    # operator's lowest two eigenvalues are found without one such array
+    # (a peak of some 10 kB), and they are those of the same operator given
+    # by its arrays.
+    p = Step(1.0, (-0.5, 0.5))
+    grid = _nested_grids(p, 1e4, default_cell_count(1e4), 1)[0]
+    assert grid.N == 640_000
+    tracemalloc.start()
+    try:
+        op = assemble(p, grid)
+        lams = lowest_two_eigenvalues(op)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * grid.N
+    assert lams == lowest_two_eigenvalues(DiscreteOperator(op.diag, op.offdiag))

@@ -29,8 +29,10 @@ next eigenvalue (or, past a guarded zero pivot, a residual no larger).
 On criterion 5's finest halves its vectors lie as close to a long-double
 solve as the loop's, and no numpy transcendental, whose bits depend on
 the CPU, enters them.  The unit step's finest halves pin that the runs
-are there to be swept, and one run-length form serves both halves of an
-even operator and both pivot passes.
+are there to be swept, the two halves of an even operator share their
+run-length form but for row 0's entry, one form serves both pivot
+passes, and a criterion-5 row reads every form off its operators' groups
+of equal rows, with no scan of their rows.
 ``prufer_theta_piecewise`` takes the Pruefer angle exactly, one layer at
 a time: an RK4 theta sweep whose steps end on every break converges to it
 at order 4 off the lattice and counts alike away from eigenvalues, across
@@ -43,6 +45,7 @@ evaluated it twice.
 """
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -100,7 +103,7 @@ def _bisect_inputs(diag, off):
     radius = 2.0 * np.abs(off).max()
     lo = float(diag.min() - radius)
     hi = float(np.abs(diag).max() + radius)
-    return kernels.SturmCounts(diag, off), lo, hi
+    return kernels.SturmCounts(DiscreteOperator(diag, off)), lo, hi
 
 
 def _kept(counts):
@@ -110,7 +113,7 @@ def _kept(counts):
     return dict(zip(counts.shifts, counts.counts))
 
 
-def reference_bracket(diag, runs, k, lo, hi, pivmin):
+def reference_bracket(runs, k, lo, hi, pivmin):
     # plain bisection, a Sturm sweep at every midpoint: the last (lo, hi)
     while True:
         top = max(abs(lo), abs(hi))
@@ -119,15 +122,15 @@ def reference_bracket(diag, runs, k, lo, hi, pivmin):
         mid = 0.5 * (lo + hi)
         if mid <= lo or mid >= hi:
             break
-        if kernels.sturm_count(diag, runs, mid, pivmin) > k:
+        if kernels.sturm_count(*runs, mid, pivmin) > k:
             hi = mid
         else:
             lo = mid
     return lo, hi
 
 
-def reference_bisect(diag, runs, k, lo, hi, pivmin):
-    lo, hi = reference_bracket(diag, runs, k, lo, hi, pivmin)
+def reference_bisect(runs, k, lo, hi, pivmin):
+    lo, hi = reference_bracket(runs, k, lo, hi, pivmin)
     return 0.5 * (lo + hi)
 
 
@@ -139,14 +142,14 @@ def _check_counted_shifts(rng, diag, off, k, n_known):
     # as the eigensolver keeps them.
     counts, lo, hi = _bisect_inputs(diag, off)
     runs, pivmin = counts.runs, counts.pivmin
-    lams = [reference_bisect(diag, runs, j, lo, hi, pivmin) for j in (0, 1)]
+    lams = [reference_bisect(runs, j, lo, hi, pivmin) for j in (0, 1)]
     plain = lams[k]
     assert kernels.bisect_eigenvalue(counts, k, lo, hi) == plain
     ulp = EPS * DiscreteOperator(diag, off).norm_inf()
     shifts = list(rng.uniform(lo, hi, n_known))
     shifts += [float(lams[j] + ulp * rng.uniform(-4.0, 4.0))
                for j in rng.integers(0, 2, n_known)]
-    known = {s: kernels.sturm_count(diag, runs, s, pivmin) for s in shifts}
+    known = {s: kernels.sturm_count(*runs, s, pivmin) for s in shifts}
     guided, _, _ = _bisect_inputs(diag, off)
     for s in shifts:
         guided.newton(s)
@@ -157,7 +160,7 @@ def _check_counted_shifts(rng, diag, off, k, n_known):
     assert _kept(guided).items() >= known.items()
     for store in (counts, guided):
         for s, c in _kept(store).items():
-            assert c == kernels.sturm_count(diag, runs, s, pivmin)
+            assert c == kernels.sturm_count(*runs, s, pivmin)
 
 
 @settings(max_examples=200, deadline=None)
@@ -200,7 +203,7 @@ def test_sturm_count_monotone_near_eigenvalue(seed, j):
             shifts = list(lam + ulp * rng.uniform(-6.0, 6.0, 64)) + [float(lam)]
             for _ in range(64):
                 shifts.append(math.nextafter(shifts[-1], math.inf))
-            found = [kernels.sturm_count(diag, runs, s, pivmin) for s in sorted(shifts)]
+            found = [kernels.sturm_count(*runs, s, pivmin) for s in sorted(shifts)]
             assert all(a <= b for a, b in zip(found, found[1:]))
 
 
@@ -258,8 +261,8 @@ def test_sturm_newton_counts_like_sturm_count(seed):
     randoms = [float(s) for s in rng.uniform(lo, hi, 8)]
     bisected = [kernels.bisect_eigenvalue(counts, k, lo, hi) for k in (0, 1)]
     for s in randoms + bisected + [float(diag[0])]:
-        count, _ = kernels.sturm_newton(diag, runs, s, pivmin)
-        assert count == kernels.sturm_count(diag, runs, s, pivmin)
+        count, _ = kernels.sturm_newton(*runs, s, pivmin)
+        assert count == kernels.sturm_count(*runs, s, pivmin)
     lams = np.linalg.eigvalsh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
     # eigvalsh places each lambda_j within a few eps * ||T||, so the
     # reference is good to a relative 1e-8 only at shifts at least
@@ -269,7 +272,7 @@ def test_sturm_newton_counts_like_sturm_count(seed):
     for s in randoms:
         if np.abs(lams - s).min() < 1e-6 * norm:
             continue
-        _, dlogdet = kernels.sturm_newton(diag, runs, s, pivmin)
+        _, dlogdet = kernels.sturm_newton(*runs, s, pivmin)
         assert dlogdet == pytest.approx(-np.sum(1.0 / (lams - s)), rel=1e-8, abs=0.0)
 
 
@@ -286,7 +289,7 @@ def test_sturm_count_matches_reference_loop(seed, j):
     shifts = list(lam + ulp * rng.uniform(-6.0, 6.0, 32))  # numpy floats
     shifts += [float(s) for s in rng.uniform(lo, hi, 8)]
     for s in shifts:
-        assert kernels.sturm_count(diag, runs, s, pivmin) == \
+        assert kernels.sturm_count(*runs, s, pivmin) == \
             reference_sturm_count(diag, off2, s, pivmin)
 
 
@@ -449,8 +452,8 @@ def _check_run_length(diag, off, shifts):
 
     with np.errstate(all="ignore"):
         for s in shifts:
-            count = kernels.sturm_count(diag, runs, s, pivmin)
-            newton_count, dlogdet = kernels.sturm_newton(diag, runs, s, pivmin)
+            count = kernels.sturm_count(*runs, s, pivmin)
+            newton_count, dlogdet = kernels.sturm_newton(*runs, s, pivmin)
             assert newton_count == count
             ref_count, ref_dlogdet = reference_sturm_newton(diag, off2, s, pivmin)
             if isolated(s, EPS * norm):
@@ -585,8 +588,7 @@ def test_run_closed_form_matches_reference_loop(seed, regime, n):
 ], ids=["zero", "capped"])
 def test_run_length_of_uniform_and_capped_operators(p, L, runs):
     op = assemble(p, Grid(L, 64 * int(L)))
-    counts = kernels.SturmCounts(op.diag, op.offdiag)
-    assert [n for _, _, _, n in counts.runs.segments[:-1]] == [op.diag.size - 2] * runs
+    assert [n for _, _, _, n in op.runs.segments[:-1]] == [op.size - 2] * runs
     lam0, lam1 = lowest_two_eigenvalues(op)
     _check_run_length(op.diag, op.offdiag, [lam0, 0.5 * (lam0 + lam1), lam1 + 1.0, 10.0])
 
@@ -598,10 +600,10 @@ def test_unit_step_finest_halves_are_runs():
     p = Step(1.0, (-0.5, 0.5))
     for L in np.geomspace(50.0, 400.0, 9):
         grid = _nested_grids(p, float(L), default_cell_count(float(L)), 3)[-1]
-        for half in fdsolver._mirror_halves(assemble(p, grid)):
-            segments = kernels.SturmCounts(half.diag, half.offdiag).runs.segments
+        for half in assemble(p, grid).halves:
+            segments = half.runs.segments
             assert len(segments) <= 8
-            assert sum(n for _, _, _, n in segments) >= 0.99 * half.diag.size
+            assert sum(n for _, _, _, n in segments) >= 0.99 * half.size
 
 
 def _longdouble_twisted_solve(diag, off, sigma):
@@ -641,7 +643,7 @@ def test_closed_form_vectors_on_criterion5_finest_halves(L):
     # (the two distances measured 0.73 to 1.04 times each other).
     p = Step(1.0, (-0.5, 0.5))
     grid = _nested_grids(p, L, default_cell_count(L), 3)[-1]
-    for half in fdsolver._mirror_halves(assemble(p, grid)):
+    for half in assemble(p, grid).halves:
         counts, lo, hi = _bisect_inputs(half.diag, half.offdiag)
         assert len(counts.runs.segments) >= 2  # a run to take in closed form
         sigma = kernels.bisect_eigenvalue(counts, 0, lo, hi)
@@ -673,7 +675,7 @@ def test_twisted_solve_calls_no_numpy_transcendental(monkeypatch):
     rng = np.random.default_rng(2024)
     for _ in range(4):
         diag, off = _run_matrix(rng, 3 * M)
-        counts = kernels.SturmCounts(diag, off)
+        counts = kernels.SturmCounts(DiscreteOperator(diag, off))
         c, b = float(diag[1]), float(-off[0])
         for t in (-0.9, -0.3, 0.3, 0.9, -3.0, -1.1, 1.1, 3.0, -1.0, 1.0):
             vec, solves, finite = kernels.inverse_iteration(counts, c - 2.0 * b * t)
@@ -684,12 +686,13 @@ def test_run_length_once_per_grid(monkeypatch):
     # One criterion-5 row (64 cells per unit, 3 levels) solves three grids,
     # the three levels: its operators split, and level 0 guesses on its own
     # halves, so no quarter grid is built (it was, a fourth grid, before).
-    # Each has an even N and splits into two halves that differ only in row
-    # 0, which enters no run, so the odd half takes the even half's
-    # run-length form, and the twisted solve reads its backward pass off
-    # the forward form: one run_length call per grid, where each half and
-    # the mirrored matrix of the finest grid took one, 9 in all with the
-    # quarter grid.
+    # Each operator is assembled from its grid's three layers as a few
+    # groups of equal rows, splits on those groups, and each half reads its
+    # run-length form off its own six groups; the twisted solve reads its
+    # backward pass off the forward form.  So the row makes no run_length
+    # scan, where each grid took one scan of N/2 rows before (the odd half
+    # shared the even half's form), and each half and the mirrored matrix
+    # of the finest grid one before that, 9 in all with the quarter grid.
     calls = []
     run_length = kernels.run_length
 
@@ -700,29 +703,31 @@ def test_run_length_once_per_grid(monkeypatch):
     monkeypatch.setattr(kernels, "run_length", counted)
     L = float(np.geomspace(50.0, 400.0, 9)[4])
     solve_extrapolated(Step(1.0, (-0.5, 0.5)), L, n0=default_cell_count(L), levels=3)
-    assert len(calls) == 3
+    assert calls == []
 
 
 @pytest.mark.parametrize("p", [Step(1.0, (-0.5, 0.5)), InverseSquareCapped(0.3, 4.0)],
                          ids=["step", "capped"])
 def test_even_halves_share_run_length(p):
     # The two halves of an even operator differ only in their first
-    # diagonal entry, which no run reads: their run-length forms are the
-    # same, so the odd half's store built from the even half's holds what
-    # its own would.  An odd operator's halves differ in size.
+    # diagonal entry, which no run reads: their run-length forms have the
+    # same segments and pivmin, and stretches that differ in entry 0 alone,
+    # each the form that a scan of the half's rows finds.  An odd
+    # operator's halves differ in size.
     grids = [_nested_grids(p, L, n0, 1)[0]
              for L in (5.0, 50.0, 137.5) for n0 in (256, 320, 400, 512, 8800)]
     grids = [grid for grid in grids if grid.N % 2 == 0]
     assert len(grids) >= 5
     for grid in grids:
-        even, odd = fdsolver._mirror_halves(assemble(p, grid))
-        own = kernels.run_length(odd.diag, odd.offdiag ** 2)
-        shared = kernels.SturmCounts(even.diag, even.offdiag).with_first_diagonal(odd.diag[0])
-        assert shared.runs.segments == own.segments
-        assert np.array_equal(np.arange(odd.diag.size)[shared.runs.stretch],
-                              np.arange(odd.diag.size)[own.stretch])
-        assert shared.diag.tobytes() == odd.diag.tobytes()
-        assert shared.pivmin == kernels.SturmCounts(odd.diag, odd.offdiag).pivmin
+        even, odd = assemble(p, grid).halves
+        assert odd.runs.segments == even.runs.segments
+        assert odd.runs.stretch[1:].tobytes() == even.runs.stretch[1:].tobytes()
+        assert odd.runs.stretch[0] == odd.diag[0] > even.diag[0] == even.runs.stretch[0]
+        assert odd.pivmin == even.pivmin
+        for half in (even, odd):
+            own = kernels.run_length(half.diag, half.offdiag ** 2)
+            assert half.runs.segments == own.segments
+            assert half.runs.stretch.tobytes() == own.stretch.tobytes()
 
 
 guesses = st.one_of(
@@ -772,7 +777,7 @@ def _plain_lowest_two(op):
     Sturm sweep at every midpoint and no count kept or guessed: on the even
     and odd halves of a mirror-symmetric operator, else both on the whole
     matrix, as lowest_two_eigenvalues bisects them."""
-    halves = fdsolver._mirror_halves(op)
+    halves = op.halves
     if halves is None:
         sectors = [(op, 0), (op, 1)]
     else:
@@ -782,7 +787,7 @@ def _plain_lowest_two(op):
         counts, lo, hi = _bisect_inputs(half.diag, half.offdiag)
         if k:
             lo = max(lo, lams[0] - 1e-13)
-        lams.append(reference_bisect(half.diag, counts.runs, k, lo, hi, counts.pivmin))
+        lams.append(reference_bisect(counts.runs, k, lo, hi, counts.pivmin))
     return tuple(lams)
 
 
@@ -1089,14 +1094,12 @@ def test_reuse_needs_every_entry_equal(monkeypatch):
     off2 = np.array([0.0, low * high])  # the last pivot is diag[2] - s - low
     runs = kernels.run_length(diag, off2)
     pivmin = 1e-250
-    assert [kernels.sturm_count(diag, runs, s, pivmin) for s in (s0, s1, s2, s3)] == [0, 0, 1, 1]
+    assert [kernels.sturm_count(*runs, s, pivmin) for s in (s0, s1, s2, s3)] == [0, 0, 1, 1]
 
     def store():
-        # no off-diagonal entry squares to low * high, so the store's
-        # kernel inputs are set directly
-        counts = kernels.SturmCounts(diag, np.sqrt(off2))
-        counts.runs, counts.pivmin = runs, pivmin
-        return counts
+        # no off-diagonal entry squares to low * high, so the store is given
+        # the matrix's run-length form and pivmin directly
+        return kernels.SturmCounts(SimpleNamespace(runs=runs, pivmin=pivmin))
 
     for known, shift, expected in ((s1, s2, 1), (s2, s1, 0)):
         counts = store()
@@ -1131,7 +1134,7 @@ def test_monotone_answers_never_sweep(monkeypatch):
     diag[[0, -1]] = 1.0
     off = np.full(n - 1, -1.0)
     counts, lo, hi = _bisect_inputs(diag, off)
-    plain = reference_bracket(diag, counts.runs, 1, lo, hi, counts.pivmin)
+    plain = reference_bracket(counts.runs, 1, lo, hi, counts.pivmin)
     for s in plain:
         counts.newton(s)
     kept = _kept(counts)
@@ -1154,21 +1157,30 @@ def test_monotone_answers_never_sweep(monkeypatch):
 
 
 def _count_sweeps(monkeypatch):
-    """Operator size -> [Sturm sweeps, Newton sweeps] of what runs next, and
-    the number of twisted-factorization solves."""
+    """Matrix size -> [Sturm sweeps, Newton sweeps] of what runs next, each
+    sweep keyed by the size of the operator or half whose count store took
+    it, and the number of twisted-factorization solves."""
     sweeps = {}
-    calls = {"inverse_sweeps": 0}
+    calls = {"inverse_sweeps": 0, "sturm": 0}
     sturm_count = kernels.sturm_count
-    sturm_newton = kernels.sturm_newton
+    exceeds = kernels.SturmCounts.exceeds
+    newton = kernels.SturmCounts.newton
     inverse_iteration = kernels.inverse_iteration
 
-    def counted_sturm(diag, *args):
-        sweeps.setdefault(diag.size, [0, 0])[0] += 1
-        return sturm_count(diag, *args)
+    def counted_sturm(*args):
+        calls["sturm"] += 1
+        return sturm_count(*args)
 
-    def counted_newton(diag, *args):
-        sweeps.setdefault(diag.size, [0, 0])[1] += 1
-        return sturm_newton(diag, *args)
+    def counted_exceeds(counts, *args):
+        before = calls["sturm"]
+        out = exceeds(counts, *args)
+        if calls["sturm"] > before:
+            sweeps.setdefault(counts.matrix.size, [0, 0])[0] += calls["sturm"] - before
+        return out
+
+    def counted_newton(counts, *args):
+        sweeps.setdefault(counts.matrix.size, [0, 0])[1] += 1
+        return newton(counts, *args)
 
     def counted_inverse(*args):
         out = inverse_iteration(*args)
@@ -1176,7 +1188,8 @@ def _count_sweeps(monkeypatch):
         return out
 
     monkeypatch.setattr(kernels, "sturm_count", counted_sturm)
-    monkeypatch.setattr(kernels, "sturm_newton", counted_newton)
+    monkeypatch.setattr(kernels.SturmCounts, "exceeds", counted_exceeds)
+    monkeypatch.setattr(kernels.SturmCounts, "newton", counted_newton)
     monkeypatch.setattr(kernels, "inverse_iteration", counted_inverse)
     return sweeps, calls
 
@@ -1186,37 +1199,38 @@ def _count_sweeps(monkeypatch):
     (Step(1.0, (-0.5, 1.5)), {200: [25, 0], 800: [10, 6], 1600: [8, 4], 3200: [6, 2]}),
 ], ids=["centred", "off_centre"])
 def test_sturm_sweep_budget(monkeypatch, p, expected):
-    # Plain bisection of both eigenvalues from the Gershgorin range takes 324
-    # Sturm sweeps (614400 cells) on the three grids of N = 800, 1600 and
-    # 3200 cells.  Counts shared by the two bisections and taken around the
-    # guess of the level before cut that to 155 sweeps (229600 cells).
-    # Level 0 guessed from a grid of 200 cells bisected to a relative width
-    # of 1e-3, Newton sweeps from every guess and a gallop window sized by
-    # the last Newton step cut it to 93320 cells, a Newton sweep weighted
-    # 2.2.  Reusing the count of a shift whose shifted diagonal rounds to a
-    # vector already counted cuts the off-centre pins below to 83720 cells:
-    # 200*25 + 800*(10 + 2.2*6) + 1600*(8 + 2.2*4) + 3200*(6 + 2.2*2).  The
+    # Each pin is, per operator or half (keyed by its size), the Sturm
+    # counts and the Newton sweeps that its count store took.  A sweep takes
+    # each run of equal rows in O(1), so it costs about the same on every
+    # level, and the budget is these counts, not cells swept.  Plain
+    # bisection of both eigenvalues from the Gershgorin range takes 324
+    # Sturm counts on the three grids of N = 800, 1600 and 3200 cells.
+    # Counts shared by the two bisections and taken around the guess of the
+    # level before cut that to 155.  A guess for level 0 from a grid of 200
+    # cells bisected to a relative width of 1e-3, Newton sweeps from every
+    # guess, a gallop window sized by the last Newton step, and the reuse of
+    # the count of a shift whose shifted diagonal rounds to a vector already
+    # counted give the off-centre pins below: 24 counts and 12 Newton
+    # sweeps on the three levels, after 25 counts on the guess grid.  The
     # centred step is even, so every grid is split into an even and an odd
-    # half of N/2 cells, each bisected for its lowest eigenvalue: the
-    # sweeps, keyed by the half size, were (with a quarter grid) 100*32 + 400*(9 + 2.2*4) + 800*(8 + 2.2*4) + 1600*(8 + 2.2*2) =
-    # 43600 cells; a gallop shift that a Newton count already settles is
-    # not swept.  A split operator now builds no quarter grid: level 0's
-    # halves guess for themselves by Newton steps from a lower bound,
-    # max(0, the smallest row sum) less 4 eps ||T||, the odd half from the
-    # even half's last iterate, to a step within a relative 1e-3.  The pins
-    # went from {100: [32, 0], 400: [9, 4]} to {400: [6, 9]}: 3200 + 7120
-    # cells to 10320, 43600 in all as before, while the sweeps fall from 57
-    # counts and 10 Newton sweeps to 22 and 15, and the quarter grid's
-    # assembly goes.  The odd half's Newton steps take a gap too (lambda3 >=
-    # lambda2), so on the finest halves one Newton step of the odd half
-    # passes the stop test, where the second cost 1600*(7 + 2.2*3) = 45520
-    # cells in all.  Only the finest grid solves for an eigenvector: one
-    # twisted-factorization solve, for the ground state, as no layer of
-    # these grids is thin enough that lambda1's rounding floor needs its
-    # own vector (see the one-ulp-layer pins below).  The off-centre step
-    # is no palindrome: it pins the general path, whole operators keyed by
-    # N, whose sweeps move if count sharing is lost.  The counts are
-    # deterministic: a change that loses the reuse or the split fails here.
+    # half of N/2 cells, each bisected for its lowest eigenvalue, and a
+    # gallop shift that a Newton count already settles is not swept.  A
+    # split operator builds no quarter grid: level 0's halves guess for
+    # themselves by Newton steps from a lower bound, max(0, the smallest
+    # row sum) less 4 eps ||T||, the odd half from the even half's last
+    # iterate, to a step within a relative 1e-3.  The pins went from
+    # {100: [32, 0], 400: [9, 4]} to {400: [6, 9]}: 41 counts and 4 Newton
+    # sweeps became 6 and 9, and the quarter grid's assembly went.  The
+    # odd half's Newton steps take a gap too (lambda3 >= lambda2), so on
+    # the finest halves one Newton step of the odd half passes the stop
+    # test, where they took [7, 3] before.  Only the finest grid solves for
+    # an eigenvector: one twisted-factorization solve, for the ground
+    # state, as no layer of these grids is thin enough that lambda1's
+    # rounding floor needs its own vector (see the one-ulp-layer pins
+    # below).  The off-centre step is no palindrome: it pins the general
+    # path, whole operators keyed by N, whose sweeps move if count sharing
+    # is lost.  The counts are deterministic: a change that loses the reuse
+    # or the split fails here.
     sweeps, calls = _count_sweeps(monkeypatch)
     solve_extrapolated(p, 100.0, n0=800, levels=3)
     assert sweeps == expected
@@ -1269,8 +1283,8 @@ def test_newton_stops_at_rounding_floor(monkeypatch):
     # relative 1e-3 from the Gershgorin range in [34, 0] sweeps.  No quarter
     # grid is built for a split operator now: level 0's halves take Newton
     # steps from a lower bound, the odd half's from the even half's last
-    # iterate, 1.05e-9 under lambda1, and then [4, 8], not [6, 4]: 216920
-    # weighted cells to 212548.
+    # iterate, 1.05e-9 under lambda1, and then [4, 8], not [6, 4]: two
+    # counts fewer for four Newton sweeps more, and no quarter grid.
     results = []
     newton = fdsolver._newton
 
