@@ -37,10 +37,10 @@ row.  So ``assemble`` builds a step potential's operator from the grid's
 layers: each layer gives its two face rows and one group of equal
 interior rows, with the bits the formula over arrays gives them, and the
 operator answers every question of the eigensolver (its run-length form,
-its split, its bounds) from those few groups.  Only the finest level reads
-N-vectors: its eigenvector, the certificates and phi0.  The capped
-family's rows differ along its tails, which every sweep reads row by row,
-so its operator is held as arrays.  Every potential of the capped family
+its split, its bounds, ||T||_inf) from those few groups.  Only the finest
+level reads N-vectors: its eigenvector, the certificates and phi0.  The
+capped family's rows differ along its tails, which every sweep reads row
+by row, so its operator is held as arrays.  Every potential of the capped family
 is even, and so is a centred step; a grid with symmetric breaks and
 counts places its nodes mirror-symmetrically, so such a potential
 assembles a mirror-symmetric operator, whose diagonal and off-diagonal
@@ -88,6 +88,7 @@ number of sweeps, never an eigenvalue.
 import bisect
 import itertools
 import math
+import operator
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
@@ -216,9 +217,9 @@ class DiscreteOperator:
 
     Besides its arrays, an operator gives what the eigensolver asks of it:
     its size, its run-length form ``runs`` and ``pivmin`` (see
-    ``kernels.SturmCounts``), its mirror ``halves``, its Gershgorin range
-    and a lower bound on its spectrum.  Built from its arrays, it finds
-    them by scanning and comparing them; ``assemble`` gives a piecewise-
+    ``kernels.SturmCounts``), its mirror ``halves``, its Gershgorin range,
+    a lower bound on its spectrum and ||T||_inf.  Built from its arrays, it
+    finds them by scanning and comparing them; ``assemble`` gives a piecewise-
     constant potential's operator as groups of equal rows, which answer the
     same questions, bit for bit, without an array of N entries."""
 
@@ -368,17 +369,27 @@ class _Layered(DiscreteOperator):
         radius = 2.0 * max(abs(off) for _, off, _ in self.groups[1:])
         return min(diag) - radius, max(map(abs, diag)) + radius
 
-    def lower_bound(self) -> Tuple[float, float]:
-        # a group's last row has the next group's coupling on its right, its
-        # other rows their own on both sides; x - 0.0 is x
+    def _row_sums(self, entry, combine):
+        """combine(combine(entry(diag_i), |off_i|), |off_{i-1}|) at each kind
+        of row, as the arrays combine a row with its coupling to the right,
+        then to the left: a group's last row has the next group's coupling
+        on its right, its other rows their own on both sides (0.0 beyond an
+        end, and x -/+ 0.0 is x)."""
         right = [abs(off) for _, off, _ in self.groups[1:]] + [0.0]
         rows = []
         for (d, off, n), r in zip(self.groups, right):
-            rows.append((d - r) - abs(off))
+            rows.append(combine(combine(entry(d), r), abs(off)))
             if n > 1:
-                rows.append((d - abs(off)) - abs(off))
-        hi = max(abs(d) for d, _, _ in self.groups) + 2.0 * max(right)
-        return max(0.0, min(rows)) - 4.0 * _EPS * hi, hi
+                rows.append(combine(combine(entry(d), abs(off)), abs(off)))
+        return rows
+
+    def norm_inf(self) -> float:
+        return max(self._row_sums(abs, operator.add))
+
+    def lower_bound(self) -> Tuple[float, float]:
+        diag, off, _ = zip(*self.groups)
+        hi = max(map(abs, diag)) + 2.0 * max(map(abs, off))
+        return max(0.0, min(self._row_sums(float, operator.sub))) - 4.0 * _EPS * hi, hi
 
     @cached_property
     def halves(self):
