@@ -376,9 +376,11 @@ def _continuant_slope(k, x, b, B, A, dA, theta, dc):
 # the scale below which _ill_conditioned takes a run's closed form for ill
 # conditioned: an incoming pivot below b / ILL, or F(n - 1) or F(n) within
 # 1 / ILL of its scale from zero.  A run taken row by row costs a sweep some
-# 60 ns a row; one batch of the benchmark's sweep workload meets one such
-# run in some 600 run sweeps (398 rows), the oracle's four in 2100 (53 to
-# 231 rows), and no Newton sweep of the three workloads meets one.
+# 60 ns a row.  In one batch of the benchmark's sweep workload, the first
+# Newton sweep of each row meets one: level 0's even half starts from its
+# lower bound, at the band edge of the v = 0 run (9 runs of 195 to 1595
+# rows).  Four Sturm counts of a suite batch meet one and eight of an
+# oracle batch (33 to 281 rows).
 ILL = 1024.0
 
 
