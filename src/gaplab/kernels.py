@@ -5,7 +5,8 @@ kernels (Sturm count, bisection, one inverse-iteration step by twisted
 factorization) follow LAPACK's tridiagonal routines.  The phase count of a
 piecewise-constant potential takes the Pruefer angle exactly, one closed-
 form step per layer; the capped family's phase and profile kernels are
-fixed-step RK4 sweeps, so their phase counts are reproducible.
+fixed-step RK4 sweeps over the left half of its even potential, so their
+phase counts are reproducible.
 
 The loops run on Python floats, not numpy scalars: each kernel converts its
 array arguments once per call, with ``tolist()`` or by iterating a
@@ -943,11 +944,13 @@ def prufer_theta_piecewise(breaks, vals, lam, n_layers):
 def prufer_theta_capped(c_decay, cap, lam, half_len, n_steps):
     # Classical RK4 sweep of the phase equation
     #   theta' = cos^2(theta) + (lam - v(x)) sin^2(theta),  theta = pi/2 at -half_len,
-    # for v(x) = min(cap, c_decay / x^2) on (-half_len, half_len), in n_steps
-    # equal steps, taken on the doubled angle phi = 2 theta (see the module
-    # docstring): phi' = (1 + q) + (1 - q) cos(phi), phi = pi at the start,
-    # q = lam - v; returns theta = phi / 2.  v is taken at each step's
-    # start, midpoint and end.
+    # for v(x) = min(cap, c_decay / x^2) on the left half (-half_len, 0), in
+    # n_steps equal steps of half_len / n_steps, taken on the doubled angle
+    # phi = 2 theta (see the module docstring): phi' = (1 + q) + (1 - q)
+    # cos(phi), phi = pi at the start, q = lam - v; returns theta = phi / 2
+    # at the centre.  v is even, so every Neumann eigenfunction is even or
+    # odd, and theta at the centre counts both (oracle.prufer_count).  v is
+    # taken at each step's start, midpoint and end.
     # A step's end is the next step's start, the same x bit for bit, so its
     # coefficients (1 + q, 1 - q) are carried forward, not evaluated again.
     c_decay = float(c_decay)
@@ -955,7 +958,7 @@ def prufer_theta_capped(c_decay, cap, lam, half_len, n_steps):
     lam = float(lam)
     half_len = float(half_len)
     cos = math.cos
-    h = 2.0 * half_len / n_steps
+    h = half_len / n_steps
     half_h = 0.5 * h
     phi = math.pi
     x = -half_len
@@ -986,12 +989,17 @@ def prufer_theta_capped(c_decay, cap, lam, half_len, n_steps):
 
 def profile_rk4_capped(c_decay, cap, lam, half_len, n_samples, n_sub):
     # Integrates u'' = (v - lam) u with v(x) = min(cap, c_decay/x^2) from
-    # (u, u') = (1, 0) at -half_len, recording u at n_samples uniform points
-    # (endpoints included).  v at a step's end is carried forward as v at
-    # the next step's start, as in prufer_theta_capped.  The state and all
-    # stored samples are rescaled whenever |u| or |u'| exceeds RENORM_LIMIT;
-    # the returned profile is therefore defined only up to a positive
-    # factor, which is all the inf/sup ratio needs.
+    # (u, u') = (1, 0) at -half_len, in n_sub RK4 steps per interval between
+    # n_samples uniform points on [-half_len, half_len] (endpoints
+    # included), and returns u at those points.  v is even and so is the
+    # ground state: the sweep records the samples up to the centre only,
+    # ceil(n_samples / 2) of them (the centre is the last where n_samples is
+    # odd), and the samples on the right are their mirror image, bit for
+    # bit.  v at a step's end is carried forward as v at the next step's
+    # start, as in prufer_theta_capped.  The state and all stored samples
+    # are rescaled whenever |u| or |u'| exceeds RENORM_LIMIT; the returned
+    # profile is therefore defined only up to a positive factor, which is
+    # all the inf/sup ratio needs.
     c_decay = float(c_decay)
     cap = float(cap)
     lam = float(lam)
@@ -1004,7 +1012,7 @@ def profile_rk4_capped(c_decay, cap, lam, half_len, n_samples, n_sub):
     x = -half_len
     x2 = x * x
     v1 = cap if x2 * cap <= c_decay else c_decay / x2
-    for j in range(1, n_samples):
+    for j in range((n_samples - 1) // 2):
         for _ in range(n_sub):
             xm = x + half_h
             x2 = xm * xm
@@ -1032,4 +1040,4 @@ def profile_rk4_capped(c_decay, cap, lam, half_len, n_samples, n_sub):
             u *= inv
             up *= inv
             samples = [a * inv for a in samples]
-    return np.array(samples)
+    return np.array(samples + samples[n_samples // 2 - 1::-1])

@@ -23,15 +23,22 @@ piecewise-constant potential the angle is exact, one closed-form step per
 layer (``kernels.prufer_theta_piecewise``; Pruess, SIAM J. Numer. Anal.
 10, 1973; Pryce, Numerical Solution of Sturm-Liouville Problems, 1993),
 carried as turns pi + phi with phi in [0, pi], so the count is
-turns + (phi > pi/2) at any lam, with no step rule.  The capped family
-integrates the equation by fixed-step RK4 (reproducible counts; a sweep
-of over 1e9 steps is refused) on the doubled angle phi = 2 theta, whose
-equation phi' = (1 + q) + (1 - q) cos phi, q = lam - v, takes one cosine
-per RK4 stage.  RK4 commutes with that linear change of variable, so the
-steps, the order and the counts are those of RK4 on theta; only rounding
-differs.  ``ground_state_profile`` measures inf/sup of the ground state
-without the finite-difference machinery; the capped one takes twice the
-RK4 steps of a phase count, by the same step rule.
+turns + (phi > pi/2) at any lam, with no step rule.  The capped family's
+v is even, so each of its Neumann eigenfunctions is even (u'(0) = 0) or
+odd (u(0) = 0), and its count integrates the equation over the left half
+only, from -L/2 to the centre, by fixed-step RK4 (reproducible counts; a
+step rule of over 1e9 steps over L is refused) on the doubled angle
+phi = 2 theta, whose equation phi' = (1 + q) + (1 - q) cos phi,
+q = lam - v, takes one cosine per RK4 stage.  RK4 commutes with that
+linear change of variable, so the steps, the order and the counts are
+those of RK4 on theta; only rounding differs.  theta(0) rises with lam;
+the even eigenvalues sit where it is pi/2 + k pi and the odd ones where
+it is (k + 1) pi, so the count below lam is the number of multiples of
+pi/2 that theta(0) passes strictly beyond pi/2.
+``ground_state_profile`` measures inf/sup of the ground state without
+the finite-difference machinery.  The capped one integrates the left
+half too, by the phase count's step rule and at least two RK4 steps per
+sample interval, and mirrors it: the ground state is even.
 
 ``eigenvalues_exact`` finds each eigenvalue with one bracket routine that
 uses the phase counts only to isolate it: once a bracket holds eigenvalue
@@ -250,11 +257,13 @@ def _capped_steps(p: InverseSquareCapped, L: float, lam: float) -> int:
     return int(math.ceil(L / h_max))
 
 
-def _count_from_theta(theta: float) -> int:
-    # one eigenvalue for each pi/2 + k pi (k >= 0) that theta passes
-    # strictly: theta ends exactly on one when an eigenvalue equals lam
-    # (theta stays at pi/2 where lam - v is 0), which is not below lam
-    return max(0, math.ceil((theta - 0.5 * math.pi) / math.pi))
+def _count_from_centre(theta: float) -> int:
+    # theta(0) of an even potential's shot from -L/2: one eigenvalue for
+    # each multiple of pi/2 that it passes strictly beyond pi/2, an even one
+    # at pi/2 + k pi and an odd one at (k + 1) pi.  theta(0) ends exactly on
+    # one when an eigenvalue equals lam (it stays at pi/2 where lam - v is
+    # 0), which is not below lam
+    return max(0, math.ceil((theta - 0.5 * math.pi) / (0.5 * math.pi)))
 
 
 def _count_from_layers(layers: LayerDecomposition, lam: float) -> int:
@@ -271,19 +280,21 @@ def prufer_count(p: PotentialSpec, L: float, lam: float) -> int:
     """Number of Neumann eigenvalues strictly below ``lam``.
 
     A piecewise-constant potential takes the Pruefer angle exactly, one
-    closed-form step per layer, at any finite lam.  The capped family takes
-    fixed-step RK4, which keeps counts reproducible across sweeps; the step
-    obeys h <= min(1e-3 L, 0.1/sqrt(1+|lam|)) and h |lam - v| <= 1/2 with
-    |lam - v| <= max(|lam|, |lam - cap|), which bounds the largest rate of
-    the phase equation.  Rejects a non-finite lam, and for the capped
-    family |lam| > 1e12 and a sweep of over 1e9 steps.
+    closed-form step per layer, at any finite lam.  The capped family, whose
+    v is even, takes fixed-step RK4 from -L/2 to the centre and counts off
+    the angle there, which keeps counts reproducible across sweeps: n steps
+    over L obey h <= min(1e-3 L, 0.1/sqrt(1+|lam|)) and h |lam - v| <= 1/2
+    with |lam - v| <= max(|lam|, |lam - cap|), which bounds the largest rate
+    of the phase equation, and the half takes ceil(n/2) steps of
+    (L/2)/ceil(n/2) <= L/n.  Rejects a non-finite lam, and for the capped
+    family |lam| > 1e12 and n over 1e9.
     """
     _check_length(L)
     _check_lambda(lam)
     if isinstance(p, InverseSquareCapped):
-        n = _capped_steps(p, L, lam)
+        n = (_capped_steps(p, L, lam) + 1) // 2
         theta = kernels.prufer_theta_capped(p.decay, p.cap, lam, 0.5 * L, n)
-        return _count_from_theta(theta)
+        return _count_from_centre(theta)
     return _count_from_layers(decompose(p, L), lam)
 
 
@@ -518,12 +529,19 @@ def ground_state_profile(
 
     ``lam0`` should come from :func:`eigenvalues_exact` or the
     finite-difference solver; a non-finite one is rejected.  The capped
-    family takes twice the RK4 steps of a phase count, under the same
-    limits.  The state is renormalized whenever |u| or |u'| passes 1e15,
-    which leaves the inf/sup ratio untouched.
+    family, whose v and ground state are even, integrates from -L/2 to the
+    centre only, by RK4 at max(2, ceil(2n/(samples - 1))) steps per sample
+    interval, n the steps of a phase count at lam0 over L (so 4.1 n at the
+    default 2049 samples where n = 1000, under the same limits), and the
+    samples right of the centre mirror those on its left, ``values`` and
+    ``x`` alike (values[samples-1-k] == values[k] bit for bit,
+    x[samples-1-k] == -x[k], and x = 0.0 at the centre where samples is
+    odd).  The state is renormalized whenever |u| or |u'| passes 1e15, which
+    leaves the inf/sup ratio untouched.
 
-    One shot from the left end cannot follow deep tunneling: it picks up the
-    growing mode, and the ratio is then no reference for the solver's.  For
+    A piecewise profile is one shot from the left end, which cannot follow
+    deep tunneling: it picks up the growing mode, and the ratio is then no
+    reference for the solver's.  For
     Step(2.331495070458611, (-15.197894751115527, 23.76147902369693)) at
     L = 51.56692688606229 the ratio is 0.0 at the exact lambda0 and 4.9e-24
     at the solver's, whose inf/sup phi0 is 3.5e-27 (n0 = 3301).
@@ -534,6 +552,10 @@ def ground_state_profile(
         raise ValueError(f"need at least 16 samples, got {samples}")
     xs = np.linspace(-0.5 * L, 0.5 * L, samples)
     if isinstance(p, InverseSquareCapped):
+        half = samples // 2
+        xs[samples - half:] = -xs[half - 1::-1]
+        if samples % 2:
+            xs[half] = 0.0
         n_sub = max(2, math.ceil(2 * _capped_steps(p, L, lam0) / (samples - 1)))
         u = kernels.profile_rk4_capped(p.decay, p.cap, lam0, 0.5 * L, samples, n_sub)
     else:
