@@ -38,9 +38,10 @@ layers: each layer gives its two face rows and one group of equal
 interior rows, with the bits the formula over arrays gives them, and the
 operator answers every question of the eigensolver (its run-length form,
 its split, its bounds, ||T||_inf) from those few groups.  Only the finest
-level reads N-vectors: its eigenvector, the certificates and phi0.  The
-capped family's rows differ along its tails, which every sweep reads row
-by row, so its operator is held as arrays.  Every potential of the capped family
+level reads N-vectors (its eigenvector, the certificates and phi0), and
+an unsplit level 0 for its seeds' Rayleigh quotients.  The capped
+family's rows differ along its tails, which every sweep reads row by row,
+so its operator is held as arrays.  Every potential of the capped family
 is even, and so is a centred step; a grid with symmetric breaks and
 counts places its nodes mirror-symmetrically, so such a potential
 assembles a mirror-symmetric operator, whose diagonal and off-diagonal
@@ -57,32 +58,27 @@ other operator runs the general path on the whole matrix, whose two
 bisections share their Sturm counts.
 
 Every search starts from bounds that hold for every assembled operator,
-which is positive semidefinite (v >= 0 in every family), or from a guess
-nearer than they are; a guess or a bound only places Sturm counts, so it
-moves no value.  Level 0 of a split operator guesses for itself: its
-halves take Newton steps on det(T - sigma I) from below, the even half's
-from max(0, its smallest Gershgorin row sum) less a rounding margin, the
-odd half's from where the even half's ended, below lambda0 <= lambda1.
-From below the iterates rise monotonically to the lowest eigenvalue,
-quadratically once close, and the guess is the iterate whose step falls
-within a relative _GUESS_WIDTH.  Level 0 of an unsplit operator takes its
-guess from a grid a quarter its size (for n0 >= 256), whose two
-bisections, sharing their counts, stop at a relative width of
-_GUESS_WIDTH; they take seeds at that lower bound, at the constant
-vector's Rayleigh quotient (above lambda0) and at the larger Ritz value
-of T on the span of the constant vector and the free first mode (above
-lambda1).  Level 1 starts from level 0, finer levels from the value the
-coarser ones predict.  From a guess, Newton steps move it toward its
-eigenvalue, each step one Sturm sweep that also sums d log|det| / d
-sigma (``kernels.sturm_newton``), and the bisection starts from counts
-taken at those steps and in a window around where they end, as wide as
-the error the last step predicts (``_gallop``).  Each matrix, the whole
-operator or one half, keeps its counts in one ``kernels.SturmCounts``,
-which the seeds, the Newton steps, the window and the bisection all ask.
-It settles a question from a kept count wherever the count's
-monotonicity in the shift, or a shifted diagonal that rounds to one
-already counted, decides it as a sweep would, so this reuse changes the
-number of sweeps, never an eigenvalue.
+which is positive semidefinite (v >= 0 in every family), and from a guess;
+a guess or a bound only places Sturm counts, so it moves no value.  Each
+eigenvalue takes one search on its matrix, the whole operator or one
+half: from the guess, Newton steps on det(T - sigma I), each one Sturm
+sweep that also sums d log|det| / d sigma (``kernels.sturm_newton``); then
+counts in a window around where they end, as wide as the error the last
+step predicts (``_gallop``); then bisection.  Level 0 guesses from its own
+counts.  An unsplit operator takes seeds at a lower bound on lambda0,
+max(0, its smallest Gershgorin row sum) less a rounding margin, at the
+constant vector's Rayleigh quotient (above lambda0) and at the larger Ritz
+value of T on the span of the constant vector and the free first mode
+(above lambda1), and bisects each eigenvalue on those counts to a relative
+_GUESS_WIDTH.  A split operator's even half starts at its lower bound, and
+its odd half at the bisected lambda0, which lies below the odd half's
+spectrum.  Level 1 starts from level 0, finer levels from the value the
+coarser ones predict.  Each matrix keeps its counts in one
+``kernels.SturmCounts``, which the seeds, the Newton steps, the window and
+the bisections all ask.  It settles a question from a kept count wherever
+the count's monotonicity in the shift, or a shifted diagonal that rounds
+to one already counted, decides it as a sweep would, so this reuse changes
+the number of sweeps, never an eigenvalue.
 """
 
 import bisect
@@ -115,7 +111,7 @@ __all__ = [
 
 _RESIDUAL_REL = 1e-8
 _NEWTON_STEPS = 8  # most Newton sweeps per guessed eigenvalue
-_GUESS_WIDTH = 1e-3  # relative step, or bisection width, at which a guess stops
+_GUESS_WIDTH = 1e-3  # relative bisection width at which level 0's guess stops
 _GALLOP_WIDE = 16.0  # first half-width, in tolerances, where Newton says nothing
 _EPS = np.finfo(float).eps
 _THIN_LAYER = math.sqrt(_EPS)  # in units of L, see _nested_grids
@@ -141,9 +137,9 @@ class Grid:
 
     def __post_init__(self):
         _check_length(self.L)
-        if not self.counts:
-            object.__setattr__(self, "counts", (self.N,))
-        counts = self.counts
+        object.__setattr__(self, "N", _integer(self.N, "N"))
+        counts = tuple(_integer(c, "a cell count") for c in self.counts) or (self.N,)
+        object.__setattr__(self, "counts", counts)
         if len(counts) != len(self.breaks) + 1 or sum(counts) != self.N or min(counts) < 1:
             raise ValueError("a grid needs one cell count >= 1 per layer, summing to N")
         if not all(w > 0.0 for _, _, w in self._layers):
@@ -416,6 +412,14 @@ class _Layered(DiscreteOperator):
             start -= n
 
 
+def _integer(value, name: str) -> int:
+    """``value`` by operator.index (numpy integers pass); a float raises."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+
+
 def _read_only(a: np.ndarray) -> np.ndarray:
     a.flags.writeable = False
     return a
@@ -596,21 +600,15 @@ def _newton(counts, guess, gap, floor):
     """Newton iterates sigma <- sigma - 1/s on det(T - sigma I) from guess,
     s = d log|det| / d sigma.  A step of size t leaves an error of about
     t^2 / gap for the next eigenvalue ``gap`` away (None where no guess
-    tells), and at most t; from the second step on, the contraction the last
-    two steps t', t show, t^3 / t'^2, is an estimate too, and the smaller
-    one is taken.  Stops once that error is within a quarter of the
-    bisection tolerance, or once t is within the rounding floor ``floor``,
-    below which the steps are rounding noise however close the eigenvalues;
-    or when a step is not finite or not shorter than the one before, or
-    after _NEWTON_STEPS sweeps.  Each sweep's Sturm count
-    is kept in ``counts`` (a kernels.SturmCounts).  Returns the last iterate,
-    the error its last step predicts (inf when no step passed the stop
-    test) and the gap the last contraction shows, t'^2 / t (None before a
-    second step): the error t^2 / gap read backwards, which sums over every
-    other eigenvalue and so lies below the distance to the nearest."""
+    tells), and at most t.  Stops once that error is within a quarter of
+    the bisection tolerance, or once t is within the rounding floor
+    ``floor``, below which the steps are rounding noise however close the
+    eigenvalues; or when a step is not finite or not shorter than the one
+    before, or after _NEWTON_STEPS sweeps.  Each sweep's Sturm count is kept
+    in ``counts`` (a kernels.SturmCounts).  Returns the last iterate and the
+    error its last step predicts (inf when no step passed the stop test)."""
     sigma = guess
     last = math.inf
-    seen = None
     for _ in range(_NEWTON_STEPS):
         if not math.isfinite(sigma):
             break
@@ -623,13 +621,10 @@ def _newton(counts, guess, gap, floor):
             break
         sigma -= step
         error = size * min(1.0, size / gap) if gap is not None and gap > 0.0 else size
-        if last < math.inf:
-            error = min(error, size * (size / last) ** 2)
-            seen = last * last / size
         if error <= 0.25 * kernels.tolerance(sigma) or size <= floor:
-            return sigma, error, seen
+            return sigma, error
         last = size
-    return sigma, math.inf, seen
+    return sigma, math.inf
 
 
 def _unfold(y, n, parity):
@@ -663,34 +658,13 @@ def _upper_bounds(op: DiscreteOperator) -> Tuple[float, float]:
     return a, 0.5 * (a + c) + math.hypot(0.5 * (a - c), b)
 
 
-def _newton_from_below(counts, sigma, floor):
-    """Newton iterates sigma <- sigma - 1/s on det(T - sigma I) from sigma
-    below T's lowest eigenvalue, s = d log|det| / d sigma = -sum_j 1 /
-    (lambda_j - sigma).  Each step, 1 / sum_j 1 / (lambda_j - sigma), is at
-    most lambda0 - sigma, so the iterates rise toward lambda0 and never pass
-    it, quadratically once lambda0 - sigma is small against the next
-    eigenvalue's distance.  Stops once a step is within _GUESS_WIDTH of the
-    iterate or within the rounding floor ``floor``, when s is not negative
-    (sigma at or past lambda0 in rounding), or after _NEWTON_STEPS sweeps;
-    it never bisects.  Each sweep's count is kept in ``counts``.  Returns
-    the last iterate: a guess, which places counts and moves no value."""
-    for _ in range(_NEWTON_STEPS):
-        dlogdet = counts.newton(sigma)
-        if not dlogdet < 0.0:
-            break
-        step = -1.0 / dlogdet
-        sigma += step
-        if step <= max(_GUESS_WIDTH * abs(sigma), floor):
-            break
-    return sigma
-
-
-def _bisect_lowest_two(op: DiscreteOperator, near, rel_width=0.0):
+def _bisect_lowest_two(op: DiscreteOperator, near):
     """Bisected (lambda0, lambda1) of the operator, not yet checked for
     separation, and per eigenvalue the kernels.SturmCounts of the matrix it
     was bisected on and its parity (1.0 even, -1.0 odd; None unsplit); see
-    lowest_two_eigenvalues.  ``rel_width`` > 0 stops each bisection at that
-    relative width instead of the tolerance: a guess, not a result."""
+    lowest_two_eigenvalues.  Each eigenvalue takes one search on its matrix:
+    from its guess (``near``, or without one level 0's own, see the module
+    docstring), _newton, then _gallop, then bisection to the tolerance."""
     if op.size < 2:
         raise SolverError("need at least a 2x2 operator")
     halves = op.halves
@@ -700,52 +674,36 @@ def _bisect_lowest_two(op: DiscreteOperator, near, rel_width=0.0):
         counts = kernels.SturmCounts(op)
         sectors = ((counts, 0, None), (counts, 1, None))
         if near is None:
-            # Counts only decide midpoints without a sweep, never move one,
-            # so these seeds change the cost of the bisections and not their
-            # results: a lower bound on lambda0 and upper bounds on lambda0
-            # and lambda1
+            # seeds at bounds on lambda0 and lambda1, then each value bisected
+            # on those counts to a relative _GUESS_WIDTH, counts kept for the end
             counts.exceeds(op.lower_bound()[0], 0)
             for k, bound in enumerate(_upper_bounds(op)):
                 counts.exceeds(bound, k)
+            lo, hi = op.gershgorin()
+            near = [kernels.bisect_eigenvalue(counts, k, lo, hi, _GUESS_WIDTH) for k in (0, 1)]
     else:
-        even, odd = halves
-        counts = kernels.SturmCounts(even)
-        other = kernels.SturmCounts(odd)
-        sectors = ((counts, 0, 1.0), (other, 0, -1.0))
+        sectors = ((kernels.SturmCounts(halves[0]), 0, 1.0),
+                   (kernels.SturmCounts(halves[1]), 0, -1.0))
         if near is None:
-            # each half's lowest eigenvalue guessed by Newton from below: the
-            # even half's from the lower bound, the odd half's from the even
-            # half's iterate, which lies below lambda0 <= lambda1
-            start, hi = even.lower_bound()
-            start = _newton_from_below(counts, start, _EPS * hi)
-            near = (start, _newton_from_below(other, start, _EPS * hi))
-    if near is not None:
-        guesses = (float(near[0]), float(near[1]))
-        gap = abs(guesses[1] - guesses[0])
-        seen = None
+            # the even half from its lower bound, the odd half from the
+            # bisected lambda0, which lies below its spectrum (lambda0 <= lambda1)
+            near = (halves[0].lower_bound()[0], None)
+    gap = None if near[1] is None else abs(float(near[1]) - float(near[0]))
     lams = []
     for j, (counts, k, parity) in enumerate(sectors):
         lo, hi = counts.matrix.gershgorin()
-        if near is not None:
-            # On the unsplit matrix lambda0 and lambda1 each have the other
-            # lambda1 - lambda0 away.  A half's next eigenvalue is
-            # lambda2 > lambda1 (even) or lambda3 (odd): lambda1 - lambda0
-            # bounds the even half's gap from below.  The odd half's gap is
-            # at least lambda2 - lambda1 (interlacing: lambda3 >= lambda2),
-            # and lambda2 - lambda0 is at least the gap the even half's last
-            # Newton contraction showed, where it showed one.  Else
-            # lambda1 - lambda0 stands in for lambda2 - lambda1, which it
-            # does not exceed on a flat spectrum (1 : 3) or below a central
-            # barrier (a split pair).  Newton only places counts, so an
-            # estimate that is off costs sweeps, never a value.
-            next_gap = gap
-            if parity == -1.0 and seen is not None and seen > guesses[1] - lams[0]:
-                next_gap = seen - (guesses[1] - lams[0])
-            guess, error, seen = _newton(counts, guesses[j], next_gap, _EPS * hi)
-            _gallop(counts, k, guess, error, lo, hi)
+        # On the unsplit matrix lambda0 and lambda1 each have the other
+        # lambda1 - lambda0 away.  A half's next eigenvalue is lambda2 >
+        # lambda1 (even) or lambda3 (odd), and the guessed lambda1 - lambda0
+        # stands in for both gaps; a split level 0 guesses no gap.  Newton
+        # only places counts, so an estimate that is off costs sweeps, never
+        # a value.
+        guess = lams[0] if near[j] is None else float(near[j])
+        guess, error = _newton(counts, guess, gap, _EPS * hi)
+        _gallop(counts, k, guess, error, lo, hi)
         if k:
             lo = max(lo, lams[0] - 1e-13)
-        lams.append(kernels.bisect_eigenvalue(counts, k, lo, hi, rel_width))
+        lams.append(kernels.bisect_eigenvalue(counts, k, lo, hi))
     return lams, sectors
 
 
@@ -772,12 +730,13 @@ def lowest_two_eigenvalues(
     ``near`` is a guess (lambda0, lambda1), e.g. from a coarser grid.  Newton
     steps on the determinant move each guess toward its eigenvalue, and
     the bisections start from Sturm counts taken at those steps and around
-    where they end.  Without one, a split operator guesses each value by
-    Newton steps from a lower bound (see the module docstring), and an
-    unsplit one seeds its counts at bounds on lambda0 and lambda1.  Guesses
-    and seeds change only how many Sturm sweeps the bisections take, never
-    the values returned.  Raises :class:`SolverError` if the two values are
-    not separated.
+    where they end.  Without one, the operator guesses from its own counts
+    (see the module docstring): an unsplit one bisects seeds at bounds on
+    lambda0 and lambda1 to a relative _GUESS_WIDTH, a split one starts its
+    even half at a lower bound and its odd half at lambda0.  Guesses and
+    seeds change only how many Sturm sweeps the bisections take, never the
+    values returned.  Raises :class:`SolverError` if the two values are not
+    separated.
     """
     return _separated(*_bisect_lowest_two(op, near)[0])
 
@@ -926,6 +885,7 @@ def solve_extrapolated(
     returned.
     """
     _check_length(L)
+    n0, levels = _integer(n0, "n0"), _integer(levels, "levels")
     if n0 < 64:
         raise ValueError(f"coarsest grid needs n0 >= 64, got {n0}")
     if levels not in (2, 3, 4):
@@ -935,17 +895,7 @@ def solve_extrapolated(
     for j, grid in enumerate(_nested_grids(p, L, n0, levels)):
         op = assemble(p, grid)
         near = None
-        if j == 0 and n0 >= 256 and op.halves is None:
-            # An unsplit operator's bisections start from a grid a quarter
-            # the size, bisected to a relative _GUESS_WIDTH and not checked
-            # for separation: a guess never changes a value.  A split one's
-            # halves guess for themselves, by Newton steps from a lower bound
-            # (_bisect_lowest_two), where a quarter grid would only add its
-            # assembly: a sweep takes each run of equal rows in O(1), so its
-            # sweeps cost what level 0's do.
-            quarter = _nested_grids(p, L, n0 // 4, 1)[0]
-            near = _bisect_lowest_two(assemble(p, quarter), None, _GUESS_WIDTH)[0]
-        elif j == 1:
+        if j == 1:
             near = (lam0s[0], lam1s[0])
         elif j >= 2:
             # the O(h^2) error quarters per halving of h

@@ -77,6 +77,14 @@ def test_grid_invariants():
         Grid(2.0, 20, (-0.5, 1.5), (4, 12, 4))
     with pytest.raises(ValueError, match="1/h"):
         Grid(2.0, 20, (0.0, 1e-100), (4, 12, 4))  # a layer too thin for 1/h^4
+    # sizes are integers: a numpy integer passes, a float raises, integral or not
+    g = Grid(1.0, np.int64(20), (0.0,), (np.int32(10), np.int64(10)))
+    assert type(g.N) is int and all(type(c) is int for c in g.counts)
+    assert assemble(Zero(), Grid(1.0, np.int64(20))).size == 20
+    for bad in (lambda: Grid(1.0, 20.5), lambda: Grid(1.0, 20.0),
+                lambda: Grid(1.0, 20, (-0.25, 0.25), (10.0, 5, 5))):
+        with pytest.raises(ValueError, match="must be an integer"):
+            bad()
 
 
 def test_assemble_free_stencil():
@@ -332,6 +340,11 @@ def test_solver_input_validation():
         solve_extrapolated(Zero(), 1.0, n0=32)
     with pytest.raises(ValueError):
         solve_extrapolated(Zero(), 1.0, n0=64, levels=5)
+    for kwargs in ({"levels": 3.0}, {"n0": 256.0}, {"n0": 256.5}):
+        with pytest.raises(ValueError, match="must be an integer"):
+            solve_extrapolated(Zero(), 1.0, **kwargs)
+    r = solve_extrapolated(Zero(), 1.0, n0=np.int64(64), levels=np.int64(2))
+    assert len(r.raw_lambda0) == 2
     with pytest.raises(SolverError):
         lowest_two_eigenpairs(DiscreteOperator(np.array([1.0]), np.array([])))
 
@@ -508,16 +521,15 @@ def _even_potential(kind, rng, L):
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 2), st.integers(0, 10_000), st.floats(0.5, 20.0), st.integers(256, 600))
 def test_even_potentials_split_like_lapack(kind, seed, L, n0):
-    # Every grid of an even potential, the quarter grid that guesses level 0
-    # included, is mirror-symmetric bitwise, so its
-    # operator is a palindrome and is split.  Where double precision
-    # resolves the pair, the split eigenvalues agree with LAPACK's to the
-    # bisection tolerance plus eps ||T||.  Each vector agrees to an angle of
-    # (tol + eps ||T||) / gap, gap to the nearest other eigenvalue, plus
-    # LAPACK's eps ||T|| / gap: the solve runs at the bisected value, up to
-    # tol from the eigenvalue (a 63-cell quarter grid's lambda1 vector lay
-    # 4.0e-13 from the 40-digit one, with tol / gap = 1.7e-12 and
-    # eps ||T|| / gap = 1.6e-13).
+    # Every grid of an even potential, here those of n0 / 4, n0 and 2 n0
+    # cells, is mirror-symmetric bitwise, so its operator is a palindrome
+    # and is split.  Where double precision resolves the pair, the split
+    # eigenvalues agree with LAPACK's to the bisection tolerance plus
+    # eps ||T||.  Each vector agrees to an angle of (tol + eps ||T||) / gap,
+    # gap to the nearest other eigenvalue, plus LAPACK's eps ||T|| / gap:
+    # the solve runs at the bisected value, up to tol from the eigenvalue
+    # (a 63-cell grid's lambda1 vector lay 4.0e-13 from the 40-digit one,
+    # with tol / gap = 1.7e-12 and eps ||T|| / gap = 1.6e-13).
     p = _even_potential(kind, np.random.default_rng(seed), L)
     for grid in _nested_grids(p, L, n0 // 4, 1) + _nested_grids(p, L, n0, 2):
         x = grid.nodes()

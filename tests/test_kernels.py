@@ -687,15 +687,11 @@ def test_twisted_solve_calls_no_numpy_transcendental(monkeypatch):
 
 def test_run_length_once_per_grid(monkeypatch):
     # One criterion-5 row (64 cells per unit, 3 levels) solves three grids,
-    # the three levels: its operators split, and level 0 guesses on its own
-    # halves, so no quarter grid is built (it was, a fourth grid, before).
-    # Each operator is assembled from its grid's three layers as a few
-    # groups of equal rows, splits on those groups, and each half reads its
-    # run-length form off its own six groups; the twisted solve reads its
-    # backward pass off the forward form.  So the row makes no run_length
-    # scan, where each grid took one scan of N/2 rows before (the odd half
-    # shared the even half's form), and each half and the mirrored matrix
-    # of the finest grid one before that, 9 in all with the quarter grid.
+    # the three levels.  Each operator is assembled from its grid's three
+    # layers as a few groups of equal rows, splits on those groups, and each
+    # half reads its run-length form off its own six groups; the twisted
+    # solve reads its backward pass off the forward form.  So the row makes
+    # no run_length scan.
     calls = []
     run_length = kernels.run_length
 
@@ -795,11 +791,11 @@ def _plain_lowest_two(op):
 
 
 def _check_guided_levels(p, L):
-    # Every level of solve_extrapolated starts from a guess: level 0 of a
-    # split operator from Newton steps from a lower bound on its halves, of
-    # an unsplit one from a grid a quarter its size.  Each raw value is plain
-    # bisection's, and the unguided solver's, which guesses or seeds from
-    # bounds of its own.
+    # Every level of solve_extrapolated starts from a guess: level 0 from
+    # its own counts (a split operator's even half from its lower bound and
+    # its odd half from lambda0, an unsplit one from its seeds bisected to a
+    # relative 1e-3), finer levels from the levels before.  Each raw value
+    # is plain bisection's, and the unguided solver's.
     n0 = default_cell_count(L, floor=512)  # as in acceptance criterion 3
     r = solve_extrapolated(p, L, n0=n0, levels=3)
     for grid, lam0, lam1 in zip(_nested_grids(p, L, n0, 3), r.raw_lambda0, r.raw_lambda1):
@@ -812,7 +808,7 @@ def _check_guided_levels(p, L):
 @given(st.integers(0, 10_000), st.floats(0.5, 40.0))
 def test_guided_levels_match_unguided(seed, L):
     # capped, multistep, and centred steps like criterion 5's unit step:
-    # split operators, which guess level 0 by Newton steps from below (a
+    # the capped and centred draws are split, the multistep ones unsplit (a
     # barrier opaque enough to leave lambda1 - lambda0 below rounding would
     # raise, and is not drawn)
     rng = np.random.default_rng(seed)
@@ -830,10 +826,13 @@ def test_guided_levels_match_unguided(seed, L):
     (Zero(), 10.0),
     (Constant(3.0), 10.0),
     (MultiStep((Step(8.0, (-7.0, -5.0)), Step(8.0, (5.0, 7.0)))), 36.0),
-], ids=["zero", "constant", "triple_well"])
+    (Step(30.0, (-1.0, 1.00001)), 10.0),
+], ids=["zero", "constant", "triple_well", "near_degenerate"])
 def test_guided_levels_match_unguided_fixed(p, L):
     # lambda0 = 0 (a Newton start 4 eps ||T|| below it), a lower bound of
-    # 3 in every row, and three wells whose lowest two states lie close
+    # 3 in every row, three wells whose lowest two states lie close, and an
+    # unsplit barrier whose lambda1 - lambda0, 7.9e-6 relative, lies below
+    # the relative 1e-3 of level 0's guesses, so both fall in one bracket
     _check_guided_levels(p, L)
 
 
@@ -1342,8 +1341,8 @@ def _count_sweeps(monkeypatch):
 
 
 @pytest.mark.parametrize("p, expected", [
-    (Step(1.0, (-0.5, 0.5)), {400: [6, 9], 800: [8, 4], 1600: [8, 2]}),
-    (Step(1.0, (-0.5, 1.5)), {200: [25, 0], 800: [10, 6], 1600: [8, 4], 3200: [6, 2]}),
+    (Step(1.0, (-0.5, 0.5)), {400: [3, 10], 800: [8, 4], 1600: [8, 2]}),
+    (Step(1.0, (-0.5, 1.5)), {800: [33, 4], 1600: [8, 4], 3200: [6, 2]}),
 ], ids=["centred", "off_centre"])
 def test_sturm_sweep_budget(monkeypatch, p, expected):
     # Each pin is, per operator or half (keyed by its size), the Sturm
@@ -1352,32 +1351,21 @@ def test_sturm_sweep_budget(monkeypatch, p, expected):
     # level, and the budget is these counts, not cells swept.  Plain
     # bisection of both eigenvalues from the Gershgorin range takes 324
     # Sturm counts on the three grids of N = 800, 1600 and 3200 cells.
-    # Counts shared by the two bisections and taken around the guess of the
-    # level before cut that to 155.  A guess for level 0 from a grid of 200
-    # cells bisected to a relative width of 1e-3, Newton sweeps from every
-    # guess, a gallop window sized by the last Newton step, and the reuse of
-    # the count of a shift whose shifted diagonal rounds to a vector already
-    # counted give the off-centre pins below: 24 counts and 12 Newton
-    # sweeps on the three levels, after 25 counts on the guess grid.  The
-    # centred step is even, so every grid is split into an even and an odd
-    # half of N/2 cells, each bisected for its lowest eigenvalue, and a
-    # gallop shift that a Newton count already settles is not swept.  A
-    # split operator builds no quarter grid: level 0's halves guess for
-    # themselves by Newton steps from a lower bound, max(0, the smallest
-    # row sum) less 4 eps ||T||, the odd half from the even half's last
-    # iterate, to a step within a relative 1e-3.  The pins went from
-    # {100: [32, 0], 400: [9, 4]} to {400: [6, 9]}: 41 counts and 4 Newton
-    # sweeps became 6 and 9, and the quarter grid's assembly went.  The
-    # odd half's Newton steps take a gap too (lambda3 >= lambda2), so on
-    # the finest halves one Newton step of the odd half passes the stop
-    # test, where they took [7, 3] before.  Only the finest grid solves for
-    # an eigenvector: one twisted-factorization solve, for the ground
-    # state, as no layer of these grids is thin enough that lambda1's
-    # rounding floor needs its own vector (see the one-ulp-layer pins
-    # below).  The off-centre step is no palindrome: it pins the general
-    # path, whole operators keyed by N, whose sweeps move if count sharing
-    # is lost.  The counts are deterministic: a change that loses the reuse
-    # or the split fails here.
+    # Each search takes Newton sweeps from a guess, a gallop window
+    # sized by the last step, and a bisection that reuses every kept count:
+    # level 0 guesses from its own counts (an unsplit operator bisects its
+    # seeds to a relative 1e-3, a split one starts Newton at the even
+    # half's lower bound and the odd half at the bisected lambda0), and
+    # finer levels from the levels before.  The centred step is even, so
+    # every grid is split into an even and an odd half of N/2 cells, each
+    # bisected for its lowest eigenvalue; the off-centre step is no
+    # palindrome and pins the general path, whole operators keyed by N,
+    # whose sweeps move if count sharing is lost.  Only the finest grid
+    # solves for an eigenvector: one twisted-factorization solve, for the
+    # ground state, as no layer of these grids is thin enough that
+    # lambda1's rounding floor needs its own vector (see the one-ulp-layer
+    # pins below).  The counts are deterministic: a change that loses the
+    # reuse or the split fails here.
     sweeps, calls = _count_sweeps(monkeypatch)
     solve_extrapolated(p, 100.0, n0=800, levels=3)
     assert sweeps == expected
@@ -1405,13 +1393,12 @@ def test_sturm_sweep_budget_finest_grid(monkeypatch):
     # 256 cells per unit on the finest grid, as in acceptance criterion 3:
     # ||T|| ~ 2.6e5, so eps ||T|| ~ 6e-11 lies far above the bisection
     # tolerance of 1e-13, and most of the last midpoints shift the diagonal
-    # to a vector already counted.  Reusing those counts cuts the Sturm
-    # sweeps on the three grids from [11, 16, 19] to the [7, 5, 2] pinned
-    # below; the finest operator of 10240 cells is swept 2 times after its
-    # Newton steps instead of 19.
+    # to a vector already counted, whose count is reused: the finest
+    # operator of 10240 cells is swept 2 times after its Newton steps, and
+    # 19 times without that reuse.
     sweeps, _ = _count_sweeps(monkeypatch)
     solve_extrapolated(Step(1.0, (-0.5, 1.5)), 40.0, n0=2560, levels=3)
-    assert sweeps == {640: [24, 0], 2560: [7, 4], 5120: [5, 4], 10240: [2, 2]}
+    assert sweeps == {2560: [27, 4], 5120: [5, 4], 10240: [2, 2]}
 
 
 def test_newton_stops_at_rounding_floor(monkeypatch):
@@ -1419,19 +1406,9 @@ def test_newton_stops_at_rounding_floor(monkeypatch):
     # 20260808, case 11) has lambda1 - lambda0 = 1.05e-9 on a grid whose
     # rounding floor eps ||T|| is 5.8e-11.  On the finest even half the
     # Newton steps stay at 7.1e-12, rounding noise, which no test against
-    # tol (lambda1 - lambda0) / 4 = 2.6e-23 can pass: Newton stopped only
-    # when a step failed to shrink, and the bisection then opened its
-    # window at the 16-tolerance fallback and had to widen it.  Newton now
-    # stops at the floor, every run returns a finite predicted error, and
-    # the finest halves take [5, 2] sweeps, not [3, 4] (three of those
-    # Newton sweeps on the even half).  The middle level's halves take
-    # [3, 4], not [4, 4]: a gallop shift that a Newton count already
-    # settles is not swept.  The quarter grid's halves were bisected to a
-    # relative 1e-3 from the Gershgorin range in [34, 0] sweeps.  No quarter
-    # grid is built for a split operator now: level 0's halves take Newton
-    # steps from a lower bound, the odd half's from the even half's last
-    # iterate, 1.05e-9 under lambda1, and then [4, 8], not [6, 4]: two
-    # counts fewer for four Newton sweeps more, and no quarter grid.
+    # tol (lambda1 - lambda0) / 4 = 2.6e-23 can pass, so Newton stops once
+    # a step is within that floor: every search returns a finite predicted
+    # error, from which the gallop sizes its window.
     results = []
     newton = fdsolver._newton
 
@@ -1446,5 +1423,5 @@ def test_newton_stops_at_rounding_floor(monkeypatch):
     L = 80.19065303497489
     r = solve_extrapolated(p, L, n0=default_cell_count(L, floor=512), levels=3)
     assert r.gap > 0.0
-    assert sweeps == {2567: [4, 8], 5134: [3, 4], 10268: [5, 2]}
+    assert sweeps == {2567: [5, 8], 5134: [3, 4], 10268: [5, 2]}
     assert len(results) == 6 and all(e < math.inf for e in results)
